@@ -39,12 +39,11 @@ from .reference import REFERENCE_TABLES, compare_reference, triangular_reference
 from .resistance import (
     ConductanceVector,
     ResistanceTable,
+    _oracle_table,
     drg_closed_table,
     foster_sum,
-    oracle_resistance_matrix,
     polynomial_coefficients,
     require_unit_class_one,
-    resistance_oracle,
     resistance_polynomial,
     resistance_spectral,
 )
@@ -232,10 +231,11 @@ def run_resist(scheme: AssociationScheme, conductances: ConductanceVector,
         spec = spectral_data(scheme)
         timings["spectral_data"] = time.perf_counter() - t0
 
+    oracle_spread = None
     for method in methods:
         t0 = time.perf_counter()
         if method == "oracle":
-            table = resistance_oracle(scheme, conductances)
+            table, oracle_spread = _oracle_table(scheme, conductances)
         elif method == "spectral":
             table = resistance_spectral(scheme, spec, conductances)
         elif method == "polynomial":
@@ -261,14 +261,9 @@ def run_resist(scheme: AssociationScheme, conductances: ConductanceVector,
         fr = foster_sum(scheme, conductances, table)
         report.checks.append({"name": f"foster[{table.method}]",
                               "pass": fr.passed, "residual": fr.residual})
-    if "oracle" in methods:
-        rmat = oracle_resistance_matrix(scheme, conductances)
-        spread = 0.0
-        for l in range(1, scheme.d + 1):
-            members = rmat[scheme.relations[l].astype(bool)]
-            spread = max(spread, float(members.max() - members.min()))
-        report.checks.append({"name": "corollary-1", "pass": spread <= 1e-9,
-                              "residual": spread})
+    if oracle_spread is not None:
+        report.checks.append({"name": "corollary-1", "pass": oracle_spread <= 1e-9,
+                              "residual": oracle_spread})
     if len(report.tables) >= 2:
         worst = 0.0
         for i in range(len(report.tables)):

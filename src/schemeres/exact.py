@@ -3,8 +3,10 @@
 Matrices here are lists of rows of ``fractions.Fraction`` (or Python ints,
 which embed in the rationals).  Sizes are small, at most (d+1) x (d+1) for a
 d-class scheme, so plain Gauss-Jordan elimination is entirely adequate.
-``power_traces`` also accepts integer numpy arrays of full network size and
-keeps every intermediate value exact.
+``integer_matrix_powers`` and ``power_traces`` also accept integer numpy
+arrays of full network size and keep every intermediate value exact; the
+engines no longer use them (they work in the intersection algebra), but
+they remain as an independent N x N witness for the tests.
 """
 
 from __future__ import annotations

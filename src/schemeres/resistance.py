@@ -1,6 +1,6 @@
 """Effective-resistance engines.
 
-Four independent routes to the per-class two-point resistances of a scheme's
+Four routes to the per-class two-point resistances of a scheme's
 underlying resistor network:
 
 * ``resistance_oracle``      - Laplacian pseudo-inverse, floating point;
@@ -9,8 +9,12 @@ underlying resistor network:
 * ``resistance_drg_closed``  - closed forms from an intersection array,
   exact rationals (distance-regular networks, strata 1..5).
 
-The engines share no intermediate results, so agreement between them is a
-meaningful cross-check and is asserted wholesale in the test suite.
+``oracle`` is the only engine that works on the N x N relation matrices; it
+shares nothing with the intersection numbers p^k_ij, so it witnesses them.
+The other three all derive from p: ``spectral`` through the eigenmatrices
+computed in the intersection algebra, ``polynomial`` through powers of the
+intersection matrix B_1, and ``closed`` through the intersection array.
+Agreement with the oracle is asserted wholesale in the test suite.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .errors import (
     SingularSystem,
     ZeroDenominator,
 )
-from .exact import integer_matrix_powers, rational_inverse
+from .exact import rational_inverse
 from .scheme import AssociationScheme, IntersectionArray, SpectralData
 
 #: relative cutoff below which a Laplacian eigenvalue counts as zero
@@ -151,16 +155,24 @@ def resistance_oracle(scheme: AssociationScheme, conductances) -> ResistanceTabl
     the choice is immaterial and is certified here: over all vertex pairs of
     each class the resistance spread must stay below ``STRATUM_SPREAD_TOL``.
     """
+    return _oracle_table(scheme, conductances)[0]
+
+
+def _oracle_table(scheme: AssociationScheme, conductances
+                  ) -> tuple[ResistanceTable, float]:
+    """The oracle table and its largest within-class resistance spread."""
     rmat = oracle_resistance_matrix(scheme, conductances)
     values = []
+    worst = 0.0
     for l in range(1, scheme.d + 1):
         members = rmat[scheme.relations[l].astype(bool)]
         spread = float(members.max() - members.min())
         assert spread <= STRATUM_SPREAD_TOL, \
             f"class {l} resistance spread {spread:.3e}"
+        worst = max(worst, spread)
         beta = int(np.flatnonzero(scheme.classmap[0] == l)[0])
         values.append(float(rmat[0, beta]))
-    return ResistanceTable(tuple(values), method="oracle", exact=False)
+    return ResistanceTable(tuple(values), method="oracle", exact=False), worst
 
 
 # --------------------------------------------------------------------------
@@ -175,7 +187,8 @@ def resistance_spectral(scheme: AssociationScheme, spectral: SpectralData,
     Raises
     ------
     ZeroDenominator
-        If some D_k vanishes (the conductance support is disconnected).
+        If some D_k vanishes relative to the conductance scale
+        sum_i c_i kappa_i (the conductance support is disconnected).
     """
     cond = ConductanceVector.coerce(conductances, scheme.d)
     c = cond.as_floats()
@@ -185,7 +198,7 @@ def resistance_spectral(scheme: AssociationScheme, spectral: SpectralData,
     mults = np.array(spectral.multiplicities, dtype=float)
 
     denoms = ((kappa[1:] - p[1:, 1:]) * c).sum(axis=1)  # index k-1
-    small = np.abs(denoms) <= 1e-12
+    small = np.abs(denoms) <= 1e-12 * float(c @ kappa[1:])
     if small.any():
         raise ZeroDenominator(
             f"eigenspace {1 + int(np.argmax(small))} has vanishing denominator")
@@ -224,8 +237,9 @@ class PolynomialCoefficients:
 def polynomial_coefficients(scheme: AssociationScheme) -> PolynomialCoefficients:
     """Expand each relation as an exact polynomial in A_1, spectrum-free.
 
-    Computes A^0..A^d exactly, expands each power in the class basis (always
-    possible by closure), and inverts that rational system.
+    The class coefficients of A^n are B_1^n e_0, with B_1 the intersection
+    matrix of class 1, so A^0..A^d are expanded in exact integers without
+    touching an N x N matrix; that rational system is then inverted.
 
     Raises
     ------
@@ -234,16 +248,11 @@ def polynomial_coefficients(scheme: AssociationScheme) -> PolynomialCoefficients
         d+1 distinct eigenvalues and does not generate the algebra.
     """
     d = scheme.d
-    powers = integer_matrix_powers(np.asarray(scheme.relations[1], dtype=np.int64), d)
-    reps = [(0, int(np.flatnonzero(scheme.classmap[0] == k)[0]))
-            for k in range(d + 1)]
-    rows = []
-    for power in powers:
-        coef = [int(power[r]) for r in reps]
-        recon = np.array(coef, dtype=object)[scheme.classmap]
-        if (power != recon).any():
-            raise ArithmeticError("power of A_1 left the Bose-Mesner span")
-        rows.append([Fraction(x) for x in coef])
+    b1 = scheme.intersection_matrix(1).tolist()  # Python ints, so powers never overflow
+    powers = [[int(k == 0) for k in range(d + 1)]]
+    for _ in range(d):
+        powers.append([sum(x * y for x, y in zip(bk, powers[-1])) for bk in b1])
+    rows = [[Fraction(x) for x in row] for row in powers]
     try:
         inv = rational_inverse(rows)
     except SingularSystem:

@@ -9,7 +9,8 @@ checks remain bit-exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -171,20 +172,35 @@ class SpectralData:
     ``p_matrix`` rows index common eigenspaces (row 0 is the all-ones
     eigenspace, so ``P[0, j] = kappa_j`` and ``P[k, 0] = 1``); columns index
     classes.  ``multiplicities[k]`` is the rank of ``idempotents[k]``.
+    ``idempotents`` are the N x N matrices E_k = (1/N) sum_j Q[j, k] A_j;
+    they are built from ``classmap`` on first access only, since nothing
+    else in the package needs them.
     """
 
     p_matrix: np.ndarray
     q_matrix: np.ndarray
     multiplicities: tuple
-    idempotents: tuple
+    classmap: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def d(self) -> int:
         return self.p_matrix.shape[0] - 1
 
+    @cached_property
+    def idempotents(self) -> tuple:
+        n = sum(self.multiplicities)
+        return tuple(self.q_matrix[self.classmap, k] / n for k in range(self.d + 1))
+
 
 def spectral_data(scheme: AssociationScheme, *, validate: bool = True) -> SpectralData:
-    """Compute P, Q, multiplicities and idempotents by joint diagonalization.
+    """Compute P, Q and the multiplicities in the intersection algebra.
+
+    Multiplication by A_i acts on coefficient vectors as the intersection
+    matrix B_i; with K = diag(kappa), the matrices K^1/2 B_i K^-1/2 are
+    symmetric and commute.  Each common eigenvector v_k gives the eigenvalue
+    P[k, j] = v_k^T K^1/2 B_j K^-1/2 v_k of A_j and, by the orthogonality
+    relations, m_k = N / sum_j P[k, j]^2 / kappa_j.  Only (d+1) x (d+1)
+    matrices are touched.
 
     Eigenspace 0 is the span of the all-ones vector; the remaining
     eigenspaces are ordered by decreasing eigenvalue on A_1 (ties broken by
@@ -193,77 +209,81 @@ def spectral_data(scheme: AssociationScheme, *, validate: bool = True) -> Spectr
 
     Raises
     ------
+    NotClosed
+        If the intersection numbers break kappa_k p^k_ij = kappa_j p^j_ik.
     DegenerateSplit
         If the family does not split into exactly d+1 common eigenspaces or
-        a projector trace is not close to an integer.
+        a multiplicity is not close to a positive integer.
     """
     n, d = scheme.n, scheme.d
-    projectors = simultaneous_eigenbasis([r.astype(float) for r in scheme.relations])
+    kappa = np.array(scheme.valencies, dtype=np.int64)
+    weighted = kappa[None, None, :] * scheme.p  # [i, j, k] = kappa_k p^k_ij
+    if (weighted != weighted.transpose(0, 2, 1)).any():
+        raise NotClosed("kappa_k p^k_ij != kappa_j p^j_ik for some i, j, k")
+    root = np.sqrt(np.outer(kappa, kappa).astype(float))
+    # (K^1/2 B_i K^-1/2)[k, j] = kappa_k p^k_ij / sqrt(kappa_k kappa_j), exactly symmetric
+    family = [weighted[i].T / root for i in range(d + 1)]
+
+    projectors = simultaneous_eigenbasis(family)
     if len(projectors) != d + 1:
-        worst = max(
-            float(np.abs(a.astype(float) @ b.astype(float)
-                         - b.astype(float) @ a.astype(float)).max())
-            for a in scheme.relations for b in scheme.relations)
+        worst = max(float(np.abs(a @ b - b @ a).max()) for a in family for b in family)
         raise DegenerateSplit(
             f"found {len(projectors)} common eigenspaces, expected {d + 1} "
             f"(max commutator norm {worst:.3e})")
 
+    # each projector has rank 1, so trace(S_j E) is the eigenvalue of A_j on it
+    raw_p = np.einsum("kab,jab->kj", np.array(projectors), np.array(family))
+    norms = (raw_p ** 2 / kappa).sum(axis=1)
     mults = []
-    for e in projectors:
-        t = float(np.trace(e))
-        m = round(t)
+    for t in n / norms:
+        m = round(float(t))
         if abs(t - m) >= 1e-6 or m < 1:
-            raise DegenerateSplit(f"projector trace {t!r} is not a positive integer")
+            raise DegenerateSplit(f"multiplicity {float(t)!r} is not a positive integer")
         mults.append(m)
 
-    ones = np.ones(n)
-    scores = [float(np.abs(e @ ones - ones).max()) for e in projectors]
-    k0 = int(np.argmin(scores))
-    if scores[k0] > 1e-8 * n:
-        raise DegenerateSplit("no eigenspace carries the all-ones vector")
-
-    raw_p = np.empty((d + 1, d + 1))
-    for k, e in enumerate(projectors):
-        for j in range(d + 1):
-            raw_p[k, j] = np.tensordot(scheme.relations[j].astype(float), e) / mults[k]
-
+    k0 = int(np.argmin(np.abs(raw_p - kappa).max(axis=1)))
     rest = [k for k in range(d + 1) if k != k0]
     rest.sort(key=lambda k: tuple(-np.round(raw_p[k, 1:], 9)))
     order = [k0] + rest
 
     p_matrix = raw_p[order]
     multiplicities = tuple(mults[k] for k in order)
-    idempotents = tuple(projectors[k] for k in order)
 
-    kappa = np.array(scheme.valencies, dtype=float)
     q_matrix = (p_matrix.T * multiplicities).T  # temporary: m_k * P[k, l]
     q_matrix = q_matrix.T / kappa[:, None]      # Q[l, j] = m_j P[j, l] / kappa_l
 
-    data = SpectralData(p_matrix, q_matrix, multiplicities, idempotents)
+    data = SpectralData(p_matrix, q_matrix, multiplicities, scheme.classmap)
     if validate:
         _validate_spectral(scheme, data)
     return data
 
 
 def _validate_spectral(scheme: AssociationScheme, data: SpectralData) -> None:
+    """Certify the tables against the exact intersection numbers.
+
+    B_j Q[:, k] = P[k, j] Q[:, k] is A_j E_k = P[k, j] E_k read in the class
+    basis, so it is equivalent to the N x N identity once p is exact.
+    """
     n, d = scheme.n, scheme.d
-    P, Q, E = data.p_matrix, data.q_matrix, data.idempotents
+    P, Q = data.p_matrix, data.q_matrix
     if data.multiplicities[0] != 1 or sum(data.multiplicities) != n:
         raise DegenerateSplit("multiplicities do not resolve the vertex count")
     if np.abs(P @ Q - n * np.eye(d + 1)).max() > 1e-7 * n:
         raise DegenerateSplit("P Q != N I at tolerance")
-    if np.abs(E[0] - 1.0 / n).max() > 1e-8:
+    if np.abs(Q[:, 0] - 1.0).max() > 1e-8 * n:
         raise DegenerateSplit("eigenspace 0 is not J/N")
     if np.abs(P[0] - np.array(scheme.valencies)).max() > 1e-7:
         raise DegenerateSplit("row 0 of P does not list the valencies")
     if np.abs(P[:, 0] - 1.0).max() > 1e-7:
         raise DegenerateSplit("column 0 of P is not all ones")
     scale = max(float(v) for v in scheme.valencies)
+    coeffs = Q / n  # column k holds the class coefficients of E_k
     for j in range(d + 1):
-        a = scheme.relations[j].astype(float)
-        for k in range(d + 1):
-            if np.abs(a @ E[k] - P[k, j] * E[k]).max() > 1e-7 * max(1.0, scale):
-                raise DegenerateSplit(f"A_{j} E_{k} != P[{k},{j}] E_{k} at tolerance")
+        residual = scheme.intersection_matrix(j) @ coeffs - coeffs * P[:, j]
+        worst = np.abs(residual).max(axis=0)
+        if (worst > 1e-7 * max(1.0, scale)).any():
+            k = int(np.argmax(worst))
+            raise DegenerateSplit(f"A_{j} E_{k} != P[{k},{j}] E_{k} at tolerance")
 
 
 # --------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 import csv
 import json
 
+import numpy as np
+
 import schemeres as sr
+from schemeres import cli
 from schemeres.cli import main, make_preset_scheme
 
 
@@ -125,6 +128,35 @@ class TestResist:
         capsys.readouterr()
         code = main(["resist", str(out), "--method", "oracle", "closed"])
         assert code == 0
+
+    def test_spectral_at_tiny_conductance(self, tmp_path, s4):
+        out = tmp_path / "report.json"
+        code = main(["resist", "s4", "--conductances", "1e-13,0,0,0",
+                     "--method", "spectral", "--out", str(out)])
+        assert code == 0
+        got = [v["float"] for v in json.loads(out.read_text())["tables"][0]["values"]]
+        unit = sr.resistance_spectral(s4, sr.spectral_data(s4), [1, 0, 0, 0])
+        assert np.allclose(got, 1e13 * np.array(unit.values), rtol=1e-9, atol=0)
+
+    def test_one_pseudo_inverse_per_oracle_table(self, monkeypatch, s4):
+        calls = []
+        real = sr.resistance.pseudo_inverse
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sr.resistance, "pseudo_inverse", counted)
+        unit = sr.unit_class_one(s4)
+        report = cli.run_resist(s4, unit, ["oracle", "spectral"],
+                                tol=cli.DEFAULT_AGREEMENT_TOL)
+        assert len(calls) == 1
+
+        rmat = sr.oracle_resistance_matrix(s4, unit)
+        spread = max(float(np.ptp(rmat[s4.classmap == l]))
+                     for l in range(1, s4.d + 1))
+        (corollary,) = [c for c in report.checks if c["name"] == "corollary-1"]
+        assert corollary["pass"] and corollary["residual"] == spread
 
     def test_rational_conductance_literals(self, capsys):
         code = main(["resist", "s4", "--conductances", "1/2,0.25,1,2",

@@ -119,6 +119,16 @@ class TestPolynomialCoefficients:
             recon = sum(coeffs.c[m][n] * powers[n] for n in range(scheme.d + 1))
             assert (recon == scheme.relations[m].astype(object)).all()
 
+    @pytest.mark.parametrize("preset", ["s4", "s4-refined-a", "z5z5", "cycle",
+                                        "hypercube", "triangular", "hexagonal"])
+    def test_c_inv_matches_matrix_powers(self, presets, preset):
+        scheme = presets[preset]
+        coeffs = sr.polynomial_coefficients(scheme)
+        a = np.asarray(scheme.relations[1], dtype=np.int64)
+        for row, power in zip(coeffs.c_inv, sr.integer_matrix_powers(a, scheme.d)):
+            expanded = np.array([int(x) for x in row], dtype=object)[scheme.classmap]
+            assert (power.astype(object) == expanded).all()
+
     def test_repeated_eigenvalues_reported(self, square4, s4_refined_b):
         for scheme in (square4, s4_refined_b):
             with pytest.raises(FewerEigenvalues):

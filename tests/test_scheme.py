@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -134,6 +135,77 @@ class TestSpectralData:
             recon = sum(data.p_matrix[k, j] * data.idempotents[k]
                         for k in range(d + 1))
             assert np.abs(recon - scheme.relations[j]).max() < 1e-7
+
+
+def nxn_spectrum(scheme):
+    """P and the multiplicities by joint diagonalization of the N x N
+    relations, in the eigenspace order ``spectral_data`` promises."""
+    projectors = sr.simultaneous_eigenbasis(
+        [r.astype(float) for r in scheme.relations])
+    assert len(projectors) == scheme.d + 1
+    mults = [round(float(np.trace(e))) for e in projectors]
+    raw_p = np.array([[np.tensordot(r.astype(float), e) / m
+                       for r in scheme.relations]
+                      for e, m in zip(projectors, mults)])
+    ones = np.ones(scheme.n)
+    k0 = int(np.argmin([np.abs(e @ ones - ones).max() for e in projectors]))
+    rest = sorted((k for k in range(scheme.d + 1) if k != k0),
+                  key=lambda k: tuple(-np.round(raw_p[k, 1:], 9)))
+    order = [k0] + rest
+    return raw_p[order], tuple(mults[k] for k in order)
+
+
+PRESETS = ["cycle", "hypercube", "triangular", "s4", "s4-refined-a",
+           "s4-refined-b", "z5z5", "square", "hexagonal"]
+
+
+class TestSpectralInAlgebra:
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_matches_nxn_joint_diagonalization(self, presets, preset):
+        scheme = presets[preset]
+        data = spectral_of(scheme)
+        p_matrix, mults = nxn_spectrum(scheme)
+        assert data.multiplicities == mults
+        assert np.abs(data.p_matrix - p_matrix).max() < 1e-9
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_lazy_idempotents(self, presets, preset):
+        scheme = presets[preset]
+        data = spectral_of(scheme)
+        n, d = scheme.n, scheme.d
+        e = data.idempotents
+        assert np.abs(sum(e) - np.eye(n)).max() < 1e-9
+        for k in range(d + 1):
+            assert abs(np.trace(e[k]) - data.multiplicities[k]) < 1e-9
+            for l in range(d + 1):
+                target = e[k] if k == l else 0.0
+                assert np.abs(e[k] @ e[l] - target).max() < 1e-9
+            for j in range(d + 1):
+                a = scheme.relations[j].astype(float)
+                assert np.abs(a @ e[k] - data.p_matrix[k, j] * e[k]).max() < 1e-9
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_needs_no_vertex_level_data(self, presets, preset):
+        """Everything after the intersection numbers costs poly(d)."""
+        scheme = presets[preset]
+        stripped = dataclasses.replace(scheme, relations=(), classmap=None)
+        full, bare = spectral_of(scheme), sr.spectral_data(stripped)
+        assert np.array_equal(bare.p_matrix, full.p_matrix)
+        assert np.array_equal(bare.q_matrix, full.q_matrix)
+        assert bare.multiplicities == full.multiplicities
+        try:
+            coeffs = sr.polynomial_coefficients(scheme)
+        except sr.errors.FewerEigenvalues:
+            with pytest.raises(sr.errors.FewerEigenvalues):
+                sr.polynomial_coefficients(stripped)
+        else:
+            assert sr.polynomial_coefficients(stripped) == coeffs
+
+    def test_inconsistent_intersection_numbers(self, s4):
+        p = s4.p.copy()
+        p[1, 2, 3] += 1
+        with pytest.raises(NotClosed):
+            sr.spectral_data(dataclasses.replace(s4, p=p))
 
 
 class TestStratify:
