@@ -230,13 +230,11 @@ def build_triangular(n: int) -> AssociationScheme:
     """Johnson-type scheme on the 2-subsets of an n-set (three classes)."""
     if n < 4:
         raise TooSmall("triangular scheme needs n >= 4")
-    pairs = list(itertools.combinations(range(n), 2))
-    size = len(pairs)
-    overlap = np.zeros((size, size), dtype=np.int64)
-    sets = [frozenset(p) for p in pairs]
-    for i in range(size):
-        for j in range(size):
-            overlap[i, j] = len(sets[i] & sets[j])
+    pairs = np.array(list(itertools.combinations(range(n), 2)))
+    # incidence[s, x] = 1 when point x lies in the s-th 2-subset
+    incidence = np.zeros((len(pairs), n), dtype=np.int64)
+    incidence[np.arange(len(pairs))[:, None], pairs] = 1
+    overlap = incidence @ incidence.T  # overlap[s, t] = |pair_s & pair_t|
     relations = [
         (overlap == 2).astype(np.int64),
         (overlap == 1).astype(np.int64),

@@ -89,6 +89,14 @@ class QuadratureNotConverged(SchemeresError):
     """Grid refinement stalled before reaching the requested tolerance."""
 
 
+class CertificationFailed(SchemeresError, AssertionError):
+    """A computed result failed the check that certifies it.
+
+    It stays an ``AssertionError`` for callers that caught the bare asserts
+    these checks used to be; unlike them, it is not stripped by ``python -O``.
+    """
+
+
 # command line ----------------------------------------------------------------
 
 class UnknownBuilder(SchemeresError):

@@ -26,6 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
+    CertificationFailed,
     Disconnected,
     FewerEigenvalues,
     MethodPreconditionViolated,
@@ -137,14 +138,20 @@ def pseudo_inverse(scheme: AssociationScheme, conductances) -> np.ndarray:
 
 
 def oracle_resistance_matrix(scheme: AssociationScheme, conductances) -> np.ndarray:
-    """Full N x N matrix of two-point resistances R_ab = Lp_aa+Lp_bb-2Lp_ab."""
+    """Full N x N matrix of two-point resistances R_ab = Lp_aa+Lp_bb-2Lp_ab.
+
+    Raises
+    ------
+    CertificationFailed
+        If the diagonal of Lp spreads by more than ``STRATUM_SPREAD_TOL``.
+    """
     cond = ConductanceVector.coerce(conductances, scheme.d)
     _require_connected_support(scheme, cond)
     lp = pseudo_inverse(scheme, conductances)
     diag = np.diag(lp)
     spread = float(diag.max() - diag.min())
-    assert spread <= STRATUM_SPREAD_TOL, \
-        f"pseudo-inverse diagonal spread {spread:.3e}"
+    if spread > STRATUM_SPREAD_TOL:
+        raise CertificationFailed(f"pseudo-inverse diagonal spread {spread:.3e}")
     return diag[:, None] + diag[None, :] - lp - lp.T
 
 
@@ -153,7 +160,8 @@ def resistance_oracle(scheme: AssociationScheme, conductances) -> ResistanceTabl
 
     The representative is vertex 0 against the first vertex of each stratum;
     the choice is immaterial and is certified here: over all vertex pairs of
-    each class the resistance spread must stay below ``STRATUM_SPREAD_TOL``.
+    each class the resistance spread must stay below ``STRATUM_SPREAD_TOL``,
+    else ``CertificationFailed`` is raised.
     """
     return _oracle_table(scheme, conductances)[0]
 
@@ -167,8 +175,8 @@ def _oracle_table(scheme: AssociationScheme, conductances
     for l in range(1, scheme.d + 1):
         members = rmat[scheme.relations[l].astype(bool)]
         spread = float(members.max() - members.min())
-        assert spread <= STRATUM_SPREAD_TOL, \
-            f"class {l} resistance spread {spread:.3e}"
+        if spread > STRATUM_SPREAD_TOL:
+            raise CertificationFailed(f"class {l} resistance spread {spread:.3e}")
         worst = max(worst, spread)
         beta = int(np.flatnonzero(scheme.classmap[0] == l)[0])
         values.append(float(rmat[0, beta]))
@@ -246,6 +254,8 @@ def polynomial_coefficients(scheme: AssociationScheme) -> PolynomialCoefficients
     FewerEigenvalues
         If the power-expansion matrix is singular, i.e. A_1 has fewer than
         d+1 distinct eigenvalues and does not generate the algebra.
+    CertificationFailed
+        If the expansion does not give A_0 = A^0 and A_1 = A^1.
     """
     d = scheme.d
     b1 = scheme.intersection_matrix(1).tolist()  # Python ints, so powers never overflow
@@ -262,8 +272,9 @@ def polynomial_coefficients(scheme: AssociationScheme) -> PolynomialCoefficients
             f"A_1 generates a rank-{rank} subalgebra of dimension {d + 1}")
     c = tuple(tuple(row) for row in inv)
     c_inv = tuple(tuple(row) for row in rows)
-    assert c[0] == tuple(Fraction(int(j == 0)) for j in range(d + 1))
-    assert c[1] == tuple(Fraction(int(j == 1)) for j in range(d + 1))
+    for m in (0, 1):  # A_0 = A^0 and A_1 = A^1
+        if c[m] != tuple(Fraction(int(j == m)) for j in range(d + 1)):
+            raise CertificationFailed(f"A_{m} is not expanded as A^{m}")
     return PolynomialCoefficients(c=c, c_inv=c_inv)
 
 

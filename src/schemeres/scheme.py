@@ -2,9 +2,10 @@
 
 ``verify_scheme`` is the only constructor: it checks every defining axiom in
 exact integer arithmetic and computes the intersection numbers on the way.
-Matrix products are taken in float64 (BLAS) for speed; all entries are small
-integers, far below 2**53, so those products are still exact and the axiom
-checks remain bit-exact.
+Matrix products are taken in float64 (BLAS) for speed.  Each packs a run of
+classes into base-``base`` digits, base = max kappa + 1, and the run is cut
+so that base**run <= 2**53: every entry and partial sum stays an integer
+below 2**53, so the products are exact and the axiom checks bit-exact.
 """
 
 from __future__ import annotations
@@ -70,14 +71,18 @@ def verify_scheme(relations: Sequence, class_names: Optional[Sequence[str]] = No
     """Validate relation matrices and build the scheme.
 
     Checks, in exact integer arithmetic: 0/1 entries, A_0 = I, the relations
-    partition the vertex pairs, every relation is symmetric, the family is
-    closed under multiplication with nonnegative integer coefficients, and
-    the intersection numbers are commutative.
+    partition the vertex pairs, every relation is symmetric, nonempty and
+    regular (kappa_k read off row 0), the family is closed under
+    multiplication with nonnegative integer coefficients, the intersection
+    numbers are commutative and the valencies sum to n.  Closure costs
+    sum_i ceil((d+1-i) / run) N x N products, with each product packing
+    ``run`` classes; see ``_intersection_numbers``.
 
     Raises
     ------
     IdentityMissing, NotPartition, NotSymmetric, NotClosed, NotCommutative
-        Naming the violated axiom.
+        Naming the violated axiom: an empty relation is ``NotPartition``,
+        a non-regular one ``NotClosed``.
     """
     rels = [np.asarray(r) for r in relations]
     if not rels:
@@ -112,35 +117,18 @@ def verify_scheme(relations: Sequence, class_names: Optional[Sequence[str]] = No
     for k, r in enumerate(rels):
         classmap[r.astype(bool)] = k
 
-    reps = []
     for k, r in enumerate(rels):
-        hits = np.argwhere(r == 1)
-        if hits.size == 0:
+        if not r.any():
             raise NotPartition(f"relation {k} is empty")
-        reps.append((int(hits[0, 0]), int(hits[0, 1])))
+    valencies = tuple(int(r[0].sum()) for r in rels)
+    for k, r in enumerate(rels):
+        if (r.sum(axis=1) != valencies[k]).any():
+            raise NotClosed(f"relation {k} is not regular")
 
-    floats = [r.astype(np.float64) for r in rels]
-    p = np.zeros((d + 1, d + 1, d + 1), dtype=np.int64)
-    for i in range(d + 1):
-        for j in range(i, d + 1):
-            prod = floats[i] @ floats[j]
-            coef = np.array([prod[reps[k]] for k in range(d + 1)])
-            if (coef != np.round(coef)).any() or (coef < 0).any():
-                raise NotClosed(f"A_{i} A_{j} has non-integer class coefficients")
-            coef = coef.astype(np.int64)
-            if (prod != coef[classmap]).any():
-                raise NotClosed(f"A_{i} A_{j} is outside the span of the relations")
-            p[i, j, :] = coef
-            p[j, i, :] = coef  # product of symmetric matrices, transposed
-
+    p = _intersection_numbers(classmap, valencies)
     if (p != p.transpose(1, 0, 2)).any():
         raise NotCommutative("p^k_{ij} != p^k_{ji} for some i, j, k")
 
-    valencies = tuple(int(p[k, k, 0]) for k in range(d + 1))
-    for k, r in enumerate(rels):
-        sums = r.sum(axis=1)
-        if (sums != valencies[k]).any():
-            raise NotClosed(f"relation {k} is not regular")
     if sum(valencies) != n:
         raise NotPartition("valencies do not sum to the vertex count")
 
@@ -154,6 +142,53 @@ def verify_scheme(relations: Sequence, class_names: Optional[Sequence[str]] = No
         relations=tuple(r.astype(np.int8) for r in rels),
         valencies=valencies, p=p, classmap=classmap, class_names=names,
     )
+
+
+def _intersection_numbers(classmap: np.ndarray, valencies: tuple) -> np.ndarray:
+    """Certify A_i A_j = sum_k p^k_ij A_k for all i <= j and return p.
+
+    The relations must already be certified symmetric and regular, so every
+    entry of A_i A_j is an integer in [0, kappa_i] and below ``base`` =
+    max kappa + 1.  A run of classes j0..j1-1 then packs into one product:
+    A_i W with W = sum_q base^q A_{j0+q} holds A_i A_{j0+q} as base-``base``
+    digit q.  ``run`` is the largest length with base**run <= 2**53, so
+    every entry and every partial sum of the float64 product is a
+    nonnegative integer below 2**53 and the product is exact.  Because each
+    digit is below ``base``, a packed entry equals the packed coefficients
+    of its class exactly when every digit does, i.e. when each A_i A_j in
+    the run lies in the span of the relations.  That takes
+    sum_i ceil((d+1-i) / run) products instead of (d+1)(d+2)/2.
+    """
+    d = len(valencies) - 1
+    base = max(valencies) + 1
+    run = 1
+    while base ** (run + 1) <= 2 ** 53:
+        run += 1
+    powers = np.array([base ** q for q in range(run)], dtype=np.int64)
+    # every class meets row 0, since each relation is regular and nonempty
+    reps = np.argmax(classmap[0] == np.arange(d + 1)[:, None], axis=1)
+
+    index = classmap.astype(np.intp)  # gathers run about twice as fast on intp
+    p = np.zeros((d + 1, d + 1, d + 1), dtype=np.int64)
+    for i in range(d + 1):
+        a_i = (classmap == i).astype(np.float64)
+        for j0 in range(i, d + 1, run):
+            j1 = min(j0 + run, d + 1)
+            weights = np.zeros(d + 1)
+            weights[j0:j1] = powers[:j1 - j0]
+            packed = a_i @ weights[index]  # exact integers, so compared as floats
+            coef = packed[0, reps]
+            expected = coef[index]
+            if (packed != expected).any():
+                x, y = np.argwhere(packed != expected)[0]
+                pair = np.array([packed[x, y], expected[x, y]], dtype=np.int64)
+                digits = pair[:, None] // powers[:j1 - j0] % base
+                j = j0 + int(np.argmax(digits[0] != digits[1]))
+                raise NotClosed(f"A_{i} A_{j} is outside the span of the relations")
+            digits = coef.astype(np.int64) // powers[:j1 - j0, None] % base
+            p[i, j0:j1, :] = digits  # [q, k] = p^k_{i, j0+q}
+            p[j0:j1, i, :] = digits  # product of symmetric matrices, transposed
+    return p
 
 
 def intersection_numbers(scheme: AssociationScheme) -> np.ndarray:

@@ -77,6 +77,13 @@ class TestTriangular:
         with pytest.raises(TooSmall):
             sr.build_triangular(3)
 
+    @pytest.mark.parametrize("n", range(4, 10))
+    def test_classes_follow_set_intersections(self, n):
+        # class 2 - |s & t| for 2-subsets s, t, in itertools.combinations order
+        pairs = [set(p) for p in itertools.combinations(range(n), 2)]
+        overlap = np.array([[len(s & t) for t in pairs] for s in pairs])
+        assert np.array_equal(sr.build_triangular(n).classmap, 2 - overlap)
+
     def test_tridiagonal_action(self):
         n = 7
         scheme = sr.build_triangular(n)

@@ -1,7 +1,12 @@
 import csv
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
+import pytest
 
 import schemeres as sr
 from schemeres import cli
@@ -157,6 +162,19 @@ class TestResist:
                      for l in range(1, s4.d + 1))
         (corollary,) = [c for c in report.checks if c["name"] == "corollary-1"]
         assert corollary["pass"] and corollary["residual"] == spread
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+    def test_certification_failure_is_typed(self, flags):
+        """The oracle's spread check exits 2 with its error name, also under -O."""
+        src = str(pathlib.Path(sr.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "schemeres.cli", "resist", "s4",
+             "--conductances", "1e-7,0,0,0"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 2, proc.stderr
+        assert "error [CertificationFailed]" in proc.stderr
 
     def test_rational_conductance_literals(self, capsys):
         code = main(["resist", "s4", "--conductances", "1/2,0.25,1,2",

@@ -5,6 +5,7 @@ import pytest
 
 import schemeres as sr
 from schemeres.errors import (
+    CertificationFailed,
     Disconnected,
     FewerEigenvalues,
     MethodPreconditionViolated,
@@ -45,6 +46,25 @@ class TestOracle:
         c[k - 1] = 1
         with pytest.raises(Disconnected):
             sr.resistance_oracle(square4, c)
+
+    def test_certification_errors_are_typed(self, s4):
+        assert issubclass(CertificationFailed, sr.errors.SchemeresError)
+        assert issubclass(CertificationFailed, AssertionError)
+        with pytest.raises(CertificationFailed, match="diagonal spread"):
+            sr.resistance_oracle(s4, [1e-7, 0, 0, 0])
+
+    def test_class_spread_certified(self, monkeypatch, s4):
+        real = sr.resistance.oracle_resistance_matrix
+
+        def tampered(*args):
+            rmat = real(*args)
+            a, b = np.argwhere(s4.classmap == 2)[1]
+            rmat[a, b] = rmat[b, a] = rmat[a, b] + 1e-6
+            return rmat
+
+        monkeypatch.setattr(sr.resistance, "oracle_resistance_matrix", tampered)
+        with pytest.raises(CertificationFailed, match="class 2 resistance spread"):
+            sr.resistance_oracle(s4, [1, 0, 0, 0])
 
     def test_multi_conductance_matches_spectral(self, s4):
         rng = np.random.default_rng(11)
@@ -108,6 +128,13 @@ class TestPolynomialCoefficients:
         d = coeffs.d
         assert coeffs.c[0] == tuple(F(int(j == 0)) for j in range(d + 1))
         assert coeffs.c[1] == tuple(F(int(j == 1)) for j in range(d + 1))
+
+    def test_unit_rows_certified(self, monkeypatch, s4):
+        real = sr.resistance.rational_inverse
+        monkeypatch.setattr(sr.resistance, "rational_inverse",
+                            lambda rows: real(rows)[::-1])
+        with pytest.raises(CertificationFailed, match="A_0"):
+            sr.polynomial_coefficients(s4)
 
     @pytest.mark.parametrize("preset", ["s4", "z5z5"])
     def test_exact_matrix_reconstruction(self, presets, preset):

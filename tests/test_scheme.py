@@ -1,8 +1,10 @@
 import dataclasses
+import functools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import schemeres as sr
 from schemeres.errors import (
@@ -287,3 +289,132 @@ class TestSerialization:
         doc["d"] = 99
         with pytest.raises(NotPartition):
             sr.scheme_from_dict(doc)
+
+
+# --------------------------------------------------------------------------
+# the packed intersection-number verifier against the dense product loop
+# --------------------------------------------------------------------------
+
+def dense_intersection_numbers(relations):
+    """The former verifier loop: one float product A_i A_j per pair i <= j.
+
+    Returns p, or None when some product leaves the span of the relations.
+    """
+    floats = [np.asarray(r, dtype=np.float64) for r in relations]
+    d = len(floats) - 1
+    classmap = sum(k * r for k, r in enumerate(floats)).astype(np.int64)
+    reps = [tuple(np.argwhere(r == 1)[0]) for r in floats]
+    p = np.zeros((d + 1, d + 1, d + 1), dtype=np.int64)
+    for i in range(d + 1):
+        for j in range(i, d + 1):
+            prod = floats[i] @ floats[j]
+            coef = np.array([prod[reps[k]] for k in range(d + 1)])
+            if (coef != np.round(coef)).any() or (coef < 0).any():
+                return None
+            coef = coef.astype(np.int64)
+            if (prod != coef[classmap]).any():
+                return None
+            p[i, j, :] = coef
+            p[j, i, :] = coef
+    return p
+
+
+def fused_relations(scheme, labels):
+    """Relations of ``scheme`` with classes 1..d merged where labels agree.
+
+    Class c >= 1 goes to fused class 1 + (rank of labels[c-1] among the
+    distinct labels), so the labels also choose the fused class order.
+    """
+    distinct = sorted(set(labels))
+    lookup = np.array([0] + [1 + distinct.index(label) for label in labels])
+    classmap = lookup[scheme.classmap]
+    return [(classmap == k).astype(np.int64) for k in range(len(distinct) + 1)]
+
+
+@functools.lru_cache(maxsize=None)
+def fusion_base(name):
+    return {"square6": lambda: sr.build_square_lattice(6),
+            "hypercube5": lambda: sr.build_hypercube(5)}[name]()
+
+
+# more classes than one packed product holds (cycle 100, hypercube 9) or
+# several packed products per row (square 15)
+MULTI_RUN = {"cycle100": (sr.build_cycle, 100),
+             "hypercube9": (sr.build_hypercube, 9),
+             "square15": (sr.build_square_lattice, 15)}
+
+
+class TestPackedVerifier:
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_matches_dense_reference(self, presets, preset):
+        scheme = presets[preset]
+        assert np.array_equal(scheme.p, dense_intersection_numbers(scheme.relations))
+
+    @pytest.mark.parametrize("name", MULTI_RUN)
+    def test_matches_dense_reference_across_runs(self, name):
+        builder, size = MULTI_RUN[name]
+        scheme = builder(size)
+        assert (max(scheme.valencies) + 1) ** (scheme.d + 1) > 2 ** 53
+        assert np.array_equal(scheme.p, dense_intersection_numbers(scheme.relations))
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_vertex_permutation_invariant(self, presets, preset):
+        scheme = presets[preset]
+        perm = np.random.default_rng(5).permutation(scheme.n)
+        moved = sr.verify_scheme([r[np.ix_(perm, perm)] for r in scheme.relations])
+        assert np.array_equal(moved.p, scheme.p)
+
+    @pytest.mark.parametrize("base", ["square6", "hypercube5"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_fusions(self, base, data):
+        scheme = fusion_base(base)
+        labels = data.draw(st.lists(st.integers(0, scheme.d - 1),
+                                    min_size=scheme.d, max_size=scheme.d))
+        rels = fused_relations(scheme, labels)
+        reference = dense_intersection_numbers(rels)
+        if reference is None:
+            with pytest.raises(NotClosed):
+                sr.verify_scheme(rels)
+        else:
+            assert np.array_equal(sr.verify_scheme(rels).p, reference)
+
+    @pytest.mark.parametrize("base, labels", [
+        ("square6", list(range(9))),       # no fusion
+        ("square6", [0] * 9),              # K_N: one class besides the identity
+        ("hypercube5", [0, 1, 0, 1, 0]),   # distance parity
+        ("hypercube5", [1, 0, 1, 0, 1]),   # the same, classes swapped
+    ])
+    def test_closed_fusions(self, base, labels):
+        rels = fused_relations(fusion_base(base), labels)
+        reference = dense_intersection_numbers(rels)
+        assert reference is not None
+        assert np.array_equal(sr.verify_scheme(rels).p, reference)
+
+    def test_violation_in_middle_digits_only(self):
+        # C_12 with classes ordered by distance (0, 5, 4, 1, 2, {3, 6}).
+        # Row 1 is one packed run over j = 1..5; A_1 A_1 (lowest digit) and
+        # A_1 A_5 (highest) lie in the span, only the middle digits do not.
+        lookup = np.array([0, 3, 4, 5, 2, 1, 5])
+        classmap = lookup[sr.build_cycle(12).classmap]
+        rels = [(classmap == k).astype(np.int64) for k in range(6)]
+        floats = [r.astype(float) for r in rels]
+        outside = {(i, j) for i in range(6) for j in range(i, 6)
+                   if any(np.ptp((floats[i] @ floats[j])[classmap == k]) > 0
+                          for k in range(6))}
+        assert {(1, 2), (1, 3), (1, 4)} <= outside
+        assert all(1 <= i < j < 5 for i, j in outside)
+        with pytest.raises(NotClosed, match=r"A_1 A_[234] "):
+            sr.verify_scheme(rels)
+
+    def test_empty_relation(self):
+        rels = cycle4_relations() + [np.zeros((4, 4), dtype=np.int64)]
+        with pytest.raises(NotPartition, match="empty"):
+            sr.verify_scheme(rels)
+
+    def test_non_regular_relation(self):
+        path = np.diag(np.ones(3, dtype=np.int64), 1)
+        path += path.T
+        eye = np.eye(4, dtype=np.int64)
+        with pytest.raises(NotClosed, match="not regular"):
+            sr.verify_scheme([eye, path, np.ones((4, 4), dtype=np.int64) - eye - path])
