@@ -69,11 +69,15 @@ def infinite_line_resistance(l: int, tol: float = 1e-10,
     raise QuadratureNotConverged(f"line quadrature stalled at {panels} panels")
 
 
-def _orbit_eigenvalue(orbit, x, y):
-    total = np.zeros_like(x)
-    for (a, b) in orbit:
-        total += np.cos(a * x + b * y)
-    return total
+def _orbit_eigenvalue(orbit, t):
+    """sum over (a, b) in the orbit of cos(a x + b y), x and y over the grid t.
+
+    cos(ax + by) = cos ax cos by - sin ax sin by makes the sum one product
+    of a grid x 2|orbit| matrix and its 2|orbit| x grid partner.
+    """
+    a, b = np.array(orbit, dtype=float).T
+    ax, by = np.outer(t, a), np.outer(t, b)
+    return np.hstack([np.cos(ax), -np.sin(ax)]) @ np.hstack([np.cos(by), np.sin(by)]).T
 
 
 def infinite_lattice_resistance(kind: str, l1: int, l2: int,
@@ -107,9 +111,8 @@ def infinite_lattice_resistance(kind: str, l1: int, l2: int,
     previous = None
     while grid <= max_grid:
         t = 2.0 * np.pi * (np.arange(grid) + 0.5) / grid
-        x, y = np.meshgrid(t, t, indexing="ij")
-        num = kappa_l - _orbit_eigenvalue(orbit_l, x, y)
-        den = kappa_1 - _orbit_eigenvalue(orbit_1, x, y)
+        num = kappa_l - _orbit_eigenvalue(orbit_l, t)
+        den = kappa_1 - _orbit_eigenvalue(orbit_1, t)
         estimate = 2.0 / kappa_l * float((num / den).mean())
         if previous is not None:
             err = abs(estimate - previous)
@@ -142,9 +145,8 @@ def finite_lattice_resistance_formula(m: int, l1: int, l2: int,
     kappa_1 = len(orbit_1)
 
     k = 2.0 * np.pi * np.arange(m) / m
-    x, y = np.meshgrid(k, k, indexing="ij")
-    num = kappa_l - _orbit_eigenvalue(orbit_l, x, y)
-    den = kappa_1 - _orbit_eigenvalue(orbit_1, x, y)
+    num = kappa_l - _orbit_eigenvalue(orbit_l, k)
+    den = kappa_1 - _orbit_eigenvalue(orbit_1, k)
     den[0, 0] = 1.0  # excluded below
     ratio = num / den
     ratio[0, 0] = 0.0

@@ -6,6 +6,11 @@ Matrix products are taken in float64 (BLAS) for speed.  Each packs a run of
 classes into base-``base`` digits, base = max kappa + 1, and the run is cut
 so that base**run <= 2**53: every entry and partial sum stays an integer
 below 2**53, so the products are exact and the axiom checks bit-exact.
+
+Everything after verification reads p alone: ``spectral_data`` takes P, Q
+and the multiplicities from one eigendecomposition of a generic element of
+the (d+1)-dimensional intersection algebra, and ``check_distance_regular``
+reads the intersection array off p.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from .errors import (
     NotPartition,
     NotSymmetric,
 )
-from .spectra import simultaneous_eigenbasis
+from .spectra import CLUSTER_TOL, eig_sym
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,15 +232,31 @@ class SpectralData:
         return tuple(self.q_matrix[self.classmap, k] / n for k in range(self.d + 1))
 
 
+#: seed of the generic weights, so that every call draws the same sequence
+_COMBO_SEED = 0x5CE11E
+#: generic combinations tried before the split is declared degenerate
+_WEIGHT_DRAWS = 3
+
+
+def _weight_draws(count: int):
+    """The seeded generic weight vectors, ``count`` weights each."""
+    rng = np.random.default_rng(_COMBO_SEED)
+    for _ in range(_WEIGHT_DRAWS):
+        yield rng.standard_normal(count)
+
+
 def spectral_data(scheme: AssociationScheme, *, validate: bool = True) -> SpectralData:
     """Compute P, Q and the multiplicities in the intersection algebra.
 
     Multiplication by A_i acts on coefficient vectors as the intersection
     matrix B_i; with K = diag(kappa), the matrices K^1/2 B_i K^-1/2 are
-    symmetric and commute.  Each common eigenvector v_k gives the eigenvalue
-    P[k, j] = v_k^T K^1/2 B_j K^-1/2 v_k of A_j and, by the orthogonality
-    relations, m_k = N / sum_j P[k, j]^2 / kappa_j.  Only (d+1) x (d+1)
-    matrices are touched.
+    symmetric and commute.  Their common eigenvectors are the characters of
+    the (d+1)-dimensional algebra, each of multiplicity one, so one generic
+    combination S = sum_i w_i K^1/2 B_i K^-1/2 separates them all.  Each
+    eigenvector v_k of S gives q = K^-1/2 v_k, proportional to Q[:, k], hence
+    P[k, l] = kappa_l q_l / q_0 and, by the orthogonality relations,
+    m_k = N / sum_l P[k, l]^2 / kappa_l.  Only (d+1) x (d+1) matrices are
+    touched.
 
     Eigenspace 0 is the span of the all-ones vector; the remaining
     eigenspaces are ordered by decreasing eigenvalue on A_1 (ties broken by
@@ -247,8 +268,9 @@ def spectral_data(scheme: AssociationScheme, *, validate: bool = True) -> Spectr
     NotClosed
         If the intersection numbers break kappa_k p^k_ij = kappa_j p^j_ik.
     DegenerateSplit
-        If the family does not split into exactly d+1 common eigenspaces or
-        a multiplicity is not close to a positive integer.
+        If no seeded combination has every relative eigenvalue gap above
+        ``spectra.CLUSTER_TOL``, or a multiplicity is not close to a
+        positive integer.
     """
     n, d = scheme.n, scheme.d
     kappa = np.array(scheme.valencies, dtype=np.int64)
@@ -256,18 +278,25 @@ def spectral_data(scheme: AssociationScheme, *, validate: bool = True) -> Spectr
     if (weighted != weighted.transpose(0, 2, 1)).any():
         raise NotClosed("kappa_k p^k_ij != kappa_j p^j_ik for some i, j, k")
     root = np.sqrt(np.outer(kappa, kappa).astype(float))
-    # (K^1/2 B_i K^-1/2)[k, j] = kappa_k p^k_ij / sqrt(kappa_k kappa_j), exactly symmetric
-    family = [weighted[i].T / root for i in range(d + 1)]
 
-    projectors = simultaneous_eigenbasis(family)
-    if len(projectors) != d + 1:
-        worst = max(float(np.abs(a @ b - b @ a).max()) for a in family for b in family)
+    widest = 0.0
+    for weights in _weight_draws(d + 1):
+        # S[k, j] = sum_i w_i kappa_k p^k_ij / sqrt(kappa_k kappa_j)
+        combo = np.tensordot(weights, weighted, axes=1) / root
+        decomp = eig_sym((combo + combo.T) / 2)  # symmetric to the last bit
+        values = decomp.eigenvalues
+        scale = max(1.0, float(np.abs(values).max()))
+        gap = float(np.diff(values).min(initial=np.inf)) / scale
+        if gap > CLUSTER_TOL:
+            break
+        widest = max(widest, gap)
+    else:
         raise DegenerateSplit(
-            f"found {len(projectors)} common eigenspaces, expected {d + 1} "
-            f"(max commutator norm {worst:.3e})")
+            f"in the best of {_WEIGHT_DRAWS} seeded combinations the smallest relative "
+            f"eigenvalue gap {widest:.3e} is not above CLUSTER_TOL = {CLUSTER_TOL:.1e}")
 
-    # each projector has rank 1, so trace(S_j E) is the eigenvalue of A_j on it
-    raw_p = np.einsum("kab,jab->kj", np.array(projectors), np.array(family))
+    q = decomp.eigenvectors / np.sqrt(kappa)[:, None]  # column k is parallel to Q[:, k]
+    raw_p = kappa * q.T / q[0][:, None]                # [k, l] = kappa_l q_l / q_0
     norms = (raw_p ** 2 / kappa).sum(axis=1)
     mults = []
     for t in n / norms:
@@ -313,12 +342,13 @@ def _validate_spectral(scheme: AssociationScheme, data: SpectralData) -> None:
         raise DegenerateSplit("column 0 of P is not all ones")
     scale = max(float(v) for v in scheme.valencies)
     coeffs = Q / n  # column k holds the class coefficients of E_k
-    for j in range(d + 1):
-        residual = scheme.intersection_matrix(j) @ coeffs - coeffs * P[:, j]
-        worst = np.abs(residual).max(axis=0)
-        if (worst > 1e-7 * max(1.0, scale)).any():
-            k = int(np.argmax(worst))
-            raise DegenerateSplit(f"A_{j} E_{k} != P[{k},{j}] E_{k} at tolerance")
+    # [j, k, l] = (B_j E_k)_l - P[k, j] (E_k)_l, since (B_j)[l, i] = p[j, i, l]
+    residual = np.matmul(coeffs.T, scheme.p)
+    residual -= P.T[:, :, None] * coeffs.T[None, :, :]
+    worst = np.abs(residual, out=residual).max(axis=2)
+    if (worst > 1e-7 * max(1.0, scale)).any():
+        j, k = np.unravel_index(int(np.argmax(worst)), worst.shape)
+        raise DegenerateSplit(f"A_{j} E_{k} != P[{k},{j}] E_{k} at tolerance")
 
 
 # --------------------------------------------------------------------------
@@ -404,19 +434,18 @@ class IntersectionArray:
 def check_distance_regular(scheme: AssociationScheme) -> Optional[IntersectionArray]:
     """Intersection array of the scheme, or None when it is not one.
 
-    Requires p^i_{j1} = 0 whenever |i - j| > 1 and a connected class-1
-    graph; on success the standard identities a_i + b_i + c_i = kappa and
-    kappa_{i-1} b_{i-1} = kappa_i c_i are certified, along with
-    tridiagonality of A_1 in the stratification basis.
+    A pure function of p.  Requires p^i_{j1} = 0 whenever |i - j| > 1, so
+    A_1 acts tridiagonally on the strata, and c_i = p^i_{1,i-1} >= 1 for
+    i = 1..d, so every vertex of class i has a class-1 neighbour in class
+    i - 1 and the class-1 graph is connected.  On success the standard
+    identities a_i + b_i + c_i = kappa and kappa_{i-1} b_{i-1} = kappa_i c_i
+    are certified.
     """
     d = scheme.d
     if d < 1:
         return None
-    for j in range(d + 1):
-        for i in range(d + 1):
-            if abs(i - j) > 1 and scheme.p[j, 1, i] != 0:
-                return None
-    if not scheme.relation_connected([1]):
+    p1 = scheme.p[:, 1, :]  # [j, i] = p^i_{j1}
+    if np.triu(p1, 2).any() or np.tril(p1, -2).any():
         return None
 
     kappa = scheme.valencies[1]
@@ -424,7 +453,7 @@ def check_distance_regular(scheme: AssociationScheme) -> Optional[IntersectionAr
     c = tuple(int(scheme.p[1, i - 1, i]) for i in range(1, d + 1))
     a = tuple(int(scheme.p[1, i, i]) for i in range(1, d + 1))
 
-    if b[0] != kappa or c[0] != 1:
+    if b[0] != kappa or min(c) < 1:
         return None
     for i in range(1, d + 1):
         bi = b[i] if i < d else 0
@@ -432,14 +461,6 @@ def check_distance_regular(scheme: AssociationScheme) -> Optional[IntersectionAr
             return None
         if scheme.valencies[i - 1] * b[i - 1] != scheme.valencies[i] * c[i - 1]:
             return None
-
-    # A_1 must act tridiagonally on the stratum unit vectors
-    strat = stratify(scheme, 0)
-    indicators = (strat.unit_vectors > 0).astype(float)
-    counts = indicators @ scheme.relations[1].astype(float) @ indicators.T
-    off = np.triu(counts, 2)
-    if off.any() or np.tril(counts, -2).any():
-        return None
 
     return IntersectionArray(b=b, c=c)
 

@@ -1,25 +1,21 @@
-"""Floating symmetric eigendecomposition and joint diagonalization.
+"""Floating symmetric eigendecomposition.
 
-The joint diagonalizer takes a family of pairwise-commuting symmetric
-matrices and returns the orthogonal projectors onto their common
-eigenspaces.  It diagonalizes a random (seeded) linear combination of the
-family, then refines every eigenvalue cluster against each member matrix, so
-common eigenspaces are recovered even when single members are degenerate.
+``eig_sym`` certifies its input symmetric and its output by the residual
+M V = V diag(w).  ``scheme.spectral_data`` decomposes one generic element of
+the intersection algebra with it, and ``CLUSTER_TOL`` is the relative
+eigenvalue gap that element must clear.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .errors import NotCommuting, NotSymmetric
+from .errors import NotSymmetric
 
 #: relative gap below which two eigenvalues are treated as one cluster
 CLUSTER_TOL = 1e-7
-COMMUTE_TOL = 1e-9
-_COMBO_SEED = 0x5CE11E
 
 
 @dataclass(frozen=True)
@@ -53,77 +49,3 @@ def eig_sym(m, *, sym_tol: float = 1e-12) -> EigenDecomposition:
     if residual > 1e-9 * scale:
         raise ArithmeticError(f"eigh residual {residual:.3e} out of bound")
     return EigenDecomposition(w, v)
-
-
-def _cluster_breaks(values: np.ndarray, tol: float) -> list[int]:
-    scale = max(1.0, float(np.abs(values).max(initial=0.0)))
-    breaks = [0]
-    for i in range(1, len(values)):
-        if values[i] - values[i - 1] > tol * scale:
-            breaks.append(i)
-    breaks.append(len(values))
-    return breaks
-
-
-def _refine(basis: np.ndarray, members: Sequence[np.ndarray], start: int,
-            tol: float) -> list[np.ndarray]:
-    """Split a cluster basis until every member acts as a scalar on it."""
-    if basis.shape[1] == 1 or start == len(members):
-        return [basis]
-    block = basis.T @ members[start] @ basis
-    w, v = np.linalg.eigh((block + block.T) / 2)
-    breaks = _cluster_breaks(w, tol)
-    if len(breaks) == 2:  # member is scalar here; move on to the next one
-        return _refine(basis, members, start + 1, tol)
-    out: list[np.ndarray] = []
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        out.extend(_refine(basis @ v[:, lo:hi], members, start + 1, tol))
-    return out
-
-
-def simultaneous_eigenbasis(family: Sequence[np.ndarray], *,
-                            cluster_tol: float = CLUSTER_TOL,
-                            commute_tol: float = COMMUTE_TOL,
-                            seed: int = _COMBO_SEED) -> list[np.ndarray]:
-    """Orthogonal projectors onto the common eigenspaces of the family.
-
-    Every member is (numerically) a real linear combination of the returned
-    projectors, the projectors are mutually orthogonal, and they resolve the
-    identity.
-
-    Raises
-    ------
-    NotCommuting
-        If some pair fails to commute; the message carries the worst
-        commutator norm.
-    """
-    mats = [np.asarray(m, dtype=float) for m in family]
-    if not mats:
-        raise ValueError("family must be non-empty")
-    n = mats[0].shape[0]
-    for m in mats:
-        if m.shape != (n, n):
-            raise NotSymmetric("family members must share one square shape")
-        if np.abs(m - m.T).max(initial=0.0) > 1e-12:
-            raise NotSymmetric("family members must be symmetric")
-
-    worst = 0.0
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            comm = mats[i] @ mats[j] - mats[j] @ mats[i]
-            scale = max(1.0, float(np.abs(mats[i]).max()) * float(np.abs(mats[j]).max()))
-            worst = max(worst, float(np.abs(comm).max(initial=0.0)) / scale)
-    if worst > commute_tol:
-        raise NotCommuting(f"max commutator norm {worst:.3e} exceeds {commute_tol:.1e}")
-
-    rng = np.random.default_rng(seed)
-    weights = rng.standard_normal(len(mats))
-    combo = sum(w * m for w, m in zip(weights, mats))
-    decomp = eig_sym(combo, sym_tol=1e-10)
-
-    projectors = []
-    breaks = _cluster_breaks(decomp.eigenvalues, cluster_tol)
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        for basis in _refine(decomp.eigenvectors[:, lo:hi], mats, 0, cluster_tol):
-            projectors.append(basis @ basis.T)
-    return projectors

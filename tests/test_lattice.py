@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 import schemeres as sr
+from schemeres import lattice
 from schemeres.errors import QuadratureNotConverged
 
 from conftest import spectral_of
@@ -105,3 +107,31 @@ class TestFiniteFormula:
             formula = sr.finite_lattice_resistance_formula(
                 7, l1, l2, kind="hexagonal")
             assert abs(formula - oracle.value(k)) < 1e-9
+
+
+def loop_orbit_eigenvalue(orbit, x, y):
+    """The former per-element cosine sum on meshgrid arrays."""
+    total = np.zeros_like(x)
+    for (a, b) in orbit:
+        total += np.cos(a * x + b * y)
+    return total
+
+
+class TestSeparableSums:
+    @pytest.mark.parametrize("kind", ["square", "hexagonal"])
+    @pytest.mark.parametrize("rep", [(1, 0), (1, 1), (2, 1), (3, 2), (5, -3)])
+    def test_matches_loop_on_quadrature_grid(self, kind, rep):
+        orbit = sr.orbit_of(rep, lattice._POINT_GROUPS[kind]())
+        t = 2.0 * np.pi * (np.arange(128) + 0.5) / 128
+        x, y = np.meshgrid(t, t, indexing="ij")
+        got = lattice._orbit_eigenvalue(orbit, t)
+        assert np.abs(got - loop_orbit_eigenvalue(orbit, x, y)).max() < 1e-12
+
+    @pytest.mark.parametrize("kind", ["square", "hexagonal"])
+    @pytest.mark.parametrize("m, rep", [(5, (1, 0)), (7, (2, 1)), (12, (3, 5))])
+    def test_matches_loop_on_finite_grid(self, kind, m, rep):
+        orbit = sr.orbit_of(rep, lattice._POINT_GROUPS[kind](), modulus=m)
+        k = 2.0 * np.pi * np.arange(m) / m
+        x, y = np.meshgrid(k, k, indexing="ij")
+        got = lattice._orbit_eigenvalue(orbit, k)
+        assert np.abs(got - loop_orbit_eigenvalue(orbit, x, y)).max() < 1e-12

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import json
 
 import numpy as np
@@ -7,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import schemeres as sr
+from schemeres import scheme as scheme_module
 from schemeres.errors import (
+    DegenerateSplit,
     IdentityMissing,
     NotClosed,
     NotPartition,
@@ -15,6 +18,7 @@ from schemeres.errors import (
 )
 
 from conftest import spectral_of
+from nxn_witnesses import nxn_check_distance_regular, simultaneous_eigenbasis
 
 
 def cycle4_relations():
@@ -142,7 +146,7 @@ class TestSpectralData:
 def nxn_spectrum(scheme):
     """P and the multiplicities by joint diagonalization of the N x N
     relations, in the eigenspace order ``spectral_data`` promises."""
-    projectors = sr.simultaneous_eigenbasis(
+    projectors = simultaneous_eigenbasis(
         [r.astype(float) for r in scheme.relations])
     assert len(projectors) == scheme.d + 1
     mults = [round(float(np.trace(e))) for e in projectors]
@@ -275,6 +279,53 @@ class TestDistanceRegular:
         array = sr.check_distance_regular(hypercube3)
         assert array.valencies() == hypercube3.valencies
 
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_matches_nxn_witness_on_presets(self, presets, preset):
+        scheme = presets[preset]
+        assert sr.check_distance_regular(scheme) == nxn_check_distance_regular(scheme)
+
+    @pytest.mark.parametrize("name", ["petersen", "cycle100", "hypercube6",
+                                      "triangular9", "square5", "hexagonal4"])
+    def test_matches_nxn_witness(self, name):
+        scheme = DRG_CASES[name]()
+        assert sr.check_distance_regular(scheme) == nxn_check_distance_regular(scheme)
+
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_disconnected_tridiagonal_scheme(self, m):
+        # 2 x K_m: class 1 joins vertices within a copy, class 2 across.
+        # p^i_{j1} is tridiagonal, but c_2 = p^2_{11} = 0
+        scheme = two_cliques(m)
+        assert scheme.p[2, 1, 0] == 0 and scheme.p[0, 1, 2] == 0
+        assert scheme.p[1, 1, 2] == 0
+        assert not scheme.relation_connected([1])
+        assert nxn_check_distance_regular(scheme) is None
+        assert sr.check_distance_regular(scheme) is None
+
+
+def two_cliques(m):
+    """The imprimitive scheme 2 x K_m on 2m vertices."""
+    copy = np.arange(2 * m) // m
+    same = copy[:, None] == copy[None, :]
+    eye = np.eye(2 * m, dtype=bool)
+    return sr.verify_scheme([eye.astype(np.int64), (same & ~eye).astype(np.int64),
+                             (~same).astype(np.int64)])
+
+
+def petersen():
+    # Kneser K(5,2): the classes of the triangular scheme on 5 points swapped
+    t5 = sr.build_triangular(5)
+    return sr.verify_scheme([np.asarray(t5.relations[k], np.int64) for k in (0, 2, 1)])
+
+
+DRG_CASES = {
+    "petersen": petersen,
+    "cycle100": lambda: sr.build_cycle(100),
+    "hypercube6": lambda: sr.build_hypercube(6),
+    "triangular9": lambda: sr.build_triangular(9),
+    "square5": lambda: sr.build_square_lattice(5),
+    "hexagonal4": lambda: sr.build_hexagonal_lattice(4),
+}
+
 
 class TestSerialization:
     def test_round_trip_bytes(self, z5z5):
@@ -334,7 +385,9 @@ def fused_relations(scheme, labels):
 @functools.lru_cache(maxsize=None)
 def fusion_base(name):
     return {"square6": lambda: sr.build_square_lattice(6),
-            "hypercube5": lambda: sr.build_hypercube(5)}[name]()
+            "hypercube5": lambda: sr.build_hypercube(5),
+            "cycle12": lambda: sr.build_cycle(12),
+            "s4-stabilizer": lambda: sr.build_s4_scheme("stabilizer")}[name]()
 
 
 # more classes than one packed product holds (cycle 100, hypercube 9) or
@@ -418,3 +471,65 @@ class TestPackedVerifier:
         eye = np.eye(4, dtype=np.int64)
         with pytest.raises(NotClosed, match="not regular"):
             sr.verify_scheme([eye, path, np.ones((4, 4), dtype=np.int64) - eye - path])
+
+
+# --------------------------------------------------------------------------
+# spectral data of closed fusions, and degenerate generic combinations
+# --------------------------------------------------------------------------
+
+def set_partitions(d):
+    """Every partition of classes 1..d once, as restricted growth strings."""
+    out = [[0]]
+    for _ in range(d - 1):
+        out = [rgs + [b] for rgs in out for b in range(max(rgs) + 2)]
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def closed_fusions(name):
+    scheme = fusion_base(name)
+    return tuple(tuple(labels) for labels in set_partitions(scheme.d)
+                 if dense_intersection_numbers(fused_relations(scheme, labels)) is not None)
+
+
+class TestSpectralRoute:
+    @pytest.mark.parametrize("base", ["hypercube5", "cycle12", "s4-stabilizer"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_random_closed_fusions(self, base, data):
+        blocks = data.draw(st.sampled_from(closed_fusions(base)))
+        order = data.draw(st.permutations(range(max(blocks) + 1)))
+        fused = sr.verify_scheme(
+            fused_relations(fusion_base(base), [order[b] for b in blocks]))
+        got = sr.spectral_data(fused)
+        p_matrix, mults = nxn_spectrum(fused)
+        assert got.multiplicities == mults
+        assert np.abs(got.p_matrix - p_matrix).max() < 1e-9
+
+    def test_degenerate_combination_raises(self, monkeypatch, s4):
+        # all weight on A_0 makes the combination the identity: every gap is 0
+        monkeypatch.setattr(scheme_module, "_weight_draws",
+                            lambda count: itertools.repeat(np.eye(count)[0], 3))
+        with pytest.raises(DegenerateSplit,
+                           match=r"gap 0\.000e\+00 .*CLUSTER_TOL = 1\.0e-07"):
+            sr.spectral_data(s4)
+
+    def test_degenerate_draw_is_redrawn(self, monkeypatch, s4):
+        # the first seeded draw is replaced by a degenerate one
+        expected, draws = spectral_of(s4), scheme_module._weight_draws
+        monkeypatch.setattr(scheme_module, "_weight_draws", lambda count: (
+            np.eye(count)[0] if i == 0 else w for i, w in enumerate(draws(count))))
+        got = sr.spectral_data(s4)
+        assert got.multiplicities == expected.multiplicities
+        assert np.abs(got.p_matrix - expected.p_matrix).max() < 1e-12
+
+    def test_validation_rejects_mixed_eigenspaces(self, s4):
+        # Q M and M^-1 P with M fixing E_0 and the all-ones column: P Q = N I
+        # and the rows and columns checked first all still hold
+        data = spectral_of(s4)
+        mix = np.eye(s4.d + 1)
+        mix[1, 1:3] += [0.5, -0.5]
+        bad = dataclasses.replace(data, p_matrix=np.linalg.solve(mix, data.p_matrix),
+                                  q_matrix=data.q_matrix @ mix)
+        with pytest.raises(DegenerateSplit, match=r"A_\d+ E_([12]) != P\[\1,\d+\] E_\1"):
+            scheme_module._validate_spectral(s4, bad)

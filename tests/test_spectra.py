@@ -6,6 +6,8 @@ import pytest
 import schemeres as sr
 from schemeres.errors import NotCommuting, NotSymmetric
 
+from nxn_witnesses import simultaneous_eigenbasis
+
 
 def char_poly_coefficients(a):
     """Faddeev-LeVerrier characteristic polynomial, exact Fractions.
@@ -67,18 +69,18 @@ class TestEigSym:
 
 class TestSimultaneousEigenbasis:
     def test_identity_family(self):
-        (proj,) = sr.simultaneous_eigenbasis([np.eye(3)])
+        (proj,) = simultaneous_eigenbasis([np.eye(3)])
         assert np.allclose(proj, np.eye(3))
 
     def test_cycle6_ranks(self):
         scheme = sr.build_cycle(6)
-        projectors = sr.simultaneous_eigenbasis(
+        projectors = simultaneous_eigenbasis(
             [r.astype(float) for r in scheme.relations])
         ranks = sorted(round(np.trace(p)) for p in projectors)
         assert ranks == [1, 1, 2, 2]
 
     def test_s4_ranks(self, s4):
-        projectors = sr.simultaneous_eigenbasis(
+        projectors = simultaneous_eigenbasis(
             [r.astype(float) for r in s4.relations])
         ranks = sorted(round(np.trace(p)) for p in projectors)
         assert ranks == [1, 1, 4, 9, 9]
@@ -87,10 +89,10 @@ class TestSimultaneousEigenbasis:
         a = np.array([[1.0, 0.0], [0.0, -1.0]])
         b = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(NotCommuting):
-            sr.simultaneous_eigenbasis([a, b])
+            simultaneous_eigenbasis([a, b])
 
     def test_projector_algebra(self, z5z5):
-        projectors = sr.simultaneous_eigenbasis(
+        projectors = simultaneous_eigenbasis(
             [r.astype(float) for r in z5z5.relations])
         total = sum(projectors)
         assert np.abs(total - np.eye(z5z5.n)).max() <= 1e-8
@@ -100,7 +102,7 @@ class TestSimultaneousEigenbasis:
                 assert np.abs(e @ f - target).max() <= 1e-8
 
     def test_members_expand_in_projectors(self, triangular6):
-        projectors = sr.simultaneous_eigenbasis(
+        projectors = simultaneous_eigenbasis(
             [r.astype(float) for r in triangular6.relations])
         for rel in triangular6.relations:
             a = rel.astype(float)
