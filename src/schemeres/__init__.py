@@ -26,8 +26,6 @@ from .builders import (
 from .exact import (
     as_rational_matrix,
     identity_rational,
-    integer_matrix_powers,
-    power_traces,
     rational_inverse,
     rational_matmul,
     rational_solve,
@@ -67,7 +65,6 @@ from .scheme import (
     SpectralData,
     Stratification,
     check_distance_regular,
-    intersection_numbers,
     scheme_from_dict,
     scheme_to_dict,
     spectral_data,

@@ -1,8 +1,9 @@
 """Constructors for every concrete scheme the package ships.
 
-All builders return fully verified ``AssociationScheme`` objects; relation
-matrices are produced explicitly and run through ``verify_scheme``, so a
-builder can never hand out an object violating the axioms.
+All builders return fully verified ``AssociationScheme`` objects; each
+computes the N x N class map of its scheme and runs it through
+``verify_scheme``, so a builder can never hand out an object violating the
+axioms.
 """
 
 from __future__ import annotations
@@ -94,14 +95,13 @@ def build_group_scheme(table: GroupTable,
     for k, cls_elems in enumerate(table.class_partition):
         if sorted(table.inverse[g] for g in cls_elems) != list(cls_elems):
             raise NotAmbivalent(f"class {k} is not inverse-closed")
-    relations = []
-    for cls_elems in table.class_partition:
-        a = np.zeros((order, order), dtype=np.int64)
-        for g in cls_elems:
-            for h in range(order):
-                a[table.mult[g][h], h] = 1
-        relations.append(a)
-    return verify_scheme(relations, class_names=class_names)
+    label = np.empty(order, dtype=np.int16)
+    for k, cls_elems in enumerate(table.class_partition):
+        label[list(cls_elems)] = k
+    # the pair (g h, h) lies in the class of g
+    classmap = np.empty((order, order), dtype=np.int16)
+    classmap[np.array(table.mult), np.arange(order)] = label[:, None]
+    return verify_scheme(classmap, class_names=class_names)
 
 
 def cyclic_group_table(n: int, class_partition: Sequence[Iterable[int]]) -> GroupTable:
@@ -197,16 +197,9 @@ def build_cycle(n: int) -> AssociationScheme:
         raise OddOrder("cycle scheme is built for an even number of vertices")
     if n < 4:
         raise TooSmall("cycle scheme needs at least 4 vertices")
-    k = n // 2
-    idx = np.arange(n)
-    relations = []
-    for i in range(k + 1):
-        a = np.zeros((n, n), dtype=np.int64)
-        a[idx, (idx + i) % n] = 1
-        a[idx, (idx - i) % n] = 1
-        relations.append(a)
-    names = tuple(str(i) for i in range(k + 1))
-    return verify_scheme(relations, class_names=names)
+    ahead = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
+    names = tuple(str(i) for i in range(n // 2 + 1))
+    return verify_scheme(np.minimum(ahead, n - ahead), class_names=names)
 
 
 def build_hypercube(n: int) -> AssociationScheme:
@@ -215,15 +208,13 @@ def build_hypercube(n: int) -> AssociationScheme:
         raise TooSmall("hypercube needs n >= 1")
     if n > 12:
         raise TooLarge("hypercube supported up to n = 12 (4096 vertices)")
-    size = 2 ** n
-    xs = np.arange(size)
+    xs = np.arange(2 ** n, dtype=np.int16)
     xor = xs[:, None] ^ xs[None, :]
-    weight = np.zeros((size, size), dtype=np.int64)
+    weight = np.zeros_like(xor)
     for bit in range(n):
         weight += (xor >> bit) & 1
-    relations = [(weight == i).astype(np.int64) for i in range(n + 1)]
     names = tuple(f"w{i}" for i in range(n + 1))
-    return verify_scheme(relations, class_names=names)
+    return verify_scheme(weight, class_names=names)
 
 
 def build_triangular(n: int) -> AssociationScheme:
@@ -235,12 +226,7 @@ def build_triangular(n: int) -> AssociationScheme:
     incidence = np.zeros((len(pairs), n), dtype=np.int64)
     incidence[np.arange(len(pairs))[:, None], pairs] = 1
     overlap = incidence @ incidence.T  # overlap[s, t] = |pair_s & pair_t|
-    relations = [
-        (overlap == 2).astype(np.int64),
-        (overlap == 1).astype(np.int64),
-        (overlap == 0).astype(np.int64),
-    ]
-    return verify_scheme(relations, class_names=("0", "1", "2"))
+    return verify_scheme(2 - overlap, class_names=("0", "1", "2"))
 
 
 def krawtchouk(l: int, x: int, n: int) -> int:
@@ -313,10 +299,8 @@ def _orbit_scheme(m: int, mats) -> AssociationScheme:
     lookup = np.zeros((m, m), dtype=np.int16)
     for g, k in orbit_index.items():
         lookup[g] = k
-    classmap = lookup[da, db]
-    relations = [(classmap == k).astype(np.int64) for k in range(len(orbits))]
     names = tuple(str(orb[0]).replace(" ", "") for orb in orbits)
-    return verify_scheme(relations, class_names=names)
+    return verify_scheme(lookup[da, db], class_names=names)
 
 
 def build_square_lattice(m: int) -> AssociationScheme:
@@ -354,6 +338,5 @@ def build_orbit_scheme_z5z5() -> AssociationScheme:
     coords = np.arange(m * m)
     xa, xb = coords // m, coords % m
     classmap = lookup[(xa[:, None] - xa[None, :]) % m, (xb[:, None] - xb[None, :]) % m]
-    relations = [(classmap == k).astype(np.int64) for k in range(5)]
     names = ("(0,0)", "(1,0)", "(2,0)", "(1,2)", "(1,3)")
-    return verify_scheme(relations, class_names=names)
+    return verify_scheme(classmap, class_names=names)

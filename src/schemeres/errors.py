@@ -19,10 +19,6 @@ class NotSymmetric(SchemeresError):
     """Matrix handed to a symmetric routine is not symmetric."""
 
 
-class NotCommuting(SchemeresError):
-    """Family handed to the joint diagonalizer does not commute."""
-
-
 class DegenerateSplit(SchemeresError):
     """Common eigenspaces could not be separated at tolerance."""
 

@@ -3,10 +3,6 @@
 Matrices here are lists of rows of ``fractions.Fraction`` (or Python ints,
 which embed in the rationals).  Sizes are small, at most (d+1) x (d+1) for a
 d-class scheme, so plain Gauss-Jordan elimination is entirely adequate.
-``integer_matrix_powers`` and ``power_traces`` also accept integer numpy
-arrays of full network size and keep every intermediate value exact; the
-engines no longer use them (they work in the intersection algebra), but
-they remain as an independent N x N witness for the tests.
 """
 
 from __future__ import annotations
@@ -14,13 +10,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .errors import SingularSystem
 
 RationalMatrix = list[list[Fraction]]
-
-_INT64_SAFE = 2**62
 
 
 def as_rational_matrix(rows: Sequence[Sequence]) -> RationalMatrix:
@@ -74,68 +66,3 @@ def rational_matmul(a: Sequence[Sequence], b: Sequence[Sequence]) -> RationalMat
          for j in range(cols)]
         for i in range(rows)
     ]
-
-
-def _exact_int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Integer matmul that never silently overflows.
-
-    Stays on the fast int64 path while a safe a-priori bound holds, otherwise
-    falls back to Python-int (object dtype) arithmetic.
-    """
-    n = a.shape[0]
-    bound = int(np.abs(a).max(initial=0)) * int(np.abs(b).max(initial=0)) * n
-    if a.dtype != object and b.dtype != object and bound < _INT64_SAFE:
-        return a.astype(np.int64) @ b.astype(np.int64)
-    return a.astype(object) @ b.astype(object)
-
-
-def integer_matrix_powers(a: np.ndarray, max_power: int) -> list[np.ndarray]:
-    """[A^0, A^1, ..., A^max_power] with exact integer entries."""
-    arr = np.asarray(a)
-    n = arr.shape[0]
-    if arr.shape != (n, n):
-        raise ValueError("matrix must be square")
-    eye = np.eye(n, dtype=np.int64)
-    powers = [eye]
-    for _ in range(max_power):
-        powers.append(_exact_int_matmul(powers[-1], arr))
-    return powers
-
-
-def power_traces(a, max_power: int) -> list:
-    """[tr(A^0), ..., tr(A^max_power)], exactly.
-
-    Accepts an integer numpy array or a rational matrix (rows of
-    Fractions/ints).  Traces come back as ints or Fractions, never floats.
-    """
-    arr = np.asarray(a, dtype=object) if _is_rational_rows(a) else np.asarray(a)
-    if np.issubdtype(arr.dtype, np.floating):
-        raise ValueError("power_traces is exact; pass integer or Fraction entries")
-    if arr.dtype == object:
-        n = arr.shape[0]
-        cur = np.array([[Fraction(int(i == j)) for j in range(n)] for i in range(n)],
-                       dtype=object)
-        traces = [_object_trace(cur)]
-        for _ in range(max_power):
-            cur = cur @ arr
-            traces.append(_object_trace(cur))
-        return traces
-    powers = integer_matrix_powers(arr, max_power)
-    return [sum(int(x) for x in np.diagonal(p)) for p in powers]
-
-
-def _object_trace(m: np.ndarray):
-    total = m[0, 0] * 0
-    for i in range(m.shape[0]):
-        total += m[i, i]
-    return total
-
-
-def _is_rational_rows(a) -> bool:
-    if isinstance(a, np.ndarray):
-        return a.dtype == object
-    try:
-        first = a[0][0]
-    except (TypeError, IndexError, KeyError):
-        return False
-    return isinstance(first, Fraction)

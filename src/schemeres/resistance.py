@@ -9,8 +9,9 @@ underlying resistor network:
 * ``resistance_drg_closed``  - closed forms from an intersection array,
   exact rationals (distance-regular networks, strata 1..5).
 
-``oracle`` is the only engine that works on the N x N relation matrices; it
-shares nothing with the intersection numbers p^k_ij, so it witnesses them.
+``oracle`` is the only engine that works at the vertex level: it builds the
+N x N Laplacian from the class map and shares nothing with the
+intersection numbers p^k_ij, so it witnesses them.
 The other three all derive from p: ``spectral`` through the eigenmatrices
 computed in the intersection algebra, ``polynomial`` through powers of the
 intersection matrix B_1, and ``closed`` through the intersection array.
@@ -95,27 +96,19 @@ class ResistanceTable:
         return tuple(float(v) for v in self.values)
 
 
-def _require_connected_support(scheme: AssociationScheme,
-                               cond: ConductanceVector) -> None:
-    if not scheme.relation_connected(cond.support):
-        raise Disconnected(
-            f"classes {cond.support} do not span a connected network")
-
-
 # --------------------------------------------------------------------------
 # oracle: Laplacian pseudo-inverse
 # --------------------------------------------------------------------------
 
 def laplacian(scheme: AssociationScheme, conductances) -> np.ndarray:
-    """L = (sum_i c_i kappa_i) I - sum_i c_i A_i, as floats."""
+    """L = (sum_i c_i kappa_i) I - sum_i c_i A_i, as floats, read off the
+    class map."""
     cond = ConductanceVector.coerce(conductances, scheme.d)
     c = cond.as_floats()
-    diag = float(sum(ci * ki for ci, ki in zip(c, scheme.valencies[1:])))
-    l = diag * np.eye(scheme.n)
-    for i, ci in enumerate(c, start=1):
-        if ci:
-            l -= ci * scheme.relations[i].astype(float)
-    return l
+    weights = np.zeros(scheme.d + 1)
+    weights[0] = sum(ci * ki for ci, ki in zip(c, scheme.valencies[1:]))
+    weights[1:] -= c  # a class without conductance stays +0.0, not -0.0
+    return weights[scheme.classmap]
 
 
 def pseudo_inverse(scheme: AssociationScheme, conductances) -> np.ndarray:
@@ -142,11 +135,11 @@ def oracle_resistance_matrix(scheme: AssociationScheme, conductances) -> np.ndar
 
     Raises
     ------
+    Disconnected
+        If the conductance support does not connect the network.
     CertificationFailed
         If the diagonal of Lp spreads by more than ``STRATUM_SPREAD_TOL``.
     """
-    cond = ConductanceVector.coerce(conductances, scheme.d)
-    _require_connected_support(scheme, cond)
     lp = pseudo_inverse(scheme, conductances)
     diag = np.diag(lp)
     spread = float(diag.max() - diag.min())
@@ -173,7 +166,7 @@ def _oracle_table(scheme: AssociationScheme, conductances
     values = []
     worst = 0.0
     for l in range(1, scheme.d + 1):
-        members = rmat[scheme.relations[l].astype(bool)]
+        members = rmat[scheme.classmap == l]
         spread = float(members.max() - members.min())
         if spread > STRATUM_SPREAD_TOL:
             raise CertificationFailed(f"class {l} resistance spread {spread:.3e}")

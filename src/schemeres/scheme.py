@@ -38,62 +38,115 @@ class AssociationScheme:
 
     Attributes
     ----------
-    relations : tuple of (n, n) 0/1 integer arrays, relations[0] == I
     valencies : row sums kappa_0..kappa_d
     p : (d+1, d+1, d+1) array, ``p[i, j, k]`` = coefficient of A_k in A_i A_j
-    classmap : (n, n) array mapping a vertex pair to its class index
+    classmap : (n, n) int16 array mapping a vertex pair to its class index
+    relations : int8 matrices A_0..A_d, derived from ``classmap`` on access
     """
 
     n: int
     d: int
-    relations: tuple
     valencies: tuple
     p: np.ndarray
     classmap: np.ndarray
     class_names: tuple
+
+    @cached_property
+    def relations(self) -> tuple:
+        return tuple((self.classmap == k).astype(np.int8) for k in range(self.d + 1))
 
     def intersection_matrix(self, i: int) -> np.ndarray:
         """B_i with (B_i)[k, j] = p^k_{ij}; columns track A_i A_j."""
         return self.p[i, :, :].T.copy()
 
     def relation_connected(self, classes: Sequence[int]) -> bool:
-        """True if the union of the listed relations is a connected graph."""
-        adj = np.zeros((self.n, self.n), dtype=bool)
-        for k in classes:
-            adj |= self.relations[k].astype(bool)
-        seen = np.zeros(self.n, dtype=bool)
-        seen[0] = True
-        frontier = np.array([0])
-        while frontier.size:
-            nxt = adj[frontier].any(axis=0) & ~seen
-            seen |= nxt
-            frontier = np.flatnonzero(nxt)
-        return bool(seen.all())
+        """True if the union of the listed relations is a connected graph.
+
+        A step along class j leads from class i of vertex 0 to the classes k
+        with p^k_ij > 0, and reaches every pair of each, so the closure of
+        {0} under these steps is exactly the classes reachable from vertex 0.
+        """
+        step = self.p[:, list(classes), :].any(axis=1)  # [i, k]
+        reached = np.arange(self.d + 1) == 0
+        for _ in range(self.d):  # a round that changes anything adds a class
+            reached = reached | step[reached].any(axis=0)
+        return bool(reached.all())
 
 
-def verify_scheme(relations: Sequence, class_names: Optional[Sequence[str]] = None
+def verify_scheme(relations, class_names: Optional[Sequence[str]] = None
                   ) -> AssociationScheme:
-    """Validate relation matrices and build the scheme.
+    """Validate a scheme, given as its d+1 relation matrices or as one (n, n)
+    integer numpy array mapping each vertex pair to its class, and build it.
 
-    Checks, in exact integer arithmetic: 0/1 entries, A_0 = I, the relations
-    partition the vertex pairs, every relation is symmetric, nonempty and
-    regular (kappa_k read off row 0), the family is closed under
-    multiplication with nonnegative integer coefficients, the intersection
-    numbers are commutative and the valencies sum to n.  Closure costs
-    sum_i ceil((d+1-i) / run) N x N products, with each product packing
-    ``run`` classes; see ``_intersection_numbers``.
+    Relation matrices must be nonempty, 0/1 and partition the vertex pairs;
+    they are reduced to their class map.  The class map is checked in exact
+    integer arithmetic: class 0 is exactly the diagonal, the map is
+    symmetric, no class in 0..d is empty, each is regular (kappa_k read off
+    row 0), the family is closed with nonnegative integer coefficients and
+    p is commutative.  Closure costs sum_i ceil((d+1-i) / run) N x N
+    products, with each product packing ``run`` classes; see
+    ``_intersection_numbers``.
 
     Raises
     ------
     IdentityMissing, NotPartition, NotSymmetric, NotClosed, NotCommutative
-        Naming the violated axiom: an empty relation is ``NotPartition``,
-        a non-regular one ``NotClosed``.
+        Naming the violated axiom: a skipped label is ``NotPartition``, a
+        negative one ``IdentityMissing``, a non-regular relation ``NotClosed``.
     """
+    if isinstance(relations, np.ndarray) and relations.ndim == 2:
+        classmap = relations
+    else:
+        classmap = _relation_classmap(relations)
+    n = classmap.shape[0]
+    if classmap.shape != (n, n) or not np.issubdtype(classmap.dtype, np.integer):
+        raise NotPartition("the class map is not a square integer array")
+
+    # the diagonal is class 0, and no other entry is 0 or below
+    if np.diagonal(classmap).any() or np.count_nonzero(classmap < 1) != n:
+        raise IdentityMissing("class 0 is not exactly the diagonal")
+
+    asymmetric = classmap != classmap.T
+    if asymmetric.any():
+        x, y = np.argwhere(asymmetric)[0]
+        raise NotSymmetric(f"relation {classmap[x, y]} is not symmetric")
+
+    d = int(classmap.max())
+    if d >= n:  # every class meets every vertex, so there are at most n
+        raise NotPartition(f"{d + 1} class labels on {n} vertices")
+    # counts[x, k] = number of vertices in class k of vertex x
+    counts = np.bincount((np.arange(n)[:, None] * (d + 1) + classmap).ravel(),
+                         minlength=n * (d + 1)).reshape(n, d + 1)
+    empty = np.flatnonzero(counts.sum(axis=0) == 0)
+    if empty.size:
+        raise NotPartition(f"relation {empty[0]} is empty")
+    irregular = np.flatnonzero((counts != counts[0]).any(axis=0))
+    if irregular.size:
+        raise NotClosed(f"relation {irregular[0]} is not regular")
+    valencies = tuple(int(v) for v in counts[0])
+
+    classmap = classmap.astype(np.int16 if d < 2 ** 15 else np.int32)
+    p = _intersection_numbers(classmap, valencies)
+    if (p != p.transpose(1, 0, 2)).any():
+        raise NotCommutative("p^k_{ij} != p^k_{ji} for some i, j, k")
+
+    names = tuple(class_names) if class_names is not None else tuple(
+        f"A{k}" for k in range(d + 1))
+    if len(names) != d + 1:
+        raise ValueError("class_names length must be d+1")
+
+    return AssociationScheme(n=n, d=d, valencies=valencies, p=p,
+                             classmap=classmap, class_names=names)
+
+
+def _relation_classmap(relations: Sequence) -> np.ndarray:
+    """The class map of d+1 nonempty relation matrices with 0/1 entries that
+    partition the vertex pairs (``NotPartition`` otherwise)."""
     rels = [np.asarray(r) for r in relations]
     if not rels:
         raise NotPartition("no relations given")
     n = rels[0].shape[0]
-    d = len(rels) - 1
+    classmap = np.zeros((n, n), dtype=np.int16)
+    covered = np.zeros((n, n), dtype=np.int64)
     for k, r in enumerate(rels):
         if r.ndim != 2 or r.shape != (n, n):
             raise NotPartition(f"relation {k} is not {n}x{n}")
@@ -101,52 +154,16 @@ def verify_scheme(relations: Sequence, class_names: Optional[Sequence[str]] = No
             cast = r.astype(np.int64)
             if (cast != r).any():
                 raise NotPartition(f"relation {k} has non-integer entries")
-            rels[k] = r = cast
+            r = cast
         if ((r != 0) & (r != 1)).any():
             raise NotPartition(f"relation {k} has entries outside {{0, 1}}")
-
-    if (rels[0] != np.eye(n, dtype=rels[0].dtype)).any():
-        raise IdentityMissing("relation 0 is not the identity matrix")
-
-    total = np.zeros((n, n), dtype=np.int64)
-    for r in rels:
-        total += r
-    if (total != 1).any():
-        raise NotPartition("relations do not partition the vertex pairs")
-
-    for k, r in enumerate(rels):
-        if (r != r.T).any():
-            raise NotSymmetric(f"relation {k} is not symmetric")
-
-    classmap = np.zeros((n, n), dtype=np.int16)
-    for k, r in enumerate(rels):
-        classmap[r.astype(bool)] = k
-
-    for k, r in enumerate(rels):
-        if not r.any():
+        if not r.any():  # a class map cannot show an empty last relation
             raise NotPartition(f"relation {k} is empty")
-    valencies = tuple(int(r[0].sum()) for r in rels)
-    for k, r in enumerate(rels):
-        if (r.sum(axis=1) != valencies[k]).any():
-            raise NotClosed(f"relation {k} is not regular")
-
-    p = _intersection_numbers(classmap, valencies)
-    if (p != p.transpose(1, 0, 2)).any():
-        raise NotCommutative("p^k_{ij} != p^k_{ji} for some i, j, k")
-
-    if sum(valencies) != n:
-        raise NotPartition("valencies do not sum to the vertex count")
-
-    names = tuple(class_names) if class_names is not None else tuple(
-        f"A{k}" for k in range(d + 1))
-    if len(names) != d + 1:
-        raise ValueError("class_names length must be d+1")
-
-    return AssociationScheme(
-        n=n, d=d,
-        relations=tuple(r.astype(np.int8) for r in rels),
-        valencies=valencies, p=p, classmap=classmap, class_names=names,
-    )
+        covered += r
+        classmap[r.astype(bool)] = k
+    if (covered != 1).any():
+        raise NotPartition("relations do not partition the vertex pairs")
+    return classmap
 
 
 def _intersection_numbers(classmap: np.ndarray, valencies: tuple) -> np.ndarray:
@@ -194,11 +211,6 @@ def _intersection_numbers(classmap: np.ndarray, valencies: tuple) -> np.ndarray:
             p[i, j0:j1, :] = digits  # [q, k] = p^k_{i, j0+q}
             p[j0:j1, i, :] = digits  # product of symmetric matrices, transposed
     return p
-
-
-def intersection_numbers(scheme: AssociationScheme) -> np.ndarray:
-    """The tensor ``p[i, j, k]`` = p^k_{ij} (exact nonnegative integers)."""
-    return scheme.p
 
 
 # --------------------------------------------------------------------------
@@ -373,7 +385,7 @@ def stratify(scheme: AssociationScheme, reference: int = 0) -> Stratification:
     n, d = scheme.n, scheme.d
     if not 0 <= reference < n:
         raise ValueError("reference vertex out of range")
-    row = scheme.classmap[reference]
+    row = scheme.classmap[reference].astype(np.intp)  # wide enough for ``cell``
     strata = tuple(np.flatnonzero(row == i) for i in range(d + 1))
     for i, s in enumerate(strata):
         if len(s) != scheme.valencies[i]:
@@ -385,12 +397,14 @@ def stratify(scheme: AssociationScheme, reference: int = 0) -> Stratification:
     kappa = np.array(scheme.valencies, dtype=float)
     unit_vectors = indicators / np.sqrt(kappa)[:, None]
 
-    # integer form of the matrix-element identity: counts == kappa_l * p^l_{ij}
-    for i in range(d + 1):
-        counts = indicators @ scheme.relations[i].astype(float) @ indicators.T
-        expected = kappa[:, None] * scheme.p[i, :, :].T  # [l, j] = kappa_l p^l_{ij}
-        if (counts != expected).any():
-            raise NotClosed(f"stratification matrix elements of A_{i} are off")
+    # integer form of the matrix-element identity: the pairs (x, y) with x in
+    # stratum l, y in stratum j and (x, y) in class i number kappa_l p^l_{ij}
+    cell = (row[:, None] * (d + 1) + row) * (d + 1) + scheme.classmap
+    counts = np.bincount(cell.ravel(), minlength=(d + 1) ** 3).reshape(d + 1, d + 1, d + 1)
+    expected = (np.array(scheme.valencies) * scheme.p).transpose(2, 1, 0)  # [l, j, i]
+    off = np.flatnonzero((counts != expected).any(axis=(0, 1)))
+    if off.size:
+        raise NotClosed(f"stratification matrix elements of A_{off[0]} are off")
 
     return Stratification(reference, strata, unit_vectors)
 

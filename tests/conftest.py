@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import schemeres as sr
@@ -72,6 +73,14 @@ def presets(cycle8, hypercube3, triangular6, s4, s4_refined_a, s4_refined_b,
         "square": square4,
         "hexagonal": hexagonal7,
     }
+
+
+def two_cliques(m):
+    """The imprimitive scheme 2 x K_m on 2m vertices: class 1 joins vertices
+    within a copy, class 2 across."""
+    copy = np.arange(2 * m) // m
+    same = copy[:, None] == copy[None, :]
+    return sr.verify_scheme(np.where(same, 1, 2) - np.eye(2 * m, dtype=np.int64))
 
 
 def random_connected_conductances(scheme, rng, sparse=False):

@@ -4,16 +4,96 @@ library against them."""
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 import schemeres as sr
-from schemeres.errors import NotCommuting, NotSymmetric
+from schemeres.errors import NotSymmetric, SchemeresError
 from schemeres.spectra import CLUSTER_TOL, eig_sym
 
 COMMUTE_TOL = 1e-9
 _COMBO_SEED = 0x5CE11E
+_INT64_SAFE = 2**62
+
+
+class NotCommuting(SchemeresError):
+    """Family handed to the joint diagonalizer does not commute."""
+
+
+# --------------------------------------------------------------------------
+# exact N x N matrix powers and traces
+# --------------------------------------------------------------------------
+
+def _exact_int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Integer matmul that never silently overflows.
+
+    Stays on the fast int64 path while a safe a-priori bound holds, otherwise
+    falls back to Python-int (object dtype) arithmetic.
+    """
+    n = a.shape[0]
+    bound = int(np.abs(a).max(initial=0)) * int(np.abs(b).max(initial=0)) * n
+    if a.dtype != object and b.dtype != object and bound < _INT64_SAFE:
+        return a.astype(np.int64) @ b.astype(np.int64)
+    return a.astype(object) @ b.astype(object)
+
+
+def integer_matrix_powers(a: np.ndarray, max_power: int) -> list[np.ndarray]:
+    """[A^0, A^1, ..., A^max_power] with exact integer entries."""
+    arr = np.asarray(a)
+    n = arr.shape[0]
+    if arr.shape != (n, n):
+        raise ValueError("matrix must be square")
+    eye = np.eye(n, dtype=np.int64)
+    powers = [eye]
+    for _ in range(max_power):
+        powers.append(_exact_int_matmul(powers[-1], arr))
+    return powers
+
+
+def power_traces(a, max_power: int) -> list:
+    """[tr(A^0), ..., tr(A^max_power)], exactly.
+
+    Accepts an integer numpy array or a rational matrix (rows of
+    Fractions/ints).  Traces come back as ints or Fractions, never floats.
+    """
+    arr = np.asarray(a, dtype=object) if _is_rational_rows(a) else np.asarray(a)
+    if np.issubdtype(arr.dtype, np.floating):
+        raise ValueError("power_traces is exact; pass integer or Fraction entries")
+    if arr.dtype == object:
+        n = arr.shape[0]
+        cur = np.array([[Fraction(int(i == j)) for j in range(n)] for i in range(n)],
+                       dtype=object)
+        traces = [_object_trace(cur)]
+        for _ in range(max_power):
+            cur = cur @ arr
+            traces.append(_object_trace(cur))
+        return traces
+    powers = integer_matrix_powers(arr, max_power)
+    return [sum(int(x) for x in np.diagonal(p)) for p in powers]
+
+
+def _object_trace(m: np.ndarray):
+    total = m[0, 0] * 0
+    for i in range(m.shape[0]):
+        total += m[i, i]
+    return total
+
+
+def _is_rational_rows(a) -> bool:
+    if isinstance(a, np.ndarray):
+        return a.dtype == object
+    try:
+        first = a[0][0]
+    except (TypeError, IndexError, KeyError):
+        return False
+    return isinstance(first, Fraction)
+
+
+# --------------------------------------------------------------------------
+# joint diagonalization, connectivity and distance regularity
+# --------------------------------------------------------------------------
 
 
 def _cluster_breaks(values: np.ndarray, tol: float) -> list[int]:
@@ -90,6 +170,22 @@ def simultaneous_eigenbasis(family: Sequence[np.ndarray], *,
     return projectors
 
 
+def nxn_relation_connected(scheme, classes: Sequence[int]) -> bool:
+    """True if the union of the listed relations is a connected graph, by a
+    breadth-first search over the N x N relation matrices."""
+    adj = np.zeros((scheme.n, scheme.n), dtype=bool)
+    for k in classes:
+        adj |= scheme.relations[k].astype(bool)
+    seen = np.zeros(scheme.n, dtype=bool)
+    seen[0] = True
+    frontier = np.array([0])
+    while frontier.size:
+        nxt = adj[frontier].any(axis=0) & ~seen
+        seen |= nxt
+        frontier = np.flatnonzero(nxt)
+    return bool(seen.all())
+
+
 def nxn_check_distance_regular(scheme):
     """Intersection array by the N x N route: the p^i_{j1} band, a BFS on
     the class-1 graph, the array identities, and A_1 recounted on the
@@ -101,7 +197,7 @@ def nxn_check_distance_regular(scheme):
         for i in range(d + 1):
             if abs(i - j) > 1 and scheme.p[j, 1, i] != 0:
                 return None
-    if not scheme.relation_connected([1]):
+    if not nxn_relation_connected(scheme, [1]):
         return None
 
     kappa = scheme.valencies[1]

@@ -22,6 +22,7 @@ from schemeres.reference import REFERENCE_TABLES, compare_reference, \
 
 from acceptance_registry import record
 from conftest import random_connected_conductances, spectral_of
+from nxn_witnesses import integer_matrix_powers
 
 F = Fraction
 
@@ -326,7 +327,7 @@ def test_c10_within_stratum_spread(presets):
 def _reconstructs_exactly(scheme):
     coeffs = sr.polynomial_coefficients(scheme)
     a = np.asarray(scheme.relations[1], dtype=np.int64)
-    powers = [p.astype(object) for p in sr.integer_matrix_powers(a, scheme.d)]
+    powers = [p.astype(object) for p in integer_matrix_powers(a, scheme.d)]
     for m in range(scheme.d + 1):
         recon = sum(coeffs.c[m][n] * powers[n] for n in range(scheme.d + 1))
         if not (recon == np.asarray(scheme.relations[m]).astype(object)).all():

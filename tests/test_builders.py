@@ -8,6 +8,7 @@ import schemeres as sr
 from schemeres.errors import NotAmbivalent, NotLatinSquare, OddOrder, TooLarge, TooSmall
 
 from conftest import spectral_of
+from nxn_witnesses import integer_matrix_powers
 
 
 class TestCycle:
@@ -149,7 +150,7 @@ class TestZ5Z5:
 
     def test_power_expansions(self, z5z5):
         a = np.asarray(z5z5.relations[1], dtype=np.int64)
-        powers = sr.integer_matrix_powers(a, 4)
+        powers = integer_matrix_powers(a, 4)
         reps = [(0, int(np.flatnonzero(z5z5.classmap[0] == k)[0]))
                 for k in range(5)]
         decomp = lambda m: [int(m[r]) for r in reps]

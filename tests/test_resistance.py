@@ -13,7 +13,8 @@ from schemeres.errors import (
     ZeroDenominator,
 )
 
-from conftest import random_connected_conductances, spectral_of
+from conftest import random_connected_conductances, spectral_of, two_cliques
+from nxn_witnesses import integer_matrix_powers, power_traces
 
 F = Fraction
 
@@ -44,8 +45,35 @@ class TestOracle:
         k = names.index("(2,2)")
         c = [0] * square4.d
         c[k - 1] = 1
-        with pytest.raises(Disconnected):
+        with pytest.raises(Disconnected, match="zero eigenvalues"):
             sr.resistance_oracle(square4, c)
+
+    @pytest.mark.parametrize("case", ["cycle8-4", "2xK3-1"])
+    def test_disconnected_support_found_by_eigenvalues(self, cycle8, case):
+        # the oracle does not consult p: pseudo_inverse counts zero eigenvalues
+        scheme, k = (cycle8, 4) if case == "cycle8-4" else (two_cliques(3), 1)
+        c = [0] * scheme.d
+        c[k - 1] = 1
+        assert not scheme.relation_connected([k])
+        with pytest.raises(Disconnected, match="zero eigenvalues"):
+            sr.resistance_oracle(scheme, c)
+
+    @pytest.mark.parametrize("preset", ["cycle", "hypercube", "triangular", "s4",
+                                        "s4-refined-a", "s4-refined-b", "z5z5",
+                                        "square", "hexagonal"])
+    def test_laplacian_matches_relation_loop(self, presets, preset):
+        scheme = presets[preset]
+        rng = np.random.default_rng(11)
+        for sparse in (False, True):
+            c = random_connected_conductances(scheme, rng, sparse=sparse)
+            floats = sr.ConductanceVector.coerce(c, scheme.d).as_floats()
+            # the former construction: diagonal sum, minus c_i A_i per class
+            diag = float(sum(ci * ki for ci, ki in zip(floats, scheme.valencies[1:])))
+            loop = diag * np.eye(scheme.n)
+            for i, ci in enumerate(floats, start=1):
+                if ci:
+                    loop -= ci * scheme.relations[i].astype(float)
+            assert sr.laplacian(scheme, c).tobytes() == loop.tobytes()
 
     def test_certification_errors_are_typed(self, s4):
         assert issubclass(CertificationFailed, sr.errors.SchemeresError)
@@ -141,7 +169,7 @@ class TestPolynomialCoefficients:
         scheme = presets[preset]
         coeffs = sr.polynomial_coefficients(scheme)
         a = np.asarray(scheme.relations[1], dtype=np.int64)
-        powers = [p.astype(object) for p in sr.integer_matrix_powers(a, scheme.d)]
+        powers = [p.astype(object) for p in integer_matrix_powers(a, scheme.d)]
         for m in range(scheme.d + 1):
             recon = sum(coeffs.c[m][n] * powers[n] for n in range(scheme.d + 1))
             assert (recon == scheme.relations[m].astype(object)).all()
@@ -152,7 +180,7 @@ class TestPolynomialCoefficients:
         scheme = presets[preset]
         coeffs = sr.polynomial_coefficients(scheme)
         a = np.asarray(scheme.relations[1], dtype=np.int64)
-        for row, power in zip(coeffs.c_inv, sr.integer_matrix_powers(a, scheme.d)):
+        for row, power in zip(coeffs.c_inv, integer_matrix_powers(a, scheme.d)):
             expanded = np.array([int(x) for x in row], dtype=object)[scheme.classmap]
             assert (power.astype(object) == expanded).all()
 
@@ -166,7 +194,7 @@ class TestPolynomialCoefficients:
     def test_trace_identity(self, presets, preset):
         scheme = presets[preset]
         coeffs = sr.polynomial_coefficients(scheme)
-        traces = sr.power_traces(np.asarray(scheme.relations[1], np.int64),
+        traces = power_traces(np.asarray(scheme.relations[1], np.int64),
                                  scheme.d)
         for l in range(scheme.d + 1):
             assert traces[l] == coeffs.trace_of_power(scheme.n, l)

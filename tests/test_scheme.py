@@ -17,8 +17,16 @@ from schemeres.errors import (
     NotSymmetric,
 )
 
-from conftest import spectral_of
-from nxn_witnesses import nxn_check_distance_regular, simultaneous_eigenbasis
+from conftest import spectral_of, two_cliques
+from nxn_witnesses import (
+    nxn_check_distance_regular,
+    nxn_relation_connected,
+    simultaneous_eigenbasis,
+)
+
+
+PRESETS = ["cycle", "hypercube", "triangular", "s4", "s4-refined-a",
+           "s4-refined-b", "z5z5", "square", "hexagonal"]
 
 
 def cycle4_relations():
@@ -67,11 +75,105 @@ class TestVerifyScheme:
             sr.verify_scheme(rels)
 
 
+def cycle8_classmap():
+    return sr.build_cycle(8).classmap.astype(np.int64)
+
+
+class TestClassMapInput:
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_relation_list_matches_builder(self, presets, preset):
+        scheme = presets[preset]
+        again = sr.verify_scheme([scheme.classmap == k for k in range(scheme.d + 1)],
+                                 class_names=scheme.class_names)
+        assert np.array_equal(again.classmap, scheme.classmap)
+        assert np.array_equal(again.p, scheme.p)
+        assert (again.valencies, again.class_names) == (scheme.valencies, scheme.class_names)
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_vertex_permuted_copy(self, presets, preset):
+        scheme = presets[preset]
+        perm = np.random.default_rng(7).permutation(scheme.n)
+        moved = scheme.classmap[np.ix_(perm, perm)]
+        for given in (moved, [moved == k for k in range(scheme.d + 1)]):
+            again = sr.verify_scheme(given)
+            assert np.array_equal(again.classmap, moved)
+            assert np.array_equal(again.p, scheme.p)
+            assert again.valencies == scheme.valencies
+
+    def test_relations_are_derived(self, z5z5):
+        assert "relations" not in {f.name for f in dataclasses.fields(z5z5)}
+        for k, r in enumerate(z5z5.relations):
+            assert r.dtype == np.int8
+            assert np.array_equal(r, z5z5.classmap == k)
+
+    @pytest.mark.parametrize("classmap", [
+        cycle8_classmap()[:, :-1],
+        cycle8_classmap().astype(float),
+    ], ids=["non-square", "float"])
+    def test_not_a_square_integer_map(self, classmap):
+        with pytest.raises(NotPartition, match="square integer"):
+            sr.verify_scheme(classmap)
+
+    @pytest.mark.parametrize("relabel", [
+        {4: -1},        # a negative label
+        {0: 1, 1: 0},   # a nonzero diagonal
+        {4: 0},         # a zero off the diagonal
+    ], ids=["negative", "diagonal", "off-diagonal"])
+    def test_identity_missing(self, relabel):
+        classmap = cycle8_classmap()
+        lookup = np.arange(5)
+        for old, new in relabel.items():
+            lookup[old] = new
+        with pytest.raises(IdentityMissing):
+            sr.verify_scheme(lookup[classmap])
+
+    def test_asymmetric(self):
+        ahead = (np.arange(4)[None, :] - np.arange(4)[:, None]) % 4
+        with pytest.raises(NotSymmetric, match="relation [13] "):
+            sr.verify_scheme(ahead)
+
+    def test_skipped_label(self):
+        classmap = cycle8_classmap()
+        classmap[classmap == 3] = 5
+        with pytest.raises(NotPartition, match="relation 3 is empty"):
+            sr.verify_scheme(classmap)
+
+    def test_more_labels_than_vertices(self):
+        classmap = cycle8_classmap()
+        classmap[classmap == 4] = 8
+        with pytest.raises(NotPartition, match="9 class labels on 8 vertices"):
+            sr.verify_scheme(classmap)
+
+    def test_not_regular(self):
+        # class 1 is the path 0-1-2-3, class 2 the rest
+        path = np.diag(np.ones(3, dtype=np.int64), 1)
+        classmap = 2 - path - path.T
+        np.fill_diagonal(classmap, 0)
+        with pytest.raises(NotClosed, match="relation 1 is not regular"):
+            sr.verify_scheme(classmap)
+
+
+class TestRelationConnected:
+    @pytest.mark.parametrize("name", PRESETS + ["cycle12", "2xK2", "2xK3", "2xK5"])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_matches_nxn_witness(self, presets, name, data):
+        if name in presets:
+            scheme = presets[name]
+        elif name == "cycle12":
+            scheme = sr.build_cycle(12)
+        else:
+            scheme = two_cliques(int(name[-1]))
+        support = data.draw(st.sets(st.integers(1, scheme.d), min_size=1))
+        assert scheme.relation_connected(sorted(support)) == \
+            nxn_relation_connected(scheme, sorted(support))
+
+
 class TestIntersectionNumbers:
     @pytest.mark.parametrize("preset", ["cycle", "s4", "z5z5", "triangular"])
     def test_row_sum_identity(self, presets, preset):
         scheme = presets[preset]
-        p = sr.intersection_numbers(scheme)
+        p = scheme.p
         for i in range(scheme.d + 1):
             for j in range(scheme.d + 1):
                 assert p[i, j, 0] == (scheme.valencies[i] if i == j else 0)
@@ -161,10 +263,6 @@ def nxn_spectrum(scheme):
     return raw_p[order], tuple(mults[k] for k in order)
 
 
-PRESETS = ["cycle", "hypercube", "triangular", "s4", "s4-refined-a",
-           "s4-refined-b", "z5z5", "square", "hexagonal"]
-
-
 class TestSpectralInAlgebra:
     @pytest.mark.parametrize("preset", PRESETS)
     def test_matches_nxn_joint_diagonalization(self, presets, preset):
@@ -194,7 +292,7 @@ class TestSpectralInAlgebra:
     def test_needs_no_vertex_level_data(self, presets, preset):
         """Everything after the intersection numbers costs poly(d)."""
         scheme = presets[preset]
-        stripped = dataclasses.replace(scheme, relations=(), classmap=None)
+        stripped = dataclasses.replace(scheme, classmap=None)
         full, bare = spectral_of(scheme), sr.spectral_data(stripped)
         assert np.array_equal(bare.p_matrix, full.p_matrix)
         assert np.array_equal(bare.q_matrix, full.q_matrix)
@@ -204,8 +302,17 @@ class TestSpectralInAlgebra:
         except sr.errors.FewerEigenvalues:
             with pytest.raises(sr.errors.FewerEigenvalues):
                 sr.polynomial_coefficients(stripped)
+            with pytest.raises(sr.errors.FewerEigenvalues):
+                sr.resistance_polynomial(stripped)
         else:
             assert sr.polynomial_coefficients(stripped) == coeffs
+            assert sr.resistance_polynomial(stripped) == sr.resistance_polynomial(scheme)
+        for support in ([1], list(range(2, scheme.d + 1))):
+            assert stripped.relation_connected(support) == scheme.relation_connected(support)
+        assert sr.check_distance_regular(stripped) == sr.check_distance_regular(scheme)
+        unit = [1] + [0] * (scheme.d - 1)
+        assert sr.resistance_spectral(stripped, bare, unit) == \
+            sr.resistance_spectral(scheme, full, unit)
 
     def test_inconsistent_intersection_numbers(self, s4):
         p = s4.p.copy()
@@ -300,15 +407,6 @@ class TestDistanceRegular:
         assert not scheme.relation_connected([1])
         assert nxn_check_distance_regular(scheme) is None
         assert sr.check_distance_regular(scheme) is None
-
-
-def two_cliques(m):
-    """The imprimitive scheme 2 x K_m on 2m vertices."""
-    copy = np.arange(2 * m) // m
-    same = copy[:, None] == copy[None, :]
-    eye = np.eye(2 * m, dtype=bool)
-    return sr.verify_scheme([eye.astype(np.int64), (same & ~eye).astype(np.int64),
-                             (~same).astype(np.int64)])
 
 
 def petersen():

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import schemeres as sr
-from schemeres.errors import NotCommuting, NotSymmetric
+from schemeres.errors import NotSymmetric
 
-from nxn_witnesses import simultaneous_eigenbasis
+from nxn_witnesses import NotCommuting, simultaneous_eigenbasis
 
 
 def char_poly_coefficients(a):
