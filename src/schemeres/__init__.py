@@ -27,7 +27,6 @@ from .exact import (
     as_rational_matrix,
     identity_rational,
     rational_inverse,
-    rational_matmul,
     rational_solve,
 )
 from .lattice import (

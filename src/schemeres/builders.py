@@ -275,32 +275,32 @@ def orbit_of(vec, mats, modulus: Optional[int] = None) -> tuple:
     return tuple(sorted(out))
 
 
+def _translation_scheme(m: int, classes, names) -> AssociationScheme:
+    """Translation scheme on Z_m x Z_m: the pair (x, y) lies in the class
+    that contains x - y; ``classes`` lists each class's group elements."""
+    lookup = np.zeros((m, m), dtype=np.int16)
+    for k, elems in enumerate(classes):
+        for g in elems:
+            lookup[g] = k
+    xa, xb = np.divmod(np.arange(m * m), m)
+    classmap = lookup[(xa[:, None] - xa[None, :]) % m, (xb[:, None] - xb[None, :]) % m]
+    return verify_scheme(classmap, class_names=names)
+
+
 def _orbit_scheme(m: int, mats) -> AssociationScheme:
     """Translation scheme whose classes are point-group orbits on Z_m x Z_m.
 
     Classes are ordered by their lexicographically smallest representative,
     which puts (0,0) first and the orbit of (1,0) second.
     """
-    orbit_index = {}
+    seen = set()
     orbits = []
-    for a in range(m):
-        for b in range(m):
-            if (a, b) in orbit_index:
-                continue
-            orb = orbit_of((a, b), mats, modulus=m)
-            for g in orb:
-                orbit_index[g] = len(orbits)
-            orbits.append(orb)
-
-    coords = np.arange(m * m)
-    xa, xb = coords // m, coords % m
-    da = (xa[:, None] - xa[None, :]) % m
-    db = (xb[:, None] - xb[None, :]) % m
-    lookup = np.zeros((m, m), dtype=np.int16)
-    for g, k in orbit_index.items():
-        lookup[g] = k
+    for g in itertools.product(range(m), repeat=2):
+        if g not in seen:
+            orbits.append(orbit_of(g, mats, modulus=m))
+            seen.update(orbits[-1])
     names = tuple(str(orb[0]).replace(" ", "") for orb in orbits)
-    return verify_scheme(lookup[da, db], class_names=names)
+    return _translation_scheme(m, orbits, names)
 
 
 def build_square_lattice(m: int) -> AssociationScheme:
@@ -330,13 +330,5 @@ _Z5Z5_CLASSES = (
 
 def build_orbit_scheme_z5z5() -> AssociationScheme:
     """The 25-vertex, 4-class translation scheme on Z_5 x Z_5."""
-    m = 5
-    lookup = np.zeros((m, m), dtype=np.int16)
-    for k, cls_elems in enumerate(_Z5Z5_CLASSES):
-        for g in cls_elems:
-            lookup[g] = k
-    coords = np.arange(m * m)
-    xa, xb = coords // m, coords % m
-    classmap = lookup[(xa[:, None] - xa[None, :]) % m, (xb[:, None] - xb[None, :]) % m]
     names = ("(0,0)", "(1,0)", "(2,0)", "(1,2)", "(1,3)")
-    return verify_scheme(classmap, class_names=names)
+    return _translation_scheme(5, _Z5Z5_CLASSES, names)

@@ -247,9 +247,6 @@ def run_resist(scheme: AssociationScheme, conductances: ConductanceVector,
             if array is None:
                 raise MethodPreconditionViolated(
                     "closed forms need a distance-regular scheme")
-            if scheme.d > 5:
-                raise MethodPreconditionViolated(
-                    "closed forms cover diameters up to 5 only")
             table = drg_closed_table(array, scheme.n)
         else:
             raise BadParameter(f"unknown method {method!r}")

@@ -78,7 +78,7 @@ class FewerEigenvalues(SchemeresError):
 
 
 class OutOfRange(SchemeresError):
-    """Closed forms only cover strata 1..5 (and at most the diameter)."""
+    """A closed-form stratum m lies outside 1..d (d the diameter)."""
 
 
 class QuadratureNotConverged(SchemeresError):

@@ -57,12 +57,3 @@ def rational_solve(a: Sequence[Sequence], b: Sequence[Sequence]) -> RationalMatr
 
 def rational_inverse(a: Sequence[Sequence]) -> RationalMatrix:
     return rational_solve(a, identity_rational(len(a)))
-
-
-def rational_matmul(a: Sequence[Sequence], b: Sequence[Sequence]) -> RationalMatrix:
-    rows, inner, cols = len(a), len(b), len(b[0])
-    return [
-        [sum((Fraction(a[i][k]) * b[k][j] for k in range(inner)), Fraction(0))
-         for j in range(cols)]
-        for i in range(rows)
-    ]

@@ -6,8 +6,8 @@ underlying resistor network:
 * ``resistance_oracle``      - Laplacian pseudo-inverse, floating point;
 * ``resistance_spectral``    - eigenmatrix formula, floating point;
 * ``resistance_polynomial``  - spectrum-free trace formula, exact rationals;
-* ``resistance_drg_closed``  - closed forms from an intersection array,
-  exact rationals (distance-regular networks, strata 1..5).
+* ``resistance_drg_closed``  - Biggs' sum over an intersection array,
+  exact rationals (distance-regular networks, every stratum).
 
 ``oracle`` is the only engine that works at the vertex level: it builds the
 N x N Laplacian from the class map and shares nothing with the
@@ -318,88 +318,43 @@ def require_unit_class_one(scheme: AssociationScheme, conductances) -> None:
 # closed forms from an intersection array
 # --------------------------------------------------------------------------
 
+def drg_closed_table(array: IntersectionArray, n_vertices: int) -> ResistanceTable:
+    """Closed-form R^(1..d) of a distance-regular network, unit class-1 conductance.
+
+    Biggs' sum R^(m) = (2/N) sum_{i<m} (N - kappa_0 - ... - kappa_i) /
+    (kappa_i b_i) (Biggs, "Potential theory on distance-regular graphs",
+    Combin. Probab. Comput. 2, 1993), accumulated over i = 0..d-1 in one
+    exact pass.
+
+    Raises
+    ------
+    ValueError
+        If an array entry is not positive or the valency chain is infeasible.
+    """
+    if any(x <= 0 for x in array.b) or any(x <= 0 for x in array.c):
+        raise ValueError("intersection array entries must be positive")
+    remaining = n_vertices
+    total = Fraction(0)
+    values = []
+    for kappa_i, b_i in zip(array.valencies(), array.b):
+        remaining -= kappa_i
+        total += Fraction(2 * remaining, n_vertices * kappa_i * b_i)
+        values.append(total)
+    return ResistanceTable(tuple(values), method="closed_form", exact=True)
+
+
 def resistance_drg_closed(array: IntersectionArray, n_vertices: int,
                           m: int) -> Fraction:
-    """Closed-form R^(m) of a distance-regular network, unit class-1 conductance.
-
-    Exact rational in the array entries; covers strata m = 1..5.
+    """Entry R^(m) of ``drg_closed_table``.
 
     Raises
     ------
     OutOfRange
-        If m > 5 or m exceeds the diameter.
+        If m lies outside 1..d.
     """
-    d = array.d
-    if not 1 <= m <= 5 or m > d:
-        raise OutOfRange(f"closed forms cover 1 <= m <= min(5, d); got m={m}, d={d}")
-    if any(x <= 0 for x in array.b) or any(x <= 0 for x in array.c):
-        raise ValueError("intersection array entries must be positive")
-    array.valencies()  # raises on infeasible kappa chain
-
-    big_n = Fraction(n_vertices)
-    kappa = Fraction(array.kappa)
-    b = [Fraction(x) for x in array.b]
-    c = [Fraction(x) for x in array.c]
-    a = [Fraction(array.a(i)) for i in range(d + 1)]
-
-    if m == 1:
-        return 2 * (big_n - 1) / (big_n * kappa)
-
-    b1, c2 = b[1], c[1]
-    if m == 2:
-        return 2 / (kappa * b1) * (b1 + 1 - (kappa + b1 + 1) / big_n)
-
-    b2, c3 = b[2], c[2]
-    if m == 3:
-        free = b1 * b2 + b2 + c2
-        over_n = (kappa + 1) * (b2 + c2) + b1 * (kappa + b2)
-        return 2 / (kappa * b1 * b2) * (free - over_n / big_n)
-
-    a1, a2, a3 = a[1], a[2], a[3]
-    i1 = a1 * (2 * kappa + a1 ** 2 + 2 * b1 * c2) + b1 * c2 * a2
-    i2 = c2 * (kappa + a1 ** 2 + b1 * c2 + a2 * (a1 + a2) + b2 * c3)
-    s3 = a1 + a2 + a3
-    w1 = i1 - a1 * i2 / c2 + s3 * (a1 * a2 - kappa - b1 * c2)
-    w2 = i2 / c2 - s3 * (a1 + a2)
-
-    b3 = b[3]
-    if m == 4:
-        return 2 / (kappa * b1 * b2 * b3) * (
-            -w1 * (1 - 1 / big_n)
-            - kappa * w2 * (1 - 2 / big_n)
-            - kappa * s3 * (kappa + 1 - 3 * kappa / big_n)
-            + kappa ** 3 * (1 - 4 / big_n)
-            + kappa * (kappa + a1)
-        )
-
-    a4, b4, c4 = a[4], b[4], c[3]
-    i0 = kappa * (kappa + a1 ** 2 + b1 * c2)
-    i3 = c2 * c3 * s3
-    q = c2 * c3 * c4
-    j1 = i0 + a1 * i1 + b1 * i2
-    j2 = c2 * i1 + a2 * i2 + b2 * i3
-    j3 = c3 * i2 + a3 * i3 + b3 * q
-    j4 = c4 * i3 + a4 * q
-    v1 = j1 - j2 * a1 / c2 + j3 * (a1 * a2 - kappa - b1 * c2) / (c2 * c3) - j4 * w1 / q
-    v2 = j2 / c2 - j3 * (a1 + a2) / (c2 * c3) - j4 * w2 / q
-    v3 = j3 / (c2 * c3) - j4 * s3 / q
-    v4 = j4 / q
-    t1 = big_n - 1
-    t2 = kappa * (big_n - 2)
-    t3 = (kappa ** 2 + kappa) * big_n - 3 * kappa ** 2
-    t4 = (kappa ** 3 + kappa ** 2 + kappa * a1) * big_n - 4 * kappa ** 3
-    t5 = (kappa ** 4 + kappa ** 3 + kappa ** 2 * a1 + i0) * big_n - 5 * kappa ** 4
-    return 2 / (big_n * kappa * b1 * b2 * b3 * b4) * (
-        -v1 * t1 - v2 * t2 - v3 * t3 - v4 * t4 + t5)
-
-
-def drg_closed_table(array: IntersectionArray, n_vertices: int) -> ResistanceTable:
-    """Closed-form table for every stratum the formulas cover (d <= 5 only)."""
-    if array.d > 5:
-        raise OutOfRange("closed-form table only covers diameters up to 5")
-    values = tuple(resistance_drg_closed(array, n_vertices, m)
-                   for m in range(1, array.d + 1))
-    return ResistanceTable(values, method="closed_form", exact=True)
+    if not 1 <= m <= array.d:
+        raise OutOfRange(f"closed forms cover 1 <= m <= d; got m={m}, d={array.d}")
+    return drg_closed_table(array, n_vertices).values[m - 1]
 
 
 # --------------------------------------------------------------------------

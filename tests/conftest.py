@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,16 @@ def two_cliques(m):
     copy = np.arange(2 * m) // m
     same = copy[:, None] == copy[None, :]
     return sr.verify_scheme(np.where(same, 1, 2) - np.eye(2 * m, dtype=np.int64))
+
+
+def rational_matmul(a, b):
+    """Exact product of two rational matrices given as lists of rows."""
+    rows, inner, cols = len(a), len(b), len(b[0])
+    return [
+        [sum((Fraction(a[i][k]) * b[k][j] for k in range(inner)), Fraction(0))
+         for j in range(cols)]
+        for i in range(rows)
+    ]
 
 
 def random_connected_conductances(scheme, rng, sparse=False):

@@ -110,6 +110,17 @@ class TestResist:
         assert code == 2
         assert "MethodPreconditionViolated" in capsys.readouterr().err
 
+    def test_closed_beyond_diameter_five(self, tmp_path, capsys):
+        out = tmp_path / "h10.json"
+        code = main(["resist", "hypercube", "--n", "10", "--method", "closed",
+                     "polynomial", "--out", str(out)])
+        assert code == 0
+        report = json.loads(out.read_text())
+        assert [len(t["values"]) for t in report["tables"]] == [10, 10]
+        checks = {chk["name"]: chk for chk in report["checks"]}
+        for name in ("foster[closed_form]", "method-agreement"):
+            assert checks[name]["pass"] and checks[name]["residual"] == 0
+
     def test_polynomial_degenerate_scheme(self, capsys):
         code = main(["resist", "square", "--m", "4", "--method", "polynomial"])
         assert code == 2

@@ -15,6 +15,7 @@ from schemeres.errors import (
 
 from conftest import random_connected_conductances, spectral_of, two_cliques
 from nxn_witnesses import integer_matrix_powers, power_traces
+from paper_closed_forms import paper_closed_form, paper_drg_closed
 
 F = Fraction
 
@@ -253,17 +254,24 @@ class TestClosedForms:
         # offset is -6 (the +6 variant fails every engine)
         assert r2 == F(nn - 6, nn * (n - 3)) == poly.value(2)
 
-    @pytest.mark.parametrize("builder,arg", [
-        (sr.build_cycle, 8), (sr.build_cycle, 12),
-        (sr.build_hypercube, 4), (sr.build_hypercube, 5),
-        (sr.build_triangular, 7),
-    ])
+    @pytest.mark.parametrize("builder,arg", list(dict.fromkeys(
+        [(sr.build_cycle, 8), (sr.build_cycle, 12),
+         (sr.build_hypercube, 4), (sr.build_hypercube, 5),
+         (sr.build_triangular, 7)]
+        + [(sr.build_cycle, n) for n in (10, 16, 32, 64)]
+        + [(sr.build_hypercube, n) for n in (3, *range(6, 11))]
+        + [(sr.build_triangular, n) for n in range(5, 25)])))
     def test_matches_polynomial_exactly(self, builder, arg):
         scheme = builder(arg)
         array = sr.check_distance_regular(scheme)
-        poly = sr.resistance_polynomial(scheme)
+        table = sr.drg_closed_table(array, scheme.n)
+        assert table.exact and table.method == "closed_form"
+        assert table.values == sr.resistance_polynomial(scheme).values
+        for m in range(1, scheme.d + 1):
+            assert sr.resistance_drg_closed(array, scheme.n, m) == table.value(m)
+        # the paper's case list, strata 1..5
         for m in range(1, min(5, scheme.d) + 1):
-            assert sr.resistance_drg_closed(array, scheme.n, m) == poly.value(m)
+            assert paper_drg_closed(array, scheme.n, m) == table.value(m)
 
     def test_petersen_known_values(self):
         # Kneser K(5,2): swap the classes of the triangular scheme on 5 points
@@ -283,9 +291,38 @@ class TestClosedForms:
         array = sr.check_distance_regular(hypercube3)
         with pytest.raises(OutOfRange):
             sr.resistance_drg_closed(array, 8, 4)
-        big = sr.check_distance_regular(sr.build_hypercube(6))
-        with pytest.raises(OutOfRange):
-            sr.resistance_drg_closed(big, 64, 6)
+        big_scheme = sr.build_hypercube(6)
+        big = sr.check_distance_regular(big_scheme)
+        assert sr.resistance_drg_closed(big, 64, 6) == \
+            sr.resistance_polynomial(big_scheme).value(6)
+        for arr, n, m in ((array, 8, 0), (big, 64, 0), (big, 64, 7)):
+            with pytest.raises(OutOfRange):
+                sr.resistance_drg_closed(arr, n, m)
+
+    def test_invalid_arrays(self):
+        with pytest.raises(ValueError, match="positive"):
+            sr.drg_closed_table(sr.IntersectionArray((3, 0), (1, 2)), 8)
+        with pytest.raises(ValueError, match="feasible"):
+            sr.drg_closed_table(sr.IntersectionArray((3, 2), (1, 4)), 8)
+
+    def test_paper_expressions_equal_biggs_sum(self):
+        """Symbolic proof for strata 1..5: N, kappa, b_1..b_4 and c_2..c_4
+        are free (c_5 only makes the diameter 5), with
+        kappa_i = kappa_{i-1} b_{i-1} / c_i and a_i = kappa - b_i - c_i."""
+        import sympy
+
+        big_n, kappa = sympy.symbols("N kappa", positive=True)
+        b = [kappa, *sympy.symbols("b1:5", positive=True)]
+        c = [sympy.Integer(1), *sympy.symbols("c2:6", positive=True)]
+        kappas = [sympy.Integer(1)]
+        for i in range(1, 5):
+            kappas.append(kappas[-1] * b[i - 1] / c[i - 1])
+        for m in range(1, 6):
+            biggs = 2 / big_n * sum(
+                (big_n - sum(kappas[:i + 1])) / (kappas[i] * b[i])
+                for i in range(m))
+            paper = paper_closed_form(m, big_n, b, c)
+            assert sympy.cancel(paper - biggs) == 0, m
 
 
 class TestFoster:

@@ -6,6 +6,7 @@ import pytest
 import schemeres as sr
 from schemeres.errors import NotSymmetric
 
+from conftest import rational_matmul
 from nxn_witnesses import NotCommuting, simultaneous_eigenbasis
 
 
@@ -21,10 +22,10 @@ def char_poly_coefficients(a):
     for k in range(1, n + 1):
         # M_k = A M_{k-1} + c_{n-k+1} I
         if k > 1:
-            m = sr.rational_matmul(mat, m)
+            m = rational_matmul(mat, m)
         for i in range(n):
             m[i][i] += coeffs[-1]
-        am = sr.rational_matmul(mat, m)
+        am = rational_matmul(mat, m)
         c = -sum(am[i][i] for i in range(n)) / k
         coeffs.append(c)
     return coeffs
