@@ -42,7 +42,6 @@ from .resistance import (
     _oracle_table,
     drg_closed_table,
     foster_sum,
-    polynomial_coefficients,
     require_unit_class_one,
     resistance_polynomial,
     resistance_spectral,
@@ -240,7 +239,7 @@ def run_resist(scheme: AssociationScheme, conductances: ConductanceVector,
             table = resistance_spectral(scheme, spec, conductances)
         elif method == "polynomial":
             require_unit_class_one(scheme, conductances)
-            table = resistance_polynomial(scheme, polynomial_coefficients(scheme))
+            table = resistance_polynomial(scheme)
         elif method == "closed":
             require_unit_class_one(scheme, conductances)
             array = check_distance_regular(scheme)

@@ -37,10 +37,6 @@ class NotClosed(SchemeresError):
     """Some product A_i A_j leaves the span of the relations."""
 
 
-class NotCommutative(SchemeresError):
-    """Intersection numbers are not symmetric in the lower indices."""
-
-
 # builders -------------------------------------------------------------------
 
 class OddOrder(SchemeresError):

@@ -13,8 +13,8 @@ underlying resistor network:
 N x N Laplacian from the class map and shares nothing with the
 intersection numbers p^k_ij, so it witnesses them.
 The other three all derive from p: ``spectral`` through the eigenmatrices
-computed in the intersection algebra, ``polynomial`` through powers of the
-intersection matrix B_1, and ``closed`` through the intersection array.
+computed in the intersection algebra, ``polynomial`` through one exact solve
+in the power basis of B_1, and ``closed`` through the intersection array.
 Agreement with the oracle is asserted wholesale in the test suite.
 """
 
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -35,11 +34,9 @@ from .errors import (
     SingularSystem,
     ZeroDenominator,
 )
-from .exact import rational_inverse
+from .exact import rational_inverse, rational_solve
 from .scheme import AssociationScheme, IntersectionArray, SpectralData
 
-#: relative cutoff below which a Laplacian eigenvalue counts as zero
-ZERO_EIGENVALUE_CUTOFF = 1e-8
 #: within-stratum resistance spread the oracle certifies
 STRATUM_SPREAD_TOL = 1e-9
 
@@ -112,22 +109,27 @@ def laplacian(scheme: AssociationScheme, conductances) -> np.ndarray:
 
 
 def pseudo_inverse(scheme: AssociationScheme, conductances) -> np.ndarray:
-    """Moore-Penrose inverse of the scheme Laplacian over nonzero eigenspaces.
+    """Moore-Penrose inverse of the scheme Laplacian.
+
+    Connectivity is decided exactly, by reachability over the conducting
+    pairs L_xy < 0; then Lp = (L + (s/N) J)^-1 - J/(sN) with s = L_00.
 
     Raises
     ------
     Disconnected
-        If L has two or more (near-)zero eigenvalues.
+        If the conductance support does not reach every vertex.
     """
-    lap = laplacian(scheme, conductances)
-    w, v = np.linalg.eigh(lap)
-    cutoff = ZERO_EIGENVALUE_CUTOFF * max(1.0, float(np.abs(w).max()))
-    zero = np.abs(w) <= cutoff
-    if zero.sum() != 1:
-        raise Disconnected(
-            f"Laplacian has {int(zero.sum())} zero eigenvalues at cutoff")
-    keep = ~zero
-    return (v[:, keep] / w[keep]) @ v[:, keep].T
+    lap, n = laplacian(scheme, conductances), scheme.n
+    conducting = lap < 0  # the diagonal is positive
+    reached = frontier = np.arange(n) == 0
+    while frontier.any():
+        frontier = conducting[frontier].any(axis=0) & ~reached
+        reached = reached | frontier
+    if not reached.all():
+        raise Disconnected(f"conductance support reaches {reached.sum()} of {n} "
+                           "vertices, so L has repeated zero eigenvalues")
+    s = lap[0, 0]
+    return np.linalg.inv(lap + s / n) - 1 / (s * n)
 
 
 def oracle_resistance_matrix(scheme: AssociationScheme, conductances) -> np.ndarray:
@@ -235,6 +237,22 @@ class PolynomialCoefficients:
         return n_vertices * self.c_inv[l][0]
 
 
+def _power_rows(scheme: AssociationScheme) -> list:
+    """W[l] = B_1^l e_0 for l = 0..d: the class coefficients of A^l, in
+    Python ints, so the powers never overflow."""
+    b1 = scheme.intersection_matrix(1).tolist()
+    rows = [[int(k == 0) for k in range(scheme.d + 1)]]
+    for _ in range(scheme.d):
+        rows.append([sum(x * y for x, y in zip(bk, rows[-1])) for bk in b1])
+    return rows
+
+
+def _fewer_eigenvalues(rows: list) -> FewerEigenvalues:
+    rank = np.linalg.matrix_rank(np.array(rows, dtype=float))
+    return FewerEigenvalues(
+        f"A_1 generates a rank-{rank} subalgebra of dimension {len(rows)}")
+
+
 def polynomial_coefficients(scheme: AssociationScheme) -> PolynomialCoefficients:
     """Expand each relation as an exact polynomial in A_1, spectrum-free.
 
@@ -250,54 +268,43 @@ def polynomial_coefficients(scheme: AssociationScheme) -> PolynomialCoefficients
     CertificationFailed
         If the expansion does not give A_0 = A^0 and A_1 = A^1.
     """
-    d = scheme.d
-    b1 = scheme.intersection_matrix(1).tolist()  # Python ints, so powers never overflow
-    powers = [[int(k == 0) for k in range(d + 1)]]
-    for _ in range(d):
-        powers.append([sum(x * y for x, y in zip(bk, powers[-1])) for bk in b1])
-    rows = [[Fraction(x) for x in row] for row in powers]
+    rows = _power_rows(scheme)
     try:
         inv = rational_inverse(rows)
     except SingularSystem:
-        rank = int(np.linalg.matrix_rank(
-            np.array([[float(x) for x in row] for row in rows])))
-        raise FewerEigenvalues(
-            f"A_1 generates a rank-{rank} subalgebra of dimension {d + 1}")
+        raise _fewer_eigenvalues(rows) from None
     c = tuple(tuple(row) for row in inv)
-    c_inv = tuple(tuple(row) for row in rows)
+    c_inv = tuple(tuple(Fraction(x) for x in row) for row in rows)
     for m in (0, 1):  # A_0 = A^0 and A_1 = A^1
-        if c[m] != tuple(Fraction(int(j == m)) for j in range(d + 1)):
+        if c[m] != tuple(Fraction(int(j == m)) for j in range(scheme.d + 1)):
             raise CertificationFailed(f"A_{m} is not expanded as A^{m}")
     return PolynomialCoefficients(c=c, c_inv=c_inv)
 
 
-def resistance_polynomial(scheme: AssociationScheme,
-                          coeffs: Optional[PolynomialCoefficients] = None
-                          ) -> ResistanceTable:
-    """Exact per-class resistances for unit conductance on class 1 only.
+def resistance_polynomial(scheme: AssociationScheme) -> ResistanceTable:
+    """Exact, spectrum-free per-class resistances for unit class-1 conductance.
 
-    Uses R^(m) = (2/(N kappa_m)) sum_n c_mn (sum_i kappa^{n-i} tr(A^{i-1})
-    - n kappa^{n-1}) with tr(A^l) read off the exact power expansions; no
-    eigenvalues enter at any point.
+    R^(m) = (2/(N kappa_m)) x_m with W x = t: row l of W holds the class
+    coefficients of A^l, t_n = sum_{i<=n} kappa^{n-i} tr(A^{i-1}) -
+    n kappa^{n-1} and tr(A^l) = N W[l][0].  One exact solve, certified by its
+    residual (``CertificationFailed``); a singular W is ``FewerEigenvalues``.
     """
     if not scheme.relation_connected([1]):
         raise Disconnected("class-1 graph is not connected")
-    if coeffs is None:
-        coeffs = polynomial_coefficients(scheme)
-    n, d = scheme.n, scheme.d
-    kappa = Fraction(scheme.valencies[1])
-    traces = [coeffs.trace_of_power(n, l) for l in range(d + 1)]
-
-    t = [Fraction(0)]  # t[n] for n >= 1
-    for m in range(1, d + 1):
-        val = sum(kappa ** (m - i) * traces[i - 1] for i in range(1, m + 1))
-        t.append(val - m * kappa ** (m - 1))
-
-    values = []
-    for m in range(1, d + 1):
-        total = sum(coeffs.c[m][nn] * t[nn] for nn in range(1, d + 1))
-        values.append(Fraction(2, n * scheme.valencies[m]) * total)
-    return ResistanceTable(tuple(values), method="polynomial", exact=True)
+    n, d, kappa = scheme.n, scheme.d, scheme.valencies[1]
+    rows = _power_rows(scheme)
+    t, partial = [0], 0
+    for m in range(1, d + 1):  # Horner: partial = sum_i kappa^{m-i} tr(A^{i-1})
+        partial = kappa * partial + n * rows[m - 1][0]
+        t.append(partial - m * kappa ** (m - 1))
+    try:
+        x = [row[0] for row in rational_solve(rows, [[v] for v in t])]
+    except SingularSystem:
+        raise _fewer_eigenvalues(rows) from None
+    if any(sum(w * xk for w, xk in zip(row, x)) != v for row, v in zip(rows, t)):
+        raise CertificationFailed("power-basis solve leaves a residual W x - t")
+    values = tuple(2 * x[m] / (n * scheme.valencies[m]) for m in range(1, d + 1))
+    return ResistanceTable(values, method="polynomial", exact=True)
 
 
 def unit_class_one(scheme: AssociationScheme) -> ConductanceVector:

@@ -25,7 +25,6 @@ from .errors import (
     DegenerateSplit,
     IdentityMissing,
     NotClosed,
-    NotCommutative,
     NotPartition,
     NotSymmetric,
 )
@@ -82,14 +81,14 @@ def verify_scheme(relations, class_names: Optional[Sequence[str]] = None
     they are reduced to their class map.  The class map is checked in exact
     integer arithmetic: class 0 is exactly the diagonal, the map is
     symmetric, no class in 0..d is empty, each is regular (kappa_k read off
-    row 0), the family is closed with nonnegative integer coefficients and
-    p is commutative.  Closure costs sum_i ceil((d+1-i) / run) N x N
-    products, with each product packing ``run`` classes; see
-    ``_intersection_numbers``.
+    row 0) and the family is closed with nonnegative integer coefficients,
+    hence commutative: A_i A_j = (A_i A_j)^T = A_j A_i for symmetric A_i.
+    Closure costs sum_i ceil((d+1-i) / run) N x N products, with each
+    product packing ``run`` classes; see ``_intersection_numbers``.
 
     Raises
     ------
-    IdentityMissing, NotPartition, NotSymmetric, NotClosed, NotCommutative
+    IdentityMissing, NotPartition, NotSymmetric, NotClosed
         Naming the violated axiom: a skipped label is ``NotPartition``, a
         negative one ``IdentityMissing``, a non-regular relation ``NotClosed``.
     """
@@ -126,8 +125,6 @@ def verify_scheme(relations, class_names: Optional[Sequence[str]] = None
 
     classmap = classmap.astype(np.int16 if d < 2 ** 15 else np.int32)
     p = _intersection_numbers(classmap, valencies)
-    if (p != p.transpose(1, 0, 2)).any():
-        raise NotCommutative("p^k_{ij} != p^k_{ji} for some i, j, k")
 
     names = tuple(class_names) if class_names is not None else tuple(
         f"A{k}" for k in range(d + 1))
@@ -257,7 +254,7 @@ def _weight_draws(count: int):
         yield rng.standard_normal(count)
 
 
-def spectral_data(scheme: AssociationScheme, *, validate: bool = True) -> SpectralData:
+def spectral_data(scheme: AssociationScheme) -> SpectralData:
     """Compute P, Q and the multiplicities in the intersection algebra.
 
     Multiplication by A_i acts on coefficient vectors as the intersection
@@ -329,8 +326,7 @@ def spectral_data(scheme: AssociationScheme, *, validate: bool = True) -> Spectr
     q_matrix = q_matrix.T / kappa[:, None]      # Q[l, j] = m_j P[j, l] / kappa_l
 
     data = SpectralData(p_matrix, q_matrix, multiplicities, scheme.classmap)
-    if validate:
-        _validate_spectral(scheme, data)
+    _validate_spectral(scheme, data)
     return data
 
 

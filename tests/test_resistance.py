@@ -1,7 +1,9 @@
+import functools
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import schemeres as sr
 from schemeres.errors import (
@@ -23,6 +25,43 @@ F = Fraction
 def complete_scheme(n):
     eye = np.eye(n, dtype=np.int64)
     return sr.verify_scheme([eye, np.ones((n, n), dtype=np.int64) - eye])
+
+
+#: schemes whose class supports include disconnected ones
+SUPPORT_SCHEMES = {
+    "cycle12": lambda: sr.build_cycle(12),
+    "square4": lambda: sr.build_square_lattice(4),
+    "2xK3": lambda: two_cliques(3),
+    "hypercube4": lambda: sr.build_hypercube(4),
+    "z5z5": sr.build_orbit_scheme_z5z5,
+}
+
+
+@functools.cache
+def support_scheme(name):
+    return SUPPORT_SCHEMES[name]()
+
+
+#: the exact-drg ladder of the benchmark
+POLYNOMIAL_LADDER = (
+    [(sr.build_cycle, n) for n in (16, 32, 48, 64)]
+    + [(sr.build_hypercube, n) for n in range(3, 9)]
+    + [(sr.build_triangular, n) for n in (5, 8, 12, 16, 20, 24)])
+
+
+def contraction_table(scheme):
+    """R^(m) = (2/(N kappa_m)) sum_n c_mn t_n through the full inverse c of
+    ``polynomial_coefficients``, the engine's former route."""
+    coeffs = sr.polynomial_coefficients(scheme)
+    n, d = scheme.n, scheme.d
+    kappa = F(scheme.valencies[1])
+    traces = [coeffs.trace_of_power(n, l) for l in range(d + 1)]
+    t = [F(0)] + [
+        sum(kappa ** (m - i) * traces[i - 1] for i in range(1, m + 1))
+        - m * kappa ** (m - 1) for m in range(1, d + 1)]
+    return tuple(
+        F(2, n * scheme.valencies[m]) * sum(coeffs.c[m][k] * t[k] for k in range(1, d + 1))
+        for m in range(1, d + 1))
 
 
 class TestOracle:
@@ -50,8 +89,8 @@ class TestOracle:
             sr.resistance_oracle(square4, c)
 
     @pytest.mark.parametrize("case", ["cycle8-4", "2xK3-1"])
-    def test_disconnected_support_found_by_eigenvalues(self, cycle8, case):
-        # the oracle does not consult p: pseudo_inverse counts zero eigenvalues
+    def test_disconnected_support_found_without_p(self, cycle8, case):
+        # the oracle does not consult p: pseudo_inverse searches L's support
         scheme, k = (cycle8, 4) if case == "cycle8-4" else (two_cliques(3), 1)
         c = [0] * scheme.d
         c[k - 1] = 1
@@ -75,6 +114,35 @@ class TestOracle:
                 if ci:
                     loop -= ci * scheme.relations[i].astype(float)
             assert sr.laplacian(scheme, c).tobytes() == loop.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(name=st.sampled_from(sorted(SUPPORT_SCHEMES)), data=st.data())
+    def test_disconnected_exactly_when_support_splits(self, name, data):
+        scheme = support_scheme(name)
+        c = data.draw(st.lists(st.integers(0, 4), min_size=scheme.d,
+                               max_size=scheme.d).filter(any), label="c")
+        support = [i for i, ci in enumerate(c, start=1) if ci]
+        if not scheme.relation_connected(support):
+            with pytest.raises(Disconnected, match="zero eigenvalues"):
+                sr.resistance_oracle(scheme, c)
+            return
+        sr.resistance_oracle(scheme, c)
+        lp = sr.pseudo_inverse(scheme, c)
+        for t in (F(1, 10**9), F(1, 10**12)):  # no scale reads as disconnected
+            scaled = sr.pseudo_inverse(scheme, [t * ci for ci in c])
+            assert np.abs(scaled * float(t) - lp).max() <= 1e-9 * np.abs(lp).max()
+
+    @pytest.mark.parametrize("preset", ["cycle", "hypercube", "triangular", "s4",
+                                        "s4-refined-a", "s4-refined-b", "z5z5",
+                                        "square", "hexagonal"])
+    def test_pseudo_inverse_matches_pinv(self, presets, preset):
+        scheme = presets[preset]
+        rng = np.random.default_rng(5)
+        for sparse in (False, True):
+            c = random_connected_conductances(scheme, rng, sparse=sparse)
+            want = np.linalg.pinv(sr.laplacian(scheme, c))
+            got = sr.pseudo_inverse(scheme, c)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_certification_errors_are_typed(self, s4):
         assert issubclass(CertificationFailed, sr.errors.SchemeresError)
@@ -228,6 +296,38 @@ class TestPolynomialEngine:
         table = sr.resistance_polynomial(scheme)
         assert table.value(1) == F(2 * (scheme.n - 1),
                                    scheme.n * scheme.valencies[1])
+
+    @pytest.mark.parametrize("preset", ["cycle", "hypercube", "triangular", "s4",
+                                        "s4-refined-a", "s4-refined-b", "z5z5",
+                                        "square", "hexagonal"])
+    def test_solve_equals_full_inverse_contraction(self, presets, preset):
+        scheme = presets[preset]
+        try:
+            expected = contraction_table(scheme)
+        except FewerEigenvalues:
+            with pytest.raises(FewerEigenvalues):
+                sr.resistance_polynomial(scheme)
+            return
+        values = sr.resistance_polynomial(scheme).values
+        assert all(type(v) is F for v in values)
+        assert values == expected
+
+    @pytest.mark.parametrize("builder,arg", POLYNOMIAL_LADDER)
+    def test_solve_equals_full_inverse_on_ladder(self, builder, arg):
+        scheme = builder(arg)
+        assert sr.resistance_polynomial(scheme).values == contraction_table(scheme)
+
+    def test_solve_certified(self, monkeypatch, s4):
+        real = sr.resistance.rational_solve
+
+        def perturbed(a, b):
+            x = real(a, b)
+            x[-1][0] += F(1, 10**6)
+            return x
+
+        monkeypatch.setattr(sr.resistance, "rational_solve", perturbed)
+        with pytest.raises(CertificationFailed, match="residual"):
+            sr.resistance_polynomial(s4)
 
     def test_precondition_guard(self, s4):
         with pytest.raises(MethodPreconditionViolated):
