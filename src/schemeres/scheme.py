@@ -2,15 +2,26 @@
 
 ``verify_scheme`` is the only constructor: it checks every defining axiom in
 exact integer arithmetic and computes the intersection numbers on the way.
-Matrix products are taken in float64 (BLAS) for speed.  Each packs a run of
-classes into base-``base`` digits, base = max kappa + 1, and the run is cut
-so that base**run <= 2**53: every entry and partial sum stays an integer
-below 2**53, so the products are exact and the axiom checks bit-exact.
+Closure, the costly axiom, is certified on one of two routes:
 
-Everything after verification reads p alone: ``spectral_data`` takes P, Q
-and the multiplicities from one eigendecomposition of a generic element of
-the (d+1)-dimensional intersection algebra, and ``check_distance_regular``
-reads the intersection array off p.
+* with ``automorphisms`` (every builder passes them), each generator is
+  certified to be a permutation that fixes the class map, and their orbit
+  of vertex 0 to be every vertex.  The group they generate is then
+  transitive, so each row of A_i A_j is a relabelled row 0, and closure and
+  p are read off row 0 with one ``bincount`` per class: O(N^2) work per
+  generator and O(N^2 + (d+1)^2 N) for p.
+* without them (documents, hand-written input), A_i A_j is formed as exact
+  float64 (BLAS) N x N products.  Each packs a run of classes into
+  base-``base`` digits, base = max kappa + 1, and the run is cut so that
+  base**run <= 2**53: every entry and partial sum stays an integer below
+  2**53, so the products are exact and the axiom checks bit-exact.  That
+  is O((d+1)^2 N^3 / run) work, and the only proof for an arbitrary map.
+
+Both routes give the same p, byte for byte.  Everything after verification
+reads p alone: ``spectral_data`` takes P, Q and the multiplicities from one
+eigendecomposition of a generic element of the (d+1)-dimensional
+intersection algebra, and ``check_distance_regular`` reads the
+intersection array off p.
 """
 
 from __future__ import annotations
@@ -22,6 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (
+    BadParameter,
     DegenerateSplit,
     IdentityMissing,
     NotClosed,
@@ -72,8 +84,8 @@ class AssociationScheme:
         return bool(reached.all())
 
 
-def verify_scheme(relations, class_names: Optional[Sequence[str]] = None
-                  ) -> AssociationScheme:
+def verify_scheme(relations, class_names: Optional[Sequence[str]] = None,
+                  automorphisms: Optional[Sequence] = None) -> AssociationScheme:
     """Validate a scheme, given as its d+1 relation matrices or as one (n, n)
     integer numpy array mapping each vertex pair to its class, and build it.
 
@@ -83,14 +95,29 @@ def verify_scheme(relations, class_names: Optional[Sequence[str]] = None
     symmetric, no class in 0..d is empty, each is regular (kappa_k read off
     row 0) and the family is closed with nonnegative integer coefficients,
     hence commutative: A_i A_j = (A_i A_j)^T = A_j A_i for symmetric A_i.
-    Closure costs sum_i ceil((d+1-i) / run) N x N products, with each
-    product packing ``run`` classes; see ``_intersection_numbers``.
+
+    Closure is certified on one of two routes, chosen by ``automorphisms``:
+
+    * given, it is a sequence of length-n vertex permutations.  Each must
+      map the class map onto itself, ``classmap[g][:, g] == classmap``, and
+      their orbit of vertex 0 must cover all n vertices; then the group
+      they generate is transitive, and closure and p are read off row 0
+      (see ``_row_zero_intersection_numbers``).  That costs O(N^2) per
+      generator plus O(N^2 + (d+1)^2 N) for p.
+    * omitted, closure costs sum_i ceil((d+1-i) / run) N x N products,
+      with each product packing ``run`` classes; see
+      ``_intersection_numbers``.
 
     Raises
     ------
     IdentityMissing, NotPartition, NotSymmetric, NotClosed
         Naming the violated axiom: a skipped label is ``NotPartition``, a
         negative one ``IdentityMissing``, a non-regular relation ``NotClosed``.
+    BadParameter
+        If a given automorphism is not a permutation of the n vertices or
+        does not fix the class map (naming the generator), or if their
+        orbit of vertex 0 misses a vertex (naming how many it reaches).
+        There is no fallback to the product route.
     """
     if isinstance(relations, np.ndarray) and relations.ndim == 2:
         classmap = relations
@@ -124,7 +151,11 @@ def verify_scheme(relations, class_names: Optional[Sequence[str]] = None
     valencies = tuple(int(v) for v in counts[0])
 
     classmap = classmap.astype(np.int16 if d < 2 ** 15 else np.int32)
-    p = _intersection_numbers(classmap, valencies)
+    if automorphisms is None:
+        p = _intersection_numbers(classmap, valencies)
+    else:
+        _certify_transitive(classmap, automorphisms)
+        p = _row_zero_intersection_numbers(classmap, valencies)
 
     names = tuple(class_names) if class_names is not None else tuple(
         f"A{k}" for k in range(d + 1))
@@ -207,6 +238,89 @@ def _intersection_numbers(classmap: np.ndarray, valencies: tuple) -> np.ndarray:
             digits = coef.astype(np.int64) // powers[:j1 - j0, None] % base
             p[i, j0:j1, :] = digits  # [q, k] = p^k_{i, j0+q}
             p[j0:j1, i, :] = digits  # product of symmetric matrices, transposed
+    return p
+
+
+def _certify_transitive(classmap: np.ndarray, automorphisms: Sequence) -> None:
+    """Certify that ``automorphisms`` generate a transitive group of
+    automorphisms of the class map (``BadParameter`` otherwise).
+
+    Each generator is checked to be a permutation with
+    ``classmap[g][:, g] == classmap``, two ``np.take`` gathers and one
+    comparison of N^2 entries.  The orbit of vertex 0 is grown by a forward
+    search over the generators' images; the vertex set is finite, so the
+    forward orbit is the orbit of the group they generate.
+    """
+    n = classmap.shape[0]
+    gens = []
+    for t, g in enumerate(automorphisms):
+        g = np.asarray(g)
+        if g.shape != (n,) or not np.issubdtype(g.dtype, np.integer):
+            raise BadParameter(f"automorphism {t} is not a length-{n} integer array")
+        if g.min() < 0 or g.max() >= n:
+            raise BadParameter(f"automorphism {t} has an entry outside 0..{n - 1}")
+        g = g.astype(np.intp)
+        if np.bincount(g, minlength=n).max() > 1:
+            raise BadParameter(f"automorphism {t} repeats a vertex")
+        moved = np.take(np.take(classmap, g, axis=0), g, axis=1)
+        if not np.array_equal(moved, classmap):
+            raise BadParameter(f"automorphism {t} does not preserve the class map")
+        gens.append(g)
+
+    count = len(_orbit(gens, {0}))
+    if count != n:
+        raise BadParameter(f"the automorphisms move vertex 0 to {count} of {n} vertices")
+
+
+def _orbit(gens: Sequence[np.ndarray], points: set) -> set:
+    """Every image of ``points`` under words in the permutations ``gens``.
+
+    A forward depth-first search on plain lists: N * len(gens) steps, which
+    beats a frontier search in numpy when the orbit is long and thin, as
+    under one rotation.
+    """
+    images = [g.tolist() for g in gens]
+    seen, stack = set(points), list(points)
+    while stack:
+        x = stack.pop()
+        for g in images:
+            y = g[x]
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
+
+
+def _row_zero_intersection_numbers(classmap: np.ndarray, valencies: tuple) -> np.ndarray:
+    """Certify closure and return p from row 0 of each A_i A_j.
+
+    The class map must already be certified symmetric and regular, and
+    invariant under a transitive group (``_certify_transitive``).  For
+    vertices x, y take an automorphism s with s(0) = x; then
+    (A_i A_j)[x, y] = (A_i A_j)[0, s^-1(y)], and s^-1(y) lies in the class
+    of (x, y) in row 0.  So A_i A_j lies in the span of the relations
+    exactly when its row 0 is constant on each class k of vertex 0, and
+    that constant is p^k_ij.  Row 0 of A_i A_j counts, for each y, the z in
+    class i of vertex 0 with classmap[z, y] = j: one ``bincount`` per i over
+    the kappa_i rows of that class gives all j at once as a (d+1) x N array.
+    """
+    n = classmap.shape[0]
+    d = len(valencies) - 1
+    row = classmap[0].astype(np.intp)
+    # every class meets row 0, since each relation is regular and nonempty
+    reps = np.argmax(row == np.arange(d + 1)[:, None], axis=1)
+    columns = np.arange(n)
+    p = np.zeros((d + 1, d + 1, d + 1), dtype=np.int64)
+    for i in range(d + 1):
+        cells = classmap[row == i].astype(np.intp)  # kappa_i rows
+        cells *= n
+        cells += columns
+        counts = np.bincount(cells.ravel(), minlength=(d + 1) * n).reshape(d + 1, n)
+        coef = counts[:, reps]  # [j, k] = p^k_ij
+        if not np.array_equal(counts, coef[:, row]):
+            j = int(np.flatnonzero((counts != coef[:, row]).any(axis=1))[0])
+            raise NotClosed(f"A_{i} A_{j} is outside the span of the relations")
+        p[i] = coef
     return p
 
 

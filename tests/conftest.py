@@ -1,9 +1,11 @@
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import schemeres as sr
+from schemeres import builders
 
 _SPECTRAL_CACHE = {}
 
@@ -83,6 +85,30 @@ def two_cliques(m):
     copy = np.arange(2 * m) // m
     same = copy[:, None] == copy[None, :]
     return sr.verify_scheme(np.where(same, 1, 2) - np.eye(2 * m, dtype=np.int64))
+
+
+def build_recording(build, *args):
+    """The scheme ``build(*args)`` returns and the automorphisms it passed
+    to ``verify_scheme``."""
+    seen = []
+
+    def spy(classmap, class_names=None, automorphisms=None):
+        seen.append(automorphisms)
+        return verify(classmap, class_names=class_names, automorphisms=automorphisms)
+
+    verify = builders.verify_scheme
+    with mock.patch.object(builders, "verify_scheme", spy):
+        scheme = build(*args)
+    return scheme, seen[0]
+
+
+def build_packed(build, *args):
+    """``build(*args)`` with its automorphisms withheld, so that its class
+    map is certified by the packed N x N products."""
+    verify = builders.verify_scheme
+    with mock.patch.object(builders, "verify_scheme", lambda classmap, class_names=None,
+                           automorphisms=None: verify(classmap, class_names=class_names)):
+        return build(*args)
 
 
 def rational_matmul(a, b):

@@ -1,14 +1,21 @@
 import itertools
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import schemeres as sr
+from schemeres import cli
+from schemeres import scheme as scheme_module
 from schemeres.errors import NotAmbivalent, NotLatinSquare, OddOrder, TooLarge, TooSmall
 
-from conftest import spectral_of
+from conftest import build_packed, build_recording, spectral_of
 from nxn_witnesses import integer_matrix_powers
+from test_scheme import MULTI_RUN
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 class TestCycle:
@@ -264,3 +271,81 @@ class TestKrawtchouk:
         for n in (3, 6):
             for l in range(n + 1):
                 assert sr.krawtchouk(l, 0, n) == math.comb(n, l)
+
+
+# --------------------------------------------------------------------------
+# the row-0 route that builders take against the packed products
+# --------------------------------------------------------------------------
+
+PRESET_BUILDS = {
+    "cycle": (sr.build_cycle, 8),
+    "hypercube": (sr.build_hypercube, 3),
+    "triangular": (sr.build_triangular, 6),
+    "s4": (sr.build_s4_scheme, "conjugacy"),
+    "s4-refined-a": (sr.build_s4_scheme, "stabilizer"),
+    "s4-refined-b": (sr.build_s4_scheme, "stabilizer-4c"),
+    "z5z5": (sr.build_orbit_scheme_z5z5,),
+    "square": (sr.build_square_lattice, 4),
+    "hexagonal": (sr.build_hexagonal_lattice, 7),
+    "z6-group": (lambda: sr.build_group_scheme(
+        sr.cyclic_group_table(6, [(0,), (1, 5), (2, 4), (3,)])),),
+}
+EQUIVALENCE_BUILDS = {**PRESET_BUILDS, **MULTI_RUN,
+                      "square24": (sr.build_square_lattice, 24),
+                      "hypercube10": (sr.build_hypercube, 10)}
+
+
+def bench_ladder_networks():
+    """(family, size) of every network on the bench's three ladders."""
+    if str(BENCH) not in sys.path:
+        sys.path.insert(0, str(BENCH))
+    import workloads
+    return dict.fromkeys(workloads.RESIST_LADDER + workloads.POLYNOMIAL_LADDER
+                         + workloads.CLOSED_LADDER + workloads.QUERY_SCHEMES)
+
+
+class TestAutomorphismRoute:
+    @pytest.mark.parametrize("name", EQUIVALENCE_BUILDS)
+    def test_matches_packed_route(self, name):
+        build, *args = EQUIVALENCE_BUILDS[name]
+        scheme, packed = build(*args), build_packed(build, *args)
+        assert scheme.classmap.dtype == packed.classmap.dtype
+        assert scheme.classmap.tobytes() == packed.classmap.tobytes()
+        assert (scheme.valencies, scheme.class_names) == (packed.valencies, packed.class_names)
+        assert (scheme.p.dtype, scheme.p.shape) == (packed.p.dtype, packed.p.shape)
+        assert scheme.p.tobytes() == packed.p.tobytes()
+
+    def test_no_builder_forms_products(self, monkeypatch):
+        def refuse(classmap, valencies):
+            raise AssertionError("a builder reached the packed N x N products")
+
+        monkeypatch.setattr(scheme_module, "_intersection_numbers", refuse)
+        for build, *args in PRESET_BUILDS.values():
+            build(*args)
+        networks = bench_ladder_networks()
+        assert len(networks) > 20
+        for family, size in networks:
+            if size is None:
+                cli.make_preset_scheme(family)
+            elif family in ("square", "hexagonal"):
+                cli.make_preset_scheme(family, m=size)
+            else:
+                cli.make_preset_scheme(family, n=size)
+
+    @pytest.mark.parametrize("name", PRESET_BUILDS)
+    def test_conjugated_generators(self, name):
+        build, *args = PRESET_BUILDS[name]
+        scheme, gens = build_recording(build, *args)
+        assert gens
+        perm = np.random.default_rng(11).permutation(scheme.n)
+        inverse = np.argsort(perm)
+        moved = scheme.classmap[np.ix_(perm, perm)]
+        # perm^-1 g perm fixes the class map that perm relabels
+        again = sr.verify_scheme(moved, automorphisms=[inverse[np.asarray(g)[perm]]
+                                                       for g in gens])
+        assert np.array_equal(again.classmap, moved)
+        assert again.p.tobytes() == scheme.p.tobytes()
+
+    def test_group_generating_set_is_small(self, s4):
+        _, gens = build_recording(sr.build_s4_scheme, "conjugacy")
+        assert len(gens) <= math.log2(s4.n)

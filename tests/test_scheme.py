@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import schemeres as sr
 from schemeres import scheme as scheme_module
 from schemeres.errors import (
+    BadParameter,
     DegenerateSplit,
     IdentityMissing,
     NotClosed,
@@ -17,7 +18,7 @@ from schemeres.errors import (
     NotSymmetric,
 )
 
-from conftest import spectral_of, two_cliques
+from conftest import build_recording, spectral_of, two_cliques
 from nxn_witnesses import (
     nxn_check_distance_regular,
     nxn_relation_connected,
@@ -569,6 +570,77 @@ class TestPackedVerifier:
         eye = np.eye(4, dtype=np.int64)
         with pytest.raises(NotClosed, match="not regular"):
             sr.verify_scheme([eye, path, np.ones((4, 4), dtype=np.int64) - eye - path])
+
+
+# --------------------------------------------------------------------------
+# the row-0 verifier under certified transitive automorphisms
+# --------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def base_generators(name):
+    """The automorphisms that the builder of ``fusion_base(name)`` passes."""
+    build, size = {"square6": (sr.build_square_lattice, 6),
+                   "hypercube5": (sr.build_hypercube, 5),
+                   "cycle12": (sr.build_cycle, 12)}[name]
+    return tuple(build_recording(build, size)[1])
+
+
+class TestTransitiveVerifier:
+    @pytest.mark.parametrize("base", ["cycle12", "hypercube5", "square6"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_fusions(self, base, data):
+        # the base scheme's automorphisms fix every fusion of its classes
+        scheme = fusion_base(base)
+        labels = data.draw(st.lists(st.integers(0, scheme.d - 1),
+                                    min_size=scheme.d, max_size=scheme.d))
+        rels = fused_relations(scheme, labels)
+        reference = dense_intersection_numbers(rels)
+        if reference is None:
+            with pytest.raises(NotClosed, match="outside the span"):
+                sr.verify_scheme(rels, automorphisms=base_generators(base))
+        else:
+            got = sr.verify_scheme(rels, automorphisms=base_generators(base)).p
+            assert got.dtype == np.int64
+            assert np.array_equal(got, reference)
+
+    def test_names_the_product_outside_the_span(self):
+        # the reordered C_12 of test_violation_in_middle_digits_only
+        lookup = np.array([0, 3, 4, 5, 2, 1, 5])
+        classmap = lookup[sr.build_cycle(12).classmap]
+        with pytest.raises(NotClosed, match=r"A_1 A_[234] "):
+            sr.verify_scheme(classmap, automorphisms=base_generators("cycle12"))
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda g: g[:-1], "is not a length-12 integer array"),
+        (lambda g: g.astype(float), "is not a length-12 integer array"),
+        (lambda g: np.concatenate([g[:1], g[:-1]]), "repeats a vertex"),
+        (lambda g: np.concatenate([[12], g[1:]]), r"has an entry outside 0\.\.11"),
+        (lambda g: np.concatenate([[-1], g[1:]]), r"has an entry outside 0\.\.11"),
+    ], ids=["short", "float", "repeated", "too-large", "negative"])
+    def test_rejects_non_permutations(self, edit, message):
+        (rotation,) = base_generators("cycle12")
+        with pytest.raises(BadParameter, match=f"automorphism 1 {message}"):
+            sr.verify_scheme(fusion_base("cycle12").classmap,
+                             automorphisms=[rotation, edit(np.asarray(rotation))])
+
+    def test_rejects_a_non_automorphism(self):
+        # the transposition (0 1) takes the pair (0, 2), at distance 1, to (1, 2), at 2
+        hypercube4, flips = build_recording(sr.build_hypercube, 4)
+        transposition = np.arange(16)
+        transposition[:2] = 1, 0
+        with pytest.raises(BadParameter, match="automorphism 4 does not preserve"):
+            sr.verify_scheme(hypercube4.classmap, automorphisms=flips + [transposition])
+
+    @pytest.mark.parametrize("name, pick, reached", [
+        ("hypercube5", lambda flips: flips[1:], 16),
+        ("cycle12", lambda gens: [gens[0][gens[0]]], 6),
+        ("cycle12", lambda gens: [], 1),
+    ], ids=["hypercube5-without-a-flip", "cycle12-rotation-by-2", "empty"])
+    def test_rejects_intransitive_generators(self, name, pick, reached):
+        scheme = fusion_base(name)
+        with pytest.raises(BadParameter, match=f"to {reached} of {scheme.n} vertices"):
+            sr.verify_scheme(scheme.classmap, automorphisms=pick(base_generators(name)))
 
 
 # --------------------------------------------------------------------------
