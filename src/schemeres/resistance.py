@@ -11,7 +11,8 @@ underlying resistor network:
 
 ``oracle`` is the only engine that works at the vertex level: it builds the
 N x N Laplacian from the class map and shares nothing with the
-intersection numbers p^k_ij, so it witnesses them.
+intersection numbers p^k_ij, so it witnesses them.  It costs one O(N^3)
+inverse, then O(N^2) to form R and to certify every class's spread.
 The other three all derive from p: ``spectral`` through the eigenmatrices
 computed in the intersection algebra, ``polynomial`` through one exact solve
 in the power basis of B_1, and ``closed`` through the intersection array.
@@ -51,12 +52,12 @@ class ConductanceVector:
     def coerce(cls, values, d: int) -> "ConductanceVector":
         if isinstance(values, ConductanceVector):
             values = values.values
-        vals = tuple(Fraction(v) for v in values)
+        vals = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
         if len(vals) != d:
             raise ValueError(f"expected {d} conductances, got {len(vals)}")
-        if any(v < 0 for v in vals):
+        if any(v.numerator < 0 for v in vals):
             raise ValueError("conductances must be nonnegative")
-        if all(v == 0 for v in vals):
+        if not any(v.numerator for v in vals):
             raise ValueError("at least one conductance must be positive")
         return cls(vals)
 
@@ -65,7 +66,7 @@ class ConductanceVector:
         return tuple(i + 1 for i, v in enumerate(self.values) if v > 0)
 
     def as_floats(self) -> np.ndarray:
-        return np.array([float(v) for v in self.values])
+        return np.array([v.numerator / v.denominator for v in self.values])
 
 
 @dataclass(frozen=True)
@@ -147,7 +148,10 @@ def oracle_resistance_matrix(scheme: AssociationScheme, conductances) -> np.ndar
     spread = float(diag.max() - diag.min())
     if spread > STRATUM_SPREAD_TOL:
         raise CertificationFailed(f"pseudo-inverse diagonal spread {spread:.3e}")
-    return diag[:, None] + diag[None, :] - lp - lp.T
+    rmat = np.add.outer(diag, diag)  # (Lp_aa + Lp_bb) - Lp_ab - Lp_ba, in place
+    rmat -= lp
+    rmat -= lp.T
+    return rmat
 
 
 def resistance_oracle(scheme: AssociationScheme, conductances) -> ResistanceTable:
@@ -156,26 +160,30 @@ def resistance_oracle(scheme: AssociationScheme, conductances) -> ResistanceTabl
     The representative is vertex 0 against the first vertex of each stratum;
     the choice is immaterial and is certified here: over all vertex pairs of
     each class the resistance spread must stay below ``STRATUM_SPREAD_TOL``,
-    else ``CertificationFailed`` is raised.
+    else ``CertificationFailed`` names the lowest failing class.  That costs
+    one O(N^3) inverse, then O(N^2) for R and for the certification.
     """
     return _oracle_table(scheme, conductances)[0]
 
 
 def _oracle_table(scheme: AssociationScheme, conductances
                   ) -> tuple[ResistanceTable, float]:
-    """The oracle table and its largest within-class resistance spread."""
-    rmat = oracle_resistance_matrix(scheme, conductances)
-    values = []
-    worst = 0.0
-    for l in range(1, scheme.d + 1):
-        members = rmat[scheme.classmap == l]
-        spread = float(members.max() - members.min())
+    """The oracle table and its largest within-class resistance spread.
+
+    Every class's spread comes from one pass over R grouped by class: one
+    ``maximum.reduceat`` and one ``minimum.reduceat`` over R's entries
+    gathered in the scheme's class order.
+    """
+    flat = oracle_resistance_matrix(scheme, conductances).ravel()
+    order, starts = scheme._class_order
+    grouped = flat[order]
+    spreads = (np.maximum.reduceat(grouped, starts[1:])
+               - np.minimum.reduceat(grouped, starts[1:])).tolist()
+    for l, spread in enumerate(spreads, start=1):
         if spread > STRATUM_SPREAD_TOL:
             raise CertificationFailed(f"class {l} resistance spread {spread:.3e}")
-        worst = max(worst, spread)
-        beta = int(np.flatnonzero(scheme.classmap[0] == l)[0])
-        values.append(float(rmat[0, beta]))
-    return ResistanceTable(tuple(values), method="oracle", exact=False), worst
+    values = tuple(flat[order[starts[1:]]].tolist())  # vertex 0 to its first of class l
+    return ResistanceTable(values, method="oracle", exact=False), max([0.0] + spreads)
 
 
 # --------------------------------------------------------------------------
@@ -206,11 +214,11 @@ def resistance_spectral(scheme: AssociationScheme, spectral: SpectralData,
         raise ZeroDenominator(
             f"eigenspace {1 + int(np.argmax(small))} has vanishing denominator")
 
-    values = []
-    for l in range(1, d + 1):
-        total = float((mults[1:] * (kappa[l] - p[1:, l]) / denoms).sum())
-        values.append(float(2.0 / (n * kappa[l]) * total))
-    return ResistanceTable(tuple(values), method="spectral", exact=False)
+    # terms[l-1, k-1] = m_k (kappa_l - P[k,l]) / D_k, in C order so that
+    # each row is summed pairwise, exactly as a 1-D sum over k
+    terms = mults[1:] * (kappa[1:, None] - np.ascontiguousarray(p[1:, 1:].T)) / denoms
+    values = 2.0 / (n * kappa[1:]) * terms.sum(axis=1)
+    return ResistanceTable(tuple(values.tolist()), method="spectral", exact=False)
 
 
 # --------------------------------------------------------------------------
@@ -247,8 +255,34 @@ def _power_rows(scheme: AssociationScheme) -> list:
     return rows
 
 
+def _integer_rank(rows: list) -> int:
+    """Exact rank of an integer matrix by fraction-free (Bareiss) elimination.
+
+    After each step every entry below the pivot rows is a minor of the
+    input, so the division by the previous pivot is exact and the entries
+    stay integers of moderate size.
+    """
+    m = [list(row) for row in rows]
+    rank, previous = 0, 1
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        top = m[rank]
+        for r in range(rank + 1, len(m)):
+            factor = m[r][col]
+            m[r] = [(top[col] * x - factor * y) // previous
+                    for x, y in zip(m[r], top)]
+        previous = top[col]
+        rank += 1
+    return rank
+
+
 def _fewer_eigenvalues(rows: list) -> FewerEigenvalues:
-    rank = np.linalg.matrix_rank(np.array(rows, dtype=float))
+    """The error for singular power rows, with their exact rank: the number
+    of distinct eigenvalues of A_1."""
+    rank = _integer_rank(rows)
     return FewerEigenvalues(
         f"A_1 generates a rank-{rank} subalgebra of dimension {len(rows)}")
 
@@ -394,8 +428,8 @@ def foster_sum(scheme: AssociationScheme, conductances,
         passed = lhs == scheme.n - 1
     else:
         lhs = scheme.n / 2 * sum(
-            float(ci) * ki * ri for ci, ki, ri in
-            zip(cond.values, scheme.valencies[1:], table.values))
+            ci * ki * ri for ci, ki, ri in
+            zip(cond.as_floats().tolist(), scheme.valencies[1:], table.values))
         residual = abs(lhs - (scheme.n - 1))
         passed = residual <= tol
     return FosterReport(lhs=float(lhs), expected=float(scheme.n - 1),

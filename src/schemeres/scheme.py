@@ -66,6 +66,17 @@ class AssociationScheme:
     def relations(self) -> tuple:
         return tuple((self.classmap == k).astype(np.int8) for k in range(self.d + 1))
 
+    @cached_property
+    def _class_order(self) -> tuple:
+        """(order, starts): the flat pair indices sorted stably by class, and
+        where class k begins in ``order``.  Class k's pairs are
+        ``order[starts[k]:starts[k + 1]]``, and ``order[starts[k]]`` is the
+        first vertex of class k in row 0."""
+        order = np.argsort(self.classmap, axis=None, kind="stable")
+        # class k holds N kappa_k pairs, since each relation is regular
+        starts = self.n * np.cumsum((0,) + self.valencies[:-1])
+        return order, starts
+
     def intersection_matrix(self, i: int) -> np.ndarray:
         """B_i with (B_i)[k, j] = p^k_{ij}; columns track A_i A_j."""
         return self.p[i, :, :].T.copy()

@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 
 import schemeres as sr
-from schemeres.errors import NotSymmetric, SchemeresError
+from schemeres.errors import CertificationFailed, NotSymmetric, SchemeresError
 from schemeres.spectra import CLUSTER_TOL, eig_sym
 
 COMMUTE_TOL = 1e-9
@@ -89,6 +89,27 @@ def _is_rational_rows(a) -> bool:
     except (TypeError, IndexError, KeyError):
         return False
     return isinstance(first, Fraction)
+
+
+# --------------------------------------------------------------------------
+# oracle certification, one class mask at a time
+# --------------------------------------------------------------------------
+
+def nxn_oracle_table(scheme, conductances):
+    """The oracle table and its worst within-class spread, read class by
+    class through an N x N mask of the class map."""
+    rmat = sr.resistance.oracle_resistance_matrix(scheme, conductances)
+    values = []
+    worst = 0.0
+    for l in range(1, scheme.d + 1):
+        members = rmat[scheme.classmap == l]
+        spread = float(members.max() - members.min())
+        if spread > sr.resistance.STRATUM_SPREAD_TOL:
+            raise CertificationFailed(f"class {l} resistance spread {spread:.3e}")
+        worst = max(worst, spread)
+        beta = int(np.flatnonzero(scheme.classmap[0] == l)[0])
+        values.append(float(rmat[0, beta]))
+    return sr.ResistanceTable(tuple(values), method="oracle", exact=False), worst
 
 
 # --------------------------------------------------------------------------

@@ -60,6 +60,27 @@ class TestInfiniteLattice:
         with pytest.raises(ValueError):
             sr.infinite_lattice_resistance("square", 0, 0)
 
+    @pytest.mark.parametrize("kind, l1, l2", [
+        ("square", 1, 0), ("square", 1, 1), ("square", 2, 0), ("square", 2, 1),
+        ("hexagonal", 1, 0), ("hexagonal", 2, 0), ("square", 3, 2),
+        ("hexagonal", 1, -1)])
+    def test_half_torus_matches_full_grid(self, kind, l1, l2):
+        # the former quadrature, over every row of the midpoint grid
+        mats = lattice._POINT_GROUPS[kind]()
+        orbit_l, orbit_1 = sr.orbit_of((l1, l2), mats), sr.orbit_of((1, 0), mats)
+        grid, previous = 128, None
+        while True:
+            t = 2.0 * np.pi * (np.arange(grid) + 0.5) / grid
+            ratio = ((len(orbit_l) - lattice._orbit_eigenvalue(orbit_l, t))
+                     / (len(orbit_1) - lattice._orbit_eigenvalue(orbit_1, t)))
+            estimate = 2.0 / len(orbit_l) * float(ratio.mean())
+            if previous is not None and abs(estimate - previous) < 1e-5 / 4.0:
+                break
+            previous, grid = estimate, 2 * grid
+        got, err = sr.infinite_lattice_resistance(kind, l1, l2, with_error=True)
+        assert abs(got - estimate) < 1e-12
+        assert abs(err - abs(estimate - previous)) < 1e-12
+
     def test_not_converged(self):
         with pytest.raises(QuadratureNotConverged):
             sr.infinite_lattice_resistance("square", 3, 2, tol=1e-14,
@@ -125,6 +146,16 @@ class TestSeparableSums:
         t = 2.0 * np.pi * (np.arange(128) + 0.5) / 128
         x, y = np.meshgrid(t, t, indexing="ij")
         got = lattice._orbit_eigenvalue(orbit, t)
+        assert np.abs(got - loop_orbit_eigenvalue(orbit, x, y)).max() < 1e-12
+
+    @pytest.mark.parametrize("kind", ["square", "hexagonal"])
+    @pytest.mark.parametrize("rep", [(1, 0), (2, 1), (5, -3)])
+    def test_separate_y_grid(self, kind, rep):
+        orbit = sr.orbit_of(rep, lattice._POINT_GROUPS[kind]())
+        t = 2.0 * np.pi * (np.arange(64) + 0.5) / 64
+        x, y = np.meshgrid(t[:32], t, indexing="ij")
+        got = lattice._orbit_eigenvalue(orbit, t[:32], t)
+        assert got.shape == (32, 64)
         assert np.abs(got - loop_orbit_eigenvalue(orbit, x, y)).max() < 1e-12
 
     @pytest.mark.parametrize("kind", ["square", "hexagonal"])

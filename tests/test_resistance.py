@@ -16,7 +16,7 @@ from schemeres.errors import (
 )
 
 from conftest import random_connected_conductances, spectral_of, two_cliques
-from nxn_witnesses import integer_matrix_powers, power_traces
+from nxn_witnesses import integer_matrix_powers, nxn_oracle_table, power_traces
 from paper_closed_forms import paper_closed_form, paper_drg_closed
 
 F = Fraction
@@ -49,6 +49,50 @@ POLYNOMIAL_LADDER = (
     + [(sr.build_triangular, n) for n in (5, 8, 12, 16, 20, 24)])
 
 
+#: the test presets and the query-mix schemes of the benchmark
+GROUPED_SCHEMES = {
+    "cycle8": lambda: sr.build_cycle(8),
+    "hypercube3": lambda: sr.build_hypercube(3),
+    "triangular6": lambda: sr.build_triangular(6),
+    "s4": lambda: sr.build_s4_scheme("conjugacy"),
+    "s4-refined-a": lambda: sr.build_s4_scheme("stabilizer"),
+    "s4-refined-b": lambda: sr.build_s4_scheme("stabilizer-4c"),
+    "z5z5": sr.build_orbit_scheme_z5z5,
+    "square4": lambda: sr.build_square_lattice(4),
+    "hexagonal7": lambda: sr.build_hexagonal_lattice(7),
+    "cycle32": lambda: sr.build_cycle(32),
+    "hypercube6": lambda: sr.build_hypercube(6),
+    "hypercube7": lambda: sr.build_hypercube(7),
+    "triangular10": lambda: sr.build_triangular(10),
+    "triangular16": lambda: sr.build_triangular(16),
+    "square10": lambda: sr.build_square_lattice(10),
+    "hexagonal9": lambda: sr.build_hexagonal_lattice(9),
+}
+
+
+@functools.cache
+def grouped_scheme(name):
+    return GROUPED_SCHEMES[name]()
+
+
+def random_rational_conductances(scheme, rng):
+    """Conductances p/q (1 <= p, q <= 9) on a random connected support."""
+    while True:
+        values = [F(int(rng.integers(1, 10)), int(rng.integers(1, 10)))
+                  if rng.random() < 0.5 else F(0) for _ in range(scheme.d)]
+        support = [l for l, v in enumerate(values, start=1) if v]
+        if support and scheme.relation_connected(support):
+            return values
+
+
+def outcome(call, *args):
+    """What ``call(*args)`` returns, or the type and message it raises."""
+    try:
+        return call(*args)
+    except CertificationFailed as exc:
+        return type(exc), str(exc)
+
+
 def contraction_table(scheme):
     """R^(m) = (2/(N kappa_m)) sum_n c_mn t_n through the full inverse c of
     ``polynomial_coefficients``, the engine's former route."""
@@ -62,6 +106,36 @@ def contraction_table(scheme):
     return tuple(
         F(2, n * scheme.valencies[m]) * sum(coeffs.c[m][k] * t[k] for k in range(1, d + 1))
         for m in range(1, d + 1))
+
+
+class TestConductanceVector:
+    def test_fractions_kept(self):
+        given_values = (F(1, 3), F(0), F(22, 7))
+        cond = sr.ConductanceVector.coerce(given_values, 3)
+        assert all(a is b for a, b in zip(cond.values, given_values))
+        assert sr.ConductanceVector.coerce([1, "1/2", 0.25], 3).values == (
+            F(1), F(1, 2), F(1, 4))
+
+    @pytest.mark.parametrize("values, message", [
+        ([F(1), F(-1, 2)], "nonnegative"),
+        ([1, -1e-300], "nonnegative"),
+        ([F(0), 0], "positive"),
+        ([0.0, F(0, 5)], "positive"),
+        ([1], "expected 2 conductances"),
+    ])
+    def test_rejected(self, values, message):
+        with pytest.raises(ValueError, match=message):
+            sr.ConductanceVector.coerce(values, 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.fractions(min_value=0, max_value=10**300, max_denominator=10**30)
+                    | st.integers(0, 10**400).map(lambda k: F(k, 3 ** 700)),
+                    min_size=1, max_size=6).filter(any))
+    def test_as_floats_is_float(self, values):
+        cond = sr.ConductanceVector.coerce(values, len(values))
+        floats = cond.as_floats()
+        assert floats.dtype == np.float64
+        assert floats.tolist() == [float(v) for v in values]
 
 
 class TestOracle:
@@ -173,6 +247,62 @@ class TestOracle:
             assert max(abs(x - y) for x, y in zip(a, b)) < 1e-9
 
 
+class TestGroupedCertification:
+    """The oracle's one grouped pass against one class mask at a time."""
+
+    @pytest.mark.parametrize("name", GROUPED_SCHEMES)
+    def test_class_order(self, name):
+        scheme = grouped_scheme(name)
+        order, starts = scheme._class_order
+        labels = scheme.classmap.ravel()[order]
+        assert (np.diff(labels) >= 0).all()
+        assert starts.tolist() == np.searchsorted(labels, np.arange(scheme.d + 1)).tolist()
+        for l in range(scheme.d + 1):
+            first = int(np.flatnonzero(scheme.classmap[0] == l)[0])
+            assert order[starts[l]] == first  # row 0, flat index = column
+
+    @pytest.mark.parametrize("name", GROUPED_SCHEMES)
+    def test_identical_to_class_masks(self, name):
+        scheme = grouped_scheme(name)
+        rng = np.random.default_rng(1212)
+        unit = [F(1)] + [F(0)] * (scheme.d - 1)
+        cases = [unit, [F(1, 10**7) * v for v in unit]]
+        cases += [random_rational_conductances(scheme, rng) for _ in range(3)]
+        for c in cases:
+            got = outcome(sr.resistance._oracle_table, scheme, c)
+            want = outcome(nxn_oracle_table, scheme, c)
+            if isinstance(want[0], type):
+                assert got == want
+                continue
+            (table, worst), (ref_table, ref_worst) = got, want
+            assert table == ref_table  # floats compared with ==
+            assert type(worst) is float and worst == ref_worst
+
+    @pytest.mark.parametrize("name", GROUPED_SCHEMES)
+    def test_tampered_class_named(self, monkeypatch, name):
+        scheme = grouped_scheme(name)
+        unit = [1] + [0] * (scheme.d - 1)
+        real = sr.resistance.oracle_resistance_matrix
+        rng = np.random.default_rng(7)
+        raised = []
+
+        def tampered(*args):
+            rmat = real(*args)
+            for l in raised:
+                pairs = np.argwhere(scheme.classmap == l)
+                a, b = pairs[rng.integers(len(pairs))]
+                rmat[a, b] = rmat[b, a] = rmat[a, b] + 1e-6
+            return rmat
+
+        monkeypatch.setattr(sr.resistance, "oracle_resistance_matrix", tampered)
+        for l in range(1, scheme.d + 1):
+            raised[:] = [l] if l == scheme.d else [l, scheme.d]  # the lowest is named
+            with pytest.raises(CertificationFailed, match=f"^class {l} resistance spread"):
+                sr.resistance_oracle(scheme, unit)
+            with pytest.raises(CertificationFailed, match=f"^class {l} resistance spread"):
+                nxn_oracle_table(scheme, unit)
+
+
 class TestSpectral:
     def test_s4_unit_conductance(self, s4):
         table = sr.resistance_spectral(s4, spectral_of(s4), [1, 0, 0, 0])
@@ -257,6 +387,39 @@ class TestPolynomialCoefficients:
         for scheme in (square4, s4_refined_b):
             with pytest.raises(FewerEigenvalues):
                 sr.polynomial_coefficients(scheme)
+
+    @pytest.mark.parametrize("build, rank", [
+        (lambda: sr.build_square_lattice(12), 21),
+        (lambda: sr.build_hexagonal_lattice(12), 16),
+        (lambda: sr.build_s4_scheme("stabilizer-4c"), 5),
+        (lambda: sr.build_square_lattice(4), 5),
+    ], ids=["square12", "hexagonal12", "s4-refined-b", "square4"])
+    def test_reported_rank_is_exact(self, build, rank):
+        # the rank is the number of distinct eigenvalues of A_1; a float
+        # rank of the huge power rows reads 14 on square 12 and 15 on
+        # hexagonal 12
+        scheme = build()
+        message = f"rank-{rank} subalgebra of dimension {scheme.d + 1}$"
+        with pytest.raises(FewerEigenvalues, match=message):
+            sr.polynomial_coefficients(scheme)
+        with pytest.raises(FewerEigenvalues, match=message):
+            sr.resistance_polynomial(scheme)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_integer_rank_matches_sympy(self, data):
+        import sympy
+        rows = data.draw(st.integers(1, 6), label="rows")
+        cols = data.draw(st.integers(1, 6), label="cols")
+        inner = data.draw(st.integers(1, 6), label="inner")
+        entries = st.integers(-10**12, 10**12)
+        a = data.draw(st.lists(st.lists(entries, min_size=inner, max_size=inner),
+                               min_size=rows, max_size=rows), label="a")
+        b = data.draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                               min_size=inner, max_size=inner), label="b")
+        product = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+                   for row in a]  # rank at most inner
+        assert sr.resistance._integer_rank(product) == sympy.Matrix(product).rank()
 
     @pytest.mark.parametrize("preset", ["s4", "z5z5", "cycle", "hypercube",
                                         "triangular", "s4-refined-a"])
