@@ -23,12 +23,7 @@ from .builders import (
     s4_group_table,
     square_point_group,
 )
-from .exact import (
-    as_rational_matrix,
-    identity_rational,
-    rational_inverse,
-    rational_solve,
-)
+from .exact import rational_solve
 from .lattice import (
     finite_lattice_resistance_formula,
     infinite_lattice_resistance,

@@ -37,6 +37,7 @@ from .lattice import finite_lattice_resistance_formula, infinite_lattice_resista
     infinite_line_resistance
 from .reference import REFERENCE_TABLES, compare_reference, triangular_reference
 from .resistance import (
+    STRATUM_SPREAD_TOL,
     ConductanceVector,
     ResistanceTable,
     _oracle_table,
@@ -45,6 +46,7 @@ from .resistance import (
     require_unit_class_one,
     resistance_polynomial,
     resistance_spectral,
+    unit_class_one,
 )
 from .scheme import (
     AssociationScheme,
@@ -157,15 +159,16 @@ def _scheme_summary(scheme: AssociationScheme) -> dict:
     return out
 
 
-def _parse_conductances(text: Optional[str], d: int) -> ConductanceVector:
+def _parse_conductances(text: Optional[str],
+                        scheme: AssociationScheme) -> ConductanceVector:
     if text is None:
-        return ConductanceVector.coerce([1] + [0] * (d - 1), d)
+        return unit_class_one(scheme)
     parts = [p for p in text.replace(",", " ").split() if p]
     try:
         values = [Fraction(p) for p in parts]
     except (ValueError, ZeroDivisionError) as exc:
         raise BadParameter(f"cannot parse conductances {text!r}: {exc}") from exc
-    return ConductanceVector.coerce(values, d)
+    return ConductanceVector.coerce(values, scheme.d)
 
 
 def _fmt_value(v, exact: bool) -> str:
@@ -258,7 +261,8 @@ def run_resist(scheme: AssociationScheme, conductances: ConductanceVector,
         report.checks.append({"name": f"foster[{table.method}]",
                               "pass": fr.passed, "residual": fr.residual})
     if oracle_spread is not None:
-        report.checks.append({"name": "corollary-1", "pass": oracle_spread <= 1e-9,
+        report.checks.append({"name": "corollary-1",
+                              "pass": oracle_spread <= STRATUM_SPREAD_TOL,
                               "residual": oracle_spread})
     if len(report.tables) >= 2:
         worst = 0.0
@@ -285,7 +289,7 @@ def run_resist(scheme: AssociationScheme, conductances: ConductanceVector,
 
 def cmd_resist(args) -> int:
     scheme, preset = _load_scheme_argument(args)
-    conductances = _parse_conductances(args.conductances, scheme.d)
+    conductances = _parse_conductances(args.conductances, scheme)
     report = run_resist(scheme, conductances, args.method,
                         tol=args.tolerance, preset=preset)
 

@@ -12,7 +12,12 @@ class SchemeresError(Exception):
 # exact / floating linear algebra ------------------------------------------
 
 class SingularSystem(SchemeresError):
-    """Exact solve attempted on a rank-deficient system."""
+    """Exact solve attempted on a rank-deficient system; ``rank`` is the
+    exact rank of its coefficient matrix."""
+
+    def __init__(self, rank: int, n: int):
+        super().__init__(f"system is singular (rank {rank} of {n})")
+        self.rank = rank
 
 
 class NotSymmetric(SchemeresError):

@@ -1,59 +1,64 @@
-"""Exact rational dense linear algebra.
+"""Exact rational linear algebra by one fraction-free elimination.
 
-Matrices here are lists of rows of ``fractions.Fraction`` (or Python ints,
-which embed in the rationals).  Sizes are small, at most (d+1) x (d+1) for a
-d-class scheme, so plain Gauss-Jordan elimination is entirely adequate.
+Each row of [A | B] is scaled by the lcm of its denominators and eliminated
+in Python ints by Bareiss' method (Bareiss, *Math. Comp.* 22, 1968): after
+k pivots every entry below the pivot rows is a (k+1) x (k+1) minor of the
+scaled input, so each division by the previous pivot is exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .errors import SingularSystem
 
-RationalMatrix = list[list[Fraction]]
 
+def rational_solve(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list[Fraction]]:
+    """Solve A X = B exactly over the rationals; X comes back as Fractions.
 
-def as_rational_matrix(rows: Sequence[Sequence]) -> RationalMatrix:
-    return [[Fraction(x) for x in row] for row in rows]
-
-
-def identity_rational(n: int) -> RationalMatrix:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
-def rational_solve(a: Sequence[Sequence], b: Sequence[Sequence]) -> RationalMatrix:
-    """Solve A X = B exactly over the rationals.
+    Back-substitution gives det X = adj(A) B in ints, det the last pivot,
+    by exact divisions.
 
     Raises
     ------
     SingularSystem
-        If A is rank deficient (reports the rank reached).
+        If A is rank deficient; ``rank`` is its exact rank, as elimination
+        steps past columns without a pivot.
     """
-    m = as_rational_matrix(a)
-    rhs = as_rational_matrix(b)
-    n = len(m)
-    if any(len(row) != n for row in m):
+    n = len(a)
+    if any(len(row) != n for row in a):
         raise ValueError("coefficient matrix must be square")
-    if len(rhs) != n:
+    if len(b) != n:
         raise ValueError("right-hand side has incompatible row count")
 
-    aug = [m[i] + rhs[i] for i in range(n)]
-    width = len(aug[0])
+    m = []
+    for row in ([x if isinstance(x, int) else Fraction(x) for x in (*ra, *rb)]
+                for ra, rb in zip(a, b)):
+        scale = lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (scale // x.denominator) for x in row])
+    rank, previous = 0, 1
     for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        pivot = next((r for r in range(rank, n) if m[r][col]), None)
         if pivot is None:
-            raise SingularSystem(f"system is singular (rank {col} of {n})")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:width] for row in aug]
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        top = m[rank]
+        p, tail = top[col], top[col + 1:]
+        for row in m[rank + 1:]:  # entries left of col + 1 are never read again
+            f = row[col]
+            row[col + 1:] = [(p * x - f * y) // previous
+                             for x, y in zip(row[col + 1:], tail)]
+        previous = p
+        rank += 1
+    if rank < n:
+        raise SingularSystem(rank, n)
 
-
-def rational_inverse(a: Sequence[Sequence]) -> RationalMatrix:
-    return rational_solve(a, identity_rational(len(a)))
+    det, scaled = previous, [None] * n  # scaled[i] = det * X[i]
+    for i in reversed(range(n)):
+        row = m[i]
+        scaled[i] = [(det * row[n + k] - sum(row[j] * scaled[j][k]
+                                               for j in range(i + 1, n))) // row[i]
+                     for k in range(len(row) - n)]
+    return [[Fraction(v, det) for v in values] for values in scaled]

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .errors import (
     SingularSystem,
     ZeroDenominator,
 )
-from .exact import rational_inverse, rational_solve
+from .exact import rational_solve
 from .scheme import AssociationScheme, IntersectionArray, SpectralData
 
 #: within-stratum resistance spread the oracle certifies
@@ -255,36 +256,11 @@ def _power_rows(scheme: AssociationScheme) -> list:
     return rows
 
 
-def _integer_rank(rows: list) -> int:
-    """Exact rank of an integer matrix by fraction-free (Bareiss) elimination.
-
-    After each step every entry below the pivot rows is a minor of the
-    input, so the division by the previous pivot is exact and the entries
-    stay integers of moderate size.
-    """
-    m = [list(row) for row in rows]
-    rank, previous = 0, 1
-    for col in range(len(m[0]) if m else 0):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        top = m[rank]
-        for r in range(rank + 1, len(m)):
-            factor = m[r][col]
-            m[r] = [(top[col] * x - factor * y) // previous
-                    for x, y in zip(m[r], top)]
-        previous = top[col]
-        rank += 1
-    return rank
-
-
-def _fewer_eigenvalues(rows: list) -> FewerEigenvalues:
+def _fewer_eigenvalues(singular: SingularSystem, dimension: int) -> FewerEigenvalues:
     """The error for singular power rows, with their exact rank: the number
     of distinct eigenvalues of A_1."""
-    rank = _integer_rank(rows)
     return FewerEigenvalues(
-        f"A_1 generates a rank-{rank} subalgebra of dimension {len(rows)}")
+        f"A_1 generates a rank-{singular.rank} subalgebra of dimension {dimension}")
 
 
 def polynomial_coefficients(scheme: AssociationScheme) -> PolynomialCoefficients:
@@ -292,7 +268,8 @@ def polynomial_coefficients(scheme: AssociationScheme) -> PolynomialCoefficients
 
     The class coefficients of A^n are B_1^n e_0, with B_1 the intersection
     matrix of class 1, so A^0..A^d are expanded in exact integers without
-    touching an N x N matrix; that rational system is then inverted.
+    touching an N x N matrix; that system W is then inverted by one exact
+    solve W C = I, certified by its residual in integers.
 
     Raises
     ------
@@ -300,18 +277,26 @@ def polynomial_coefficients(scheme: AssociationScheme) -> PolynomialCoefficients
         If the power-expansion matrix is singular, i.e. A_1 has fewer than
         d+1 distinct eigenvalues and does not generate the algebra.
     CertificationFailed
-        If the expansion does not give A_0 = A^0 and A_1 = A^1.
+        If the expansion does not give A_0 = A^0 and A_1 = A^1, or if
+        W (sC) differs from sI, s the common denominator of C.
     """
     rows = _power_rows(scheme)
+    size = len(rows)
     try:
-        inv = rational_inverse(rows)
-    except SingularSystem:
-        raise _fewer_eigenvalues(rows) from None
+        inv = rational_solve(rows, [[int(i == j) for j in range(size)]
+                                    for i in range(size)])
+    except SingularSystem as exc:
+        raise _fewer_eigenvalues(exc, size) from None
     c = tuple(tuple(row) for row in inv)
     c_inv = tuple(tuple(Fraction(x) for x in row) for row in rows)
     for m in (0, 1):  # A_0 = A^0 and A_1 = A^1
-        if c[m] != tuple(Fraction(int(j == m)) for j in range(scheme.d + 1)):
+        if c[m] != tuple(Fraction(int(j == m)) for j in range(size)):
             raise CertificationFailed(f"A_{m} is not expanded as A^{m}")
+    s = lcm(*(x.denominator for row in c for x in row))
+    scaled = [[x.numerator * (s // x.denominator) for x in row] for row in c]
+    if any(sum(w * y for w, y in zip(row, column)) != s * (i == j)
+           for i, row in enumerate(rows) for j, column in enumerate(zip(*scaled))):
+        raise CertificationFailed("power-basis inverse leaves a residual W C - I")
     return PolynomialCoefficients(c=c, c_inv=c_inv)
 
 
@@ -333,8 +318,8 @@ def resistance_polynomial(scheme: AssociationScheme) -> ResistanceTable:
         t.append(partial - m * kappa ** (m - 1))
     try:
         x = [row[0] for row in rational_solve(rows, [[v] for v in t])]
-    except SingularSystem:
-        raise _fewer_eigenvalues(rows) from None
+    except SingularSystem as exc:
+        raise _fewer_eigenvalues(exc, len(rows)) from None
     if any(sum(w * xk for w, xk in zip(row, x)) != v for row, v in zip(rows, t)):
         raise CertificationFailed("power-basis solve leaves a residual W x - t")
     values = tuple(2 * x[m] / (n * scheme.valencies[m]) for m in range(1, d + 1))

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import schemeres as sr
 from schemeres.errors import SingularSystem
@@ -14,10 +15,19 @@ def frac_rows(rows):
     return [[Fraction(x) for x in row] for row in rows]
 
 
+def identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def matmul(a, b):
+    """Product that keeps ints as ints (``rational_matmul`` makes Fractions)."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
 class TestRationalSolve:
     def test_identity_returns_rhs(self):
         rhs = frac_rows([[1, 2], [3, 4], [5, 6]])
-        assert sr.rational_solve(sr.identity_rational(3), rhs) == rhs
+        assert sr.rational_solve(identity(3), rhs) == rhs
 
     def test_two_by_two(self):
         # 2x + y = 5, x - y = 1
@@ -33,8 +43,15 @@ class TestRationalSolve:
         assert x == [[Fraction(0)], [Fraction(1, 16)], [Fraction(0)]]
 
     def test_singular_reports(self):
-        with pytest.raises(SingularSystem):
+        with pytest.raises(SingularSystem, match="rank 1 of 2") as info:
             sr.rational_solve([[1, 2], [2, 4]], [[1], [0]])
+        assert info.value.rank == 1
+
+    def test_rank_counts_past_zero_columns(self):
+        # column 0 has no pivot; elimination must go on to columns 1 and 2
+        with pytest.raises(SingularSystem, match="rank 2 of 3") as info:
+            sr.rational_solve([[0, 1, 0], [0, 0, 1], [0, 1, 1]], [[1], [1], [1]])
+        assert info.value.rank == 2
 
     @pytest.mark.parametrize("seed", range(4))
     def test_round_trip_exact(self, seed):
@@ -52,8 +69,37 @@ class TestRationalSolve:
 
     def test_inverse_round_trip(self):
         a = frac_rows([[2, 1, 0], [0, 1, 3], [1, 0, 1]])
-        inv = sr.rational_inverse(a)
-        assert rational_matmul(a, inv) == sr.identity_rational(3)
+        inv = sr.rational_solve(a, identity(3))
+        assert rational_matmul(a, inv) == identity(3)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_matches_sympy(self, data):
+        import sympy
+        n = data.draw(st.integers(1, 6), label="n")
+        inner = data.draw(st.integers(1, 6), label="inner")
+        cols = data.draw(st.integers(1, 3), label="cols")
+        entries = data.draw(st.sampled_from([
+            st.integers(-10**12, 10**12),
+            st.fractions(-10**4, 10**4, max_denominator=10**4)]), label="kind")
+        left = data.draw(st.lists(st.lists(entries, min_size=inner, max_size=inner),
+                                  min_size=n, max_size=n), label="left")
+        right = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                                   min_size=inner, max_size=inner), label="right")
+        b = data.draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                               min_size=n, max_size=n), label="b")
+        a = matmul(left, right)  # rank at most inner
+        rank = sympy.Matrix(a).rank()
+        if rank == n:
+            expected = sympy.Matrix(a).LUsolve(sympy.Matrix(b))
+            x = sr.rational_solve(a, b)
+            assert all(type(v) is Fraction for row in x for v in row)
+            assert x == [[Fraction(int(expected[i, j].p), int(expected[i, j].q))
+                          for j in range(cols)] for i in range(n)]
+        else:
+            with pytest.raises(SingularSystem) as info:
+                sr.rational_solve(a, b)
+            assert info.value.rank == rank
 
 
 def traces_by_repeated_multiplication(a, max_power):
