@@ -142,12 +142,8 @@ def cyclic_group_table(n: int, class_partition: Sequence[Iterable[int]]) -> Grou
 
 # ---- symmetric group on four points ---------------------------------------
 
-def _s4_elements():
-    return list(itertools.permutations(range(4)))
-
-
-def _compose(p, q):
-    return tuple(p[q[x]] for x in range(4))
+#: base-4 place values: a permutation of 0..3 as one code below 4**4
+_BASE4 = np.array([64, 16, 4, 1])
 
 
 def _cycle_type(p):
@@ -168,6 +164,9 @@ def _cycle_type(p):
 def s4_group_table(partition: str = "conjugacy") -> GroupTable:
     """S4 multiplication table with one of three class partitions.
 
+    The elements are the permutations of 0..3 in lexicographic order, and
+    g*h is the composition x -> g(h(x)).
+
     ``conjugacy``
         the five conjugacy classes, ordered (e, transpositions, 3-cycles,
         double transpositions, 4-cycles);
@@ -179,25 +178,25 @@ def s4_group_table(partition: str = "conjugacy") -> GroupTable:
     ``stabilizer-4c``
         the same seven classes with the 4-cycles promoted to class 1.
     """
-    perms = _s4_elements()
-    index = {p: i for i, p in enumerate(perms)}
-    mult = [[index[_compose(p, q)] for q in perms] for p in perms]
+    perms = list(itertools.permutations(range(4)))
+    table = np.array(perms)
+    index_of_code = np.empty(4 ** 4, dtype=np.intp)
+    index_of_code[table @ _BASE4] = np.arange(len(perms))
+    # table[:, table][g, h, x] = g(h(x))
+    mult = index_of_code[table[:, table] @ _BASE4].tolist()
 
     by_type = {}
-    for p in perms:
-        by_type.setdefault(_cycle_type(p), []).append(index[p])
-    moving = lambda p: p[0] != 0
+    for i, p in enumerate(perms):
+        by_type.setdefault(_cycle_type(p), []).append(i)
+    moving = lambda t, moves: [i for i in by_type[t] if (perms[i][0] != 0) == moves]
 
     if partition == "conjugacy":
         classes = [by_type[t] for t in
                    ((1, 1, 1, 1), (2, 1, 1), (3, 1), (2, 2), (4,))]
     else:
-        t_mov = [index[p] for p in perms if _cycle_type(p) == (2, 1, 1) and moving(p)]
-        t_fix = [index[p] for p in perms if _cycle_type(p) == (2, 1, 1) and not moving(p)]
-        c3_mov = [index[p] for p in perms if _cycle_type(p) == (3, 1) and moving(p)]
-        c3_fix = [index[p] for p in perms if _cycle_type(p) == (3, 1) and not moving(p)]
-        base = [by_type[(1, 1, 1, 1)], t_mov, c3_mov, t_fix,
-                by_type[(4,)], by_type[(2, 2)], c3_fix]
+        base = [by_type[(1, 1, 1, 1)], moving((2, 1, 1), True), moving((3, 1), True),
+                moving((2, 1, 1), False), by_type[(4,)], by_type[(2, 2)],
+                moving((3, 1), False)]
         if partition == "stabilizer":
             classes = base
         elif partition == "stabilizer-4c":

@@ -12,7 +12,9 @@ underlying resistor network:
 ``oracle`` is the only engine that works at the vertex level: it builds the
 N x N Laplacian from the class map and shares nothing with the
 intersection numbers p^k_ij, so it witnesses them.  It costs one O(N^3)
-inverse, then O(N^2) to form R and to certify every class's spread.
+inverse of the symmetric positive definite L + sJ/N, by recursive 2 x 2
+Schur-complement blocks whose cubic work is matrix products, then O(N^2)
+to form R and to certify every class's spread.
 The other three all derive from p: ``spectral`` through the eigenmatrices
 computed in the intersection algebra, ``polynomial`` through one exact solve
 in the power basis of B_1, and ``closed`` through the intersection array.
@@ -115,6 +117,9 @@ def pseudo_inverse(scheme: AssociationScheme, conductances) -> np.ndarray:
 
     Connectivity is decided exactly, by reachability over the conducting
     pairs L_xy < 0; then Lp = (L + (s/N) J)^-1 - J/(sN) with s = L_00.
+    L + (s/N) J is then symmetric positive definite, and ``_spd_inverse``
+    inverts it by recursive Schur-complement blocks; at or below
+    ``_INVERSE_LEAF`` rows that is one ``np.linalg.inv``.
 
     Raises
     ------
@@ -131,7 +136,42 @@ def pseudo_inverse(scheme: AssociationScheme, conductances) -> np.ndarray:
         raise Disconnected(f"conductance support reaches {reached.sum()} of {n} "
                            "vertices, so L has repeated zero eigenvalues")
     s = lap[0, 0]
-    return np.linalg.inv(lap + s / n) - 1 / (s * n)
+    lap += s / n
+    lp = _spd_inverse(lap)
+    lp -= 1 / (s * n)
+    return lp
+
+
+#: order at or below which ``_spd_inverse`` hands its block to ``np.linalg.inv``;
+#: 32 and 48 tied as fastest of 24-128 on the presets with N = 64-1024
+#: (one BLAS thread), and every N <= 32 keeps the plain inverse
+_INVERSE_LEAF = 32
+
+
+def _spd_inverse(m: np.ndarray) -> np.ndarray:
+    """Inverse of a symmetric positive definite M by recursive 2 x 2 blocks.
+
+    With M = [[A, B], [B^T, D]] split at h = n // 2, W = A^-1 B and the
+    Schur complement S = D - B^T W, itself SPD:
+    M^-1 = [[A^-1 + W S^-1 W^T, -W S^-1], [-(W S^-1)^T, S^-1]].
+    A and S recurse down to ``_INVERSE_LEAF`` rows, so above the leaf the
+    cubic work is matrix products (Strassen 1969; Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., section 13).
+    """
+    n = len(m)
+    if n <= _INVERSE_LEAF:
+        return np.linalg.inv(m)
+    h = n // 2
+    a_inv = _spd_inverse(m[:h, :h])
+    w = a_inv @ m[:h, h:]
+    s_inv = _spd_inverse(m[h:, h:] - m[h:, :h] @ w)
+    t = w @ s_inv
+    out = np.empty_like(m)
+    np.add(a_inv, t @ w.T, out=out[:h, :h])
+    np.negative(t, out=out[:h, h:])
+    np.negative(t.T, out=out[h:, :h])
+    out[h:, h:] = s_inv
+    return out
 
 
 def oracle_resistance_matrix(scheme: AssociationScheme, conductances) -> np.ndarray:
@@ -162,7 +202,7 @@ def resistance_oracle(scheme: AssociationScheme, conductances) -> ResistanceTabl
     the choice is immaterial and is certified here: over all vertex pairs of
     each class the resistance spread must stay below ``STRATUM_SPREAD_TOL``,
     else ``CertificationFailed`` names the lowest failing class.  That costs
-    one O(N^3) inverse, then O(N^2) for R and for the certification.
+    one O(N^3) block inverse, then O(N^2) for R and for the certification.
     """
     return _oracle_table(scheme, conductances)[0]
 

@@ -119,6 +119,15 @@ class TestGroupScheme:
         # A_3 A_4 = 2 A_1 + A_4
         assert s4.p[3, 4].tolist() == [0, 2, 0, 0, 1]
 
+    @pytest.mark.parametrize("partition", ["conjugacy", "stabilizer", "stabilizer-4c"])
+    def test_s4_table_matches_composition_loop(self, partition):
+        # composed one pair at a time: g*h is x -> g(h(x))
+        perms = list(itertools.permutations(range(4)))
+        index = {p: i for i, p in enumerate(perms)}
+        mult = [[index[tuple(g[h[x]] for x in range(4))] for h in perms] for g in perms]
+        table = sr.s4_group_table(partition)
+        assert table == sr.GroupTable.from_mult(mult, table.class_partition)
+
     def test_s4_valencies(self, s4):
         assert s4.valencies == (1, 6, 8, 3, 6)
 

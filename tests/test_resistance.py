@@ -303,6 +303,72 @@ class TestGroupedCertification:
                 nxn_oracle_table(scheme, unit)
 
 
+#: presets above the block inverse's leaf: N = 66, 81, 100, 128 and 276
+#: (276 splits into 138, then 69, then 34 and 35)
+BLOCK_SCHEMES = {
+    "triangular12": lambda: sr.build_triangular(12),
+    "hexagonal9": lambda: sr.build_hexagonal_lattice(9),
+    "square10": lambda: sr.build_square_lattice(10),
+    "hypercube7": lambda: sr.build_hypercube(7),
+    "triangular24": lambda: sr.build_triangular(24),
+}
+
+LEAF = sr.resistance._INVERSE_LEAF
+
+
+@functools.cache
+def block_scheme(name):
+    return BLOCK_SCHEMES[name]()
+
+
+def relative_error(got, want) -> float:
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+class TestBlockInverse:
+    """``pseudo_inverse`` through the recursive Schur-complement inverse."""
+
+    @pytest.mark.parametrize("name", BLOCK_SCHEMES)
+    def test_matches_pinv(self, name):
+        scheme = block_scheme(name)
+        assert scheme.n > LEAF
+        rng = np.random.default_rng(1414)
+        cases = [[F(1)] + [F(0)] * (scheme.d - 1)]
+        cases += [random_rational_conductances(scheme, rng) for _ in range(2)]
+        for c in cases:
+            want = np.linalg.pinv(sr.laplacian(scheme, c))
+            assert relative_error(sr.pseudo_inverse(scheme, c), want) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from([LEAF - 1, LEAF, LEAF + 1, 2 * LEAF - 1, 2 * LEAF,
+                              2 * LEAF + 1]) | st.integers(LEAF + 2, 300),
+           shift=st.floats(0.01, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_spd(self, n, shift, seed):
+        # X X^T + shift N I: condition number at most about 4 / shift
+        x = np.random.default_rng(seed).standard_normal((n, n))
+        m = x @ x.T + shift * n * np.eye(n)
+        got = sr.resistance._spd_inverse(m)
+        assert relative_error(got, np.linalg.inv(m)) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["s4", "z5z5", "cycle32"])
+    def test_leaf_unchanged(self, name):
+        scheme = grouped_scheme(name)
+        assert scheme.n <= LEAF
+        rng = np.random.default_rng(1415)
+        for c in [[1] + [0] * (scheme.d - 1), random_rational_conductances(scheme, rng)]:
+            lap = sr.laplacian(scheme, c)
+            s, n = lap[0, 0], scheme.n
+            want = np.linalg.inv(lap + s / n) - 1 / (s * n)
+            assert sr.pseudo_inverse(scheme, c).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", ["hypercube7", "triangular24"])
+    def test_oracle_matches_polynomial(self, name):
+        scheme = block_scheme(name)
+        exact = sr.resistance_polynomial(scheme).as_floats()
+        got = sr.resistance_oracle(scheme, [1] + [0] * (scheme.d - 1)).as_floats()
+        assert relative_error(np.array(got), np.array(exact)) <= 1e-12
+
+
 class TestSpectral:
     def test_s4_unit_conductance(self, s4):
         table = sr.resistance_spectral(s4, spectral_of(s4), [1, 0, 0, 0])
