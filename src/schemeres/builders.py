@@ -7,7 +7,8 @@ axioms.  Every shipped scheme is vertex-transitive, and each builder also
 passes a few generators of a transitive automorphism group:
 
 * cycle: the rotation x -> x + 1;
-* hypercube: the n bit flips;
+* hypercube: the flip of bit 0 and the cyclic rotation of the n bits,
+  whose conjugates r^t f r^-t give every bit flip;
 * triangular: the transposition (0 1) and the n-cycle, acting on 2-subsets;
 * square, hexagonal and Z_5 x Z_5: the two unit shifts of Z_m x Z_m;
 * group schemes: right multiplications x -> x s, by a generating set.
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -53,6 +54,13 @@ class GroupTable:
     mult: tuple
     inverse: tuple
     class_partition: tuple
+    #: ``mult`` as a read-only ndarray, which the scheme builder indexes
+    _table: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        table = np.array(self.mult if self._table is None else self._table)
+        table.flags.writeable = False
+        object.__setattr__(self, "_table", table)
 
     @property
     def order(self) -> int:
@@ -62,27 +70,25 @@ class GroupTable:
     def from_mult(cls, mult: Sequence[Sequence[int]],
                   class_partition: Sequence[Iterable[int]]) -> "GroupTable":
         order = len(mult)
-        rows = tuple(tuple(row) for row in mult)
-        full = frozenset(range(order))
-        for row in rows:
-            if frozenset(row) != full:
-                raise NotLatinSquare("a row of the table is not a permutation")
-        for j in range(order):
-            if frozenset(row[j] for row in rows) != full:
-                raise NotLatinSquare("a column of the table is not a permutation")
+        if any(len(row) != order for row in mult):
+            raise NotLatinSquare("a row of the table is not a permutation")
+        table = np.asarray(mult).reshape(order, order)
+        full = np.arange(order)
+        if (np.sort(table, axis=1) != full).any():
+            raise NotLatinSquare("a row of the table is not a permutation")
+        if (np.sort(table, axis=0) != full[:, None]).any():
+            raise NotLatinSquare("a column of the table is not a permutation")
 
-        identity = next((e for e in range(order)
-                         if all(rows[e][h] == h and rows[h][e] == h
-                                for h in range(order))), None)
-        if identity is None:
+        two_sided = (table == full).all(axis=1) & (table.T == full).all(axis=1)
+        if not two_sided.any():
             raise NotLatinSquare("table has no two-sided identity")
-        inverse = []
-        for g in range(order):
-            inv = next((h for h in range(order)
-                        if rows[g][h] == identity and rows[h][g] == identity), None)
-            if inv is None:
-                raise NotLatinSquare(f"element {g} has no inverse")
-            inverse.append(inv)
+        identity = int(np.argmax(two_sided))
+        # inverse[g] is the first h with g h = h g = identity
+        inverts = (table == identity) & (table.T == identity)
+        lacking = np.flatnonzero(~inverts.any(axis=1))
+        if lacking.size:
+            raise NotLatinSquare(f"element {lacking[0]} has no inverse")
+        inverse = np.argmax(inverts, axis=1)
 
         classes = tuple(tuple(sorted(c)) for c in class_partition)
         flat = sorted(g for c in classes for g in c)
@@ -90,7 +96,8 @@ class GroupTable:
             raise ValueError("class partition must cover every element once")
         if classes[0] != (identity,):
             raise ValueError("class 0 must be the singleton {identity}")
-        return cls(mult=rows, inverse=tuple(inverse), class_partition=classes)
+        return cls(mult=tuple(map(tuple, table.tolist())), inverse=tuple(inverse.tolist()),
+                   class_partition=classes, _table=table)
 
 
 def build_group_scheme(table: GroupTable,
@@ -112,7 +119,7 @@ def build_group_scheme(table: GroupTable,
     for k, cls_elems in enumerate(table.class_partition):
         label[list(cls_elems)] = k
     # the pair (g h, h) lies in the class of g
-    mult = np.array(table.mult)
+    mult = table._table
     classmap = np.empty((order, order), dtype=np.int16)
     classmap[mult, np.arange(order)] = label[:, None]
     return verify_scheme(classmap, class_names=class_names,
@@ -136,8 +143,8 @@ def _right_multiplications(mult: np.ndarray, identity: int) -> list:
 
 
 def cyclic_group_table(n: int, class_partition: Sequence[Iterable[int]]) -> GroupTable:
-    mult = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return GroupTable.from_mult(mult, class_partition)
+    return GroupTable.from_mult(np.add.outer(np.arange(n), np.arange(n)) % n,
+                                class_partition)
 
 
 # ---- symmetric group on four points ---------------------------------------
@@ -183,7 +190,7 @@ def s4_group_table(partition: str = "conjugacy") -> GroupTable:
     index_of_code = np.empty(4 ** 4, dtype=np.intp)
     index_of_code[table @ _BASE4] = np.arange(len(perms))
     # table[:, table][g, h, x] = g(h(x))
-    mult = index_of_code[table[:, table] @ _BASE4].tolist()
+    mult = index_of_code[table[:, table] @ _BASE4]
 
     by_type = {}
     for i, p in enumerate(perms):
@@ -240,14 +247,21 @@ def build_hypercube(n: int) -> AssociationScheme:
         raise TooSmall("hypercube needs n >= 1")
     if n > 12:
         raise TooLarge("hypercube supported up to n = 12 (4096 vertices)")
+    # the Hamming distances of 2s vertices, from those of s: the top bit
+    # adds 1 between the two halves
+    weight = np.zeros((1, 1), dtype=np.int16)
+    for _ in range(n):
+        s = len(weight)
+        doubled = np.empty((2 * s, 2 * s), dtype=np.int16)
+        doubled[:s, :s] = doubled[s:, s:] = weight
+        np.add(weight, 1, out=doubled[:s, s:])
+        doubled[s:, :s] = doubled[:s, s:]
+        weight = doubled
     xs = np.arange(2 ** n, dtype=np.int16)
-    popcount = np.zeros_like(xs)
-    for bit in range(n):
-        popcount += (xs >> bit) & 1
-    weight = popcount[xs[:, None] ^ xs[None, :]]
     names = tuple(f"w{i}" for i in range(n + 1))
-    flips = [xs ^ (1 << bit) for bit in range(n)]
-    return verify_scheme(weight, class_names=names, automorphisms=flips)
+    # the flip of bit 0 and the rotation of the bits: r^t f r^-t flips bit t
+    rotation = (xs << 1 | xs >> (n - 1)) & (2 ** n - 1)
+    return verify_scheme(weight, class_names=names, automorphisms=[xs ^ 1, rotation])
 
 
 def build_triangular(n: int) -> AssociationScheme:
@@ -316,15 +330,14 @@ def orbit_of(vec, mats, modulus: Optional[int] = None) -> tuple:
     return tuple(sorted(out))
 
 
-def _translation_scheme(m: int, classes, names) -> AssociationScheme:
-    """Translation scheme on Z_m x Z_m: the pair (x, y) lies in the class
-    that contains x - y; ``classes`` lists each class's group elements."""
-    lookup = np.zeros((m, m), dtype=np.int16)
-    for k, elems in enumerate(classes):
-        for g in elems:
-            lookup[g] = k
+def _translation_scheme(m: int, lookup: np.ndarray, names) -> AssociationScheme:
+    """Translation scheme on Z_m x Z_m: the pair (x, y) lies in class
+    ``lookup[x - y]``, with ``lookup`` an (m, m) label array."""
+    diff = np.subtract.outer(np.arange(m), np.arange(m)) % m
+    # classmap[(a, b), (c, d)] = lookup[a - c, b - d]: block (a, c) is the
+    # circulant lookup[(a - c) % m, diff], one of m such blocks
+    classmap = lookup[:, diff][diff].transpose(0, 2, 1, 3).reshape(m * m, m * m)
     xa, xb = np.divmod(np.arange(m * m), m)
-    classmap = lookup[(xa[:, None] - xa[None, :]) % m, (xb[:, None] - xb[None, :]) % m]
     shifts = [(xa + 1) % m * m + xb, xa * m + (xb + 1) % m]
     return verify_scheme(classmap, class_names=names, automorphisms=shifts)
 
@@ -332,17 +345,17 @@ def _translation_scheme(m: int, classes, names) -> AssociationScheme:
 def _orbit_scheme(m: int, mats) -> AssociationScheme:
     """Translation scheme whose classes are point-group orbits on Z_m x Z_m.
 
-    Classes are ordered by their lexicographically smallest representative,
-    which puts (0,0) first and the orbit of (1,0) second.
+    Each point's images under the group have codes a m + b, and their
+    minimum, the lexicographically smallest point of the orbit, names its
+    class.  Classes are ordered by that representative, which puts (0,0)
+    first and the orbit of (1,0) second.
     """
-    seen = set()
-    orbits = []
-    for g in itertools.product(range(m), repeat=2):
-        if g not in seen:
-            orbits.append(orbit_of(g, mats, modulus=m))
-            seen.update(orbits[-1])
-    names = tuple(str(orb[0]).replace(" ", "") for orb in orbits)
-    return _translation_scheme(m, orbits, names)
+    points = np.array(np.divmod(np.arange(m * m), m))  # [coordinate, point]
+    images = np.array(mats) @ points % m              # [matrix, coordinate, point]
+    reps, label = np.unique((images[:, 0] * m + images[:, 1]).min(axis=0),
+                            return_inverse=True)
+    names = tuple(f"({a},{b})" for a, b in zip(*np.divmod(reps, m)))
+    return _translation_scheme(m, label.astype(np.int16).reshape(m, m), names)
 
 
 def build_square_lattice(m: int) -> AssociationScheme:
@@ -373,4 +386,7 @@ _Z5Z5_CLASSES = (
 def build_orbit_scheme_z5z5() -> AssociationScheme:
     """The 25-vertex, 4-class translation scheme on Z_5 x Z_5."""
     names = ("(0,0)", "(1,0)", "(2,0)", "(1,2)", "(1,3)")
-    return _translation_scheme(5, _Z5Z5_CLASSES, names)
+    lookup = np.zeros((5, 5), dtype=np.int16)
+    for k, elems in enumerate(_Z5Z5_CLASSES):
+        lookup[tuple(zip(*elems))] = k
+    return _translation_scheme(5, lookup, names)

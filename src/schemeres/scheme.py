@@ -8,8 +8,8 @@ Closure, the costly axiom, is certified on one of two routes:
   certified to be a permutation that fixes the class map, and their orbit
   of vertex 0 to be every vertex.  The group they generate is then
   transitive, so each row of A_i A_j is a relabelled row 0, and closure and
-  p are read off row 0 with one ``bincount`` per class: O(N^2) work per
-  generator and O(N^2 + (d+1)^2 N) for p.
+  p are read off row 0 with one ``bincount`` per block of classes: O(N^2)
+  work per generator and O(N^2 + (d+1)^2 N) for p.
 * without them (documents, hand-written input), A_i A_j is formed as exact
   float64 (BLAS) N x N products.  Each packs a run of classes into
   base-``base`` digits, base = max kappa + 1, and the run is cut so that
@@ -27,7 +27,7 @@ intersection array off p.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -302,6 +302,12 @@ def _orbit(gens: Sequence[np.ndarray], points: set) -> set:
     return seen
 
 
+#: most cells, and most bins, of one ``bincount`` in
+#: ``_row_zero_intersection_numbers``; 2**15 (256 KiB of int64 bins) was the
+#: fastest of 2**12 to 2**17 over the presets with N = 24 to 276
+_ROW_ZERO_BLOCK = 2 ** 15
+
+
 def _row_zero_intersection_numbers(classmap: np.ndarray, valencies: tuple) -> np.ndarray:
     """Certify closure and return p from row 0 of each A_i A_j.
 
@@ -312,26 +318,44 @@ def _row_zero_intersection_numbers(classmap: np.ndarray, valencies: tuple) -> np
     of (x, y) in row 0.  So A_i A_j lies in the span of the relations
     exactly when its row 0 is constant on each class k of vertex 0, and
     that constant is p^k_ij.  Row 0 of A_i A_j counts, for each y, the z in
-    class i of vertex 0 with classmap[z, y] = j: one ``bincount`` per i over
-    the kappa_i rows of that class gives all j at once as a (d+1) x N array.
+    class i of vertex 0 with classmap[z, y] = j.
+
+    The classes i are taken in consecutive blocks, and one ``bincount`` over
+    the rows of a block's classes counts every (i, j) of the block at once,
+    as an N x (classes (d+1)) array with row y.  A block grows while its
+    cells (its sum kappa_i rows of N entries) and its bins ((d+1) N per
+    class) both stay within ``_ROW_ZERO_BLOCK``, so the work is
+    O(N^2 + (d+1)^2 N) in passes over cache-sized arrays; a class too large
+    for the budget is a block alone.
     """
     n = classmap.shape[0]
     d = len(valencies) - 1
     row = classmap[0].astype(np.intp)
+    members = np.argsort(row, kind="stable")  # class i is members[starts[i]:starts[i + 1]]
+    starts = np.cumsum((0,) + valencies)
     # every class meets row 0, since each relation is regular and nonempty
-    reps = np.argmax(row == np.arange(d + 1)[:, None], axis=1)
-    columns = np.arange(n)
-    p = np.zeros((d + 1, d + 1, d + 1), dtype=np.int64)
-    for i in range(d + 1):
-        cells = classmap[row == i].astype(np.intp)  # kappa_i rows
-        cells *= n
-        cells += columns
-        counts = np.bincount(cells.ravel(), minlength=(d + 1) * n).reshape(d + 1, n)
-        coef = counts[:, reps]  # [j, k] = p^k_ij
-        if not np.array_equal(counts, coef[:, row]):
-            j = int(np.flatnonzero((counts != coef[:, row]).any(axis=1))[0])
-            raise NotClosed(f"A_{i} A_{j} is outside the span of the relations")
-        p[i] = coef
+    reps = members[starts[:-1]]
+    bins = (d + 1) * n
+    p = np.empty((d + 1, d + 1, d + 1), dtype=np.int64)
+    i0 = 0
+    while i0 <= d:
+        # the most classes from i0 on within the budget, and at least one
+        fit = np.searchsorted(starts[i0 + 1:], starts[i0] + _ROW_ZERO_BLOCK // n, side="right")
+        i1 = i0 + max(1, min(int(fit), _ROW_ZERO_BLOCK // bins))
+        width = (i1 - i0) * (d + 1)
+        rows = members[starts[i0]:starts[i1]]
+        # the pair (z, y) counts in bin y * width + (i - i0) (d+1) + j, where
+        # i is the class of z in row 0 and j = classmap[z, y]
+        cells = np.add(classmap[rows], ((row[rows] - i0) * (d + 1))[:, None])
+        cells += np.arange(0, n * width, width)
+        counts = np.bincount(cells.ravel(), minlength=n * width).reshape(n, width)
+        coef = counts[reps]  # [k, (i - i0) (d+1) + j] = p^k_ij
+        off = (counts != coef[row]).any(axis=0)
+        if off.any():
+            i, j = divmod(int(np.argmax(off)), d + 1)
+            raise NotClosed(f"A_{i0 + i} A_{j} is outside the span of the relations")
+        p[i0:i1] = coef.T.reshape(i1 - i0, d + 1, d + 1)
+        i0 = i1
     return p
 
 
@@ -372,11 +396,15 @@ _COMBO_SEED = 0x5CE11E
 _WEIGHT_DRAWS = 3
 
 
-def _weight_draws(count: int):
-    """The seeded generic weight vectors, ``count`` weights each."""
+@lru_cache(maxsize=256)
+def _weight_draws(count: int) -> tuple:
+    """The seeded generic weight vectors, ``count`` weights each: drawn once
+    per size and shared read-only."""
     rng = np.random.default_rng(_COMBO_SEED)
-    for _ in range(_WEIGHT_DRAWS):
-        yield rng.standard_normal(count)
+    draws = tuple(rng.standard_normal(count) for _ in range(_WEIGHT_DRAWS))
+    for weights in draws:
+        weights.flags.writeable = False
+    return draws
 
 
 def spectral_data(scheme: AssociationScheme) -> SpectralData:
@@ -432,20 +460,15 @@ def spectral_data(scheme: AssociationScheme) -> SpectralData:
     q = decomp.eigenvectors / np.sqrt(kappa)[:, None]  # column k is parallel to Q[:, k]
     raw_p = kappa * q.T / q[0][:, None]                # [k, l] = kappa_l q_l / q_0
     norms = (raw_p ** 2 / kappa).sum(axis=1)
-    mults = []
-    for t in n / norms:
-        m = round(float(t))
-        if abs(t - m) >= 1e-6 or m < 1:
-            raise DegenerateSplit(f"multiplicity {float(t)!r} is not a positive integer")
-        mults.append(m)
+    mults = n / norms
+    nearest = np.round(mults)
+    off = np.flatnonzero(~(np.abs(mults - nearest) < 1e-6) | (nearest < 1))
+    if off.size:
+        raise DegenerateSplit(f"multiplicity {float(mults[off[0]])!r} is not a positive integer")
 
-    k0 = int(np.argmin(np.abs(raw_p - kappa).max(axis=1)))
-    rest = [k for k in range(d + 1) if k != k0]
-    rest.sort(key=lambda k: tuple(-np.round(raw_p[k, 1:], 9)))
-    order = [k0] + rest
-
+    order = _eigenspace_order(raw_p, kappa)
     p_matrix = raw_p[order]
-    multiplicities = tuple(mults[k] for k in order)
+    multiplicities = tuple(nearest[order].astype(int).tolist())
 
     q_matrix = (p_matrix.T * multiplicities).T  # temporary: m_k * P[k, l]
     q_matrix = q_matrix.T / kappa[:, None]      # Q[l, j] = m_j P[j, l] / kappa_l
@@ -453,6 +476,17 @@ def spectral_data(scheme: AssociationScheme) -> SpectralData:
     data = SpectralData(p_matrix, q_matrix, multiplicities, scheme.classmap)
     _validate_spectral(scheme, data)
     return data
+
+
+def _eigenspace_order(raw_p: np.ndarray, kappa: np.ndarray) -> np.ndarray:
+    """Row order of P: the row nearest the valencies (the all-ones
+    eigenspace) first, then the others by decreasing P[k, 1:] rounded to 9
+    digits, compared column by column; rows that tie keep their order."""
+    k0 = int(np.argmin(np.abs(raw_p - kappa).max(axis=1)))
+    # np.lexsort takes its primary key last, so the columns go d, ..., 1
+    keys = -np.round(raw_p[:, :0:-1].T, 9)
+    order = np.lexsort((np.arange(len(raw_p)), *keys))  # the row index breaks ties
+    return np.concatenate(([k0], order[order != k0]))
 
 
 def _validate_spectral(scheme: AssociationScheme, data: SpectralData) -> None:

@@ -9,7 +9,14 @@ import pytest
 import schemeres as sr
 from schemeres import cli
 from schemeres import scheme as scheme_module
-from schemeres.errors import NotAmbivalent, NotLatinSquare, OddOrder, TooLarge, TooSmall
+from schemeres.errors import (
+    NotAmbivalent,
+    NotClosed,
+    NotLatinSquare,
+    OddOrder,
+    TooLarge,
+    TooSmall,
+)
 
 from conftest import build_packed, build_recording, spectral_of
 from nxn_witnesses import integer_matrix_powers
@@ -64,6 +71,18 @@ class TestHypercube:
     def test_too_large(self):
         with pytest.raises(TooLarge):
             sr.build_hypercube(13)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_two_generators_match_packed_route(self, n):
+        scheme, (flip, rotation) = build_recording(sr.build_hypercube, n)
+        packed = build_packed(sr.build_hypercube, n)
+        assert scheme.classmap.tobytes() == packed.classmap.tobytes()
+        assert scheme.p.tobytes() == packed.p.tobytes()
+        # r^t f r^-t flips bit t; ``power`` is r^t
+        xs = power = np.arange(2 ** n)
+        for bit in range(n):
+            assert np.array_equal(power[flip[np.argsort(power)]], xs ^ (1 << bit))
+            power = rotation[power]
 
 
 class TestTriangular:
@@ -151,6 +170,28 @@ class TestGroupScheme:
     def test_not_latin_square(self):
         with pytest.raises(NotLatinSquare):
             sr.GroupTable.from_mult([[0, 0], [1, 1]], [(0,), (1,)])
+
+    @pytest.mark.parametrize("mult, message", [
+        ([[0, 0], [1, 1]], "a row of the table is not a permutation"),
+        ([[0, 1, 2], [1, 2]], "a row of the table is not a permutation"),
+        ([[0, 1], [0, 1]], "a column of the table is not a permutation"),
+        ([], "table has no two-sided identity"),
+        ([[0, 2, 1], [2, 1, 0], [1, 0, 2]], "table has no two-sided identity"),
+        # a loop with 1 2 = 0 but 2 1 = 4
+        ([[0, 1, 2, 3, 4], [1, 2, 0, 4, 3], [2, 4, 3, 0, 1], [3, 0, 4, 1, 2],
+          [4, 3, 1, 2, 0]], "element 1 has no inverse"),
+    ], ids=["row", "ragged", "column", "empty", "no-identity", "no-inverse"])
+    def test_not_latin_square_messages(self, mult, message):
+        with pytest.raises(NotLatinSquare, match=f"^{message}$"):
+            sr.GroupTable.from_mult(mult, [(0,), tuple(range(1, len(mult)))])
+
+    def test_table_array_matches_rows(self):
+        table = sr.s4_group_table("stabilizer")
+        assert not table._table.flags.writeable
+        assert table._table.tolist() == [list(row) for row in table.mult]
+        direct = sr.GroupTable(table.mult, table.inverse, table.class_partition)
+        assert direct == table
+        assert np.array_equal(direct._table, table._table)
 
     def test_abelian_class_sums_commute(self):
         table = sr.cyclic_group_table(6, [(0,), (1, 5), (2, 4), (3,)])
@@ -354,6 +395,26 @@ class TestAutomorphismRoute:
                                                        for g in gens])
         assert np.array_equal(again.classmap, moved)
         assert again.p.tobytes() == scheme.p.tobytes()
+
+    @pytest.mark.parametrize("budget", ["one-class", "three-classes"])
+    @pytest.mark.parametrize("name", EQUIVALENCE_BUILDS)
+    def test_row_zero_blocks_match_packed_route(self, monkeypatch, name, budget):
+        build, *args = EQUIVALENCE_BUILDS[name]
+        packed = build_packed(build, *args)
+        # bins allow three classes a block, cells three classes of mean size
+        limit = 1 if budget == "one-class" else 3 * (packed.d + 1) * packed.n
+        monkeypatch.setattr(scheme_module, "_ROW_ZERO_BLOCK", limit)
+        assert build(*args).p.tobytes() == packed.p.tobytes()
+
+    @pytest.mark.parametrize("limit", [1, scheme_module._ROW_ZERO_BLOCK])
+    def test_row_zero_blocks_name_the_product(self, monkeypatch, limit):
+        # Z_7 with classes {0}, {+-1}, {+-2, +-3}: A_1^2 = 2 A_0 + the +-2 part
+        # of class 2, so the rotation certifies a class map that is no scheme
+        x = np.arange(7)
+        classmap = np.array([0, 1, 2, 2, 2, 2, 1])[(x[:, None] - x) % 7]
+        monkeypatch.setattr(scheme_module, "_ROW_ZERO_BLOCK", limit)
+        with pytest.raises(NotClosed, match=r"^A_1 A_1 is outside the span"):
+            sr.verify_scheme(classmap, automorphisms=[(x + 1) % 7])
 
     def test_group_generating_set_is_small(self, s4):
         _, gens = build_recording(sr.build_s4_scheme, "conjugacy")

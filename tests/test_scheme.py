@@ -585,6 +585,12 @@ def base_generators(name):
     return tuple(build_recording(build, size)[1])
 
 
+def hypercube_flips(n):
+    """The n bit flips of the hypercube on 2^n vertices."""
+    xs = np.arange(2 ** n)
+    return [xs ^ (1 << bit) for bit in range(n)]
+
+
 class TestTransitiveVerifier:
     @pytest.mark.parametrize("base", ["cycle12", "hypercube5", "square6"])
     @settings(max_examples=60, deadline=None)
@@ -626,14 +632,15 @@ class TestTransitiveVerifier:
 
     def test_rejects_a_non_automorphism(self):
         # the transposition (0 1) takes the pair (0, 2), at distance 1, to (1, 2), at 2
-        hypercube4, flips = build_recording(sr.build_hypercube, 4)
+        flips = hypercube_flips(4)
         transposition = np.arange(16)
         transposition[:2] = 1, 0
         with pytest.raises(BadParameter, match="automorphism 4 does not preserve"):
-            sr.verify_scheme(hypercube4.classmap, automorphisms=flips + [transposition])
+            sr.verify_scheme(sr.build_hypercube(4).classmap,
+                             automorphisms=flips + [transposition])
 
     @pytest.mark.parametrize("name, pick, reached", [
-        ("hypercube5", lambda flips: flips[1:], 16),
+        ("hypercube5", lambda gens: hypercube_flips(5)[1:], 16),
         ("cycle12", lambda gens: [gens[0][gens[0]]], 6),
         ("cycle12", lambda gens: [], 1),
     ], ids=["hypercube5-without-a-flip", "cycle12-rotation-by-2", "empty"])
@@ -693,6 +700,19 @@ class TestSpectralRoute:
         assert got.multiplicities == expected.multiplicities
         assert np.abs(got.p_matrix - expected.p_matrix).max() < 1e-12
 
+    @pytest.mark.parametrize("build, n, value", [
+        (lambda: sr.build_hypercube(1), 3, r"1\.5"),
+        (lambda: sr.build_hypercube(1), 1, r"0\.5"),
+        # m = (1, 2, 1) scaled by 5/4: the first eigenspace of the
+        # decomposition is named, not the one of multiplicity 2
+        (lambda: sr.build_cycle(4), 5, r"1\.2(5|49)\d*"),
+    ], ids=["hypercube1-n3", "hypercube1-n1", "cycle4-n5"])
+    def test_non_integer_multiplicity(self, build, n, value):
+        scheme = dataclasses.replace(build(), n=n)
+        with pytest.raises(DegenerateSplit,
+                           match=f"^multiplicity {value} is not a positive integer$"):
+            sr.spectral_data(scheme)
+
     def test_validation_rejects_mixed_eigenspaces(self, s4):
         # Q M and M^-1 P with M fixing E_0 and the all-ones column: P Q = N I
         # and the rows and columns checked first all still hold
@@ -703,3 +723,44 @@ class TestSpectralRoute:
                                   q_matrix=data.q_matrix @ mix)
         with pytest.raises(DegenerateSplit, match=r"A_\d+ E_([12]) != P\[\1,\d+\] E_\1"):
             scheme_module._validate_spectral(s4, bad)
+
+
+# --------------------------------------------------------------------------
+# the order of the eigenspaces
+# --------------------------------------------------------------------------
+
+def tuple_key_order(raw_p, kappa):
+    """The former ordering: one tuple sort key per eigenspace."""
+    k0 = int(np.argmin(np.abs(raw_p - kappa).max(axis=1)))
+    rest = [k for k in range(len(raw_p)) if k != k0]
+    rest.sort(key=lambda k: tuple(-np.round(raw_p[k, 1:], 9)))
+    return [k0] + rest
+
+
+# values that tie after rounding to 9 digits, and zeros of both signs
+TIED_VALUES = [0.0, -0.0, 1e-10, -1e-10, 1.0, 1.0 + 3e-10, 1.0 - 3e-10, -1.0,
+               -1.0 - 4e-10, 2.5, -2.5, 1.0000000006, 7.0]
+
+
+class TestEigenspaceOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_tuple_keys(self, data):
+        size = data.draw(st.integers(1, 7))
+        value = st.sampled_from(TIED_VALUES) | st.floats(-8, 8)
+        raw_p = np.array(data.draw(st.lists(st.lists(value, min_size=size, max_size=size),
+                                            min_size=size, max_size=size)))
+        kappa = np.array(data.draw(st.lists(value, min_size=size, max_size=size)))
+        got = scheme_module._eigenspace_order(raw_p, kappa)
+        assert got.tolist() == tuple_key_order(raw_p, kappa)
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_matches_tuple_keys_on_presets(self, presets, preset):
+        scheme = presets[preset]
+        p_matrix = spectral_of(scheme).p_matrix
+        kappa = np.array(scheme.valencies)
+        for seed in range(5):
+            shuffled = p_matrix[np.random.default_rng(seed).permutation(scheme.d + 1)]
+            got = scheme_module._eigenspace_order(shuffled, kappa)
+            assert got.tolist() == tuple_key_order(shuffled, kappa)
+            assert shuffled[got].tobytes() == p_matrix.tobytes()
