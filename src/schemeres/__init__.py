@@ -65,7 +65,6 @@ from .scheme import (
     stratify,
     verify_scheme,
 )
-from .spectra import EigenDecomposition, eig_sym
 from . import errors
 
 __all__ = [name for name in dir() if not name.startswith("_")]

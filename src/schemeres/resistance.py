@@ -9,12 +9,21 @@ underlying resistor network:
 * ``resistance_drg_closed``  - Biggs' sum over an intersection array,
   exact rationals (distance-regular networks, every stratum).
 
-``oracle`` is the only engine that works at the vertex level: it builds the
-N x N Laplacian from the class map and shares nothing with the
-intersection numbers p^k_ij, so it witnesses them.  It costs one O(N^3)
-inverse of the symmetric positive definite L + sJ/N, by recursive 2 x 2
-Schur-complement blocks whose cubic work is matrix products, then O(N^2)
-to form R and to certify every class's spread.
+``oracle`` is the only engine that works at the vertex level: it reads the
+Laplacian off the class map and shares nothing with the intersection
+numbers p^k_ij, so it witnesses them.  It takes one of two routes:
+
+* row 0, when ``verify_scheme`` certified a transitive automorphism group
+  and N exceeds ``_INVERSE_LEAF``: connectivity is decided on the d+1
+  classes of vertex 0, one (d+1) x (d+1) quotient solve gives
+  y = (L + sJ/N)^-1 e_0 and R^(l) = 2(y_0 - y_x) for x in class l, and
+  the residual (L + sJ/N) y - e_0 over all N rows bounds the error of every
+  entry.  O(N^2) work, in blocks of rows, and no N x N array.
+* the full inverse otherwise: one O(N^3) inverse of the symmetric positive
+  definite L + sJ/N, by recursive 2 x 2 Schur-complement blocks whose cubic
+  work is matrix products, then O(N^2) to form R and to certify every
+  class's spread over all pairs.
+
 The other three all derive from p: ``spectral`` through the eigenmatrices
 computed in the intersection algebra, ``polynomial`` through one exact solve
 in the power basis of B_1, and ``closed`` through the intersection array.
@@ -104,12 +113,18 @@ class ResistanceTable:
 def laplacian(scheme: AssociationScheme, conductances) -> np.ndarray:
     """L = (sum_i c_i kappa_i) I - sum_i c_i A_i, as floats, read off the
     class map."""
+    return _laplacian_weights(scheme, conductances)[scheme.classmap]
+
+
+def _laplacian_weights(scheme: AssociationScheme, conductances) -> np.ndarray:
+    """The entry of L on each class: s = sum_i c_i kappa_i on class 0 and
+    -c_i on class i."""
     cond = ConductanceVector.coerce(conductances, scheme.d)
     c = cond.as_floats()
     weights = np.zeros(scheme.d + 1)
     weights[0] = sum(ci * ki for ci, ki in zip(c, scheme.valencies[1:]))
     weights[1:] -= c  # a class without conductance stays +0.0, not -0.0
-    return weights[scheme.classmap]
+    return weights
 
 
 def pseudo_inverse(scheme: AssociationScheme, conductances) -> np.ndarray:
@@ -196,25 +211,40 @@ def oracle_resistance_matrix(scheme: AssociationScheme, conductances) -> np.ndar
 
 
 def resistance_oracle(scheme: AssociationScheme, conductances) -> ResistanceTable:
-    """Per-class resistances via the pseudo-inverse, one representative pair.
+    """Per-class resistances from the Laplacian, read off the class map alone.
 
-    The representative is vertex 0 against the first vertex of each stratum;
-    the choice is immaterial and is certified here: over all vertex pairs of
-    each class the resistance spread must stay below ``STRATUM_SPREAD_TOL``,
-    else ``CertificationFailed`` names the lowest failing class.  That costs
-    one O(N^3) block inverse, then O(N^2) for R and for the certification.
+    Two routes, chosen by what ``verify_scheme`` certified:
+
+    * row 0, for a scheme with a certified transitive automorphism group and
+      N above ``_INVERSE_LEAF``: connectivity is decided on the d+1 classes
+      of vertex 0, one (d+1) x (d+1) quotient system gives the column
+      y = (L + sJ/N)^-1 e_0, and R^(l) = 2(y_0 - y_x) for x in class l.
+      One N x N residual certifies that every entry is within
+      ``STRATUM_SPREAD_TOL`` (see ``_row_zero_table``).  O(N^2) work.
+    * the full pseudo-inverse otherwise: the representative is vertex 0
+      against the first vertex of each stratum, and over all vertex pairs of
+      each class the resistance spread must stay below
+      ``STRATUM_SPREAD_TOL``, else ``CertificationFailed`` names the lowest
+      failing class.  One O(N^3) block inverse, then O(N^2) for R and for
+      the certification.
+
+    Neither route reads the intersection numbers p.
     """
     return _oracle_table(scheme, conductances)[0]
 
 
 def _oracle_table(scheme: AssociationScheme, conductances
                   ) -> tuple[ResistanceTable, float]:
-    """The oracle table and its largest within-class resistance spread.
+    """The oracle table and its certified within-class spread: on the row-0
+    route the bound on every entry's error, on the full route the largest
+    spread of R over the pairs of a class.
 
-    Every class's spread comes from one pass over R grouped by class: one
-    ``maximum.reduceat`` and one ``minimum.reduceat`` over R's entries
-    gathered in the scheme's class order.
+    On the full route every class's spread comes from one pass over R
+    grouped by class: one ``maximum.reduceat`` and one ``minimum.reduceat``
+    over R's entries gathered in the scheme's class order.
     """
+    if scheme._transitive and scheme.n > _INVERSE_LEAF:
+        return _row_zero_table(scheme, conductances)
     flat = oracle_resistance_matrix(scheme, conductances).ravel()
     order, starts = scheme._class_order
     grouped = flat[order]
@@ -225,6 +255,85 @@ def _oracle_table(scheme: AssociationScheme, conductances
             raise CertificationFailed(f"class {l} resistance spread {spread:.3e}")
     values = tuple(flat[order[starts[1:]]].tolist())  # vertex 0 to its first of class l
     return ResistanceTable(values, method="oracle", exact=False), max([0.0] + spreads)
+
+
+#: most entries of L gathered at once for ``_row_zero_table``'s residual;
+#: 2**16 and 2**17 tied as fastest of 2**13 to 2**20 on hypercube 8 to 12,
+#: triangular 24 and square 24 (one BLAS thread)
+_RESIDUAL_BLOCK = 2 ** 16
+
+
+def _row_zero_table(scheme: AssociationScheme, conductances
+                    ) -> tuple[ResistanceTable, float]:
+    """The oracle table from y = M^-1 e_0, M = L + sJ/N, s = L_00, with a
+    bound on the error of every entry.
+
+    The scheme must carry a certified transitive automorphism group.  M lies
+    in the Bose-Mesner algebra, so M^-1 does, and y* = M^-1 e_0 is constant
+    on each class k of vertex 0.  The group commutes with M, so every row of
+    M^-1 is a permutation of row 0: its diagonal is constant, so
+    R(0, x) = 2(y*_0 - y*_x), and ||M^-1||_inf = ||y*||_1.  With r_k the
+    first vertex of class k in row 0:
+
+    * connectivity: (A_j1 ... A_jm)[0, x] depends only on the class of x, so
+      class l is one step from class k when some z of class l conducts to
+      r_k (L < 0), and the component of vertex 0 is the union of the classes
+      reached from class 0.
+    * the solve: Q[k, l] = sum of M[r_k, z] over z in class l is M acting on
+      class-constant vectors, and Q y_q = e_0 gives y = y_q[classmap[0]].
+    * the certificate: r = M y - e_0 over all N rows, one matrix-vector
+      product gathered in blocks of rows.  Since ||y*||_1 <= ||y||_1 +
+      N ||y - y*||_inf, |y - y*| <= ||y||_1 ||r||_inf / (1 - N ||r||_inf)
+      entrywise, to first order in the rounding of r.  So every computed
+      R(0, x) is within four times that of the exact value, which is
+      constant on each class, and the group carries the bound to all pairs.
+
+    Raises
+    ------
+    Disconnected
+        If the conductance support does not reach every vertex.
+    CertificationFailed
+        If N ||r||_inf >= 1, or the bound exceeds ``STRATUM_SPREAD_TOL``.
+    """
+    n, d, classmap = scheme.n, scheme.d, scheme.classmap
+    weights = _laplacian_weights(scheme, conductances)
+    row = classmap[0]
+    reps = np.unique(row, return_index=True)[1]  # the first of each class in row 0
+    rows = weights[classmap[reps]]  # [k, z] = L[r_k, z]
+    cells = np.add(row, np.arange(0, (d + 1) ** 2, d + 1)[:, None])  # [k, z] = k (d+1) + l
+
+    step = np.bincount(cells[rows < 0], minlength=(d + 1) ** 2).reshape(d + 1, d + 1) > 0
+    reached = np.arange(d + 1) == 0
+    for _ in range(d):  # a round that changes anything adds a class
+        reached = reached | step[reached].any(axis=0)
+    if not reached.all():
+        count = sum(kappa for kappa, hit in zip(scheme.valencies, reached) if hit)
+        raise Disconnected(f"conductance support reaches {count} of {n} "
+                           "vertices, so L has repeated zero eigenvalues")
+
+    s = weights[0]
+    rows += s / n
+    quotient = np.bincount(cells.ravel(), weights=rows.ravel(),
+                           minlength=(d + 1) ** 2).reshape(d + 1, d + 1)
+    e0 = np.zeros(d + 1)
+    e0[0] = 1.0
+    yq = np.linalg.solve(quotient, e0)
+    y = yq[row]
+
+    residual = np.empty(n)
+    block = max(1, _RESIDUAL_BLOCK // n)
+    for x0 in range(0, n, block):
+        np.dot(weights[classmap[x0:x0 + block]], y, out=residual[x0:x0 + block])
+    residual += s / n * y.sum()
+    residual[0] -= 1.0
+    worst = float(np.abs(residual).max())
+    if n * worst >= 1:
+        raise CertificationFailed(f"row-0 residual {worst:.3e} is not below 1/N")
+    bound = 4 * float(np.abs(y).sum()) * worst / (1 - n * worst)
+    if bound > STRATUM_SPREAD_TOL:
+        raise CertificationFailed(f"row-0 resistance error bound {bound:.3e}")
+    values = tuple((2 * (yq[0] - yq[1:])).tolist())
+    return ResistanceTable(values, method="oracle", exact=False), bound
 
 
 # --------------------------------------------------------------------------

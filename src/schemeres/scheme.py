@@ -40,7 +40,7 @@ from .errors import (
     NotPartition,
     NotSymmetric,
 )
-from .spectra import CLUSTER_TOL, eig_sym
+from .spectra import CLUSTER_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,6 +53,10 @@ class AssociationScheme:
     p : (d+1, d+1, d+1) array, ``p[i, j, k]`` = coefficient of A_k in A_i A_j
     classmap : (n, n) int16 array mapping a vertex pair to its class index
     relations : int8 matrices A_0..A_d, derived from ``classmap`` on access
+
+    ``_transitive`` records that ``verify_scheme`` certified generators of a
+    transitive group of automorphisms of the class map; only the
+    ``automorphisms=`` route sets it.
     """
 
     n: int
@@ -61,6 +65,7 @@ class AssociationScheme:
     p: np.ndarray
     classmap: np.ndarray
     class_names: tuple
+    _transitive: bool = field(default=False, repr=False, compare=False)
 
     @cached_property
     def relations(self) -> tuple:
@@ -150,9 +155,15 @@ def verify_scheme(relations, class_names: Optional[Sequence[str]] = None,
     d = int(classmap.max())
     if d >= n:  # every class meets every vertex, so there are at most n
         raise NotPartition(f"{d + 1} class labels on {n} vertices")
-    # counts[x, k] = number of vertices in class k of vertex x
-    counts = np.bincount((np.arange(n)[:, None] * (d + 1) + classmap).ravel(),
-                         minlength=n * (d + 1)).reshape(n, d + 1)
+    # counts[x, k] = number of vertices in class k of vertex x, counted in
+    # blocks of rows so that no N x N index array is built
+    counts = np.empty((n, d + 1), dtype=np.int64)
+    step = max(1, _ROW_ZERO_BLOCK // n)
+    for x0 in range(0, n, step):
+        block = classmap[x0:x0 + step]
+        cells = np.add(block, np.arange(0, len(block) * (d + 1), d + 1)[:, None])
+        counts[x0:x0 + step] = np.bincount(cells.ravel(), minlength=len(block) * (d + 1)
+                                           ).reshape(len(block), d + 1)
     empty = np.flatnonzero(counts.sum(axis=0) == 0)
     if empty.size:
         raise NotPartition(f"relation {empty[0]} is empty")
@@ -161,7 +172,7 @@ def verify_scheme(relations, class_names: Optional[Sequence[str]] = None,
         raise NotClosed(f"relation {irregular[0]} is not regular")
     valencies = tuple(int(v) for v in counts[0])
 
-    classmap = classmap.astype(np.int16 if d < 2 ** 15 else np.int32)
+    classmap = classmap.astype(np.int16 if d < 2 ** 15 else np.int32, copy=False)
     if automorphisms is None:
         p = _intersection_numbers(classmap, valencies)
     else:
@@ -173,8 +184,8 @@ def verify_scheme(relations, class_names: Optional[Sequence[str]] = None,
     if len(names) != d + 1:
         raise ValueError("class_names length must be d+1")
 
-    return AssociationScheme(n=n, d=d, valencies=valencies, p=p,
-                             classmap=classmap, class_names=names)
+    return AssociationScheme(n=n, d=d, valencies=valencies, p=p, classmap=classmap,
+                             class_names=names, _transitive=automorphisms is not None)
 
 
 def _relation_classmap(relations: Sequence) -> np.ndarray:
@@ -257,12 +268,14 @@ def _certify_transitive(classmap: np.ndarray, automorphisms: Sequence) -> None:
     automorphisms of the class map (``BadParameter`` otherwise).
 
     Each generator is checked to be a permutation with
-    ``classmap[g][:, g] == classmap``, two ``np.take`` gathers and one
-    comparison of N^2 entries.  The orbit of vertex 0 is grown by a forward
-    search over the generators' images; the vertex set is finite, so the
-    forward orbit is the orbit of the group they generate.
+    ``classmap[g][:, g] == classmap``, gathered and compared in blocks of
+    rows within ``_ROW_ZERO_BLOCK`` entries, so no N x N copy is built.  The
+    orbit of vertex 0 is grown by a forward search over the generators'
+    images; the vertex set is finite, so the forward orbit is the orbit of
+    the group they generate.
     """
     n = classmap.shape[0]
+    step = max(1, _ROW_ZERO_BLOCK // n)
     gens = []
     for t, g in enumerate(automorphisms):
         g = np.asarray(g)
@@ -273,8 +286,8 @@ def _certify_transitive(classmap: np.ndarray, automorphisms: Sequence) -> None:
         g = g.astype(np.intp)
         if np.bincount(g, minlength=n).max() > 1:
             raise BadParameter(f"automorphism {t} repeats a vertex")
-        moved = np.take(np.take(classmap, g, axis=0), g, axis=1)
-        if not np.array_equal(moved, classmap):
+        if any(not np.array_equal(classmap[g[x0:x0 + step]][:, g], classmap[x0:x0 + step])
+               for x0 in range(0, n, step)):
             raise BadParameter(f"automorphism {t} does not preserve the class map")
         gens.append(g)
 
@@ -304,7 +317,9 @@ def _orbit(gens: Sequence[np.ndarray], points: set) -> set:
 
 #: most cells, and most bins, of one ``bincount`` in
 #: ``_row_zero_intersection_numbers``; 2**15 (256 KiB of int64 bins) was the
-#: fastest of 2**12 to 2**17 over the presets with N = 24 to 276
+#: fastest of 2**12 to 2**17 over the presets with N = 24 to 276.  It also
+#: sizes the row blocks of ``verify_scheme``'s regularity count and of
+#: ``_certify_transitive``'s comparison
 _ROW_ZERO_BLOCK = 2 ** 15
 
 
@@ -445,8 +460,7 @@ def spectral_data(scheme: AssociationScheme) -> SpectralData:
     for weights in _weight_draws(d + 1):
         # S[k, j] = sum_i w_i kappa_k p^k_ij / sqrt(kappa_k kappa_j)
         combo = np.tensordot(weights, weighted, axes=1) / root
-        decomp = eig_sym((combo + combo.T) / 2)  # symmetric to the last bit
-        values = decomp.eigenvalues
+        values, vectors = np.linalg.eigh((combo + combo.T) / 2)  # symmetric to the last bit
         scale = max(1.0, float(np.abs(values).max()))
         gap = float(np.diff(values).min(initial=np.inf)) / scale
         if gap > CLUSTER_TOL:
@@ -457,8 +471,8 @@ def spectral_data(scheme: AssociationScheme) -> SpectralData:
             f"in the best of {_WEIGHT_DRAWS} seeded combinations the smallest relative "
             f"eigenvalue gap {widest:.3e} is not above CLUSTER_TOL = {CLUSTER_TOL:.1e}")
 
-    q = decomp.eigenvectors / np.sqrt(kappa)[:, None]  # column k is parallel to Q[:, k]
-    raw_p = kappa * q.T / q[0][:, None]                # [k, l] = kappa_l q_l / q_0
+    q = vectors / np.sqrt(kappa)[:, None]  # column k is parallel to Q[:, k]
+    raw_p = kappa * q.T / q[0][:, None]    # [k, l] = kappa_l q_l / q_0
     norms = (raw_p ** 2 / kappa).sum(axis=1)
     mults = n / norms
     nearest = np.round(mults)

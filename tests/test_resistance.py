@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 from fractions import Fraction
 
@@ -27,13 +28,16 @@ def complete_scheme(n):
     return sr.verify_scheme([eye, np.ones((n, n), dtype=np.int64) - eye])
 
 
-#: schemes whose class supports include disconnected ones
+#: schemes whose class supports include disconnected ones; the last two
+#: carry generators and N > 32, so the oracle takes its row-0 route
 SUPPORT_SCHEMES = {
     "cycle12": lambda: sr.build_cycle(12),
     "square4": lambda: sr.build_square_lattice(4),
     "2xK3": lambda: two_cliques(3),
     "hypercube4": lambda: sr.build_hypercube(4),
     "z5z5": sr.build_orbit_scheme_z5z5,
+    "hypercube6": lambda: sr.build_hypercube(6),
+    "square9": lambda: sr.build_square_lattice(9),
 }
 
 
@@ -73,6 +77,14 @@ GROUPED_SCHEMES = {
 @functools.cache
 def grouped_scheme(name):
     return GROUPED_SCHEMES[name]()
+
+
+@functools.cache
+def generatorless_scheme(name):
+    """``grouped_scheme(name)`` verified without generators, so that the
+    oracle takes its full pseudo-inverse route at every N."""
+    scheme = grouped_scheme(name)
+    return sr.verify_scheme(scheme.classmap, class_names=scheme.class_names)
 
 
 def random_rational_conductances(scheme, rng):
@@ -189,12 +201,15 @@ class TestOracle:
                     loop -= ci * scheme.relations[i].astype(float)
             assert sr.laplacian(scheme, c).tobytes() == loop.tobytes()
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(name=st.sampled_from(sorted(SUPPORT_SCHEMES)), data=st.data())
     def test_disconnected_exactly_when_support_splits(self, name, data):
         scheme = support_scheme(name)
+        # one or two classes at unit conductance split the larger schemes often
+        sparse = st.sets(st.integers(1, scheme.d), min_size=1, max_size=2).map(
+            lambda classes: [int(l in classes) for l in range(1, scheme.d + 1)])
         c = data.draw(st.lists(st.integers(0, 4), min_size=scheme.d,
-                               max_size=scheme.d).filter(any), label="c")
+                               max_size=scheme.d).filter(any) | sparse, label="c")
         support = [i for i, ci in enumerate(c, start=1) if ci]
         if not scheme.relation_connected(support):
             with pytest.raises(Disconnected, match="zero eigenvalues"):
@@ -248,7 +263,8 @@ class TestOracle:
 
 
 class TestGroupedCertification:
-    """The oracle's one grouped pass against one class mask at a time."""
+    """The oracle's one grouped pass against one class mask at a time, on
+    the full route: schemes without generators take it at every N."""
 
     @pytest.mark.parametrize("name", GROUPED_SCHEMES)
     def test_class_order(self, name):
@@ -263,7 +279,7 @@ class TestGroupedCertification:
 
     @pytest.mark.parametrize("name", GROUPED_SCHEMES)
     def test_identical_to_class_masks(self, name):
-        scheme = grouped_scheme(name)
+        scheme = generatorless_scheme(name)
         rng = np.random.default_rng(1212)
         unit = [F(1)] + [F(0)] * (scheme.d - 1)
         cases = [unit, [F(1, 10**7) * v for v in unit]]
@@ -280,7 +296,7 @@ class TestGroupedCertification:
 
     @pytest.mark.parametrize("name", GROUPED_SCHEMES)
     def test_tampered_class_named(self, monkeypatch, name):
-        scheme = grouped_scheme(name)
+        scheme = generatorless_scheme(name)
         unit = [1] + [0] * (scheme.d - 1)
         real = sr.resistance.oracle_resistance_matrix
         rng = np.random.default_rng(7)
@@ -367,6 +383,94 @@ class TestBlockInverse:
         exact = sr.resistance_polynomial(scheme).as_floats()
         got = sr.resistance_oracle(scheme, [1] + [0] * (scheme.d - 1)).as_floats()
         assert relative_error(np.array(got), np.array(exact)) <= 1e-12
+
+
+#: every preset and the ladder networks up to N = 1024 not listed above
+ROW_ZERO_SCHEMES = {
+    **GROUPED_SCHEMES,
+    **BLOCK_SCHEMES,
+    "cycle24": lambda: sr.build_cycle(24),
+    "cycle64": lambda: sr.build_cycle(64),
+    "hypercube8": lambda: sr.build_hypercube(8),
+    "square9": lambda: sr.build_square_lattice(9),
+    "square12": lambda: sr.build_square_lattice(12),
+    "hexagonal12": lambda: sr.build_hexagonal_lattice(12),
+    "square24": lambda: sr.build_square_lattice(24),
+    "hypercube10": lambda: sr.build_hypercube(10),
+}
+
+
+@functools.cache
+def row_zero_scheme(name):
+    return ROW_ZERO_SCHEMES[name]()
+
+
+class TestRowZeroOracle:
+    """The oracle's row-0 route: one quotient solve and its residual."""
+
+    @pytest.mark.parametrize("name", ROW_ZERO_SCHEMES)
+    def test_matches_full_route(self, name):
+        scheme = row_zero_scheme(name)
+        rng = np.random.default_rng(1616)
+        cases = [[F(1)] + [F(0)] * (scheme.d - 1)]
+        cases += [random_rational_conductances(scheme, rng) for _ in range(3)]
+        for c in cases:
+            table, bound = sr.resistance._row_zero_table(scheme, c)
+            want, _ = nxn_oracle_table(scheme, c)
+            assert table.method == "oracle" and not table.exact
+            assert relative_error(np.array(table.values), np.array(want.values)) <= 1e-12
+            assert 0 <= bound <= sr.resistance.STRATUM_SPREAD_TOL
+
+    @pytest.mark.parametrize("name", ["hypercube6", "square10", "triangular12"])
+    def test_table_without_p(self, name):
+        scheme = row_zero_scheme(name)
+        stripped = dataclasses.replace(scheme, p=None)
+        rng = np.random.default_rng(1617)
+        for c in [[1] + [0] * (scheme.d - 1), random_rational_conductances(scheme, rng)]:
+            assert sr.resistance._oracle_table(stripped, c) == \
+                sr.resistance._oracle_table(scheme, c)
+
+    @pytest.mark.parametrize("name, generators, calls", [
+        ("hypercube6", True, 0), ("hypercube6", False, 1), ("cycle32", True, 1)])
+    def test_route(self, monkeypatch, name, generators, calls):
+        scheme = grouped_scheme(name) if generators else generatorless_scheme(name)
+        real, seen = sr.resistance.pseudo_inverse, []
+
+        def counted(*args):
+            seen.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(sr.resistance, "pseudo_inverse", counted)
+        sr.resistance_oracle(scheme, [1] + [0] * (scheme.d - 1))
+        assert len(seen) == calls
+
+    @pytest.mark.parametrize("tamper, message", [
+        (lambda yq: yq + 1e-6 * np.abs(yq).max() * (np.arange(len(yq)) == 1),
+         "row-0 resistance error bound"),
+        (lambda yq: 2 * yq, "row-0 residual .* is not below 1/N")], ids=["shifted", "doubled"])
+    def test_tampered_solve(self, monkeypatch, tamper, message):
+        scheme = row_zero_scheme("hypercube6")
+        real = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: tamper(real(a, b)))
+        with pytest.raises(CertificationFailed, match=message):
+            sr.resistance_oracle(scheme, [1] + [0] * (scheme.d - 1))
+
+    @pytest.mark.parametrize("name, k, count", [
+        ("hypercube6", 2, 32), ("hypercube6", 6, 2), ("cycle64", 2, 32), ("cycle64", 32, 2),
+        ("square9", 3, 9), ("hexagonal12", 6, 4), ("hexagonal12", 18, 3)])
+    def test_disconnected_count(self, name, k, count):
+        scheme = row_zero_scheme(name)
+        bare = sr.verify_scheme(scheme.classmap, class_names=scheme.class_names)
+        c = [int(l == k) for l in range(1, scheme.d + 1)]
+        message = f"^conductance support reaches {count} of {scheme.n} vertices"
+        for route in (scheme, bare):  # the row-0 route and the full route
+            with pytest.raises(Disconnected, match=message):
+                sr.resistance_oracle(route, c)
+
+    def test_scaled_hypercube6_still_fails(self):
+        scheme = row_zero_scheme("hypercube6")
+        with pytest.raises(CertificationFailed, match="row-0 resistance error bound"):
+            sr.resistance_oracle(scheme, [F(1, 10**9)] + [F(0)] * (scheme.d - 1))
 
 
 class TestSpectral:

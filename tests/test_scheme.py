@@ -153,6 +153,10 @@ class TestClassMapInput:
         with pytest.raises(NotClosed, match="relation 1 is not regular"):
             sr.verify_scheme(classmap)
 
+    def test_not_regular_in_row_blocks(self, monkeypatch):
+        monkeypatch.setattr(scheme_module, "_ROW_ZERO_BLOCK", 1)  # one row a block
+        self.test_not_regular()
+
 
 class TestRelationConnected:
     @pytest.mark.parametrize("name", PRESETS + ["cycle12", "2xK2", "2xK3", "2xK5"])
@@ -638,6 +642,10 @@ class TestTransitiveVerifier:
         with pytest.raises(BadParameter, match="automorphism 4 does not preserve"):
             sr.verify_scheme(sr.build_hypercube(4).classmap,
                              automorphisms=flips + [transposition])
+
+    def test_rejects_a_non_automorphism_in_row_blocks(self, monkeypatch):
+        monkeypatch.setattr(scheme_module, "_ROW_ZERO_BLOCK", 1)  # one row a block
+        self.test_rejects_a_non_automorphism()
 
     @pytest.mark.parametrize("name, pick, reached", [
         ("hypercube5", lambda gens: hypercube_flips(5)[1:], 16),
