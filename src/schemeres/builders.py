@@ -235,10 +235,10 @@ def build_cycle(n: int) -> AssociationScheme:
     if n < 4:
         raise TooSmall("cycle scheme needs at least 4 vertices")
     ahead = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
+    distance = np.minimum(ahead, n - ahead).astype(np.int16 if n // 2 < 2 ** 15 else np.int32)
     names = tuple(str(i) for i in range(n // 2 + 1))
     rotation = (np.arange(n) + 1) % n
-    return verify_scheme(np.minimum(ahead, n - ahead), class_names=names,
-                         automorphisms=[rotation])
+    return verify_scheme(distance, class_names=names, automorphisms=[rotation])
 
 
 def build_hypercube(n: int) -> AssociationScheme:

@@ -48,7 +48,7 @@ from .errors import (
     ZeroDenominator,
 )
 from .exact import rational_solve
-from .scheme import AssociationScheme, IntersectionArray, SpectralData
+from .scheme import AssociationScheme, IntersectionArray, SpectralData, _reachable_classes
 
 #: within-stratum resistance spread the oracle certifies
 STRATUM_SPREAD_TOL = 1e-9
@@ -56,22 +56,31 @@ STRATUM_SPREAD_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ConductanceVector:
-    """Per-class conductances c_1..c_d (class 0 carries none)."""
+    """Per-class conductances c_1..c_d (class 0 carries none), held as
+    Fractions.
+
+    Validated once, on construction: every value is nonnegative and at
+    least one is positive (``ValueError`` otherwise).
+    """
 
     values: tuple
 
-    @classmethod
-    def coerce(cls, values, d: int) -> "ConductanceVector":
-        if isinstance(values, ConductanceVector):
-            values = values.values
-        vals = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
-        if len(vals) != d:
-            raise ValueError(f"expected {d} conductances, got {len(vals)}")
+    def __post_init__(self):
+        vals = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in self.values)
         if any(v.numerator < 0 for v in vals):
             raise ValueError("conductances must be nonnegative")
         if not any(v.numerator for v in vals):
             raise ValueError("at least one conductance must be positive")
-        return cls(vals)
+        object.__setattr__(self, "values", vals)
+
+    @classmethod
+    def coerce(cls, values, d: int) -> "ConductanceVector":
+        """``values`` as a vector of d conductances; an existing vector is
+        returned as it is, once its length is checked."""
+        cond = values if isinstance(values, ConductanceVector) else cls(values)
+        if len(cond.values) != d:
+            raise ValueError(f"expected {d} conductances, got {len(cond.values)}")
+        return cond
 
     @property
     def support(self) -> tuple:
@@ -278,7 +287,7 @@ def _row_zero_table(scheme: AssociationScheme, conductances
     * connectivity: (A_j1 ... A_jm)[0, x] depends only on the class of x, so
       class l is one step from class k when some z of class l conducts to
       r_k (L < 0), and the component of vertex 0 is the union of the classes
-      reached from class 0.
+      reached from class 0 (``_reachable_classes``, in log depth).
     * the solve: Q[k, l] = sum of M[r_k, z] over z in class l is M acting on
       class-constant vectors, and Q y_q = e_0 gives y = y_q[classmap[0]].
     * the certificate: r = M y - e_0 over all N rows, one matrix-vector
@@ -303,9 +312,7 @@ def _row_zero_table(scheme: AssociationScheme, conductances
     cells = np.add(row, np.arange(0, (d + 1) ** 2, d + 1)[:, None])  # [k, z] = k (d+1) + l
 
     step = np.bincount(cells[rows < 0], minlength=(d + 1) ** 2).reshape(d + 1, d + 1) > 0
-    reached = np.arange(d + 1) == 0
-    for _ in range(d):  # a round that changes anything adds a class
-        reached = reached | step[reached].any(axis=0)
+    reached = _reachable_classes(step)
     if not reached.all():
         count = sum(kappa for kappa, hit in zip(scheme.valencies, reached) if hit)
         raise Disconnected(f"conductance support reaches {count} of {n} "

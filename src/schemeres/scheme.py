@@ -2,26 +2,31 @@
 
 ``verify_scheme`` is the only constructor: it checks every defining axiom in
 exact integer arithmetic and computes the intersection numbers on the way.
-Closure, the costly axiom, is certified on one of two routes:
+Each fact is certified once, on one of two routes:
 
 * with ``automorphisms`` (every builder passes them), each generator is
   certified to be a permutation that fixes the class map, and their orbit
-  of vertex 0 to be every vertex.  The group they generate is then
-  transitive, so each row of A_i A_j is a relabelled row 0, and closure and
-  p are read off row 0 with one ``bincount`` per block of classes: O(N^2)
-  work per generator and O(N^2 + (d+1)^2 N) for p.
-* without them (documents, hand-written input), A_i A_j is formed as exact
-  float64 (BLAS) N x N products.  Each packs a run of classes into
-  base-``base`` digits, base = max kappa + 1, and the run is cut so that
-  base**run <= 2**53: every entry and partial sum stays an integer below
-  2**53, so the products are exact and the axiom checks bit-exact.  That
-  is O((d+1)^2 N^3 / run) work, and the only proof for an arbitrary map.
+  of vertex 0 to be every vertex: O(N^2) work per generator.  The group
+  they generate is then transitive, so every row of the class map is a
+  relabelled row 0, and row 0 with column 0 decides the identity,
+  symmetry, the class count and regularity in O(N).  Each row of A_i A_j
+  is likewise a relabelled row 0, so closure and p are read off row 0 with
+  one ``bincount`` per block of rows: O(N^2 + (d+1)^2 N).
+* without them (documents, hand-written input), the axioms are checked
+  over all N^2 entries, and A_i A_j is formed as exact float64 (BLAS)
+  N x N products.  Each packs a run of classes into base-``base`` digits,
+  base = max kappa + 1, and the run is cut so that base**run <= 2**53:
+  every entry and partial sum stays an integer below 2**53, so the
+  products are exact and the axiom checks bit-exact.  That is
+  O((d+1)^2 N^3 / run) work, and the only proof for an arbitrary map.
 
-Both routes give the same p, byte for byte.  Everything after verification
-reads p alone: ``spectral_data`` takes P, Q and the multiplicities from one
+Both routes give the same p, byte for byte, and the same error for a map
+that breaks an axiom.  Everything after verification reads p alone:
+``spectral_data`` takes P, Q and the multiplicities from one
 eigendecomposition of a generic element of the (d+1)-dimensional
-intersection algebra, and ``check_distance_regular`` reads the
-intersection array off p.
+intersection algebra and certifies them with one seeded combination of the
+B_j in O(d^3), and ``check_distance_regular`` reads the intersection array
+off p.
 """
 
 from __future__ import annotations
@@ -94,10 +99,35 @@ class AssociationScheme:
         {0} under these steps is exactly the classes reachable from vertex 0.
         """
         step = self.p[:, list(classes), :].any(axis=1)  # [i, k]
-        reached = np.arange(self.d + 1) == 0
-        for _ in range(self.d):  # a round that changes anything adds a class
-            reached = reached | step[reached].any(axis=0)
-        return bool(reached.all())
+        return bool(_reachable_classes(step).all())
+
+
+#: most classes whose reachability ``_reachable_classes`` squares as booleans;
+#: above it a float32 BLAS product is faster, below it the BLAS call costs
+#: more than numpy's own boolean product (one BLAS thread, d = 2 to 64)
+_BOOLEAN_SQUARE_MAX = 16
+
+
+def _reachable_classes(step: np.ndarray) -> np.ndarray:
+    """The classes reachable from class 0, given whether one step leads from
+    class i to class k as a boolean (d+1) x (d+1) array ``step[i, k]``.
+
+    Squaring R = step | I r times covers every walk of up to 2^r steps, and
+    a reachable class is at most d steps away, so ceil(log2(d+1)) squarings
+    suffice; row 0 of the result is the answer.  Up to
+    ``_BOOLEAN_SQUARE_MAX`` classes a square is numpy's boolean product (an
+    or of ands); above it, a float32 product thresholded at > 0, whose
+    entries are sums of d + 1 products of zeros and ones, integers that
+    float32 holds exactly up to 2**24.
+    """
+    reach = step | np.eye(len(step), dtype=bool)
+    for _ in range((len(step) - 1).bit_length()):  # ceil(log2(d+1)) squarings
+        if len(step) > _BOOLEAN_SQUARE_MAX:
+            square = reach.astype(np.float32)
+            reach = square @ square > 0
+        else:
+            reach = reach @ reach
+    return reach[0]
 
 
 def verify_scheme(relations, class_names: Optional[Sequence[str]] = None,
@@ -112,17 +142,28 @@ def verify_scheme(relations, class_names: Optional[Sequence[str]] = None,
     row 0) and the family is closed with nonnegative integer coefficients,
     hence commutative: A_i A_j = (A_i A_j)^T = A_j A_i for symmetric A_i.
 
-    Closure is certified on one of two routes, chosen by ``automorphisms``:
+    The axioms are certified on one of two routes, chosen by
+    ``automorphisms``:
 
     * given, it is a sequence of length-n vertex permutations.  Each must
       map the class map onto itself, ``classmap[g][:, g] == classmap``, and
-      their orbit of vertex 0 must cover all n vertices; then the group
-      they generate is transitive, and closure and p are read off row 0
-      (see ``_row_zero_intersection_numbers``).  That costs O(N^2) per
+      their orbit of vertex 0 must cover all n vertices; this is checked on
+      the given dtype, before any label is narrowed.  The group they
+      generate is then transitive, so row 0 and column 0 prove the other
+      axioms (see ``_row_zero_axioms``): classmap[0, 0] = 0 and no other
+      entry of row 0 is 0 or below, row 0 equals column 0, every label
+      0..d appears in row 0 with d < n, and the valencies are the label
+      counts of row 0.  Closure and p are read off row 0 (see
+      ``_row_zero_intersection_numbers``).  That costs O(N^2) per
       generator plus O(N^2 + (d+1)^2 N) for p.
-    * omitted, closure costs sum_i ceil((d+1-i) / run) N x N products,
-      with each product packing ``run`` classes; see
+    * omitted, the axioms are checked over all N^2 entries (see
+      ``_classmap_axioms``), and closure costs sum_i ceil((d+1-i) / run)
+      N x N products, with each product packing ``run`` classes; see
       ``_intersection_numbers``.
+
+    A map that breaks an axiom raises the same error on both routes: when
+    a generator or row 0 fails, the N^2 checks run first and name the
+    axiom, and ``BadParameter`` is raised only if every axiom holds.
 
     Raises
     ------
@@ -143,6 +184,39 @@ def verify_scheme(relations, class_names: Optional[Sequence[str]] = None,
     if classmap.shape != (n, n) or not np.issubdtype(classmap.dtype, np.integer):
         raise NotPartition("the class map is not a square integer array")
 
+    if automorphisms is None:
+        d, valencies = _classmap_axioms(classmap)
+    else:
+        # on the given dtype, so that no label is narrowed before it is certified
+        try:
+            _certify_transitive(classmap, automorphisms)
+        except BadParameter:
+            _classmap_axioms(classmap)  # a broken axiom is named first, as without generators
+            raise
+        # row 0 decides every axiom under a transitive group; when it fails,
+        # the full check names the axiom that the whole map breaks
+        d, valencies = _row_zero_axioms(classmap) or _classmap_axioms(classmap)
+
+    classmap = classmap.astype(np.int16 if d < 2 ** 15 else np.int32, copy=False)
+    if automorphisms is None:
+        p = _intersection_numbers(classmap, valencies)
+    else:
+        p = _row_zero_intersection_numbers(classmap, valencies)
+
+    names = tuple(class_names) if class_names is not None else tuple(
+        f"A{k}" for k in range(d + 1))
+    if len(names) != d + 1:
+        raise ValueError("class_names length must be d+1")
+
+    return AssociationScheme(n=n, d=d, valencies=valencies, p=p, classmap=classmap,
+                             class_names=names, _transitive=automorphisms is not None)
+
+
+def _classmap_axioms(classmap: np.ndarray) -> tuple:
+    """(d, valencies) of a square integer class map, after checking over all
+    N^2 entries that class 0 is exactly the diagonal, that the map is
+    symmetric, and that each of the classes 0..d is nonempty and regular."""
+    n = classmap.shape[0]
     # the diagonal is class 0, and no other entry is 0 or below
     if np.diagonal(classmap).any() or np.count_nonzero(classmap < 1) != n:
         raise IdentityMissing("class 0 is not exactly the diagonal")
@@ -170,22 +244,32 @@ def verify_scheme(relations, class_names: Optional[Sequence[str]] = None,
     irregular = np.flatnonzero((counts != counts[0]).any(axis=0))
     if irregular.size:
         raise NotClosed(f"relation {irregular[0]} is not regular")
-    valencies = tuple(int(v) for v in counts[0])
+    return d, tuple(int(v) for v in counts[0])
 
-    classmap = classmap.astype(np.int16 if d < 2 ** 15 else np.int32, copy=False)
-    if automorphisms is None:
-        p = _intersection_numbers(classmap, valencies)
-    else:
-        _certify_transitive(classmap, automorphisms)
-        p = _row_zero_intersection_numbers(classmap, valencies)
 
-    names = tuple(class_names) if class_names is not None else tuple(
-        f"A{k}" for k in range(d + 1))
-    if len(names) != d + 1:
-        raise ValueError("class_names length must be d+1")
+def _row_zero_axioms(classmap: np.ndarray) -> Optional[tuple]:
+    """(d, valencies) from row 0 and column 0 of a class map whose
+    automorphisms are certified to act transitively, or None when row 0
+    shows that some axiom fails.
 
-    return AssociationScheme(n=n, d=d, valencies=valencies, p=p, classmap=classmap,
-                             class_names=names, _transitive=automorphisms is not None)
+    For x = s(0), s in the group, classmap[x, y] = classmap[0, s^-1 y] and
+    classmap[y, x] = classmap[s^-1 y, 0]: every row is a relabelled row 0.
+    So the diagonal is 0 exactly when classmap[0, 0] is, the map is
+    symmetric exactly when row 0 equals column 0, each row counts its
+    classes as row 0 does, and the N^2 axioms of ``_classmap_axioms`` hold
+    exactly when these checks on row 0 do.
+    """
+    n = classmap.shape[0]
+    row = classmap[0]
+    if row[0] != 0 or np.count_nonzero(row <= 0) != 1 or not np.array_equal(row, classmap[:, 0]):
+        return None
+    d = int(row.max())
+    if d >= n:
+        return None
+    valencies = np.bincount(row, minlength=d + 1)
+    if not valencies.all():
+        return None
+    return d, tuple(valencies.tolist())
 
 
 def _relation_classmap(relations: Sequence) -> np.ndarray:
@@ -318,8 +402,9 @@ def _orbit(gens: Sequence[np.ndarray], points: set) -> set:
 #: most cells, and most bins, of one ``bincount`` in
 #: ``_row_zero_intersection_numbers``; 2**15 (256 KiB of int64 bins) was the
 #: fastest of 2**12 to 2**17 over the presets with N = 24 to 276.  It also
-#: sizes the row blocks of ``verify_scheme``'s regularity count and of
-#: ``_certify_transitive``'s comparison
+#: sizes the row blocks of ``_classmap_axioms``' regularity count and of
+#: ``_certify_transitive``'s comparison, and the slices of classes i in
+#: ``spectral_data``'s check of kappa_k p^k_ij = kappa_j p^j_ik
 _ROW_ZERO_BLOCK = 2 ** 15
 
 
@@ -340,8 +425,9 @@ def _row_zero_intersection_numbers(classmap: np.ndarray, valencies: tuple) -> np
     as an N x (classes (d+1)) array with row y.  A block grows while its
     cells (its sum kappa_i rows of N entries) and its bins ((d+1) N per
     class) both stay within ``_ROW_ZERO_BLOCK``, so the work is
-    O(N^2 + (d+1)^2 N) in passes over cache-sized arrays; a class too large
-    for the budget is a block alone.
+    O(N^2 + (d+1)^2 N) in passes over cache-sized arrays.  A class with more
+    rows than the budget holds is a block alone, counted in runs of rows
+    within the budget (one row at least) whose counts are summed.
     """
     n = classmap.shape[0]
     d = len(valencies) - 1
@@ -351,6 +437,8 @@ def _row_zero_intersection_numbers(classmap: np.ndarray, valencies: tuple) -> np
     # every class meets row 0, since each relation is regular and nonempty
     reps = members[starts[:-1]]
     bins = (d + 1) * n
+    # rows counted by one bincount: a block's rows fit, a larger class's are split
+    chunk = max(1, _ROW_ZERO_BLOCK // n)
     p = np.empty((d + 1, d + 1, d + 1), dtype=np.int64)
     i0 = 0
     while i0 <= d:
@@ -358,12 +446,19 @@ def _row_zero_intersection_numbers(classmap: np.ndarray, valencies: tuple) -> np
         fit = np.searchsorted(starts[i0 + 1:], starts[i0] + _ROW_ZERO_BLOCK // n, side="right")
         i1 = i0 + max(1, min(int(fit), _ROW_ZERO_BLOCK // bins))
         width = (i1 - i0) * (d + 1)
-        rows = members[starts[i0]:starts[i1]]
-        # the pair (z, y) counts in bin y * width + (i - i0) (d+1) + j, where
-        # i is the class of z in row 0 and j = classmap[z, y]
-        cells = np.add(classmap[rows], ((row[rows] - i0) * (d + 1))[:, None])
-        cells += np.arange(0, n * width, width)
-        counts = np.bincount(cells.ravel(), minlength=n * width).reshape(n, width)
+        counts = None
+        for r0 in range(starts[i0], starts[i1], chunk):
+            rows = members[r0:min(r0 + chunk, starts[i1])]
+            # the pair (z, y) counts in bin y * width + (i - i0) (d+1) + j,
+            # where i is the class of z in row 0 and j = classmap[z, y]
+            cells = np.add(classmap[rows], ((row[rows] - i0) * (d + 1))[:, None])
+            cells += np.arange(0, n * width, width)
+            part = np.bincount(cells.ravel(), minlength=n * width)
+            if counts is None:
+                counts = part
+            else:
+                counts += part
+        counts = counts.reshape(n, width)
         coef = counts[reps]  # [k, (i - i0) (d+1) + j] = p^k_ij
         off = (counts != coef[row]).any(axis=0)
         if off.any():
@@ -409,6 +504,8 @@ class SpectralData:
 _COMBO_SEED = 0x5CE11E
 #: generic combinations tried before the split is declared degenerate
 _WEIGHT_DRAWS = 3
+#: seed of the certificate's weights, drawn apart from the decomposition's
+_CERTIFICATE_SEED = 0xF4E1
 
 
 @lru_cache(maxsize=256)
@@ -422,6 +519,15 @@ def _weight_draws(count: int) -> tuple:
     return draws
 
 
+@lru_cache(maxsize=256)
+def _certificate_weights(count: int) -> np.ndarray:
+    """The seeded weights of ``_certify_eigenspaces``, ``count`` of them in
+    [1, 2], so that every class carries weight; shared read-only."""
+    weights = np.random.default_rng(_CERTIFICATE_SEED).uniform(1.0, 2.0, count)
+    weights.flags.writeable = False
+    return weights
+
+
 def spectral_data(scheme: AssociationScheme) -> SpectralData:
     """Compute P, Q and the multiplicities in the intersection algebra.
 
@@ -433,7 +539,8 @@ def spectral_data(scheme: AssociationScheme) -> SpectralData:
     eigenvector v_k of S gives q = K^-1/2 v_k, proportional to Q[:, k], hence
     P[k, l] = kappa_l q_l / q_0 and, by the orthogonality relations,
     m_k = N / sum_l P[k, l]^2 / kappa_l.  Only (d+1) x (d+1) matrices are
-    touched.
+    touched: p is read in slices of classes i, and contracted with the
+    weights by a buffered ``einsum``, so no (d+1)^3 temporary is built.
 
     Eigenspace 0 is the span of the all-ones vector; the remaining
     eigenspaces are ordered by decreasing eigenvalue on A_1 (ties broken by
@@ -451,15 +558,17 @@ def spectral_data(scheme: AssociationScheme) -> SpectralData:
     """
     n, d = scheme.n, scheme.d
     kappa = np.array(scheme.valencies, dtype=np.int64)
-    weighted = kappa[None, None, :] * scheme.p  # [i, j, k] = kappa_k p^k_ij
-    if (weighted != weighted.transpose(0, 2, 1)).any():
-        raise NotClosed("kappa_k p^k_ij != kappa_j p^j_ik for some i, j, k")
-    root = np.sqrt(np.outer(kappa, kappa).astype(float))
+    step = max(1, _ROW_ZERO_BLOCK // (d + 1) ** 2)
+    for i0 in range(0, d + 1, step):
+        weighted = kappa * scheme.p[i0:i0 + step]  # [i, j, k] = kappa_k p^k_ij
+        if (weighted != weighted.transpose(0, 2, 1)).any():
+            raise NotClosed("kappa_k p^k_ij != kappa_j p^j_ik for some i, j, k")
+    ratio = np.sqrt(kappa / kappa[:, None])  # [j, k] = sqrt(kappa_k / kappa_j)
 
     widest = 0.0
     for weights in _weight_draws(d + 1):
-        # S[k, j] = sum_i w_i kappa_k p^k_ij / sqrt(kappa_k kappa_j)
-        combo = np.tensordot(weights, weighted, axes=1) / root
+        # S[j, k] = sum_i w_i p^k_ij sqrt(kappa_k / kappa_j), symmetric by the check above
+        combo = np.einsum("i,ijk->jk", weights, scheme.p) * ratio
         values, vectors = np.linalg.eigh((combo + combo.T) / 2)  # symmetric to the last bit
         scale = max(1.0, float(np.abs(values).max()))
         gap = float(np.diff(values).min(initial=np.inf)) / scale
@@ -506,8 +615,9 @@ def _eigenspace_order(raw_p: np.ndarray, kappa: np.ndarray) -> np.ndarray:
 def _validate_spectral(scheme: AssociationScheme, data: SpectralData) -> None:
     """Certify the tables against the exact intersection numbers.
 
-    B_j Q[:, k] = P[k, j] Q[:, k] is A_j E_k = P[k, j] E_k read in the class
-    basis, so it is equivalent to the N x N identity once p is exact.
+    The multiplicities must sum to N with m_0 = 1, P Q = N I, eigenspace 0
+    must be J/N, and row 0 and column 0 of P must list the valencies and
+    ones; then ``_certify_eigenspaces`` checks every column of Q against p.
     """
     n, d = scheme.n, scheme.d
     P, Q = data.p_matrix, data.q_matrix
@@ -521,13 +631,35 @@ def _validate_spectral(scheme: AssociationScheme, data: SpectralData) -> None:
         raise DegenerateSplit("row 0 of P does not list the valencies")
     if np.abs(P[:, 0] - 1.0).max() > 1e-7:
         raise DegenerateSplit("column 0 of P is not all ones")
-    scale = max(float(v) for v in scheme.valencies)
-    coeffs = Q / n  # column k holds the class coefficients of E_k
-    # [j, k, l] = (B_j E_k)_l - P[k, j] (E_k)_l, since (B_j)[l, i] = p[j, i, l]
-    residual = np.matmul(coeffs.T, scheme.p)
-    residual -= P.T[:, :, None] * coeffs.T[None, :, :]
-    worst = np.abs(residual, out=residual).max(axis=2)
-    if (worst > 1e-7 * max(1.0, scale)).any():
+    _certify_eigenspaces(scheme, data)
+
+
+def _certify_eigenspaces(scheme: AssociationScheme, data: SpectralData) -> None:
+    """Certify A_j E_k = P[k, j] E_k for every j and k, in O(d^3).
+
+    Read in the class basis, A_j E_k = P[k, j] E_k is
+    B_j Q[:, k] = P[k, j] Q[:, k], equivalent to the N x N identity once p
+    is exact.  It is checked for one seeded combination
+    B_w = sum_j w_j B_j, w in [1, 2]^(d+1) drawn apart from the
+    decomposition's weights: B_w Q[:, k] = (P w)_k Q[:, k].  The residual
+    of column k is sum_j w_j times that of B_j, so a column that fails for
+    some j fails for B_w unless w lies on a hyperplane, a set of measure
+    zero (the idea of Freivalds' check, *Proc. MFCS* 1977).  The tolerance
+    is 1e-7 max(1, max kappa), not scaled by w.  On failure, the residual of
+    every B_j names the worst j and k.
+    """
+    n, P = scheme.n, data.p_matrix
+    coeffs = data.q_matrix / n  # column k holds the class coefficients of E_k
+    tol = 1e-7 * max(1.0, float(max(scheme.valencies)))
+    weights = _certificate_weights(scheme.d + 1)
+    # [i, l] = (B_w)[l, i], since (B_j)[l, i] = p[j, i, l]
+    combo = np.einsum("j,jil->il", weights, scheme.p)
+    residual = coeffs.T @ combo  # [k, l] = (B_w E_k)_l
+    residual -= (P @ weights)[:, None] * coeffs.T
+    if np.abs(residual).max() > tol:
+        # [j, k, l] = (B_j E_k)_l - P[k, j] (E_k)_l
+        each = np.matmul(coeffs.T, scheme.p) - P.T[:, :, None] * coeffs.T[None, :, :]
+        worst = np.abs(each).max(axis=2)
         j, k = np.unravel_index(int(np.argmax(worst)), worst.shape)
         raise DegenerateSplit(f"A_{j} E_{k} != P[{k},{j}] E_{k} at tolerance")
 

@@ -114,6 +114,26 @@ def nxn_oracle_table(scheme, conductances):
 
 
 # --------------------------------------------------------------------------
+# the spectral certificate, one class at a time
+# --------------------------------------------------------------------------
+
+def per_class_eigenspace_residual(scheme, data) -> np.ndarray:
+    """[j, k] = max_l |(B_j E_k)_l - P[k, j] (E_k)_l|: the (d+1)^4 residual
+    of A_j E_k = P[k, j] E_k in the class basis, one B_j at a time."""
+    coeffs = data.q_matrix / scheme.n  # column k holds the class coefficients of E_k
+    return np.array([
+        np.abs(scheme.intersection_matrix(j) @ coeffs - coeffs * data.p_matrix[:, j]).max(axis=0)
+        for j in range(scheme.d + 1)])
+
+
+def per_class_certificate_accepts(scheme, data, tol: float = 1e-7) -> bool:
+    """The former certificate of ``spectral_data``: every B_j, at the
+    tolerance tol max(1, max kappa)."""
+    scale = max(1.0, float(max(scheme.valencies)))
+    return not (per_class_eigenspace_residual(scheme, data) > tol * scale).any()
+
+
+# --------------------------------------------------------------------------
 # certified symmetric eigendecomposition
 # --------------------------------------------------------------------------
 

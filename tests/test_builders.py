@@ -1,6 +1,7 @@
 import itertools
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -405,6 +406,19 @@ class TestAutomorphismRoute:
         limit = 1 if budget == "one-class" else 3 * (packed.d + 1) * packed.n
         monkeypatch.setattr(scheme_module, "_ROW_ZERO_BLOCK", limit)
         assert build(*args).p.tobytes() == packed.p.tobytes()
+
+    def test_large_class_counted_in_row_blocks(self):
+        # hypercube 10: class 5 has 252 rows of 1024 cells, 2 MiB of intp as
+        # one block; split into blocks of 32 rows, the whole count stays small
+        scheme = sr.build_hypercube(10)
+        tracemalloc.start()
+        try:
+            p = scheme_module._row_zero_intersection_numbers(scheme.classmap, scheme.valencies)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert p.tobytes() == scheme.p.tobytes()
+        assert peak < 2 * 2 ** 20
 
     @pytest.mark.parametrize("limit", [1, scheme_module._ROW_ZERO_BLOCK])
     def test_row_zero_blocks_name_the_product(self, monkeypatch, limit):

@@ -139,6 +139,32 @@ class TestConductanceVector:
         with pytest.raises(ValueError, match=message):
             sr.ConductanceVector.coerce(values, 2)
 
+    @pytest.mark.parametrize("values, message", [
+        ((-1, 2), "nonnegative"),
+        ((0, 0), "positive"),
+        ((F(1), F(-1, 2)), "nonnegative"),
+        ((), "positive"),
+    ])
+    def test_rejected_on_construction(self, values, message):
+        with pytest.raises(ValueError, match=message):
+            sr.ConductanceVector(values)
+
+    def test_constructed_as_fractions(self):
+        cond = sr.ConductanceVector((1, "1/2", 0.25))
+        assert cond.values == (F(1), F(1, 2), F(1, 4))
+        assert all(type(v) is F for v in cond.values)
+        assert cond == sr.ConductanceVector.coerce([1, F(1, 2), F(1, 4)], 3)
+
+    def test_existing_vector_reused(self):
+        cond = sr.ConductanceVector((F(1, 3), F(0), F(2)))
+        assert sr.ConductanceVector.coerce(cond, 3) is cond
+
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    def test_existing_vector_wrong_length(self, d):
+        cond = sr.ConductanceVector((F(1, 3), F(0), F(2)))
+        with pytest.raises(ValueError, match=f"^expected {d} conductances, got 3$"):
+            sr.ConductanceVector.coerce(cond, d)
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.fractions(min_value=0, max_value=10**300, max_denominator=10**30)
                     | st.integers(0, 10**400).map(lambda k: F(k, 3 ** 700)),

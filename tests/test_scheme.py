@@ -16,12 +16,14 @@ from schemeres.errors import (
     NotClosed,
     NotPartition,
     NotSymmetric,
+    SchemeresError,
 )
 
 from conftest import build_recording, spectral_of, two_cliques
 from nxn_witnesses import (
     nxn_check_distance_regular,
     nxn_relation_connected,
+    per_class_certificate_accepts,
     simultaneous_eigenbasis,
 )
 
@@ -658,6 +660,69 @@ class TestTransitiveVerifier:
             sr.verify_scheme(scheme.classmap, automorphisms=pick(base_generators(name)))
 
 
+def relabelled(classmap, relabel):
+    lookup = np.arange(int(classmap.max()) + 1)
+    for old, new in relabel.items():
+        lookup[old] = new
+    return lookup[classmap]
+
+
+def swapped_pair(classmap):
+    """Classes 1 and 2 exchanged on the pairs {0, 1} and {0, 2} alone: still
+    symmetric, but vertex 1 then has one neighbour of class 1."""
+    broken = classmap.copy()
+    for y in (1, 2):
+        broken[0, y] = broken[y, 0] = 3 - classmap[0, y]
+    return broken
+
+
+# each map breaks one axiom; the cycle's rotation fixes all but the last
+BROKEN_CYCLE12 = {
+    "diagonal-relabelled": lambda c: relabelled(c, {0: 1, 1: 0}),
+    "zero-off-the-diagonal": lambda c: relabelled(c, {4: 0}),
+    "negative-label": lambda c: relabelled(c, {4: -1}),
+    "directed-cycle": lambda c: (np.arange(12)[None, :] - np.arange(12)[:, None]) % 12,
+    "skipped-label": lambda c: relabelled(c, {3: 5}),
+    "too-many-labels": lambda c: relabelled(c, {6: 12}),
+    "not-regular": swapped_pair,
+}
+
+
+class TestRowZeroAxioms:
+    @pytest.mark.parametrize("dtype", [np.int16, np.int64])
+    @pytest.mark.parametrize("case", BROKEN_CYCLE12)
+    def test_same_error_as_without_generators(self, case, dtype):
+        broken = BROKEN_CYCLE12[case](fusion_base("cycle12").classmap.astype(np.int64))
+        broken = broken.astype(dtype)
+        # a map the rotation fixes is rejected by row 0, the others by the rotation
+        rotation = np.asarray(base_generators("cycle12")[0])
+        assert np.array_equal(broken[rotation][:, rotation], broken) == (case != "not-regular")
+        with pytest.raises(SchemeresError) as expected:
+            sr.verify_scheme(broken)
+        with pytest.raises(type(expected.value)) as got:
+            sr.verify_scheme(broken, automorphisms=[rotation])
+        assert type(got.value) is type(expected.value)
+        assert str(got.value) == str(expected.value)
+
+    def test_wide_labels_do_not_wrap(self):
+        # labels 1..6 shifted by 2**16 read as 1..6 in int16; they must not verify
+        classmap = fusion_base("cycle12").classmap.astype(np.int64)
+        wide = np.where(classmap > 0, classmap + 2 ** 16, 0)
+        assert np.array_equal(wide.astype(np.int16), classmap)
+        for automorphisms in (None, base_generators("cycle12")):
+            with pytest.raises(NotPartition, match=f"^{2 ** 16 + 7} class labels on 12 vertices$"):
+                sr.verify_scheme(wide, automorphisms=automorphisms)
+
+    @pytest.mark.parametrize("name", ["cycle12", "hypercube5", "square6"])
+    def test_valencies_from_row_zero(self, name):
+        scheme = fusion_base(name)
+        again = sr.verify_scheme(scheme.classmap.astype(np.int64),
+                                 automorphisms=base_generators(name))
+        assert again.classmap.dtype == np.int16
+        assert again.valencies == scheme.valencies
+        assert again.p.tobytes() == scheme.p.tobytes()
+
+
 # --------------------------------------------------------------------------
 # spectral data of closed fusions, and degenerate generic combinations
 # --------------------------------------------------------------------------
@@ -731,6 +796,100 @@ class TestSpectralRoute:
                                   q_matrix=data.q_matrix @ mix)
         with pytest.raises(DegenerateSplit, match=r"A_\d+ E_([12]) != P\[\1,\d+\] E_\1"):
             scheme_module._validate_spectral(s4, bad)
+
+
+def mixed_eigenspaces(scheme, data):
+    """The data of ``test_validation_rejects_mixed_eigenspaces``: Q M and
+    M^-1 P, with M mixing eigenspaces 1 and 2."""
+    mix = np.eye(scheme.d + 1)
+    mix[1, 1:3] += [0.5, -0.5]
+    return dataclasses.replace(data, p_matrix=np.linalg.solve(mix, data.p_matrix),
+                               q_matrix=data.q_matrix @ mix)
+
+
+def certificate_accepts(scheme, data):
+    try:
+        scheme_module._certify_eigenspaces(scheme, data)
+    except DegenerateSplit:
+        return False
+    return True
+
+
+class TestSeededCertificate:
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_agrees_with_per_class_witness_on_presets(self, presets, preset):
+        scheme = presets[preset]
+        data = spectral_of(scheme)
+        mixed = mixed_eigenspaces(scheme, data)
+        assert certificate_accepts(scheme, data) and per_class_certificate_accepts(scheme, data)
+        assert not certificate_accepts(scheme, mixed)
+        assert not per_class_certificate_accepts(scheme, mixed)
+
+    @pytest.mark.parametrize("base", ["hypercube5", "cycle12", "s4-stabilizer"])
+    def test_agrees_with_per_class_witness_on_closed_fusions(self, base):
+        for blocks in closed_fusions(base):
+            fused = sr.verify_scheme(fused_relations(fusion_base(base), blocks))
+            data = sr.spectral_data(fused)  # certified on the way
+            candidates = [data] + ([mixed_eigenspaces(fused, data)] if fused.d >= 2 else [])
+            for candidate in candidates:
+                assert certificate_accepts(fused, candidate) == \
+                    per_class_certificate_accepts(fused, candidate)
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_perturbed_entry_is_named(self, presets, preset):
+        # row 0 and column 0 of P are checked on their own before the
+        # certificate; a shift of 1e-5 moves column k of the residual of B_j
+        # by 1e-5 |E_k|, which clears the tolerance when E_k is large enough
+        scheme = presets[preset]
+        data = spectral_of(scheme)
+        named = 0
+        for k in range(1, scheme.d + 1):
+            for j in range(1, scheme.d + 1):
+                p_matrix = data.p_matrix.copy()
+                p_matrix[k, j] += 1e-5
+                bad = dataclasses.replace(data, p_matrix=p_matrix)
+                if per_class_certificate_accepts(scheme, bad):
+                    continue
+                with pytest.raises(DegenerateSplit,
+                                   match=rf"^A_{j} E_{k} != P\[{k},{j}\] E_{k} at tolerance$"):
+                    scheme_module._certify_eigenspaces(scheme, bad)
+                named += 1
+        assert named >= scheme.d
+
+    def test_weights_are_positive_and_apart_from_the_draws(self):
+        weights = scheme_module._certificate_weights(12)
+        assert ((weights >= 1) & (weights <= 2)).all()
+        assert not any(np.array_equal(weights, draw)
+                       for draw in scheme_module._weight_draws(12))
+
+
+def round_loop_reachable(step):
+    """The former reachability: d rounds of one step from every class reached."""
+    reached = np.arange(len(step)) == 0
+    for _ in range(len(step) - 1):
+        reached = reached | step[reached].any(axis=0)
+    return reached
+
+
+class TestReachableClasses:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_round_loop(self, data):
+        size = data.draw(st.integers(1, 41))  # d <= 40
+        density = data.draw(st.sampled_from([0.02, 0.05, 0.1, 0.3]))
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        step = np.random.default_rng(seed).random((size, size)) < density
+        assert scheme_module._reachable_classes(step).tolist() == \
+            round_loop_reachable(step).tolist()
+
+    @pytest.mark.parametrize("size", [2, 3, 4, 5, 8, 9, 16, 17, 33, 41])
+    def test_longest_path(self, size):
+        # the directed path 0 -> 1 -> ... -> d needs all d steps
+        step = np.eye(size, k=1, dtype=bool)
+        assert scheme_module._reachable_classes(step).all()
+        step[size // 2 - 1, size // 2] = False  # cut in the middle
+        assert scheme_module._reachable_classes(step).tolist() == \
+            [k < size // 2 for k in range(size)]
 
 
 # --------------------------------------------------------------------------
