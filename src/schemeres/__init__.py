@@ -2,7 +2,7 @@
 
 Builders for the scheme families shipped with the package, exact and
 floating linear algebra, and four mutually cross-checking effective
-resistance engines (Laplacian pseudo-inverse, eigenmatrix formula,
+resistance engines (one row of the Laplacian's inverse, eigenmatrix formula,
 spectrum-free polynomial traces, distance-regular closed forms).
 """
 
@@ -42,10 +42,7 @@ from .resistance import (
     ResistanceTable,
     drg_closed_table,
     foster_sum,
-    laplacian,
-    oracle_resistance_matrix,
     polynomial_coefficients,
-    pseudo_inverse,
     resistance_drg_closed,
     require_unit_class_one,
     resistance_oracle,
@@ -57,12 +54,10 @@ from .scheme import (
     AssociationScheme,
     IntersectionArray,
     SpectralData,
-    Stratification,
     check_distance_regular,
     scheme_from_dict,
     scheme_to_dict,
     spectral_data,
-    stratify,
     verify_scheme,
 )
 from . import errors

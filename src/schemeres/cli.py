@@ -37,13 +37,12 @@ from .lattice import finite_lattice_resistance_formula, infinite_lattice_resista
     infinite_line_resistance
 from .reference import REFERENCE_TABLES, compare_reference, triangular_reference
 from .resistance import (
-    STRATUM_SPREAD_TOL,
     ConductanceVector,
     ResistanceTable,
-    _oracle_table,
     drg_closed_table,
     foster_sum,
     require_unit_class_one,
+    resistance_oracle,
     resistance_polynomial,
     resistance_spectral,
     unit_class_one,
@@ -233,11 +232,10 @@ def run_resist(scheme: AssociationScheme, conductances: ConductanceVector,
         spec = spectral_data(scheme)
         timings["spectral_data"] = time.perf_counter() - t0
 
-    oracle_spread = None
     for method in methods:
         t0 = time.perf_counter()
         if method == "oracle":
-            table, oracle_spread = _oracle_table(scheme, conductances)
+            table = resistance_oracle(scheme, conductances)
         elif method == "spectral":
             table = resistance_spectral(scheme, spec, conductances)
         elif method == "polynomial":
@@ -260,10 +258,6 @@ def run_resist(scheme: AssociationScheme, conductances: ConductanceVector,
         fr = foster_sum(scheme, conductances, table)
         report.checks.append({"name": f"foster[{table.method}]",
                               "pass": fr.passed, "residual": fr.residual})
-    if oracle_spread is not None:
-        report.checks.append({"name": "corollary-1",
-                              "pass": oracle_spread <= STRATUM_SPREAD_TOL,
-                              "residual": oracle_spread})
     if len(report.tables) >= 2:
         worst = 0.0
         for i in range(len(report.tables)):

@@ -3,7 +3,7 @@
 Four routes to the per-class two-point resistances of a scheme's
 underlying resistor network:
 
-* ``resistance_oracle``      - Laplacian pseudo-inverse, floating point;
+* ``resistance_oracle``      - one row of the Laplacian's inverse, floating point;
 * ``resistance_spectral``    - eigenmatrix formula, floating point;
 * ``resistance_polynomial``  - spectrum-free trace formula, exact rationals;
 * ``resistance_drg_closed``  - Biggs' sum over an intersection array,
@@ -11,18 +11,13 @@ underlying resistor network:
 
 ``oracle`` is the only engine that works at the vertex level: it reads the
 Laplacian off the class map and shares nothing with the intersection
-numbers p^k_ij, so it witnesses them.  It takes one of two routes:
-
-* row 0, when ``verify_scheme`` certified a transitive automorphism group
-  and N exceeds ``_INVERSE_LEAF``: connectivity is decided on the d+1
-  classes of vertex 0, one (d+1) x (d+1) quotient solve gives
-  y = (L + sJ/N)^-1 e_0 and R^(l) = 2(y_0 - y_x) for x in class l, and
-  the residual (L + sJ/N) y - e_0 over all N rows bounds the error of every
-  entry.  O(N^2) work, in blocks of rows, and no N x N array.
-* the full inverse otherwise: one O(N^3) inverse of the symmetric positive
-  definite L + sJ/N, by recursive 2 x 2 Schur-complement blocks whose cubic
-  work is matrix products, then O(N^2) to form R and to certify every
-  class's spread over all pairs.
+numbers p^k_ij, so it witnesses them.  Because ``verify_scheme`` certified
+closure, the inverse of L + sJ/N lies in the Bose-Mesner algebra and one
+row decides it: connectivity is decided on the d+1 classes of vertex 0,
+one (d+1) x (d+1) quotient solve gives y = (L + sJ/N)^-1 e_0 and
+R^(l) = 2(y_0 - y_x) for x in class l, and the residual
+(L + sJ/N) y - e_0 over all N rows bounds the error of every entry.
+O(N^2) work, in blocks of rows, and no N x N array.
 
 The other three all derive from p: ``spectral`` through the eigenmatrices
 computed in the intersection algebra, ``polynomial`` through one exact solve
@@ -50,7 +45,7 @@ from .errors import (
 from .exact import rational_solve
 from .scheme import AssociationScheme, IntersectionArray, SpectralData, _reachable_classes
 
-#: within-stratum resistance spread the oracle certifies
+#: largest error bound the oracle certifies on a resistance
 STRATUM_SPREAD_TOL = 1e-9
 
 
@@ -116,14 +111,8 @@ class ResistanceTable:
 
 
 # --------------------------------------------------------------------------
-# oracle: Laplacian pseudo-inverse
+# oracle: one row of the Laplacian's inverse
 # --------------------------------------------------------------------------
-
-def laplacian(scheme: AssociationScheme, conductances) -> np.ndarray:
-    """L = (sum_i c_i kappa_i) I - sum_i c_i A_i, as floats, read off the
-    class map."""
-    return _laplacian_weights(scheme, conductances)[scheme.classmap]
-
 
 def _laplacian_weights(scheme: AssociationScheme, conductances) -> np.ndarray:
     """The entry of L on each class: s = sum_i c_i kappa_i on class 0 and
@@ -136,166 +125,48 @@ def _laplacian_weights(scheme: AssociationScheme, conductances) -> np.ndarray:
     return weights
 
 
-def pseudo_inverse(scheme: AssociationScheme, conductances) -> np.ndarray:
-    """Moore-Penrose inverse of the scheme Laplacian.
-
-    Connectivity is decided exactly, by reachability over the conducting
-    pairs L_xy < 0; then Lp = (L + (s/N) J)^-1 - J/(sN) with s = L_00.
-    L + (s/N) J is then symmetric positive definite, and ``_spd_inverse``
-    inverts it by recursive Schur-complement blocks; at or below
-    ``_INVERSE_LEAF`` rows that is one ``np.linalg.inv``.
-
-    Raises
-    ------
-    Disconnected
-        If the conductance support does not reach every vertex.
-    """
-    lap, n = laplacian(scheme, conductances), scheme.n
-    conducting = lap < 0  # the diagonal is positive
-    reached = frontier = np.arange(n) == 0
-    while frontier.any():
-        frontier = conducting[frontier].any(axis=0) & ~reached
-        reached = reached | frontier
-    if not reached.all():
-        raise Disconnected(f"conductance support reaches {reached.sum()} of {n} "
-                           "vertices, so L has repeated zero eigenvalues")
-    s = lap[0, 0]
-    lap += s / n
-    lp = _spd_inverse(lap)
-    lp -= 1 / (s * n)
-    return lp
-
-
-#: order at or below which ``_spd_inverse`` hands its block to ``np.linalg.inv``;
-#: 32 and 48 tied as fastest of 24-128 on the presets with N = 64-1024
-#: (one BLAS thread), and every N <= 32 keeps the plain inverse
-_INVERSE_LEAF = 32
-
-
-def _spd_inverse(m: np.ndarray) -> np.ndarray:
-    """Inverse of a symmetric positive definite M by recursive 2 x 2 blocks.
-
-    With M = [[A, B], [B^T, D]] split at h = n // 2, W = A^-1 B and the
-    Schur complement S = D - B^T W, itself SPD:
-    M^-1 = [[A^-1 + W S^-1 W^T, -W S^-1], [-(W S^-1)^T, S^-1]].
-    A and S recurse down to ``_INVERSE_LEAF`` rows, so above the leaf the
-    cubic work is matrix products (Strassen 1969; Higham, *Accuracy and
-    Stability of Numerical Algorithms*, 2nd ed., section 13).
-    """
-    n = len(m)
-    if n <= _INVERSE_LEAF:
-        return np.linalg.inv(m)
-    h = n // 2
-    a_inv = _spd_inverse(m[:h, :h])
-    w = a_inv @ m[:h, h:]
-    s_inv = _spd_inverse(m[h:, h:] - m[h:, :h] @ w)
-    t = w @ s_inv
-    out = np.empty_like(m)
-    np.add(a_inv, t @ w.T, out=out[:h, :h])
-    np.negative(t, out=out[:h, h:])
-    np.negative(t.T, out=out[h:, :h])
-    out[h:, h:] = s_inv
-    return out
-
-
-def oracle_resistance_matrix(scheme: AssociationScheme, conductances) -> np.ndarray:
-    """Full N x N matrix of two-point resistances R_ab = Lp_aa+Lp_bb-2Lp_ab.
-
-    Raises
-    ------
-    Disconnected
-        If the conductance support does not connect the network.
-    CertificationFailed
-        If the diagonal of Lp spreads by more than ``STRATUM_SPREAD_TOL``.
-    """
-    lp = pseudo_inverse(scheme, conductances)
-    diag = np.diag(lp)
-    spread = float(diag.max() - diag.min())
-    if spread > STRATUM_SPREAD_TOL:
-        raise CertificationFailed(f"pseudo-inverse diagonal spread {spread:.3e}")
-    rmat = np.add.outer(diag, diag)  # (Lp_aa + Lp_bb) - Lp_ab - Lp_ba, in place
-    rmat -= lp
-    rmat -= lp.T
-    return rmat
-
-
-def resistance_oracle(scheme: AssociationScheme, conductances) -> ResistanceTable:
-    """Per-class resistances from the Laplacian, read off the class map alone.
-
-    Two routes, chosen by what ``verify_scheme`` certified:
-
-    * row 0, for a scheme with a certified transitive automorphism group and
-      N above ``_INVERSE_LEAF``: connectivity is decided on the d+1 classes
-      of vertex 0, one (d+1) x (d+1) quotient system gives the column
-      y = (L + sJ/N)^-1 e_0, and R^(l) = 2(y_0 - y_x) for x in class l.
-      One N x N residual certifies that every entry is within
-      ``STRATUM_SPREAD_TOL`` (see ``_row_zero_table``).  O(N^2) work.
-    * the full pseudo-inverse otherwise: the representative is vertex 0
-      against the first vertex of each stratum, and over all vertex pairs of
-      each class the resistance spread must stay below
-      ``STRATUM_SPREAD_TOL``, else ``CertificationFailed`` names the lowest
-      failing class.  One O(N^3) block inverse, then O(N^2) for R and for
-      the certification.
-
-    Neither route reads the intersection numbers p.
-    """
-    return _oracle_table(scheme, conductances)[0]
-
-
-def _oracle_table(scheme: AssociationScheme, conductances
-                  ) -> tuple[ResistanceTable, float]:
-    """The oracle table and its certified within-class spread: on the row-0
-    route the bound on every entry's error, on the full route the largest
-    spread of R over the pairs of a class.
-
-    On the full route every class's spread comes from one pass over R
-    grouped by class: one ``maximum.reduceat`` and one ``minimum.reduceat``
-    over R's entries gathered in the scheme's class order.
-    """
-    if scheme._transitive and scheme.n > _INVERSE_LEAF:
-        return _row_zero_table(scheme, conductances)
-    flat = oracle_resistance_matrix(scheme, conductances).ravel()
-    order, starts = scheme._class_order
-    grouped = flat[order]
-    spreads = (np.maximum.reduceat(grouped, starts[1:])
-               - np.minimum.reduceat(grouped, starts[1:])).tolist()
-    for l, spread in enumerate(spreads, start=1):
-        if spread > STRATUM_SPREAD_TOL:
-            raise CertificationFailed(f"class {l} resistance spread {spread:.3e}")
-    values = tuple(flat[order[starts[1:]]].tolist())  # vertex 0 to its first of class l
-    return ResistanceTable(values, method="oracle", exact=False), max([0.0] + spreads)
-
-
-#: most entries of L gathered at once for ``_row_zero_table``'s residual;
+#: most entries of L gathered at once for the oracle's residual;
 #: 2**16 and 2**17 tied as fastest of 2**13 to 2**20 on hypercube 8 to 12,
 #: triangular 24 and square 24 (one BLAS thread)
 _RESIDUAL_BLOCK = 2 ** 16
 
 
-def _row_zero_table(scheme: AssociationScheme, conductances
-                    ) -> tuple[ResistanceTable, float]:
-    """The oracle table from y = M^-1 e_0, M = L + sJ/N, s = L_00, with a
-    bound on the error of every entry.
+def resistance_oracle(scheme: AssociationScheme, conductances) -> ResistanceTable:
+    """Per-class resistances from the Laplacian, read off the class map
+    alone, with a certified bound on the error of every entry.
 
-    The scheme must carry a certified transitive automorphism group.  M lies
-    in the Bose-Mesner algebra, so M^-1 does, and y* = M^-1 e_0 is constant
-    on each class k of vertex 0.  The group commutes with M, so every row of
-    M^-1 is a permutation of row 0: its diagonal is constant, so
-    R(0, x) = 2(y*_0 - y*_x), and ||M^-1||_inf = ||y*||_1.  With r_k the
-    first vertex of class k in row 0:
+    With s = L_00, M = L + sJ/N is symmetric positive definite once the
+    support connects the network, and R(x, z) = Lp_xx + Lp_zz - 2 Lp_xz for
+    Lp = M^-1 - J/(sN).  ``verify_scheme`` certified closure, so the A_k
+    span an algebra that holds M, hence M^-1 = sum_k alpha_k A_k, and:
 
-    * connectivity: (A_j1 ... A_jm)[0, x] depends only on the class of x, so
-      class l is one step from class k when some z of class l conducts to
-      r_k (L < 0), and the component of vertex 0 is the union of the classes
-      reached from class 0 (``_reachable_classes``, in log depth).
+    * the diagonal of M^-1 is alpha_0;
+    * every row's absolute sum is sum_k kappa_k |alpha_k| = ||y*||_1, with
+      y* = M^-1 e_0, since each A_k has kappa_k ones in every row;
+    * R(x, z) = 2 (alpha_0 - alpha_k) for every pair (x, z) of class k.
+
+    Only one row is computed.  With r_k the first vertex of class k in row 0:
+
+    * connectivity: a vertex x of class k of vertex 0 has p^k_lj vertices of
+      class l of vertex 0 in class j of its own, a count that depends on k
+      alone.  So class l is one conducting step (L < 0) from class k exactly
+      when it is one from r_k, and the component of vertex 0 is the union
+      of the classes reached from class 0 (``_reachable_classes``, in log
+      depth).
     * the solve: Q[k, l] = sum of M[r_k, z] over z in class l is M acting on
-      class-constant vectors, and Q y_q = e_0 gives y = y_q[classmap[0]].
+      class-constant vectors, and Q y_q = e_0 gives y = y_q[classmap[0]],
+      with y_q = alpha in exact arithmetic.
     * the certificate: r = M y - e_0 over all N rows, one matrix-vector
-      product gathered in blocks of rows.  Since ||y*||_1 <= ||y||_1 +
-      N ||y - y*||_inf, |y - y*| <= ||y||_1 ||r||_inf / (1 - N ||r||_inf)
-      entrywise, to first order in the rounding of r.  So every computed
-      R(0, x) is within four times that of the exact value, which is
-      constant on each class, and the group carries the bound to all pairs.
+      product gathered in blocks of rows.  y - y* = M^-1 r, so
+      ||y - y*||_inf <= ||y*||_1 ||r||_inf by the row sums above, and since
+      ||y*||_1 <= ||y||_1 + N ||y - y*||_inf,
+      |y - y*| <= ||y||_1 ||r||_inf / (1 - N ||r||_inf) entrywise, to first
+      order in the rounding of r.  Every computed R^(l) = 2 (y_0 - y_x) is
+      then within four times that of the exact value, which is the same for
+      every pair of class l.
+
+    O(N^2) work, in blocks of rows, and no N x N array.  The intersection
+    numbers p are not read.
 
     Raises
     ------
@@ -340,7 +211,7 @@ def _row_zero_table(scheme: AssociationScheme, conductances
     if bound > STRATUM_SPREAD_TOL:
         raise CertificationFailed(f"row-0 resistance error bound {bound:.3e}")
     values = tuple((2 * (yq[0] - yq[1:])).tolist())
-    return ResistanceTable(values, method="oracle", exact=False), bound
+    return ResistanceTable(values, method="oracle", exact=False)
 
 
 # --------------------------------------------------------------------------

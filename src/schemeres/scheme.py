@@ -21,7 +21,9 @@ Each fact is certified once, on one of two routes:
   O((d+1)^2 N^3 / run) work, and the only proof for an arbitrary map.
 
 Both routes give the same p, byte for byte, and the same error for a map
-that breaks an axiom.  Everything after verification reads p alone:
+that breaks an axiom.  The closure they certify is all that the oracle
+(``resistance.resistance_oracle``) needs to solve from row 0; it does not
+need the generators.  Everything after verification reads p alone:
 ``spectral_data`` takes P, Q and the multiplicities from one
 eigendecomposition of a generic element of the (d+1)-dimensional
 intersection algebra and certifies them with one seeded combination of the
@@ -58,10 +60,6 @@ class AssociationScheme:
     p : (d+1, d+1, d+1) array, ``p[i, j, k]`` = coefficient of A_k in A_i A_j
     classmap : (n, n) int16 array mapping a vertex pair to its class index
     relations : int8 matrices A_0..A_d, derived from ``classmap`` on access
-
-    ``_transitive`` records that ``verify_scheme`` certified generators of a
-    transitive group of automorphisms of the class map; only the
-    ``automorphisms=`` route sets it.
     """
 
     n: int
@@ -70,22 +68,10 @@ class AssociationScheme:
     p: np.ndarray
     classmap: np.ndarray
     class_names: tuple
-    _transitive: bool = field(default=False, repr=False, compare=False)
 
     @cached_property
     def relations(self) -> tuple:
         return tuple((self.classmap == k).astype(np.int8) for k in range(self.d + 1))
-
-    @cached_property
-    def _class_order(self) -> tuple:
-        """(order, starts): the flat pair indices sorted stably by class, and
-        where class k begins in ``order``.  Class k's pairs are
-        ``order[starts[k]:starts[k + 1]]``, and ``order[starts[k]]`` is the
-        first vertex of class k in row 0."""
-        order = np.argsort(self.classmap, axis=None, kind="stable")
-        # class k holds N kappa_k pairs, since each relation is regular
-        starts = self.n * np.cumsum((0,) + self.valencies[:-1])
-        return order, starts
 
     def intersection_matrix(self, i: int) -> np.ndarray:
         """B_i with (B_i)[k, j] = p^k_{ij}; columns track A_i A_j."""
@@ -209,7 +195,7 @@ def verify_scheme(relations, class_names: Optional[Sequence[str]] = None,
         raise ValueError("class_names length must be d+1")
 
     return AssociationScheme(n=n, d=d, valencies=valencies, p=p, classmap=classmap,
-                             class_names=names, _transitive=automorphisms is not None)
+                             class_names=names)
 
 
 def _classmap_axioms(classmap: np.ndarray) -> tuple:
@@ -662,52 +648,6 @@ def _certify_eigenspaces(scheme: AssociationScheme, data: SpectralData) -> None:
         worst = np.abs(each).max(axis=2)
         j, k = np.unravel_index(int(np.argmax(worst)), worst.shape)
         raise DegenerateSplit(f"A_{j} E_{k} != P[{k},{j}] E_{k} at tolerance")
-
-
-# --------------------------------------------------------------------------
-# stratification
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Stratification:
-    """Partition of vertices by their relation to a reference vertex."""
-
-    reference: int
-    strata: tuple           # index arrays, strata[i] lists Gamma_i(reference)
-    unit_vectors: np.ndarray  # (d+1, n); row i is the i-th stratum unit vector
-
-
-def stratify(scheme: AssociationScheme, reference: int = 0) -> Stratification:
-    """Strata and stratum unit vectors for one reference vertex.
-
-    Also certifies, in exact integer arithmetic, the matrix-element identity
-    <phi_l| A_i |phi_j> = sqrt(kappa_l / kappa_j) * p^l_{ij} for all l, i, j.
-    """
-    n, d = scheme.n, scheme.d
-    if not 0 <= reference < n:
-        raise ValueError("reference vertex out of range")
-    row = scheme.classmap[reference].astype(np.intp)  # wide enough for ``cell``
-    strata = tuple(np.flatnonzero(row == i) for i in range(d + 1))
-    for i, s in enumerate(strata):
-        if len(s) != scheme.valencies[i]:
-            raise NotPartition(f"stratum {i} has size {len(s)}, not kappa_{i}")
-
-    indicators = np.zeros((d + 1, n))
-    for i, s in enumerate(strata):
-        indicators[i, s] = 1.0
-    kappa = np.array(scheme.valencies, dtype=float)
-    unit_vectors = indicators / np.sqrt(kappa)[:, None]
-
-    # integer form of the matrix-element identity: the pairs (x, y) with x in
-    # stratum l, y in stratum j and (x, y) in class i number kappa_l p^l_{ij}
-    cell = (row[:, None] * (d + 1) + row) * (d + 1) + scheme.classmap
-    counts = np.bincount(cell.ravel(), minlength=(d + 1) ** 3).reshape(d + 1, d + 1, d + 1)
-    expected = (np.array(scheme.valencies) * scheme.p).transpose(2, 1, 0)  # [l, j, i]
-    off = np.flatnonzero((counts != expected).any(axis=(0, 1)))
-    if off.size:
-        raise NotClosed(f"stratification matrix elements of A_{off[0]} are off")
-
-    return Stratification(reference, strata, unit_vectors)
 
 
 # --------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from unittest import mock
 
@@ -77,6 +78,20 @@ def presets(cycle8, hypercube3, triangular6, s4, s4_refined_a, s4_refined_b,
         "square": square4,
         "hexagonal": hexagonal7,
     }
+
+
+@pytest.fixture(scope="session")
+def chang():
+    """A Chang graph, SRG(28, 12, 6, 4), as a two-class scheme verified
+    without generators: the triangular graph T(8) = J(8, 2) switched on the
+    2-subsets {01, 23, 45, 67}, so that a pair of them and a pair of the
+    other 24 vertices swap adjacency.  Its vertices lie in 32 or 36 K4s, so
+    no group of automorphisms is transitive on them."""
+    pairs = list(itertools.combinations(range(8), 2))
+    adjacent = np.array([[len(set(a) & set(b)) == 1 for b in pairs] for a in pairs])
+    switched = np.array([p in {(0, 1), (2, 3), (4, 5), (6, 7)} for p in pairs])
+    adjacent ^= switched[:, None] != switched[None, :]
+    return sr.verify_scheme(np.where(adjacent, 1, 2) - 2 * np.eye(len(pairs), dtype=np.int64))
 
 
 def two_cliques(m):

@@ -1,6 +1,6 @@
 """N x N reference implementations that the library replaced with
-computations on the intersection numbers p.  The tests compare the
-library against them."""
+computations on the intersection numbers p or on row 0 of the class map.
+The tests compare the library against them."""
 
 from __future__ import annotations
 
@@ -11,7 +11,14 @@ from typing import Sequence
 import numpy as np
 
 import schemeres as sr
-from schemeres.errors import CertificationFailed, NotSymmetric, SchemeresError
+from schemeres.errors import (
+    CertificationFailed,
+    Disconnected,
+    NotClosed,
+    NotPartition,
+    NotSymmetric,
+    SchemeresError,
+)
 from schemeres.spectra import CLUSTER_TOL
 
 COMMUTE_TOL = 1e-9
@@ -93,13 +100,54 @@ def _is_rational_rows(a) -> bool:
 
 
 # --------------------------------------------------------------------------
-# oracle certification, one class mask at a time
+# the oracle's former route: the full N x N pseudo-inverse
 # --------------------------------------------------------------------------
+
+def laplacian(scheme, conductances) -> np.ndarray:
+    """L = (sum_i c_i kappa_i) I - sum_i c_i A_i, as floats, one relation
+    matrix at a time."""
+    c = sr.ConductanceVector.coerce(conductances, scheme.d).as_floats()
+    lap = float(sum(ci * ki for ci, ki in zip(c, scheme.valencies[1:]))) * np.eye(scheme.n)
+    for i, ci in enumerate(c, start=1):
+        if ci:
+            lap -= ci * scheme.relations[i].astype(float)
+    return lap
+
+
+def pseudo_inverse(scheme, conductances) -> np.ndarray:
+    """Moore-Penrose inverse of the scheme Laplacian,
+    Lp = (L + (s/N) J)^-1 - J/(sN) with s = L_00, after a breadth-first
+    search over the conducting pairs L_xy < 0 (``Disconnected`` if it
+    misses a vertex)."""
+    lap, n = laplacian(scheme, conductances), scheme.n
+    conducting = lap < 0  # the diagonal is positive
+    reached = frontier = np.arange(n) == 0
+    while frontier.any():
+        frontier = conducting[frontier].any(axis=0) & ~reached
+        reached = reached | frontier
+    if not reached.all():
+        raise Disconnected(f"conductance support reaches {reached.sum()} of {n} "
+                           "vertices, so L has repeated zero eigenvalues")
+    s = lap[0, 0]
+    return np.linalg.inv(lap + s / n) - 1 / (s * n)
+
+
+def oracle_resistance_matrix(scheme, conductances) -> np.ndarray:
+    """Full N x N matrix of two-point resistances R_ab = Lp_aa+Lp_bb-2Lp_ab;
+    ``CertificationFailed`` if the diagonal of Lp spreads by more than
+    ``STRATUM_SPREAD_TOL``."""
+    lp = pseudo_inverse(scheme, conductances)
+    diag = np.diag(lp)
+    spread = float(diag.max() - diag.min())
+    if spread > sr.resistance.STRATUM_SPREAD_TOL:
+        raise CertificationFailed(f"pseudo-inverse diagonal spread {spread:.3e}")
+    return np.add.outer(diag, diag) - lp - lp.T
+
 
 def nxn_oracle_table(scheme, conductances):
     """The oracle table and its worst within-class spread, read class by
     class through an N x N mask of the class map."""
-    rmat = sr.resistance.oracle_resistance_matrix(scheme, conductances)
+    rmat = oracle_resistance_matrix(scheme, conductances)
     values = []
     worst = 0.0
     for l in range(1, scheme.d + 1):
@@ -111,6 +159,52 @@ def nxn_oracle_table(scheme, conductances):
         beta = int(np.flatnonzero(scheme.classmap[0] == l)[0])
         values.append(float(rmat[0, beta]))
     return sr.ResistanceTable(tuple(values), method="oracle", exact=False), worst
+
+
+# --------------------------------------------------------------------------
+# stratification
+# --------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Stratification:
+    """Partition of vertices by their relation to a reference vertex."""
+
+    reference: int
+    strata: tuple           # index arrays, strata[i] lists Gamma_i(reference)
+    unit_vectors: np.ndarray  # (d+1, n); row i is the i-th stratum unit vector
+
+
+def stratify(scheme, reference: int = 0) -> Stratification:
+    """Strata and stratum unit vectors for one reference vertex.
+
+    Also certifies, in exact integer arithmetic, the matrix-element identity
+    <phi_l| A_i |phi_j> = sqrt(kappa_l / kappa_j) * p^l_{ij} for all l, i, j.
+    """
+    n, d = scheme.n, scheme.d
+    if not 0 <= reference < n:
+        raise ValueError("reference vertex out of range")
+    row = scheme.classmap[reference].astype(np.intp)  # wide enough for ``cell``
+    strata = tuple(np.flatnonzero(row == i) for i in range(d + 1))
+    for i, s in enumerate(strata):
+        if len(s) != scheme.valencies[i]:
+            raise NotPartition(f"stratum {i} has size {len(s)}, not kappa_{i}")
+
+    indicators = np.zeros((d + 1, n))
+    for i, s in enumerate(strata):
+        indicators[i, s] = 1.0
+    kappa = np.array(scheme.valencies, dtype=float)
+    unit_vectors = indicators / np.sqrt(kappa)[:, None]
+
+    # integer form of the matrix-element identity: the pairs (x, y) with x in
+    # stratum l, y in stratum j and (x, y) in class i number kappa_l p^l_{ij}
+    cell = (row[:, None] * (d + 1) + row) * (d + 1) + scheme.classmap
+    counts = np.bincount(cell.ravel(), minlength=(d + 1) ** 3).reshape(d + 1, d + 1, d + 1)
+    expected = (np.array(scheme.valencies) * scheme.p).transpose(2, 1, 0)  # [l, j, i]
+    off = np.flatnonzero((counts != expected).any(axis=(0, 1)))
+    if off.size:
+        raise NotClosed(f"stratification matrix elements of A_{off[0]} are off")
+
+    return Stratification(reference, strata, unit_vectors)
 
 
 # --------------------------------------------------------------------------
@@ -297,7 +391,7 @@ def nxn_check_distance_regular(scheme):
             return None
 
     # A_1 must act tridiagonally on the stratum unit vectors
-    strat = sr.stratify(scheme, 0)
+    strat = stratify(scheme, 0)
     indicators = (strat.unit_vectors > 0).astype(float)
     counts = indicators @ scheme.relations[1].astype(float) @ indicators.T
     off = np.triu(counts, 2)

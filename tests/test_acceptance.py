@@ -22,7 +22,7 @@ from schemeres.reference import REFERENCE_TABLES, compare_reference, \
 
 from acceptance_registry import record
 from conftest import random_connected_conductances, spectral_of
-from nxn_witnesses import integer_matrix_powers
+from nxn_witnesses import integer_matrix_powers, oracle_resistance_matrix, pseudo_inverse
 
 F = Fraction
 
@@ -310,7 +310,7 @@ def test_c10_within_stratum_spread(presets):
     for name, scheme in presets.items():
         vectors = [unit(scheme), random_connected_conductances(scheme, rng)]
         for c in vectors:
-            rmat = sr.oracle_resistance_matrix(scheme, c)
+            rmat = oracle_resistance_matrix(scheme, c)
             for l in range(1, scheme.d + 1):
                 members = rmat[np.asarray(scheme.relations[l], bool)]
                 worst = max(worst, float(members.max() - members.min()))
@@ -436,11 +436,11 @@ def test_c14_infinite_square():
 def test_c15_property_suite(presets):
     for name, scheme in presets.items():
         n, d = scheme.n, scheme.d
-        rmat = sr.oracle_resistance_matrix(scheme, unit(scheme))
+        rmat = oracle_resistance_matrix(scheme, unit(scheme))
         assert np.abs(rmat - rmat.T).max() <= 1e-10, name
         via = (rmat[:, :, None] + rmat[None, :, :]).min(axis=1)
         assert (rmat <= via + 1e-9).all(), name
-        lp = sr.pseudo_inverse(scheme, unit(scheme))
+        lp = pseudo_inverse(scheme, unit(scheme))
         diag = np.diag(lp)
         assert diag.max() - diag.min() <= 1e-9, name
         data = spectral_of(scheme)

@@ -20,7 +20,7 @@ from schemeres.errors import (
 )
 
 from conftest import build_packed, build_recording, spectral_of
-from nxn_witnesses import integer_matrix_powers
+from nxn_witnesses import integer_matrix_powers, stratify
 from test_scheme import MULTI_RUN
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -115,7 +115,7 @@ class TestTriangular:
     def test_tridiagonal_action(self):
         n = 7
         scheme = sr.build_triangular(n)
-        strat = sr.stratify(scheme, 0)
+        strat = stratify(scheme, 0)
         t = strat.unit_vectors @ scheme.relations[1].astype(float) \
             @ strat.unit_vectors.T
         kappa = 2 * (n - 2)

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 import schemeres as sr
-from schemeres import cli
 from schemeres.cli import main, make_preset_scheme
 
 
@@ -65,7 +64,7 @@ class TestResist:
         assert poly[0]["num"] == 23 and poly[0]["den"] == 72
         assert all(chk["pass"] for chk in report["checks"])
         names = [chk["name"] for chk in report["checks"]]
-        assert "method-agreement" in names and "corollary-1" in names
+        assert "method-agreement" in names
 
     def test_cycle6_value(self, capsys):
         code = main(["resist", "cycle", "--n", "6",
@@ -154,29 +153,9 @@ class TestResist:
         unit = sr.resistance_spectral(s4, sr.spectral_data(s4), [1, 0, 0, 0])
         assert np.allclose(got, 1e13 * np.array(unit.values), rtol=1e-9, atol=0)
 
-    def test_one_pseudo_inverse_per_oracle_table(self, monkeypatch, s4):
-        calls = []
-        real = sr.resistance.pseudo_inverse
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(sr.resistance, "pseudo_inverse", counted)
-        unit = sr.unit_class_one(s4)
-        report = cli.run_resist(s4, unit, ["oracle", "spectral"],
-                                tol=cli.DEFAULT_AGREEMENT_TOL)
-        assert len(calls) == 1
-
-        rmat = sr.oracle_resistance_matrix(s4, unit)
-        spread = max(float(np.ptp(rmat[s4.classmap == l]))
-                     for l in range(1, s4.d + 1))
-        (corollary,) = [c for c in report.checks if c["name"] == "corollary-1"]
-        assert corollary["pass"] and corollary["residual"] == spread
-
     @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
     def test_certification_failure_is_typed(self, flags):
-        """The oracle's spread check exits 2 with its error name, also under -O."""
+        """The oracle's error bound exits 2 with its error name, also under -O."""
         src = str(pathlib.Path(sr.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,14 @@ from schemeres.errors import (
 )
 
 from conftest import random_connected_conductances, spectral_of, two_cliques
-from nxn_witnesses import integer_matrix_powers, nxn_oracle_table, power_traces
+from nxn_witnesses import (
+    integer_matrix_powers,
+    laplacian,
+    nxn_oracle_table,
+    oracle_resistance_matrix,
+    power_traces,
+    pseudo_inverse,
+)
 from paper_closed_forms import paper_closed_form, paper_drg_closed
 
 F = Fraction
@@ -28,8 +36,7 @@ def complete_scheme(n):
     return sr.verify_scheme([eye, np.ones((n, n), dtype=np.int64) - eye])
 
 
-#: schemes whose class supports include disconnected ones; the last two
-#: carry generators and N > 32, so the oracle takes its row-0 route
+#: schemes whose class supports include disconnected ones
 SUPPORT_SCHEMES = {
     "cycle12": lambda: sr.build_cycle(12),
     "square4": lambda: sr.build_square_lattice(4),
@@ -75,15 +82,10 @@ GROUPED_SCHEMES = {
 
 
 @functools.cache
-def grouped_scheme(name):
-    return GROUPED_SCHEMES[name]()
-
-
-@functools.cache
 def generatorless_scheme(name):
-    """``grouped_scheme(name)`` verified without generators, so that the
-    oracle takes its full pseudo-inverse route at every N."""
-    scheme = grouped_scheme(name)
+    """``GROUPED_SCHEMES[name]`` verified without generators, as a document
+    reloads it: closure certified by the packed N x N products."""
+    scheme = row_zero_scheme(name)
     return sr.verify_scheme(scheme.classmap, class_names=scheme.class_names)
 
 
@@ -95,14 +97,6 @@ def random_rational_conductances(scheme, rng):
         support = [l for l, v in enumerate(values, start=1) if v]
         if support and scheme.relation_connected(support):
             return values
-
-
-def outcome(call, *args):
-    """What ``call(*args)`` returns, or the type and message it raises."""
-    try:
-        return call(*args)
-    except CertificationFailed as exc:
-        return type(exc), str(exc)
 
 
 def contraction_table(scheme):
@@ -188,7 +182,8 @@ class TestOracle:
         assert abs(table.value(1) - (n - 1) / n) < 1e-12
 
     def test_same_node_zero(self, s4):
-        rmat = sr.oracle_resistance_matrix(s4, [1, 0, 0, 0])
+        assert sr.resistance_oracle(s4, [1, 0, 0, 0]).value(0) == 0.0
+        rmat = oracle_resistance_matrix(s4, [1, 0, 0, 0])
         assert np.abs(np.diag(rmat)).max() < 1e-12
 
     def test_disconnected_support(self, square4):
@@ -202,7 +197,7 @@ class TestOracle:
 
     @pytest.mark.parametrize("case", ["cycle8-4", "2xK3-1"])
     def test_disconnected_support_found_without_p(self, cycle8, case):
-        # the oracle does not consult p: pseudo_inverse searches L's support
+        # the oracle does not consult p: it searches L's support in row 0
         scheme, k = (cycle8, 4) if case == "cycle8-4" else (two_cliques(3), 1)
         c = [0] * scheme.d
         c[k - 1] = 1
@@ -218,14 +213,10 @@ class TestOracle:
         rng = np.random.default_rng(11)
         for sparse in (False, True):
             c = random_connected_conductances(scheme, rng, sparse=sparse)
-            floats = sr.ConductanceVector.coerce(c, scheme.d).as_floats()
-            # the former construction: diagonal sum, minus c_i A_i per class
-            diag = float(sum(ci * ki for ci, ki in zip(floats, scheme.valencies[1:])))
-            loop = diag * np.eye(scheme.n)
-            for i, ci in enumerate(floats, start=1):
-                if ci:
-                    loop -= ci * scheme.relations[i].astype(float)
-            assert sr.laplacian(scheme, c).tobytes() == loop.tobytes()
+            # the oracle's class weights read through the class map, against
+            # the diagonal sum minus c_i A_i per class
+            got = sr.resistance._laplacian_weights(scheme, c)[scheme.classmap]
+            assert got.tobytes() == laplacian(scheme, c).tobytes()
 
     @settings(max_examples=120, deadline=None)
     @given(name=st.sampled_from(sorted(SUPPORT_SCHEMES)), data=st.data())
@@ -241,42 +232,35 @@ class TestOracle:
             with pytest.raises(Disconnected, match="zero eigenvalues"):
                 sr.resistance_oracle(scheme, c)
             return
-        sr.resistance_oracle(scheme, c)
-        lp = sr.pseudo_inverse(scheme, c)
+        table = np.array(sr.resistance_oracle(scheme, c).values)
         for t in (F(1, 10**9), F(1, 10**12)):  # no scale reads as disconnected
-            scaled = sr.pseudo_inverse(scheme, [t * ci for ci in c])
-            assert np.abs(scaled * float(t) - lp).max() <= 1e-9 * np.abs(lp).max()
+            try:
+                scaled = sr.resistance_oracle(scheme, [t * ci for ci in c])
+            except CertificationFailed:  # an absolute bound (ROADMAP item 5)
+                continue
+            got = np.array(scaled.values) * float(t)
+            assert np.abs(got - table).max() <= 1e-9 * np.abs(table).max()
 
     @pytest.mark.parametrize("preset", ["cycle", "hypercube", "triangular", "s4",
                                         "s4-refined-a", "s4-refined-b", "z5z5",
                                         "square", "hexagonal"])
     def test_pseudo_inverse_matches_pinv(self, presets, preset):
+        # the N x N witness that the oracle is compared against, then the
+        # oracle itself
         scheme = presets[preset]
         rng = np.random.default_rng(5)
         for sparse in (False, True):
             c = random_connected_conductances(scheme, rng, sparse=sparse)
-            want = np.linalg.pinv(sr.laplacian(scheme, c))
-            got = sr.pseudo_inverse(scheme, c)
+            want = np.linalg.pinv(laplacian(scheme, c))
+            got = pseudo_inverse(scheme, c)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert_matches_pinv(scheme, rng)
 
     def test_certification_errors_are_typed(self, s4):
         assert issubclass(CertificationFailed, sr.errors.SchemeresError)
         assert issubclass(CertificationFailed, AssertionError)
-        with pytest.raises(CertificationFailed, match="diagonal spread"):
+        with pytest.raises(CertificationFailed, match="row-0 resistance error bound"):
             sr.resistance_oracle(s4, [1e-7, 0, 0, 0])
-
-    def test_class_spread_certified(self, monkeypatch, s4):
-        real = sr.resistance.oracle_resistance_matrix
-
-        def tampered(*args):
-            rmat = real(*args)
-            a, b = np.argwhere(s4.classmap == 2)[1]
-            rmat[a, b] = rmat[b, a] = rmat[a, b] + 1e-6
-            return rmat
-
-        monkeypatch.setattr(sr.resistance, "oracle_resistance_matrix", tampered)
-        with pytest.raises(CertificationFailed, match="class 2 resistance spread"):
-            sr.resistance_oracle(s4, [1, 0, 0, 0])
 
     def test_multi_conductance_matches_spectral(self, s4):
         rng = np.random.default_rng(11)
@@ -288,66 +272,8 @@ class TestOracle:
             assert max(abs(x - y) for x, y in zip(a, b)) < 1e-9
 
 
-class TestGroupedCertification:
-    """The oracle's one grouped pass against one class mask at a time, on
-    the full route: schemes without generators take it at every N."""
-
-    @pytest.mark.parametrize("name", GROUPED_SCHEMES)
-    def test_class_order(self, name):
-        scheme = grouped_scheme(name)
-        order, starts = scheme._class_order
-        labels = scheme.classmap.ravel()[order]
-        assert (np.diff(labels) >= 0).all()
-        assert starts.tolist() == np.searchsorted(labels, np.arange(scheme.d + 1)).tolist()
-        for l in range(scheme.d + 1):
-            first = int(np.flatnonzero(scheme.classmap[0] == l)[0])
-            assert order[starts[l]] == first  # row 0, flat index = column
-
-    @pytest.mark.parametrize("name", GROUPED_SCHEMES)
-    def test_identical_to_class_masks(self, name):
-        scheme = generatorless_scheme(name)
-        rng = np.random.default_rng(1212)
-        unit = [F(1)] + [F(0)] * (scheme.d - 1)
-        cases = [unit, [F(1, 10**7) * v for v in unit]]
-        cases += [random_rational_conductances(scheme, rng) for _ in range(3)]
-        for c in cases:
-            got = outcome(sr.resistance._oracle_table, scheme, c)
-            want = outcome(nxn_oracle_table, scheme, c)
-            if isinstance(want[0], type):
-                assert got == want
-                continue
-            (table, worst), (ref_table, ref_worst) = got, want
-            assert table == ref_table  # floats compared with ==
-            assert type(worst) is float and worst == ref_worst
-
-    @pytest.mark.parametrize("name", GROUPED_SCHEMES)
-    def test_tampered_class_named(self, monkeypatch, name):
-        scheme = generatorless_scheme(name)
-        unit = [1] + [0] * (scheme.d - 1)
-        real = sr.resistance.oracle_resistance_matrix
-        rng = np.random.default_rng(7)
-        raised = []
-
-        def tampered(*args):
-            rmat = real(*args)
-            for l in raised:
-                pairs = np.argwhere(scheme.classmap == l)
-                a, b = pairs[rng.integers(len(pairs))]
-                rmat[a, b] = rmat[b, a] = rmat[a, b] + 1e-6
-            return rmat
-
-        monkeypatch.setattr(sr.resistance, "oracle_resistance_matrix", tampered)
-        for l in range(1, scheme.d + 1):
-            raised[:] = [l] if l == scheme.d else [l, scheme.d]  # the lowest is named
-            with pytest.raises(CertificationFailed, match=f"^class {l} resistance spread"):
-                sr.resistance_oracle(scheme, unit)
-            with pytest.raises(CertificationFailed, match=f"^class {l} resistance spread"):
-                nxn_oracle_table(scheme, unit)
-
-
-#: presets above the block inverse's leaf: N = 66, 81, 100, 128 and 276
-#: (276 splits into 138, then 69, then 34 and 35)
-BLOCK_SCHEMES = {
+#: presets with N = 66, 81, 100, 128 and 276, checked against np.linalg.pinv
+PINV_SCHEMES = {
     "triangular12": lambda: sr.build_triangular(12),
     "hexagonal9": lambda: sr.build_hexagonal_lattice(9),
     "square10": lambda: sr.build_square_lattice(10),
@@ -355,66 +281,27 @@ BLOCK_SCHEMES = {
     "triangular24": lambda: sr.build_triangular(24),
 }
 
-LEAF = sr.resistance._INVERSE_LEAF
-
-
-@functools.cache
-def block_scheme(name):
-    return BLOCK_SCHEMES[name]()
-
 
 def relative_error(got, want) -> float:
     return float(np.abs(got - want).max() / np.abs(want).max())
 
 
-class TestBlockInverse:
-    """``pseudo_inverse`` through the recursive Schur-complement inverse."""
-
-    @pytest.mark.parametrize("name", BLOCK_SCHEMES)
-    def test_matches_pinv(self, name):
-        scheme = block_scheme(name)
-        assert scheme.n > LEAF
-        rng = np.random.default_rng(1414)
-        cases = [[F(1)] + [F(0)] * (scheme.d - 1)]
-        cases += [random_rational_conductances(scheme, rng) for _ in range(2)]
-        for c in cases:
-            want = np.linalg.pinv(sr.laplacian(scheme, c))
-            assert relative_error(sr.pseudo_inverse(scheme, c), want) <= 1e-12
-
-    @settings(max_examples=60, deadline=None)
-    @given(n=st.sampled_from([LEAF - 1, LEAF, LEAF + 1, 2 * LEAF - 1, 2 * LEAF,
-                              2 * LEAF + 1]) | st.integers(LEAF + 2, 300),
-           shift=st.floats(0.01, 1.0), seed=st.integers(0, 2 ** 32 - 1))
-    def test_random_spd(self, n, shift, seed):
-        # X X^T + shift N I: condition number at most about 4 / shift
-        x = np.random.default_rng(seed).standard_normal((n, n))
-        m = x @ x.T + shift * n * np.eye(n)
-        got = sr.resistance._spd_inverse(m)
-        assert relative_error(got, np.linalg.inv(m)) <= 1e-12
-
-    @pytest.mark.parametrize("name", ["s4", "z5z5", "cycle32"])
-    def test_leaf_unchanged(self, name):
-        scheme = grouped_scheme(name)
-        assert scheme.n <= LEAF
-        rng = np.random.default_rng(1415)
-        for c in [[1] + [0] * (scheme.d - 1), random_rational_conductances(scheme, rng)]:
-            lap = sr.laplacian(scheme, c)
-            s, n = lap[0, 0], scheme.n
-            want = np.linalg.inv(lap + s / n) - 1 / (s * n)
-            assert sr.pseudo_inverse(scheme, c).tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("name", ["hypercube7", "triangular24"])
-    def test_oracle_matches_polynomial(self, name):
-        scheme = block_scheme(name)
-        exact = sr.resistance_polynomial(scheme).as_floats()
-        got = sr.resistance_oracle(scheme, [1] + [0] * (scheme.d - 1)).as_floats()
-        assert relative_error(np.array(got), np.array(exact)) <= 1e-12
+def assert_matches_pinv(scheme, rng):
+    """The oracle table against R read off ``np.linalg.pinv`` of the N x N
+    Laplacian, at random conductances on every class and on about half."""
+    for sparse in (False, True):
+        c = random_connected_conductances(scheme, rng, sparse=sparse)
+        lp = np.linalg.pinv(laplacian(scheme, c))
+        reps = np.unique(scheme.classmap[0], return_index=True)[1][1:]
+        want = lp[0, 0] + np.diag(lp)[reps] - 2 * lp[0, reps]
+        got = np.array(sr.resistance_oracle(scheme, c).values)
+        assert relative_error(got, want) <= 1e-12
 
 
 #: every preset and the ladder networks up to N = 1024 not listed above
 ROW_ZERO_SCHEMES = {
     **GROUPED_SCHEMES,
-    **BLOCK_SCHEMES,
+    **PINV_SCHEMES,
     "cycle24": lambda: sr.build_cycle(24),
     "cycle64": lambda: sr.build_cycle(64),
     "hypercube8": lambda: sr.build_hypercube(8),
@@ -431,21 +318,37 @@ def row_zero_scheme(name):
     return ROW_ZERO_SCHEMES[name]()
 
 
+def assert_matches_witness(scheme, rng):
+    """The oracle table within 1e-12 relative of the N x N witness, at unit
+    class-1 conductance and at three random rational vectors."""
+    cases = [[F(1)] + [F(0)] * (scheme.d - 1)]
+    cases += [random_rational_conductances(scheme, rng) for _ in range(3)]
+    for c in cases:
+        table = sr.resistance_oracle(scheme, c)
+        want, _ = nxn_oracle_table(scheme, c)
+        assert table.method == "oracle" and not table.exact
+        assert relative_error(np.array(table.values), np.array(want.values)) <= 1e-12
+
+
 class TestRowZeroOracle:
-    """The oracle's row-0 route: one quotient solve and its residual."""
+    """The oracle from row 0: one quotient solve and its residual."""
 
     @pytest.mark.parametrize("name", ROW_ZERO_SCHEMES)
     def test_matches_full_route(self, name):
+        assert_matches_witness(row_zero_scheme(name), np.random.default_rng(1616))
+        if name in GROUPED_SCHEMES:  # as reloaded from a document
+            assert_matches_witness(generatorless_scheme(name), np.random.default_rng(1616))
+
+    @pytest.mark.parametrize("name", PINV_SCHEMES)
+    def test_matches_pinv(self, name):
+        assert_matches_pinv(row_zero_scheme(name), np.random.default_rng(1414))
+
+    @pytest.mark.parametrize("name", ["hypercube7", "triangular24"])
+    def test_oracle_matches_polynomial(self, name):
         scheme = row_zero_scheme(name)
-        rng = np.random.default_rng(1616)
-        cases = [[F(1)] + [F(0)] * (scheme.d - 1)]
-        cases += [random_rational_conductances(scheme, rng) for _ in range(3)]
-        for c in cases:
-            table, bound = sr.resistance._row_zero_table(scheme, c)
-            want, _ = nxn_oracle_table(scheme, c)
-            assert table.method == "oracle" and not table.exact
-            assert relative_error(np.array(table.values), np.array(want.values)) <= 1e-12
-            assert 0 <= bound <= sr.resistance.STRATUM_SPREAD_TOL
+        exact = sr.resistance_polynomial(scheme).as_floats()
+        got = sr.resistance_oracle(scheme, [1] + [0] * (scheme.d - 1)).as_floats()
+        assert relative_error(np.array(got), np.array(exact)) <= 1e-12
 
     @pytest.mark.parametrize("name", ["hypercube6", "square10", "triangular12"])
     def test_table_without_p(self, name):
@@ -453,22 +356,7 @@ class TestRowZeroOracle:
         stripped = dataclasses.replace(scheme, p=None)
         rng = np.random.default_rng(1617)
         for c in [[1] + [0] * (scheme.d - 1), random_rational_conductances(scheme, rng)]:
-            assert sr.resistance._oracle_table(stripped, c) == \
-                sr.resistance._oracle_table(scheme, c)
-
-    @pytest.mark.parametrize("name, generators, calls", [
-        ("hypercube6", True, 0), ("hypercube6", False, 1), ("cycle32", True, 1)])
-    def test_route(self, monkeypatch, name, generators, calls):
-        scheme = grouped_scheme(name) if generators else generatorless_scheme(name)
-        real, seen = sr.resistance.pseudo_inverse, []
-
-        def counted(*args):
-            seen.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(sr.resistance, "pseudo_inverse", counted)
-        sr.resistance_oracle(scheme, [1] + [0] * (scheme.d - 1))
-        assert len(seen) == calls
+            assert sr.resistance_oracle(stripped, c) == sr.resistance_oracle(scheme, c)
 
     @pytest.mark.parametrize("tamper, message", [
         (lambda yq: yq + 1e-6 * np.abs(yq).max() * (np.arange(len(yq)) == 1),
@@ -489,7 +377,7 @@ class TestRowZeroOracle:
         bare = sr.verify_scheme(scheme.classmap, class_names=scheme.class_names)
         c = [int(l == k) for l in range(1, scheme.d + 1)]
         message = f"^conductance support reaches {count} of {scheme.n} vertices"
-        for route in (scheme, bare):  # the row-0 route and the full route
+        for route in (scheme, bare):  # verified with and without generators
             with pytest.raises(Disconnected, match=message):
                 sr.resistance_oracle(route, c)
 
@@ -497,6 +385,29 @@ class TestRowZeroOracle:
         scheme = row_zero_scheme("hypercube6")
         with pytest.raises(CertificationFailed, match="row-0 resistance error bound"):
             sr.resistance_oracle(scheme, [F(1, 10**9)] + [F(0)] * (scheme.d - 1))
+
+
+class TestChangGraph:
+    """The oracle needs closure only: a Chang graph's scheme has no
+    transitive automorphism group."""
+
+    def test_verified_without_generators(self, chang):
+        assert chang.n == 28 and chang.valencies == (1, 12, 15)
+        assert chang.p[1, 1].tolist() == [12, 6, 4]  # lambda = 6, mu = 4
+
+    def test_not_vertex_transitive(self, chang):
+        adjacent = chang.classmap == 1
+        k4 = [sum(adjacent[a, b] and adjacent[a, c] and adjacent[b, c]
+                  for a, b, c in itertools.combinations(np.flatnonzero(adjacent[x]), 3))
+              for x in range(chang.n)]
+        assert k4[0] == 32 and sorted(set(k4)) == [32, 36]
+
+    def test_oracle_matches_witness(self, chang):
+        assert_matches_witness(chang, np.random.default_rng(2812))
+        exact = sr.resistance_polynomial(chang)
+        assert exact.values == (F(9, 56), F(5, 28))
+        got = sr.resistance_oracle(chang, [1, 0]).as_floats()
+        assert relative_error(np.array(got), np.array(exact.as_floats())) <= 1e-12
 
 
 class TestSpectral:
@@ -859,7 +770,7 @@ class TestMetricProperties:
     @pytest.mark.parametrize("preset", ["cycle", "s4", "z5z5", "square"])
     def test_symmetry_and_triangle(self, presets, preset):
         scheme = presets[preset]
-        rmat = sr.oracle_resistance_matrix(scheme, [1] + [0] * (scheme.d - 1))
+        rmat = oracle_resistance_matrix(scheme, [1] + [0] * (scheme.d - 1))
         assert np.abs(rmat - rmat.T).max() < 1e-10
         # min-plus against every via-vertex; beta = alpha makes this tight
         via = (rmat[:, :, None] + rmat[None, :, :]).min(axis=1)

@@ -25,6 +25,7 @@ from nxn_witnesses import (
     nxn_relation_connected,
     per_class_certificate_accepts,
     simultaneous_eigenbasis,
+    stratify,
 )
 
 
@@ -330,30 +331,30 @@ class TestSpectralInAlgebra:
 
 class TestStratify:
     def test_reference_stratum_is_singleton(self, z5z5):
-        strat = sr.stratify(z5z5, 7)
+        strat = stratify(z5z5, 7)
         assert strat.strata[0].tolist() == [7]
         assert strat.reference == 7
 
     def test_triangular_sizes(self):
         for n in (5, 8):
             scheme = sr.build_triangular(n)
-            strat = sr.stratify(scheme, 0)
+            strat = stratify(scheme, 0)
             assert len(strat.strata[1]) == 2 * (n - 2)
             assert len(strat.strata[2]) == (n - 2) * (n - 3) // 2
 
     def test_hypercube3_sizes(self, hypercube3):
-        strat = sr.stratify(hypercube3, 0)
+        strat = stratify(hypercube3, 0)
         assert [len(s) for s in strat.strata] == [1, 3, 3, 1]
 
     def test_unit_vectors_orthonormal(self, s4):
-        strat = sr.stratify(s4, 5)
+        strat = stratify(s4, 5)
         gram = strat.unit_vectors @ strat.unit_vectors.T
         assert np.abs(gram - np.eye(s4.d + 1)).max() < 1e-12
 
     @pytest.mark.parametrize("preset", ["s4-refined-a", "square", "hexagonal"])
     def test_matrix_element_identity_certified(self, presets, preset):
         # stratify raises if the exact matrix-element identity fails
-        sr.stratify(presets[preset], 1)
+        stratify(presets[preset], 1)
 
 
 class TestDistanceRegular:
