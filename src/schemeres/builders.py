@@ -15,9 +15,8 @@ passes a few generators of a transitive automorphism group:
 
 ``verify_scheme`` certifies them (each a permutation fixing the class map,
 their orbit of vertex 0 every vertex; ``BadParameter`` otherwise) and then
-reads closure and p off row 0 in O(N^2) work per generator, instead of the
-N x N products that a class map without generators needs.  The p is the
-same, byte for byte.
+proves closure on row 0 in O(N^2) work per generator, instead of the
+N x N products that a class map without generators needs.
 """
 
 from __future__ import annotations

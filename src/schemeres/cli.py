@@ -164,10 +164,9 @@ def _parse_conductances(text: Optional[str],
         return unit_class_one(scheme)
     parts = [p for p in text.replace(",", " ").split() if p]
     try:
-        values = [Fraction(p) for p in parts]
+        return ConductanceVector.coerce([Fraction(p) for p in parts], scheme.d)
     except (ValueError, ZeroDivisionError) as exc:
-        raise BadParameter(f"cannot parse conductances {text!r}: {exc}") from exc
-    return ConductanceVector.coerce(values, scheme.d)
+        raise BadParameter(f"invalid conductances {text!r}: {exc}") from exc
 
 
 def _fmt_value(v, exact: bool) -> str:
@@ -318,19 +317,23 @@ def cmd_resist(args) -> int:
 
 def cmd_infinite(args) -> int:
     tol = args.tolerance
+    if len(args.l) != (1 if args.kind == "line" else 2):
+        raise BadParameter("line takes one separation, e.g. --l 5; "
+                           "square/hexagonal take two, e.g. --l 1 0")
+    try:
+        if args.kind == "line":
+            value, err = infinite_line_resistance(args.l[0], tol=min(tol, 1e-9),
+                                                  with_error=True)
+        else:
+            value, err = infinite_lattice_resistance(args.kind, *args.l, tol=tol,
+                                                     with_error=True)
+    except ValueError as exc:
+        raise BadParameter(str(exc)) from exc
     if args.kind == "line":
-        if len(args.l) != 1:
-            raise BadParameter("line takes one separation, e.g. --l 5")
-        value, err = infinite_line_resistance(args.l[0], tol=min(tol, 1e-9),
-                                              with_error=True)
         print(f"infinite line R({args.l[0]}) = {value:.12f} "
               f"(err<={err:.1e}, tol {tol:g})")
         return 0
-    if len(args.l) != 2:
-        raise BadParameter("square/hexagonal take two separations, e.g. --l 1 0")
     l1, l2 = args.l
-    value, err = infinite_lattice_resistance(args.kind, l1, l2, tol=tol,
-                                             with_error=True)
     print(f"infinite {args.kind} R({l1},{l2}) = {value:.10f} "
           f"(err<={err:.1e}, tol {tol:g})")
     for m in (50, 100, 200):

@@ -304,8 +304,9 @@ def polynomial_coefficients(scheme: AssociationScheme) -> PolynomialCoefficients
         If the power-expansion matrix is singular, i.e. A_1 has fewer than
         d+1 distinct eigenvalues and does not generate the algebra.
     CertificationFailed
-        If the expansion does not give A_0 = A^0 and A_1 = A^1, or if
-        W (sC) differs from sI, s the common denominator of C.
+        If W (sC) differs from sI, s the common denominator of C.  Then
+        C = W^-1, and rows 0 and 1 of C are e_0 and e_1, since W[0] = e_0
+        and W[1] = B_1 e_0 = e_1 by the identity axiom.
     """
     rows = _power_rows(scheme)
     size = len(rows)
@@ -316,9 +317,6 @@ def polynomial_coefficients(scheme: AssociationScheme) -> PolynomialCoefficients
         raise _fewer_eigenvalues(exc, size) from None
     c = tuple(tuple(row) for row in inv)
     c_inv = tuple(tuple(Fraction(x) for x in row) for row in rows)
-    for m in (0, 1):  # A_0 = A^0 and A_1 = A^1
-        if c[m] != tuple(Fraction(int(j == m)) for j in range(size)):
-            raise CertificationFailed(f"A_{m} is not expanded as A^{m}")
     s = lcm(*(x.denominator for row in c for x in row))
     scaled = [[x.numerator * (s // x.denominator) for x in row] for row in c]
     if any(sum(w * y for w, y in zip(row, column)) != s * (i == j)

@@ -2,26 +2,28 @@
 
 ``verify_scheme`` is the only constructor: it checks every defining axiom in
 exact integer arithmetic and computes the intersection numbers on the way.
-Each fact is certified once, on one of two routes:
+On both of its routes p is read off row 0 of each A_i A_j, which under
+closure is p^k_ij on class k of vertex 0 (``_row_zero_intersection_numbers``,
+O(N^2 + (d+1)^2 N)); the routes differ only in how closure is proved:
 
 * with ``automorphisms`` (every builder passes them), each generator is
   certified to be a permutation that fixes the class map, and their orbit
   of vertex 0 to be every vertex: O(N^2) work per generator.  The group
-  they generate is then transitive, so every row of the class map is a
-  relabelled row 0, and row 0 with column 0 decides the identity,
-  symmetry, the class count and regularity in O(N).  Each row of A_i A_j
-  is likewise a relabelled row 0, so closure and p are read off row 0 with
-  one ``bincount`` per block of rows: O(N^2 + (d+1)^2 N).
+  they generate is then transitive, so every row of the class map, and of
+  each A_i A_j, is a relabelled row 0: row 0 with column 0 decides the
+  identity, symmetry, the class count and regularity in O(N), and the
+  row-0 counts prove closure.
 * without them (documents, hand-written input), the axioms are checked
-  over all N^2 entries, and A_i A_j is formed as exact float64 (BLAS)
-  N x N products.  Each packs a run of classes into base-``base`` digits,
-  base = max kappa + 1, and the run is cut so that base**run <= 2**53:
-  every entry and partial sum stays an integer below 2**53, so the
-  products are exact and the axiom checks bit-exact.  That is
-  O((d+1)^2 N^3 / run) work, and the only proof for an arbitrary map.
+  over all N^2 entries, and every entry of A_i A_j is compared with p on
+  exact float64 (BLAS) N x N products (``_certify_closure``).  Each packs
+  a run of classes into base-``base`` digits, base = max kappa + 1, and
+  the run is cut so that base**run <= 2**53: every entry and partial sum
+  stays an integer below 2**53, so the products are exact and the
+  comparison bit-exact.  That is O((d+1)^2 N^3 / run) work, and the only
+  proof for an arbitrary map.
 
-Both routes give the same p, byte for byte, and the same error for a map
-that breaks an axiom.  The closure they certify is all that the oracle
+Both routes give the same error for a map that breaks an axiom.  The
+closure they certify is all that the oracle
 (``resistance.resistance_oracle``) needs to solve from row 0; it does not
 need the generators.  Everything after verification reads p alone:
 ``spectral_data`` takes P, Q and the multiplicities from one
@@ -58,7 +60,7 @@ class AssociationScheme:
     ----------
     valencies : row sums kappa_0..kappa_d
     p : (d+1, d+1, d+1) array, ``p[i, j, k]`` = coefficient of A_k in A_i A_j
-    classmap : (n, n) int16 array mapping a vertex pair to its class index
+    classmap : (n, n) int16 (int32 when d >= 2**15) array of pair classes
     relations : int8 matrices A_0..A_d, derived from ``classmap`` on access
     """
 
@@ -139,13 +141,13 @@ def verify_scheme(relations, class_names: Optional[Sequence[str]] = None,
       axioms (see ``_row_zero_axioms``): classmap[0, 0] = 0 and no other
       entry of row 0 is 0 or below, row 0 equals column 0, every label
       0..d appears in row 0 with d < n, and the valencies are the label
-      counts of row 0.  Closure and p are read off row 0 (see
-      ``_row_zero_intersection_numbers``).  That costs O(N^2) per
-      generator plus O(N^2 + (d+1)^2 N) for p.
+      counts of row 0; row 0 of each A_i A_j then proves closure.  That
+      costs O(N^2) per generator.
     * omitted, the axioms are checked over all N^2 entries (see
-      ``_classmap_axioms``), and closure costs sum_i ceil((d+1-i) / run)
-      N x N products, with each product packing ``run`` classes; see
-      ``_intersection_numbers``.
+      ``_classmap_axioms``), and closure against p costs
+      sum_i ceil((d+1-i) / run) packed N x N products (``_certify_closure``).
+
+    p is read off row 0 on both (``_row_zero_intersection_numbers``).
 
     A map that breaks an axiom raises the same error on both routes: when
     a generator or row 0 fails, the N^2 checks run first and name the
@@ -184,10 +186,9 @@ def verify_scheme(relations, class_names: Optional[Sequence[str]] = None,
         d, valencies = _row_zero_axioms(classmap) or _classmap_axioms(classmap)
 
     classmap = classmap.astype(np.int16 if d < 2 ** 15 else np.int32, copy=False)
+    p = _row_zero_intersection_numbers(classmap, valencies)
     if automorphisms is None:
-        p = _intersection_numbers(classmap, valencies)
-    else:
-        p = _row_zero_intersection_numbers(classmap, valencies)
+        _certify_closure(classmap, valencies, p)
 
     names = tuple(class_names) if class_names is not None else tuple(
         f"A{k}" for k in range(d + 1))
@@ -286,20 +287,20 @@ def _relation_classmap(relations: Sequence) -> np.ndarray:
     return classmap
 
 
-def _intersection_numbers(classmap: np.ndarray, valencies: tuple) -> np.ndarray:
-    """Certify A_i A_j = sum_k p^k_ij A_k for all i <= j and return p.
+def _certify_closure(classmap: np.ndarray, valencies: tuple, p: np.ndarray) -> None:
+    """Certify A_i A_j = sum_k p^k_ij A_k for all i <= j, p the row-0 counts.
 
     The relations must already be certified symmetric and regular, so every
-    entry of A_i A_j is an integer in [0, kappa_i] and below ``base`` =
-    max kappa + 1.  A run of classes j0..j1-1 then packs into one product:
-    A_i W with W = sum_q base^q A_{j0+q} holds A_i A_{j0+q} as base-``base``
-    digit q.  ``run`` is the largest length with base**run <= 2**53, so
-    every entry and every partial sum of the float64 product is a
-    nonnegative integer below 2**53 and the product is exact.  Because each
-    digit is below ``base``, a packed entry equals the packed coefficients
-    of its class exactly when every digit does, i.e. when each A_i A_j in
-    the run lies in the span of the relations.  That takes
-    sum_i ceil((d+1-i) / run) products instead of (d+1)(d+2)/2.
+    entry of A_i A_j, and every p^k_ij, is an integer in [0, kappa_i] and
+    below ``base`` = max kappa + 1.  A run of classes j0..j1-1 then packs
+    into one product: A_i W with W = sum_q base^q A_{j0+q} holds
+    A_i A_{j0+q} as base-``base`` digit q.  ``run`` is the largest length
+    with base**run <= 2**53, so every entry and partial sum of the float64
+    product is an integer below 2**53 and the product is exact; an entry
+    equals sum_q base^q p^k_{i, j0+q}, k its class, exactly when every digit
+    does.  That takes sum_i ceil((d+1-i) / run) products instead of
+    (d+1)(d+2)/2.  j < i needs none: A_j A_i = (A_i A_j)^T is then
+    sum_k p^k_ij A_k, so its row-0 counts give p^k_ji = p^k_ij.
     """
     d = len(valencies) - 1
     base = max(valencies) + 1
@@ -307,11 +308,8 @@ def _intersection_numbers(classmap: np.ndarray, valencies: tuple) -> np.ndarray:
     while base ** (run + 1) <= 2 ** 53:
         run += 1
     powers = np.array([base ** q for q in range(run)], dtype=np.int64)
-    # every class meets row 0, since each relation is regular and nonempty
-    reps = np.argmax(classmap[0] == np.arange(d + 1)[:, None], axis=1)
 
     index = classmap.astype(np.intp)  # gathers run about twice as fast on intp
-    p = np.zeros((d + 1, d + 1, d + 1), dtype=np.int64)
     for i in range(d + 1):
         a_i = (classmap == i).astype(np.float64)
         for j0 in range(i, d + 1, run):
@@ -319,18 +317,13 @@ def _intersection_numbers(classmap: np.ndarray, valencies: tuple) -> np.ndarray:
             weights = np.zeros(d + 1)
             weights[j0:j1] = powers[:j1 - j0]
             packed = a_i @ weights[index]  # exact integers, so compared as floats
-            coef = packed[0, reps]
-            expected = coef[index]
+            expected = (powers[:j1 - j0] @ p[i, j0:j1]).astype(np.float64)[index]
             if (packed != expected).any():
                 x, y = np.argwhere(packed != expected)[0]
                 pair = np.array([packed[x, y], expected[x, y]], dtype=np.int64)
                 digits = pair[:, None] // powers[:j1 - j0] % base
                 j = j0 + int(np.argmax(digits[0] != digits[1]))
                 raise NotClosed(f"A_{i} A_{j} is outside the span of the relations")
-            digits = coef.astype(np.int64) // powers[:j1 - j0, None] % base
-            p[i, j0:j1, :] = digits  # [q, k] = p^k_{i, j0+q}
-            p[j0:j1, i, :] = digits  # product of symmetric matrices, transposed
-    return p
 
 
 def _certify_transitive(classmap: np.ndarray, automorphisms: Sequence) -> None:
@@ -395,16 +388,18 @@ _ROW_ZERO_BLOCK = 2 ** 15
 
 
 def _row_zero_intersection_numbers(classmap: np.ndarray, valencies: tuple) -> np.ndarray:
-    """Certify closure and return p from row 0 of each A_i A_j.
+    """p from row 0 of each A_i A_j, which must be constant on each class k
+    of vertex 0 (``NotClosed`` otherwise).
 
-    The class map must already be certified symmetric and regular, and
-    invariant under a transitive group (``_certify_transitive``).  For
-    vertices x, y take an automorphism s with s(0) = x; then
-    (A_i A_j)[x, y] = (A_i A_j)[0, s^-1(y)], and s^-1(y) lies in the class
-    of (x, y) in row 0.  So A_i A_j lies in the span of the relations
-    exactly when its row 0 is constant on each class k of vertex 0, and
-    that constant is p^k_ij.  Row 0 of A_i A_j counts, for each y, the z in
-    class i of vertex 0 with classmap[z, y] = j.
+    The class map must already be certified symmetric and regular.  Row 0
+    of A_i A_j counts, for each y, the z in class i of vertex 0 with
+    classmap[z, y] = j.  When A_i A_j lies in the span of the relations,
+    that count is p^k_ij for every y in class k of vertex 0.  Under a
+    transitive group of automorphisms (``_certify_transitive``) the
+    converse holds: for vertices x, y take an automorphism s with s(0) = x;
+    then (A_i A_j)[x, y] = (A_i A_j)[0, s^-1(y)], and s^-1(y) lies in the
+    class of (x, y) in row 0, so a class-constant row 0 proves closure.
+    Without one, ``_certify_closure`` checks the other rows against p.
 
     The classes i are taken in consecutive blocks, and one ``bincount`` over
     the rows of a block's classes counts every (i, j) of the block at once,
@@ -602,8 +597,10 @@ def _validate_spectral(scheme: AssociationScheme, data: SpectralData) -> None:
     """Certify the tables against the exact intersection numbers.
 
     The multiplicities must sum to N with m_0 = 1, P Q = N I, eigenspace 0
-    must be J/N, and row 0 and column 0 of P must list the valencies and
-    ones; then ``_certify_eigenspaces`` checks every column of Q against p.
+    must be J/N, and row 0 of P must list the valencies (column 0 is
+    kappa_0 q_0 / q_0 = 1.0 exactly, or a NaN row whose multiplicity is
+    rejected); then ``_certify_eigenspaces`` checks every column of Q
+    against p.
     """
     n, d = scheme.n, scheme.d
     P, Q = data.p_matrix, data.q_matrix
@@ -615,8 +612,6 @@ def _validate_spectral(scheme: AssociationScheme, data: SpectralData) -> None:
         raise DegenerateSplit("eigenspace 0 is not J/N")
     if np.abs(P[0] - np.array(scheme.valencies)).max() > 1e-7:
         raise DegenerateSplit("row 0 of P does not list the valencies")
-    if np.abs(P[:, 0] - 1.0).max() > 1e-7:
-        raise DegenerateSplit("column 0 of P is not all ones")
     _certify_eigenspaces(scheme, data)
 
 
@@ -725,21 +720,25 @@ def check_distance_regular(scheme: AssociationScheme) -> Optional[IntersectionAr
 # --------------------------------------------------------------------------
 
 def scheme_to_dict(scheme: AssociationScheme) -> dict:
-    """JSON-ready document; relations are row-major 0/1 integer lists."""
+    """JSON-ready document; ``classmap`` lists the N^2 class labels row-major."""
     return {
         "n": scheme.n,
         "d": scheme.d,
         "class_names": list(scheme.class_names),
-        "relations": [r.astype(int).reshape(-1).tolist() for r in scheme.relations],
+        "classmap": scheme.classmap.reshape(-1).tolist(),
     }
 
 
 def scheme_from_dict(doc: dict) -> AssociationScheme:
-    """Parse and re-verify a scheme document produced by ``scheme_to_dict``."""
+    """Parse and re-verify a scheme document produced by ``scheme_to_dict``,
+    or an older one with d+1 row-major 0/1 ``relations``; entries are not
+    cast, so a non-integer one fails verification (``NotPartition``)."""
     n = int(doc["n"])
-    rels = [np.array(flat, dtype=np.int64).reshape(n, n) for flat in doc["relations"]]
-    names = doc.get("class_names")
-    scheme = verify_scheme(rels, class_names=names)
+    if "classmap" in doc:
+        given = np.asarray(doc["classmap"]).reshape(n, n)
+    else:
+        given = [np.asarray(flat).reshape(n, n) for flat in doc["relations"]]
+    scheme = verify_scheme(given, class_names=doc.get("class_names"))
     if scheme.d != int(doc["d"]):
-        raise NotPartition("declared class count does not match the relations")
+        raise NotPartition("declared class count does not match the class map")
     return scheme

@@ -367,10 +367,10 @@ class TestAutomorphismRoute:
         assert scheme.p.tobytes() == packed.p.tobytes()
 
     def test_no_builder_forms_products(self, monkeypatch):
-        def refuse(classmap, valencies):
+        def refuse(classmap, valencies, p):
             raise AssertionError("a builder reached the packed N x N products")
 
-        monkeypatch.setattr(scheme_module, "_intersection_numbers", refuse)
+        monkeypatch.setattr(scheme_module, "_certify_closure", refuse)
         for build, *args in PRESET_BUILDS.values():
             build(*args)
         networks = bench_ladder_networks()

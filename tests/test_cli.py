@@ -23,7 +23,7 @@ class TestBuild:
         doc = json.loads(out.read_text())
         scheme = sr.scheme_from_dict(doc)
         again = sr.scheme_to_dict(scheme)
-        assert again == doc  # byte-identical relations after a round trip
+        assert again == doc  # the same class map after a round trip
 
     def test_group_preset(self, tmp_path, capsys):
         out = tmp_path / "s4.json"
@@ -194,6 +194,18 @@ class TestInfinite:
 
     def test_bad_separation_count(self, capsys):
         assert main(["infinite", "square", "--l", "1"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["resist", "s4", "--conductances", "1,0,0"],
+    ["resist", "s4", "--conductances=-1,0,0,0"],
+    ["resist", "s4", "--conductances", "0,0,0,0"],
+    ["infinite", "line", "--l", "-1"],
+    ["infinite", "square", "--l", "0", "0"],
+], ids=["wrong-count", "negative", "all-zero", "negative-separation", "zero-separation"])
+def test_invalid_values_are_bad_parameters(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error [BadParameter]: ")
 
 
 class TestPresetFactory:

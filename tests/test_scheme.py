@@ -433,13 +433,50 @@ DRG_CASES = {
 }
 
 
+def relation_document(scheme):
+    """The former document format: d+1 row-major 0/1 relation lists."""
+    return {"n": scheme.n, "d": scheme.d, "class_names": list(scheme.class_names),
+            "relations": [r.reshape(-1).tolist() for r in scheme.relations]}
+
+
 class TestSerialization:
     def test_round_trip_bytes(self, z5z5):
         doc = sr.scheme_to_dict(z5z5)
+        assert set(doc) == {"n", "d", "class_names", "classmap"}
+        assert doc["classmap"] == z5z5.classmap.reshape(-1).tolist()
         again = sr.scheme_from_dict(json.loads(json.dumps(doc)))
         assert again.class_names == z5z5.class_names
-        for a, b in zip(again.relations, z5z5.relations):
-            assert (np.asarray(a) == np.asarray(b)).all()
+        assert again.classmap.dtype == z5z5.classmap.dtype
+        assert again.classmap.tobytes() == z5z5.classmap.tobytes()
+        assert again.p.tobytes() == z5z5.p.tobytes()
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_reads_relation_documents(self, presets, preset):
+        scheme = presets[preset]
+        doc = json.loads(json.dumps(relation_document(scheme)))
+        again = sr.scheme_from_dict(doc)
+        assert again.class_names == scheme.class_names
+        assert again.classmap.tobytes() == scheme.classmap.tobytes()
+        assert again.p.tobytes() == scheme.p.tobytes()
+
+    @pytest.mark.parametrize("entry", [1.5, 1.0])
+    def test_rejects_a_non_integer_class(self, entry):
+        # the entry replaces class 1 of the pair (0, 1) of the 4-cycle
+        doc = sr.scheme_to_dict(sr.verify_scheme(cycle4_relations()))
+        doc["classmap"][1] = entry
+        with pytest.raises(NotPartition, match="not a square integer array"):
+            sr.scheme_from_dict(doc)
+
+    def test_rejects_a_boolean_class_map(self):
+        doc = {"n": 2, "d": 1, "classmap": [False, True, True, False]}
+        with pytest.raises(NotPartition, match="not a square integer array"):
+            sr.scheme_from_dict(doc)
+
+    def test_rejects_a_non_integer_relation_entry(self):
+        doc = relation_document(sr.verify_scheme(cycle4_relations()))
+        doc["relations"][1][1] = 1.5
+        with pytest.raises(NotPartition, match="relation 1 has non-integer entries"):
+            sr.scheme_from_dict(doc)
 
     def test_rejects_bad_declared_d(self, cycle8):
         doc = sr.scheme_to_dict(cycle8)
@@ -503,6 +540,24 @@ MULTI_RUN = {"cycle100": (sr.build_cycle, 100),
              "square15": (sr.build_square_lattice, 15)}
 
 
+#: K3,3 with parts {0, 1, 2} and {3, 4, 5}; the prism on triangles
+#: {0, 1, 2} and {3, 4, 5}, matched by x ~ x + 3
+K33 = np.kron([[0, 1], [1, 0]], np.ones((3, 3), dtype=np.int64))
+PRISM = np.kron(np.eye(2, dtype=np.int64), 1 - np.eye(3, dtype=np.int64)) \
+    + np.kron([[0, 1], [1, 0]], np.eye(3, dtype=np.int64))
+
+
+def disjoint_union_classmap(g, h):
+    """Classes on two graphs of the same order side by side: the diagonal,
+    an edge, a non-edge inside one graph, a pair across."""
+    n = len(g)
+    classmap = np.full((2 * n, 2 * n), 3)
+    classmap[:n, :n] = 2 - g
+    classmap[n:, n:] = 2 - h
+    np.fill_diagonal(classmap, 0)
+    return classmap
+
+
 class TestPackedVerifier:
     @pytest.mark.parametrize("preset", PRESETS)
     def test_matches_dense_reference(self, presets, preset):
@@ -551,9 +606,10 @@ class TestPackedVerifier:
         assert np.array_equal(sr.verify_scheme(rels).p, reference)
 
     def test_violation_in_middle_digits_only(self):
-        # C_12 with classes ordered by distance (0, 5, 4, 1, 2, {3, 6}).
-        # Row 1 is one packed run over j = 1..5; A_1 A_1 (lowest digit) and
-        # A_1 A_5 (highest) lie in the span, only the middle digits do not.
+        # C_12 with classes ordered by distance (0, 5, 4, 1, 2, {3, 6}):
+        # A_1 A_1 and A_1 A_5 lie in the span, A_1 A_2..A_1 A_4 do not.  The
+        # map is transitive, so row 0 shows it before any packed product;
+        # test_violation_off_row_zero_in_middle_digits_only is the packed case
         lookup = np.array([0, 3, 4, 5, 2, 1, 5])
         classmap = lookup[sr.build_cycle(12).classmap]
         rels = [(classmap == k).astype(np.int64) for k in range(6)]
@@ -565,6 +621,55 @@ class TestPackedVerifier:
         assert all(1 <= i < j < 5 for i, j in outside)
         with pytest.raises(NotClosed, match=r"A_1 A_[234] "):
             sr.verify_scheme(rels)
+
+    def test_row_zero_blind_violation(self):
+        # K3,3 holds vertex 0 and is SRG(6, 3, 0, 3), so row 0 of every
+        # product is class-constant; the prism's rows are not
+        prism = disjoint_union_classmap(K33, PRISM)
+        valencies = (1, 3, 2, 6)
+        assert scheme_module._classmap_axioms(prism) == (3, valencies)
+        p = scheme_module._row_zero_intersection_numbers(prism, valencies)
+        with pytest.raises(NotClosed, match=r"^A_1 A_1 is outside the span"):
+            scheme_module._certify_closure(prism, valencies, p)
+        with pytest.raises(NotClosed, match=r"^A_1 A_1 is outside the span"):
+            sr.verify_scheme(prism)
+        twins = sr.verify_scheme(disjoint_union_classmap(K33, K33))
+        assert np.array_equal(twins.p, dense_intersection_numbers(twins.relations))
+
+    def test_violation_off_row_zero_in_middle_digits_only(self):
+        # two 12-cycles, the second with distances 1 and 2 swapped; classes
+        # (0, 6, 1, 2, 3, 4, 5) by distance, then 7 across.  Row 1 is one
+        # packed run over j = 1..7: A_1 A_1 (lowest digit) and A_1 A_7
+        # (highest) lie in the span, and vertex 0's cycle is a scheme
+        distance = sr.build_cycle(12).classmap
+        label = np.array([0, 2, 3, 4, 5, 6, 1])
+        swapped = np.array([0, 2, 1, 3, 4, 5, 6])
+        classmap = np.full((24, 24), 7)
+        classmap[:12, :12] = label[distance]
+        classmap[12:, 12:] = label[swapped[distance]]
+        rels = [(classmap == k).astype(np.int64) for k in range(8)]
+        floats = [r.astype(float) for r in rels]
+        outside = {(i, j) for i in range(8) for j in range(i, 8)
+                   if any(np.ptp((floats[i] @ floats[j])[classmap == k]) > 0
+                          for k in range(8))}
+        assert {(1, 2), (1, 3), (1, 5), (1, 6)} <= outside
+        assert (1, 1) not in outside and (1, 7) not in outside
+        valencies = (1, 1, 2, 2, 2, 2, 2, 12)
+        assert (max(valencies) + 1) ** 8 <= 2 ** 53
+        p = scheme_module._row_zero_intersection_numbers(classmap, valencies)
+        with pytest.raises(NotClosed, match=r"^A_1 A_[2356] "):
+            scheme_module._certify_closure(classmap, valencies, p)
+
+    @pytest.mark.parametrize("name, i, j", [("cycle100", 1, 40), ("hypercube9", 2, 5)])
+    def test_names_a_wrong_coefficient(self, name, i, j):
+        # p^k_1,40 sits mid-way through the second run of row 1; p^k_2,5
+        # in the middle of the first run of row 2
+        builder, size = MULTI_RUN[name]
+        scheme = builder(size)
+        p = scheme.p.copy()
+        p[i, j, np.flatnonzero(p[i, j])[0]] -= 1
+        with pytest.raises(NotClosed, match=rf"^A_{i} A_{j} is outside"):
+            scheme_module._certify_closure(scheme.classmap, scheme.valencies, p)
 
     def test_empty_relation(self):
         rels = cycle4_relations() + [np.zeros((4, 4), dtype=np.int64)]
@@ -838,8 +943,8 @@ class TestSeededCertificate:
 
     @pytest.mark.parametrize("preset", PRESETS)
     def test_perturbed_entry_is_named(self, presets, preset):
-        # row 0 and column 0 of P are checked on their own before the
-        # certificate; a shift of 1e-5 moves column k of the residual of B_j
+        # row 0 of P is checked on its own before the certificate, and
+        # column 0 is all ones by construction; a shift of 1e-5 moves column k of the residual of B_j
         # by 1e-5 |E_k|, which clears the tolerance when E_k is large enough
         scheme = presets[preset]
         data = spectral_of(scheme)
