@@ -70,18 +70,11 @@ _FIXED_PRESETS = {
     "s4-refined-b": lambda: build_s4_scheme("stabilizer-4c"),
     "z5z5": build_orbit_scheme_z5z5,
 }
-_GROUP_PRESETS = {"s4", "s4-refined-a", "s4-refined-b"}
 
 
 def make_preset_scheme(name: str, n: Optional[int] = None,
-                       m: Optional[int] = None,
-                       group_preset: Optional[str] = None) -> AssociationScheme:
+                       m: Optional[int] = None) -> AssociationScheme:
     """Construct a scheme from a builder/preset name and its parameters."""
-    if name == "group":
-        if group_preset not in _GROUP_PRESETS:
-            raise BadParameter("group builder needs --preset "
-                               + "|".join(sorted(_GROUP_PRESETS)))
-        return _FIXED_PRESETS[group_preset]()
     if name in _FIXED_PRESETS:
         return _FIXED_PRESETS[name]()
     if name in _PARAM_PRESETS:
@@ -181,8 +174,7 @@ def _fmt_value(v, exact: bool) -> str:
 
 def cmd_build(args) -> int:
     t0 = time.perf_counter()
-    scheme = make_preset_scheme(args.builder, n=args.n, m=args.m,
-                                group_preset=args.preset)
+    scheme = make_preset_scheme(args.builder, n=args.n, m=args.m)
     summary = _scheme_summary(scheme)
     elapsed = time.perf_counter() - t0
 
@@ -356,8 +348,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("builder")
     p_build.add_argument("--n", type=int, default=None)
     p_build.add_argument("--m", type=int, default=None)
-    p_build.add_argument("--preset", default=None,
-                         help="group preset for the `group` builder")
     p_build.add_argument("--out", default=None)
     p_build.set_defaults(func=cmd_build)
 

@@ -57,10 +57,6 @@ class ReferenceStatus:
     computed: object
     status: str  # CONFIRMED | UNCONFIRMED
 
-    @property
-    def confirmed(self) -> bool:
-        return self.status == "CONFIRMED"
-
 
 def compare_reference(documented: dict, table: ResistanceTable,
                       tol: float = 1e-9) -> list:

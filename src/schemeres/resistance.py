@@ -16,8 +16,9 @@ closure, the inverse of L + sJ/N lies in the Bose-Mesner algebra and one
 row decides it: connectivity is decided on the d+1 classes of vertex 0,
 one (d+1) x (d+1) quotient solve gives y = (L + sJ/N)^-1 e_0 and
 R^(l) = 2(y_0 - y_x) for x in class l, and the residual
-(L + sJ/N) y - e_0 over all N rows bounds the error of every entry.
-O(N^2) work, in blocks of rows, and no N x N array.
+(L + sJ/N) y - e_0 bounds the error of every entry.  Closure makes that
+residual constant on each class of vertex 0, so it is evaluated at one
+row per class.  O((d+1) N + d^3) work and no N x N array.
 
 The other three all derive from p: ``spectral`` through the eigenmatrices
 computed in the intersection algebra, ``polynomial`` through one exact solve
@@ -77,10 +78,6 @@ class ConductanceVector:
             raise ValueError(f"expected {d} conductances, got {len(cond.values)}")
         return cond
 
-    @property
-    def support(self) -> tuple:
-        return tuple(i + 1 for i, v in enumerate(self.values) if v > 0)
-
     def as_floats(self) -> np.ndarray:
         return np.array([v.numerator / v.denominator for v in self.values])
 
@@ -125,12 +122,6 @@ def _laplacian_weights(scheme: AssociationScheme, conductances) -> np.ndarray:
     return weights
 
 
-#: most entries of L gathered at once for the oracle's residual;
-#: 2**16 and 2**17 tied as fastest of 2**13 to 2**20 on hypercube 8 to 12,
-#: triangular 24 and square 24 (one BLAS thread)
-_RESIDUAL_BLOCK = 2 ** 16
-
-
 def resistance_oracle(scheme: AssociationScheme, conductances) -> ResistanceTable:
     """Per-class resistances from the Laplacian, read off the class map
     alone, with a certified bound on the error of every entry.
@@ -156,8 +147,10 @@ def resistance_oracle(scheme: AssociationScheme, conductances) -> ResistanceTabl
     * the solve: Q[k, l] = sum of M[r_k, z] over z in class l is M acting on
       class-constant vectors, and Q y_q = e_0 gives y = y_q[classmap[0]],
       with y_q = alpha in exact arithmetic.
-    * the certificate: r = M y - e_0 over all N rows, one matrix-vector
-      product gathered in blocks of rows.  y - y* = M^-1 r, so
+    * the certificate: r = M y - e_0, evaluated at the r_k alone.  y is
+      constant on each class of vertex 0, and for x in class k closure gives
+      (A_j y)_x = sum_l p^k_jl y_q[l], so the exact r is constant on each
+      class and its largest entry is at some r_k.  y - y* = M^-1 r, so
       ||y - y*||_inf <= ||y*||_1 ||r||_inf by the row sums above, and since
       ||y*||_1 <= ||y||_1 + N ||y - y*||_inf,
       |y - y*| <= ||y||_1 ||r||_inf / (1 - N ||r||_inf) entrywise, to first
@@ -165,8 +158,8 @@ def resistance_oracle(scheme: AssociationScheme, conductances) -> ResistanceTabl
       then within four times that of the exact value, which is the same for
       every pair of class l.
 
-    O(N^2) work, in blocks of rows, and no N x N array.  The intersection
-    numbers p are not read.
+    O((d+1) N + d^3) work and no N x N array.  The intersection numbers p
+    are not read.
 
     Raises
     ------
@@ -190,19 +183,14 @@ def resistance_oracle(scheme: AssociationScheme, conductances) -> ResistanceTabl
                            "vertices, so L has repeated zero eigenvalues")
 
     s = weights[0]
-    rows += s / n
-    quotient = np.bincount(cells.ravel(), weights=rows.ravel(),
+    quotient = np.bincount(cells.ravel(), weights=(rows + s / n).ravel(),
                            minlength=(d + 1) ** 2).reshape(d + 1, d + 1)
     e0 = np.zeros(d + 1)
     e0[0] = 1.0
     yq = np.linalg.solve(quotient, e0)
     y = yq[row]
 
-    residual = np.empty(n)
-    block = max(1, _RESIDUAL_BLOCK // n)
-    for x0 in range(0, n, block):
-        np.dot(weights[classmap[x0:x0 + block]], y, out=residual[x0:x0 + block])
-    residual += s / n * y.sum()
+    residual = rows @ y + s / n * y.sum()  # r at r_0..r_d
     residual[0] -= 1.0
     worst = float(np.abs(residual).max())
     if n * worst >= 1:

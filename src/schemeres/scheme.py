@@ -729,15 +729,26 @@ def scheme_to_dict(scheme: AssociationScheme) -> dict:
     }
 
 
+def _document_array(values, n: int, message: str) -> np.ndarray:
+    """``values`` as an n x n array; a boolean among them is ``NotPartition``
+    with ``message``, since ``np.asarray`` reads a true among ints as 1."""
+    if any(isinstance(x, bool) for x in np.asarray(values, dtype=object).flat):
+        raise NotPartition(message)
+    return np.asarray(values).reshape(n, n)
+
+
 def scheme_from_dict(doc: dict) -> AssociationScheme:
     """Parse and re-verify a scheme document produced by ``scheme_to_dict``,
     or an older one with d+1 row-major 0/1 ``relations``; entries are not
-    cast, so a non-integer one fails verification (``NotPartition``)."""
+    cast, so a non-integer one, a JSON boolean included, fails verification
+    (``NotPartition``)."""
     n = int(doc["n"])
     if "classmap" in doc:
-        given = np.asarray(doc["classmap"]).reshape(n, n)
+        given = _document_array(doc["classmap"], n,
+                                "the class map is not a square integer array")
     else:
-        given = [np.asarray(flat).reshape(n, n) for flat in doc["relations"]]
+        given = [_document_array(flat, n, f"relation {k} has non-integer entries")
+                 for k, flat in enumerate(doc["relations"])]
     scheme = verify_scheme(given, class_names=doc.get("class_names"))
     if scheme.d != int(doc["d"]):
         raise NotPartition("declared class count does not match the class map")

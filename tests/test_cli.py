@@ -27,8 +27,7 @@ class TestBuild:
 
     def test_group_preset(self, tmp_path, capsys):
         out = tmp_path / "s4.json"
-        assert main(["build", "group", "--preset", "s4",
-                     "--out", str(out)]) == 0
+        assert main(["build", "s4", "--out", str(out)]) == 0
         text = capsys.readouterr().out
         assert "d=4" in text and "(1, 6, 8, 3, 6)" in text
         assert "distance-regular: no" in text

@@ -330,6 +330,14 @@ def assert_matches_witness(scheme, rng):
         assert relative_error(np.array(table.values), np.array(want.values)) <= 1e-12
 
 
+def hidden_from_row_zero(q, yq, a=1, b=2):
+    """yq shifted along Q[0, b] e_a - Q[0, a] e_b, which leaves row 0 of the
+    quotient residual as it is."""
+    shift = np.zeros_like(yq)
+    shift[a], shift[b] = q[0, b], -q[0, a]
+    return yq + 1e-6 * np.abs(yq).max() * shift / np.abs(shift).max()
+
+
 class TestRowZeroOracle:
     """The oracle from row 0: one quotient solve and its residual."""
 
@@ -359,13 +367,15 @@ class TestRowZeroOracle:
             assert sr.resistance_oracle(stripped, c) == sr.resistance_oracle(scheme, c)
 
     @pytest.mark.parametrize("tamper, message", [
-        (lambda yq: yq + 1e-6 * np.abs(yq).max() * (np.arange(len(yq)) == 1),
+        (lambda q, yq: yq + 1e-6 * np.abs(yq).max() * (np.arange(len(yq)) == 1),
          "row-0 resistance error bound"),
-        (lambda yq: 2 * yq, "row-0 residual .* is not below 1/N")], ids=["shifted", "doubled"])
+        (lambda q, yq: 2 * yq, "row-0 residual .* is not below 1/N"),
+        (hidden_from_row_zero, "row-0 resistance error bound")],
+        ids=["shifted", "doubled", "hidden-from-row-0"])
     def test_tampered_solve(self, monkeypatch, tamper, message):
         scheme = row_zero_scheme("hypercube6")
         real = np.linalg.solve
-        monkeypatch.setattr(np.linalg, "solve", lambda a, b: tamper(real(a, b)))
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: tamper(a, real(a, b)))
         with pytest.raises(CertificationFailed, match=message):
             sr.resistance_oracle(scheme, [1] + [0] * (scheme.d - 1))
 
@@ -385,6 +395,22 @@ class TestRowZeroOracle:
         scheme = row_zero_scheme("hypercube6")
         with pytest.raises(CertificationFailed, match="row-0 resistance error bound"):
             sr.resistance_oracle(scheme, [F(1, 10**9)] + [F(0)] * (scheme.d - 1))
+
+
+@pytest.mark.parametrize("name", [*GROUPED_SCHEMES, "chang"])
+def test_residual_is_class_constant(name, request):
+    """The premise of the oracle's certificate: M y is constant on each
+    class of vertex 0 when y is, checked in integers over all N rows at
+    random integer conductances and class values."""
+    scheme = request.getfixturevalue("chang") if name == "chang" else generatorless_scheme(name)
+    rng = np.random.default_rng(2020)
+    for _ in range(3):
+        c = rng.integers(0, 10, scheme.d)
+        weights = np.concatenate([[c @ scheme.valencies[1:]], -c])
+        y = rng.integers(-1000, 1000, scheme.d + 1)[scheme.classmap[0]]
+        product = weights[scheme.classmap] @ y
+        reps = np.unique(scheme.classmap[0], return_index=True)[1]
+        assert (product == product[reps][scheme.classmap[0]]).all()
 
 
 class TestChangGraph:

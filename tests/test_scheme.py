@@ -472,6 +472,22 @@ class TestSerialization:
         with pytest.raises(NotPartition, match="not a square integer array"):
             sr.scheme_from_dict(doc)
 
+    @pytest.mark.parametrize("nested", [False, True], ids=["flat", "nested"])
+    def test_rejects_a_boolean_among_class_labels(self, nested):
+        # mixed with ints, np.asarray would read true as class 1
+        doc = sr.scheme_to_dict(sr.verify_scheme(cycle4_relations()))
+        doc["classmap"][1] = True
+        if nested:
+            doc["classmap"] = [doc["classmap"][i:i + 4] for i in range(0, 16, 4)]
+        with pytest.raises(NotPartition, match="not a square integer array"):
+            sr.scheme_from_dict(json.loads(json.dumps(doc)))
+
+    def test_rejects_a_boolean_relation_entry(self):
+        doc = relation_document(sr.verify_scheme(cycle4_relations()))
+        doc["relations"][1] = [bool(x) for x in doc["relations"][1]]
+        with pytest.raises(NotPartition, match="relation 1 has non-integer entries"):
+            sr.scheme_from_dict(json.loads(json.dumps(doc)))
+
     def test_rejects_a_non_integer_relation_entry(self):
         doc = relation_document(sr.verify_scheme(cycle4_relations()))
         doc["relations"][1][1] = 1.5
