@@ -54,6 +54,7 @@ from .scheme import (
     AssociationScheme,
     IntersectionArray,
     SpectralData,
+    Translation,
     check_distance_regular,
     scheme_from_dict,
     scheme_to_dict,

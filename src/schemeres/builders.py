@@ -1,19 +1,33 @@
 """Constructors for every concrete scheme the package ships.
 
-All builders return fully verified ``AssociationScheme`` objects; each
-computes the N x N class map of its scheme and runs it through
-``verify_scheme``, so a builder can never hand out an object violating the
-axioms.  Every shipped scheme is vertex-transitive, and each builder also
-passes a few generators of a transitive automorphism group:
+All builders return fully verified ``AssociationScheme`` objects: each
+hands its scheme to ``verify_scheme``, so a builder can never hand out an
+object violating the axioms.  Every shipped scheme is vertex-transitive.
 
-* cycle: the rotation x -> x + 1;
-* hypercube: the flip of bit 0 and the cyclic rotation of the n bits,
-  whose conjugates r^t f r^-t give every bit flip;
+The cycle, hypercube, square, hexagonal and Z_5 x Z_5 schemes are
+translation schemes on G = Z_m^r: each builder passes row 0 and generator
+matrices of a point group H of automorphisms of G whose orbits are its
+classes (a ``Translation``):
+
+* cycle on Z_n: the negation (-1);
+* hypercube on Z_2^n: the transposition (0 1) and the n-cycle of the
+  coordinates, which generate every coordinate permutation;
+* square on Z_m^2: the swap ((0, 1), (1, 0)) and the reflection
+  ((1, 0), (0, -1)), which generate ``square_point_group``;
+* hexagonal on Z_m^2: ((1, -1), (0, -1)) and ((0, -1), (-1, 0)), which
+  generate ``hexagonal_point_group``;
+* Z_5 x Z_5: the rotation ((0, 1), (-1, 1)) of order 6.
+
+``verify_scheme`` certifies that H fixes row 0 and has exactly d+1 orbits,
+so the scheme is the orbital scheme of G x| H, in O(N |gens| + (d+1) N)
+work with no N x N class map.  The other builders compute the N x N class
+map and pass vertex permutations that generate a transitive automorphism
+group:
+
 * triangular: the transposition (0 1) and the n-cycle, acting on 2-subsets;
-* square, hexagonal and Z_5 x Z_5: the two unit shifts of Z_m x Z_m;
 * group schemes: right multiplications x -> x s, by a generating set.
 
-``verify_scheme`` certifies them (each a permutation fixing the class map,
+``verify_scheme`` certifies those (each a permutation fixing the class map,
 their orbit of vertex 0 every vertex; ``BadParameter`` otherwise) and then
 proves closure on row 0 in O(N^2) work per generator, instead of the
 N x N products that a class map without generators needs.
@@ -35,7 +49,7 @@ from .errors import (
     TooLarge,
     TooSmall,
 )
-from .scheme import AssociationScheme, _orbit, verify_scheme
+from .scheme import AssociationScheme, Translation, _orbit, verify_scheme
 
 
 # --------------------------------------------------------------------------
@@ -233,34 +247,30 @@ def build_cycle(n: int) -> AssociationScheme:
         raise OddOrder("cycle scheme is built for an even number of vertices")
     if n < 4:
         raise TooSmall("cycle scheme needs at least 4 vertices")
-    ahead = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
-    distance = np.minimum(ahead, n - ahead).astype(np.int16 if n // 2 < 2 ** 15 else np.int32)
+    z = np.arange(n)
     names = tuple(str(i) for i in range(n // 2 + 1))
-    rotation = (np.arange(n) + 1) % n
-    return verify_scheme(distance, class_names=names, automorphisms=[rotation])
+    return verify_scheme(Translation(n, 1, np.minimum(z, n - z), ([[-1]],)),
+                         class_names=names)
 
 
 def build_hypercube(n: int) -> AssociationScheme:
     """Binary Hamming scheme H(n, 2); classes are Hamming distances."""
     if n < 1:
         raise TooSmall("hypercube needs n >= 1")
-    if n > 12:
-        raise TooLarge("hypercube supported up to n = 12 (4096 vertices)")
-    # the Hamming distances of 2s vertices, from those of s: the top bit
-    # adds 1 between the two halves
-    weight = np.zeros((1, 1), dtype=np.int16)
+    if n > 20:
+        raise TooLarge("hypercube supported up to n = 20 (1048576 vertices)")
+    # the weights of 2s vertices, from those of s: the top bit adds 1
+    weight = np.zeros(1, dtype=np.int16)
     for _ in range(n):
-        s = len(weight)
-        doubled = np.empty((2 * s, 2 * s), dtype=np.int16)
-        doubled[:s, :s] = doubled[s:, s:] = weight
-        np.add(weight, 1, out=doubled[:s, s:])
-        doubled[s:, :s] = doubled[:s, s:]
-        weight = doubled
-    xs = np.arange(2 ** n, dtype=np.int16)
+        weight = np.concatenate([weight, weight + 1])
     names = tuple(f"w{i}" for i in range(n + 1))
-    # the flip of bit 0 and the rotation of the bits: r^t f r^-t flips bit t
-    rotation = (xs << 1 | xs >> (n - 1)) & (2 ** n - 1)
-    return verify_scheme(weight, class_names=names, automorphisms=[xs ^ 1, rotation])
+    # the transposition (0 1) and the n-cycle, as permutation matrices
+    swap = list(range(n))
+    swap[:2] = swap[1::-1]
+    transposition = np.eye(n, dtype=np.int64)[swap]
+    rotation = np.roll(np.eye(n, dtype=np.int64), 1, axis=0)
+    return verify_scheme(Translation(2, n, weight, (transposition, rotation)),
+                         class_names=names)
 
 
 def build_triangular(n: int) -> AssociationScheme:
@@ -329,46 +339,49 @@ def orbit_of(vec, mats, modulus: Optional[int] = None) -> tuple:
     return tuple(sorted(out))
 
 
-def _translation_scheme(m: int, lookup: np.ndarray, names) -> AssociationScheme:
-    """Translation scheme on Z_m x Z_m: the pair (x, y) lies in class
-    ``lookup[x - y]``, with ``lookup`` an (m, m) label array."""
-    diff = np.subtract.outer(np.arange(m), np.arange(m)) % m
-    # classmap[(a, b), (c, d)] = lookup[a - c, b - d]: block (a, c) is the
-    # circulant lookup[(a - c) % m, diff], one of m such blocks
-    classmap = lookup[:, diff][diff].transpose(0, 2, 1, 3).reshape(m * m, m * m)
-    xa, xb = np.divmod(np.arange(m * m), m)
-    shifts = [(xa + 1) % m * m + xb, xa * m + (xb + 1) % m]
-    return verify_scheme(classmap, class_names=names, automorphisms=shifts)
+def _orbit_scheme(m: int, generators) -> AssociationScheme:
+    """Translation scheme whose classes are the orbits on Z_m x Z_m of the
+    point group that ``generators`` generate.
 
-
-def _orbit_scheme(m: int, mats) -> AssociationScheme:
-    """Translation scheme whose classes are point-group orbits on Z_m x Z_m.
-
-    Each point's images under the group have codes a m + b, and their
-    minimum, the lexicographically smallest point of the orbit, names its
-    class.  Classes are ordered by that representative, which puts (0,0)
-    first and the orbit of (1,0) second.
+    A point's code is a m + b, and the least code of its orbit, the
+    lexicographically smallest point, names its class.  It is found by
+    taking, until nothing changes, the least of each point's code so far
+    and those of its images under the generators: the group is finite, so
+    a point's images under words in the generators are its orbit.  Classes
+    are ordered by that representative, which puts (0,0) first and the
+    orbit of (1,0) second.
     """
     points = np.array(np.divmod(np.arange(m * m), m))  # [coordinate, point]
-    images = np.array(mats) @ points % m              # [matrix, coordinate, point]
-    reps, label = np.unique((images[:, 0] * m + images[:, 1]).min(axis=0),
-                            return_inverse=True)
+    images = [np.array((m, 1)) @ (np.array(h) @ points % m) for h in generators]
+    least = np.arange(m * m)
+    while True:
+        step = np.minimum.reduce([least] + [least[image] for image in images])
+        if np.array_equal(step, least):
+            break
+        least = step
+    reps, label = np.unique(least, return_inverse=True)
     names = tuple(f"({a},{b})" for a, b in zip(*np.divmod(reps, m)))
-    return _translation_scheme(m, label.astype(np.int16).reshape(m, m), names)
+    return verify_scheme(Translation(m, 2, label, generators), class_names=names)
+
+
+#: the swap and a reflection, which generate ``square_point_group()``
+_SQUARE_GENERATORS = (((0, 1), (1, 0)), ((1, 0), (0, -1)))
+#: two reflections, which generate ``hexagonal_point_group()``
+_HEXAGONAL_GENERATORS = (((1, -1), (0, -1)), ((0, -1), (-1, 0)))
 
 
 def build_square_lattice(m: int) -> AssociationScheme:
     """Periodic square lattice on m^2 vertices, classes = signed-swap orbits."""
     if m < 3:
         raise TooSmall("square lattice needs period m >= 3")
-    return _orbit_scheme(m, square_point_group())
+    return _orbit_scheme(m, _SQUARE_GENERATORS)
 
 
 def build_hexagonal_lattice(m: int) -> AssociationScheme:
     """Periodic triangular (hexagonal point group) lattice on m^2 vertices."""
     if m < 4:
         raise TooSmall("hexagonal lattice needs period m >= 4")
-    return _orbit_scheme(m, hexagonal_point_group())
+    return _orbit_scheme(m, _HEXAGONAL_GENERATORS)
 
 
 # Each class is inverse-closed and the five classes partition Z_5 x Z_5;
@@ -388,4 +401,6 @@ def build_orbit_scheme_z5z5() -> AssociationScheme:
     lookup = np.zeros((5, 5), dtype=np.int16)
     for k, elems in enumerate(_Z5Z5_CLASSES):
         lookup[tuple(zip(*elems))] = k
-    return _translation_scheme(5, lookup, names)
+    # the classes are the orbits of this rotation of order 6
+    return verify_scheme(Translation(5, 2, lookup.reshape(-1), (((0, 1), (-1, 1)),)),
+                         class_names=names)

@@ -10,8 +10,10 @@ underlying resistor network:
   exact rationals (distance-regular networks, every stratum).
 
 ``oracle`` is the only engine that works at the vertex level: it reads the
-Laplacian off the class map and shares nothing with the intersection
-numbers p^k_ij, so it witnesses them.  Because ``verify_scheme`` certified
+Laplacian off d+1 rows of the class map
+(``AssociationScheme.representative_rows``, derived from row 0 for a
+translation scheme) and shares nothing with the
+intersection numbers p^k_ij, so it witnesses them.  Because ``verify_scheme`` certified
 closure, the inverse of L + sJ/N lies in the Bose-Mesner algebra and one
 row decides it: connectivity is decided on the d+1 classes of vertex 0,
 one (d+1) x (d+1) quotient solve gives y = (L + sJ/N)^-1 e_0 and
@@ -168,11 +170,11 @@ def resistance_oracle(scheme: AssociationScheme, conductances) -> ResistanceTabl
     CertificationFailed
         If N ||r||_inf >= 1, or the bound exceeds ``STRATUM_SPREAD_TOL``.
     """
-    n, d, classmap = scheme.n, scheme.d, scheme.classmap
+    n, d = scheme.n, scheme.d
     weights = _laplacian_weights(scheme, conductances)
-    row = classmap[0]
-    reps = np.unique(row, return_index=True)[1]  # the first of each class in row 0
-    rows = weights[classmap[reps]]  # [k, z] = L[r_k, z]
+    classes = scheme.representative_rows  # [k, z], r_k the first of class k in row 0
+    row = classes[0]
+    rows = weights[classes]  # [k, z] = L[r_k, z]
     cells = np.add(row, np.arange(0, (d + 1) ** 2, d + 1)[:, None])  # [k, z] = k (d+1) + l
 
     step = np.bincount(cells[rows < 0], minlength=(d + 1) ** 2).reshape(d + 1, d + 1) > 0

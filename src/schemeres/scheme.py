@@ -2,27 +2,37 @@
 
 ``verify_scheme`` is the only constructor: it checks every defining axiom in
 exact integer arithmetic and computes the intersection numbers on the way.
-On both of its routes p is read off row 0 of each A_i A_j, which under
-closure is p^k_ij on class k of vertex 0 (``_row_zero_intersection_numbers``,
-O(N^2 + (d+1)^2 N)); the routes differ only in how closure is proved:
+It takes a scheme on one of three routes:
 
-* with ``automorphisms`` (every builder passes them), each generator is
-  certified to be a permutation that fixes the class map, and their orbit
-  of vertex 0 to be every vertex: O(N^2) work per generator.  The group
-  they generate is then transitive, so every row of the class map, and of
-  each A_i A_j, is a relabelled row 0: row 0 with column 0 decides the
-  identity, symmetry, the class count and regularity in O(N), and the
-  row-0 counts prove closure.
-* without them (documents, hand-written input), the axioms are checked
-  over all N^2 entries, and every entry of A_i A_j is compared with p on
-  exact float64 (BLAS) N x N products (``_certify_closure``).  Each packs
-  a run of classes into base-``base`` digits, base = max kappa + 1, and
-  the run is cut so that base**run <= 2**53: every entry and partial sum
-  stays an integer below 2**53, so the products are exact and the
-  comparison bit-exact.  That is O((d+1)^2 N^3 / run) work, and the only
-  proof for an arbitrary map.
+* a translation scheme (``Translation``: the cycle, hypercube, square,
+  hexagonal and Z_5 x Z_5 builders) is held by row 0 on G = Z_m^r, with
+  class(x, y) = row0[x - y], and by generator matrices of a point group H of
+  automorphisms of G.  If row 0 is symmetric, H fixes it and H has exactly
+  d+1 orbits on G, the classes are the H-orbits, so the scheme is the
+  orbital scheme of G x| H and closed with no product check (Delsarte 1973;
+  Brouwer, Cohen and Neumaier 1989, section 2.9).  p^k_ij is counted at one
+  representative r_k per class, #{z : row0[z] = i, row0[r_k - z] = j}.  All
+  of it is O(N |gens| + (d+1) N) work, and no N x N array is built: the
+  class map and the oracle's d+1 rows are views derived from row 0.
+* a class map with ``automorphisms`` (the triangular and group-scheme
+  builders pass them): each generator is certified to be a permutation
+  that fixes the class map, and their orbit of vertex 0 to be every vertex,
+  in O(N^2) work per generator.  The group they generate is then
+  transitive, so every row of the class map, and of each A_i A_j, is a
+  relabelled row 0: row 0 with column 0 decides the identity, symmetry,
+  the class count and regularity in O(N), and row 0 of each A_i A_j, which
+  gives p (``_row_zero_intersection_numbers``, O(N^2 + (d+1)^2 N)), proves
+  closure.
+* a class map without them (documents, hand-written input): the axioms are
+  checked over all N^2 entries, p is read off row 0 as above, and every
+  entry of A_i A_j is compared with p on exact float64 (BLAS) N x N
+  products (``_certify_closure``).  Each packs a run of classes into
+  base-``base`` digits, base = max kappa + 1, and the run is cut so that
+  base**run <= 2**53: every entry and partial sum stays an integer below
+  2**53, so the products are exact and the comparison bit-exact.  That is
+  O((d+1)^2 N^3 / run) work, and the only proof for an arbitrary map.
 
-Both routes give the same error for a map that breaks an axiom.  The
+All three give the same error for a map that breaks an axiom.  The
 closure they certify is all that the oracle
 (``resistance.resistance_oracle``) needs to solve from row 0; it does not
 need the generators.  Everything after verification reads p alone:
@@ -53,6 +63,67 @@ from .spectra import CLUSTER_TOL
 
 
 @dataclass(frozen=True, eq=False)
+class Translation:
+    """A translation scheme on G = Z_m^r, held by row 0.
+
+    The point with coordinates (x_0, ..., x_{r-1}) is vertex
+    sum_t x_t m^(r-1-t), the first coordinate most significant, and the pair
+    (x, y) lies in class ``row0[x - y]``.  ``generators`` are r x r integer
+    matrices acting on coordinate columns mod m; ``verify_scheme`` certifies
+    that the group H they generate is a group of automorphisms of G whose
+    orbits are exactly the classes.  ``rows(xs)`` derives rows of the class
+    map without building the rest of it.
+    """
+
+    modulus: int
+    rank: int
+    row0: np.ndarray
+    generators: tuple = ()
+
+    @property
+    def n(self) -> int:
+        return self.modulus ** self.rank
+
+    def rows(self, xs) -> np.ndarray:
+        """Rows ``xs`` (a vertex or a 1-D array of them) of the class map.
+
+        Row x holds row0[x - z] at z.  The index x - z is assembled digit by
+        digit, most significant first: digit t of x - z is a function of
+        digit t of z alone, so it varies along its own axis of the grid of
+        z, and the partial index of the first t digits has only m^t entries
+        a row until the last digit.  For m = 2, x - z is x xor z.
+        """
+        xs = np.asarray(xs)
+        m, r = self.modulus, self.rank
+        if m == 2:  # digit-wise subtraction is exclusive or: one step, not r
+            return self.row0[xs[..., None] ^ np.arange(self.n)]
+        places = m ** np.arange(r - 1, -1, -1)
+        # [..., t, z_t] = digit t of x - z
+        digits = (xs[..., None, None] // places[:, None] - np.arange(m)) % m
+        index = digits[..., 0, :]
+        for t in range(1, r):
+            index = (index[..., :, None] * m + digits[..., t, None, :]).reshape(xs.shape + (-1,))
+        return self.row0[index]
+
+    def image(self, h: np.ndarray) -> np.ndarray:
+        """The vertex h z of every vertex z, for an r x r integer matrix h.
+
+        The coordinates of a block of points are multiplied by h mod m in a
+        float64 product, which is exact: every entry and partial sum stays
+        an integer below r m^2 < 2**53.
+        """
+        m, r = self.modulus, self.rank
+        places = m ** np.arange(r - 1, -1, -1)
+        h = (h % m).astype(np.float64)
+        out = np.empty(self.n, dtype=np.intp)
+        step = max(1, _ROW_ZERO_BLOCK // r)
+        for z0 in range(0, self.n, step):
+            coords = np.arange(z0, min(z0 + step, self.n)) // places[:, None] % m  # [s, z]
+            out[z0:z0 + coords.shape[1]] = places @ ((h @ coords).astype(np.intp) % m)
+        return out
+
+
+@dataclass(frozen=True, eq=False)
 class AssociationScheme:
     """A verified symmetric association scheme on n vertices with d classes.
 
@@ -60,16 +131,33 @@ class AssociationScheme:
     ----------
     valencies : row sums kappa_0..kappa_d
     p : (d+1, d+1, d+1) array, ``p[i, j, k]`` = coefficient of A_k in A_i A_j
-    classmap : (n, n) int16 (int32 when d >= 2**15) array of pair classes
+    realisation : the (n, n) int16 (int32 when d >= 2**15) array of pair
+        classes, or a ``Translation`` that derives it from row 0
+    classmap : that array, derived from a ``Translation`` on access
     relations : int8 matrices A_0..A_d, derived from ``classmap`` on access
+    representative_rows : rows r_0..r_d of the class map, r_k the first
+        vertex of class k in row 0 (so r_0 = 0), read or derived on access
     """
 
     n: int
     d: int
     valencies: tuple
     p: np.ndarray
-    classmap: np.ndarray
+    realisation: object
     class_names: tuple
+
+    @cached_property
+    def representative_rows(self) -> np.ndarray:
+        if isinstance(self.realisation, Translation):
+            row0 = self.realisation.row0  # row 0 of a translation map, by symmetry
+            return self.realisation.rows(np.unique(row0, return_index=True)[1])
+        return self.realisation[np.unique(self.realisation[0], return_index=True)[1]]
+
+    @cached_property
+    def classmap(self) -> Optional[np.ndarray]:
+        if isinstance(self.realisation, Translation):
+            return self.realisation.rows(np.arange(self.n))
+        return self.realisation
 
     @cached_property
     def relations(self) -> tuple:
@@ -120,8 +208,9 @@ def _reachable_classes(step: np.ndarray) -> np.ndarray:
 
 def verify_scheme(relations, class_names: Optional[Sequence[str]] = None,
                   automorphisms: Optional[Sequence] = None) -> AssociationScheme:
-    """Validate a scheme, given as its d+1 relation matrices or as one (n, n)
-    integer numpy array mapping each vertex pair to its class, and build it.
+    """Validate a scheme, given as a ``Translation``, as its d+1 relation
+    matrices or as one (n, n) integer numpy array mapping each vertex pair
+    to its class, and build it.
 
     Relation matrices must be nonempty, 0/1 and partition the vertex pairs;
     they are reduced to their class map.  The class map is checked in exact
@@ -130,28 +219,45 @@ def verify_scheme(relations, class_names: Optional[Sequence[str]] = None,
     row 0) and the family is closed with nonnegative integer coefficients,
     hence commutative: A_i A_j = (A_i A_j)^T = A_j A_i for symmetric A_i.
 
-    The axioms are certified on one of two routes, chosen by
-    ``automorphisms``:
+    The axioms are certified on one of three routes:
 
-    * given, it is a sequence of length-n vertex permutations.  Each must
-      map the class map onto itself, ``classmap[g][:, g] == classmap``, and
-      their orbit of vertex 0 must cover all n vertices; this is checked on
-      the given dtype, before any label is narrowed.  The group they
-      generate is then transitive, so row 0 and column 0 prove the other
-      axioms (see ``_row_zero_axioms``): classmap[0, 0] = 0 and no other
-      entry of row 0 is 0 or below, row 0 equals column 0, every label
-      0..d appears in row 0 with d < n, and the valencies are the label
-      counts of row 0; row 0 of each A_i A_j then proves closure.  That
-      costs O(N^2) per generator.
-    * omitted, the axioms are checked over all N^2 entries (see
+    * a ``Translation`` (``automorphisms`` must be omitted) needs m >= 2,
+      r >= 1, an integer row 0 of m^r labels and r x r integer generators.
+      Row 0 must have row0[0] = 0 and every other label >= 1, use every
+      label 0..d with d < N, and satisfy row0[-z] = row0[z]; each generator
+      h must map G onto itself mod m (a bijection, hence an automorphism)
+      with row0[h z] = row0[z]; and the orbits of the class representatives
+      under the generators must cover G, so that H has exactly d+1 orbits.
+      Row 0 and column 0 (row0[-z] and row0) decide the other axioms in
+      O(N), as on the next route, since the translations act transitively.
+      The classes are then the H-orbits and the scheme is the orbital
+      scheme of G x| H, closed without a product check; p is counted at the
+      representatives (``_translation_intersection_numbers``).  The class
+      map is derived on access, never built here: O(N |gens| + (d+1) N).
+    * with ``automorphisms``, a sequence of length-n vertex permutations.
+      Each must map the class map onto itself, ``classmap[g][:, g] ==
+      classmap``, and their orbit of vertex 0 must cover all n vertices;
+      this is checked on the given dtype, before any label is narrowed.  The
+      group they generate is then transitive, so row 0 and column 0 prove
+      the other axioms (see ``_row_zero_axioms``): classmap[0, 0] = 0 and no
+      other entry of row 0 is 0 or below, row 0 equals column 0, every
+      label 0..d appears in row 0 with d < n, and the valencies are the
+      label counts of row 0; row 0 of each A_i A_j then proves closure.
+      That costs O(N^2) per generator.
+    * without them, the axioms are checked over all N^2 entries (see
       ``_classmap_axioms``), and closure against p costs
       sum_i ceil((d+1-i) / run) packed N x N products (``_certify_closure``).
 
-    p is read off row 0 on both (``_row_zero_intersection_numbers``).
+    On the class-map routes p is read off row 0
+    (``_row_zero_intersection_numbers``).
 
-    A map that breaks an axiom raises the same error on both routes: when
-    a generator or row 0 fails, the N^2 checks run first and name the
-    axiom, and ``BadParameter`` is raised only if every axiom holds.
+    A map that breaks an axiom raises the same error on every route, and
+    ``BadParameter`` is raised only if every axiom holds.  When a
+    generator fails, the N^2 checks run first on the class-map route; on
+    the translation route row 0 names the broken axiom in O(N), and when
+    the generators that pass have more orbits than there are classes, row 0
+    of each A_i A_j decides closure, counted on derived rows in O(N^2) work
+    and O((d+1) N) memory (see ``_verify_translation``).
 
     Raises
     ------
@@ -161,9 +267,33 @@ def verify_scheme(relations, class_names: Optional[Sequence[str]] = None,
     BadParameter
         If a given automorphism is not a permutation of the n vertices or
         does not fix the class map (naming the generator), or if their
-        orbit of vertex 0 misses a vertex (naming how many it reaches).
-        There is no fallback to the product route.
+        orbit of vertex 0 misses a vertex (naming how many it reaches); if
+        a translation's generator is malformed, singular mod m or moves
+        row 0 (naming it), or if H has more orbits than classes.  There is
+        no fallback to the product route.
     """
+    if isinstance(relations, Translation):
+        if automorphisms is not None:
+            raise BadParameter("a translation scheme takes its automorphisms as generators")
+        realisation, valencies, p = _verify_translation(relations)
+        n = realisation.n
+    else:
+        realisation, valencies, p = _verify_classmap(relations, automorphisms)
+        n = realisation.shape[0]
+    d = len(valencies) - 1
+
+    names = tuple(class_names) if class_names is not None else tuple(
+        f"A{k}" for k in range(d + 1))
+    if len(names) != d + 1:
+        raise ValueError("class_names length must be d+1")
+
+    return AssociationScheme(n=n, d=d, valencies=valencies, p=p, realisation=realisation,
+                             class_names=names)
+
+
+def _verify_classmap(relations, automorphisms: Optional[Sequence]) -> tuple:
+    """(class map, valencies, p) on the two class-map routes of
+    ``verify_scheme``."""
     if isinstance(relations, np.ndarray) and relations.ndim == 2:
         classmap = relations
     else:
@@ -181,22 +311,108 @@ def verify_scheme(relations, class_names: Optional[Sequence[str]] = None,
         except BadParameter:
             _classmap_axioms(classmap)  # a broken axiom is named first, as without generators
             raise
-        # row 0 decides every axiom under a transitive group; when it fails,
-        # the full check names the axiom that the whole map breaks
-        d, valencies = _row_zero_axioms(classmap) or _classmap_axioms(classmap)
+        d, valencies = _row_zero_axioms(classmap[0], classmap[:, 0])
 
-    classmap = classmap.astype(np.int16 if d < 2 ** 15 else np.int32, copy=False)
+    classmap = classmap.astype(_label_dtype(d), copy=False)
     p = _row_zero_intersection_numbers(classmap, valencies)
     if automorphisms is None:
         _certify_closure(classmap, valencies, p)
+    return classmap, valencies, p
 
-    names = tuple(class_names) if class_names is not None else tuple(
-        f"A{k}" for k in range(d + 1))
-    if len(names) != d + 1:
-        raise ValueError("class_names length must be d+1")
 
-    return AssociationScheme(n=n, d=d, valencies=valencies, p=p, classmap=classmap,
-                             class_names=names)
+def _label_dtype(d: int) -> type:
+    return np.int16 if d < 2 ** 15 else np.int32
+
+
+def _verify_translation(given: Translation) -> tuple:
+    """(the translation with its labels narrowed, valencies, p) on the
+    translation route of ``verify_scheme``.
+
+    The translations of G act transitively on the class map, so its row 0
+    (row0[-z]) and column 0 (row0) decide every axiom but closure, in O(N).
+    Each generator must be a bijection of G (a ``bincount`` of its images)
+    that fixes row 0, and the orbits of one representative per class under
+    those that are must cover G.  They fix row 0, so each orbit lies in one
+    class, and then H has exactly d+1 orbits, the classes, which proves
+    closure.  When the orbits do not cover G, closure is decided by row 0 of
+    each A_i A_j, counted on rows derived block by block: O(N^2) work in
+    O((d+1) N) memory, on this failure path alone.  A broken axiom is named
+    first, as on the class-map routes; ``BadParameter`` is raised, for the
+    first generator that fails or else for the orbit count, only when every
+    axiom holds.
+    """
+    m, r = int(given.modulus), int(given.rank)
+    if m < 2 or r < 1:
+        raise BadParameter(f"a translation scheme needs modulus >= 2 and rank >= 1, "
+                           f"not {m} and {r}")
+    n = m ** r
+    row0 = np.asarray(given.row0)
+    if row0.shape != (n,) or not np.issubdtype(row0.dtype, np.integer):
+        raise NotPartition(f"row 0 is not an integer array of {m}^{r} = {n} labels")
+    translation = Translation(m, r, row0)
+    # on the given dtype, so that no label is narrowed before it is certified
+    d, valencies = _row_zero_axioms(translation.rows(0), row0)
+
+    failures, gens, images = [], [], []
+    for k, h in enumerate(given.generators):
+        h = np.asarray(h)
+        if h.shape != (r, r) or not np.issubdtype(h.dtype, np.integer):
+            failures.append(f"generator {k} is not a {r} x {r} integer matrix")
+            continue
+        h = h.astype(np.int64)
+        h.flags.writeable = False
+        gens.append(h)
+        image = translation.image(h)
+        if np.bincount(image, minlength=n).max() > 1:
+            failures.append(f"generator {k} is singular mod {m}")
+        elif not np.array_equal(row0[image], row0):
+            failures.append(f"generator {k} does not preserve row 0")
+        else:
+            images.append(image)
+    reps = np.unique(row0, return_index=True)[1]
+    count = len(_orbit(images, set(reps.tolist())))
+    if count != n:
+        _row_zero_intersection_numbers(translation, valencies)  # NotClosed
+        failures.append(f"the generators have more orbits than the {d + 1} classes: those "
+                        f"of the class representatives cover {count} of {n} points")
+    if failures:
+        raise BadParameter(failures[0])
+
+    row0 = row0.astype(_label_dtype(d))
+    row0.flags.writeable = False
+    translation = Translation(m, r, row0, tuple(gens))
+    return translation, valencies, _translation_intersection_numbers(translation, valencies)
+
+
+def _translation_intersection_numbers(t: Translation, valencies: tuple) -> np.ndarray:
+    """p^k_ij = #{z : row0[z] = i, row0[r_k - z] = j}, with r_k the first
+    vertex of class k in row 0, for a certified translation scheme.
+
+    For y = r_k, that counts the z with class(0, z) = i and class(z, y) = j,
+    which closure makes p^k_ij.  One ``bincount`` counts a block of classes
+    k at once, over the derived rows r_k of the class map, so the work is
+    O((d+1) N) and no N x N array is built.  A block holds as many classes
+    as keep its cells (N a class) within ``_ROW_ZERO_BLOCK``, and one class
+    at least; its bins are its slice of p, and a block of every class is p.
+    """
+    n, d = t.n, len(valencies) - 1
+    reps = np.unique(t.row0, return_index=True)[1]
+    left = t.row0.astype(np.intp) * (d + 1)  # [z] = i (d+1), i the class of z
+    step = max(1, _ROW_ZERO_BLOCK // n)
+    p = None
+    for k0 in range(0, d + 1, step):
+        width = min(step, d + 1 - k0)
+        # [k, z] counts in bin (i (d+1) + j) width + k - k0
+        cells = (left + t.rows(reps[k0:k0 + width])) * width
+        cells += np.arange(width)[:, None]
+        counts = np.bincount(cells.ravel(), minlength=(d + 1) ** 2 * width
+                             ).reshape(d + 1, d + 1, width)
+        if width == d + 1:
+            return counts
+        if p is None:
+            p = np.empty((d + 1, d + 1, d + 1), dtype=np.int64)
+        p[:, :, k0:k0 + width] = counts
+    return p
 
 
 def _classmap_axioms(classmap: np.ndarray) -> tuple:
@@ -234,28 +450,32 @@ def _classmap_axioms(classmap: np.ndarray) -> tuple:
     return d, tuple(int(v) for v in counts[0])
 
 
-def _row_zero_axioms(classmap: np.ndarray) -> Optional[tuple]:
-    """(d, valencies) from row 0 and column 0 of a class map whose
-    automorphisms are certified to act transitively, or None when row 0
-    shows that some axiom fails.
+def _row_zero_axioms(row: np.ndarray, column: np.ndarray) -> tuple:
+    """(d, valencies) from row 0 and column 0 of a class map on which a
+    group of automorphisms is certified to act transitively, raising what
+    ``_classmap_axioms`` raises on the whole map.
 
     For x = s(0), s in the group, classmap[x, y] = classmap[0, s^-1 y] and
     classmap[y, x] = classmap[s^-1 y, 0]: every row is a relabelled row 0.
-    So the diagonal is 0 exactly when classmap[0, 0] is, the map is
-    symmetric exactly when row 0 equals column 0, each row counts its
-    classes as row 0 does, and the N^2 axioms of ``_classmap_axioms`` hold
-    exactly when these checks on row 0 do.
+    So the diagonal is 0 exactly when classmap[0, 0] is, and no other entry
+    is 0 or below exactly when none of row 0 is; an asymmetric pair (x, y)
+    gives the asymmetric pair (0, s^-1 y), so the first one in row-major
+    order lies in row 0; the largest label and the empty classes are those
+    of row 0, and every class is regular, with the valency it has in row 0.
     """
-    n = classmap.shape[0]
-    row = classmap[0]
-    if row[0] != 0 or np.count_nonzero(row <= 0) != 1 or not np.array_equal(row, classmap[:, 0]):
-        return None
+    n = len(row)
+    if row[0] != 0 or np.count_nonzero(row <= 0) != 1:
+        raise IdentityMissing("class 0 is not exactly the diagonal")
+    asymmetric = np.flatnonzero(row != column)
+    if asymmetric.size:
+        raise NotSymmetric(f"relation {row[asymmetric[0]]} is not symmetric")
     d = int(row.max())
     if d >= n:
-        return None
+        raise NotPartition(f"{d + 1} class labels on {n} vertices")
     valencies = np.bincount(row, minlength=d + 1)
-    if not valencies.all():
-        return None
+    empty = np.flatnonzero(valencies == 0)
+    if empty.size:
+        raise NotPartition(f"relation {empty[0]} is empty")
     return d, tuple(valencies.tolist())
 
 
@@ -387,9 +607,10 @@ def _orbit(gens: Sequence[np.ndarray], points: set) -> set:
 _ROW_ZERO_BLOCK = 2 ** 15
 
 
-def _row_zero_intersection_numbers(classmap: np.ndarray, valencies: tuple) -> np.ndarray:
+def _row_zero_intersection_numbers(classmap, valencies: tuple) -> np.ndarray:
     """p from row 0 of each A_i A_j, which must be constant on each class k
-    of vertex 0 (``NotClosed`` otherwise).
+    of vertex 0 (``NotClosed`` otherwise).  ``classmap`` is the (n, n) map,
+    or a ``Translation`` whose rows are derived a block at a time.
 
     The class map must already be certified symmetric and regular.  Row 0
     of A_i A_j counts, for each y, the z in class i of vertex 0 with
@@ -410,9 +631,10 @@ def _row_zero_intersection_numbers(classmap: np.ndarray, valencies: tuple) -> np
     rows than the budget holds is a block alone, counted in runs of rows
     within the budget (one row at least) whose counts are summed.
     """
-    n = classmap.shape[0]
+    rows_of = classmap.rows if isinstance(classmap, Translation) else classmap.__getitem__
+    row = rows_of(0).astype(np.intp)
+    n = len(row)
     d = len(valencies) - 1
-    row = classmap[0].astype(np.intp)
     members = np.argsort(row, kind="stable")  # class i is members[starts[i]:starts[i + 1]]
     starts = np.cumsum((0,) + valencies)
     # every class meets row 0, since each relation is regular and nonempty
@@ -432,7 +654,7 @@ def _row_zero_intersection_numbers(classmap: np.ndarray, valencies: tuple) -> np
             rows = members[r0:min(r0 + chunk, starts[i1])]
             # the pair (z, y) counts in bin y * width + (i - i0) (d+1) + j,
             # where i is the class of z in row 0 and j = classmap[z, y]
-            cells = np.add(classmap[rows], ((row[rows] - i0) * (d + 1))[:, None])
+            cells = np.add(rows_of(rows), ((row[rows] - i0) * (d + 1))[:, None])
             cells += np.arange(0, n * width, width)
             part = np.bincount(cells.ravel(), minlength=n * width)
             if counts is None:
@@ -462,14 +684,15 @@ class SpectralData:
     eigenspace, so ``P[0, j] = kappa_j`` and ``P[k, 0] = 1``); columns index
     classes.  ``multiplicities[k]`` is the rank of ``idempotents[k]``.
     ``idempotents`` are the N x N matrices E_k = (1/N) sum_j Q[j, k] A_j;
-    they are built from ``classmap`` on first access only, since nothing
-    else in the package needs them.
+    they are built from the class map of ``scheme`` on first access only,
+    since nothing else in the package needs them, so the class map of a
+    translation scheme is not derived until then.
     """
 
     p_matrix: np.ndarray
     q_matrix: np.ndarray
     multiplicities: tuple
-    classmap: Optional[np.ndarray] = field(default=None, repr=False)
+    scheme: Optional[AssociationScheme] = field(default=None, repr=False, compare=False)
 
     @property
     def d(self) -> int:
@@ -478,7 +701,8 @@ class SpectralData:
     @cached_property
     def idempotents(self) -> tuple:
         n = sum(self.multiplicities)
-        return tuple(self.q_matrix[self.classmap, k] / n for k in range(self.d + 1))
+        classmap = self.scheme.classmap
+        return tuple(self.q_matrix[classmap, k] / n for k in range(self.d + 1))
 
 
 #: seed of the generic weights, so that every call draws the same sequence
@@ -577,7 +801,7 @@ def spectral_data(scheme: AssociationScheme) -> SpectralData:
     q_matrix = (p_matrix.T * multiplicities).T  # temporary: m_k * P[k, l]
     q_matrix = q_matrix.T / kappa[:, None]      # Q[l, j] = m_j P[j, l] / kappa_l
 
-    data = SpectralData(p_matrix, q_matrix, multiplicities, scheme.classmap)
+    data = SpectralData(p_matrix, q_matrix, multiplicities, scheme)
     _validate_spectral(scheme, data)
     return data
 
@@ -720,36 +944,59 @@ def check_distance_regular(scheme: AssociationScheme) -> Optional[IntersectionAr
 # --------------------------------------------------------------------------
 
 def scheme_to_dict(scheme: AssociationScheme) -> dict:
-    """JSON-ready document; ``classmap`` lists the N^2 class labels row-major."""
-    return {
-        "n": scheme.n,
-        "d": scheme.d,
-        "class_names": list(scheme.class_names),
-        "classmap": scheme.classmap.reshape(-1).tolist(),
-    }
+    """JSON-ready document.  A translation scheme lists its ``modulus``,
+    ``rank``, the N labels of ``row0`` and its ``generators``; any other
+    lists the N^2 labels of its ``classmap`` row-major."""
+    doc = {"n": scheme.n, "d": scheme.d, "class_names": list(scheme.class_names)}
+    t = scheme.realisation
+    if isinstance(t, Translation):
+        doc.update(modulus=t.modulus, rank=t.rank, row0=t.row0.tolist(),
+                   generators=[h.tolist() for h in t.generators])
+    else:
+        doc["classmap"] = scheme.classmap.reshape(-1).tolist()
+    return doc
 
 
-def _document_array(values, n: int, message: str) -> np.ndarray:
-    """``values`` as an n x n array; a boolean among them is ``NotPartition``
-    with ``message``, since ``np.asarray`` reads a true among ints as 1."""
-    if any(isinstance(x, bool) for x in np.asarray(values, dtype=object).flat):
-        raise NotPartition(message)
-    return np.asarray(values).reshape(n, n)
+def _document_array(values, shape: Optional[tuple], error: Exception) -> np.ndarray:
+    """``values`` as an array, reshaped to ``shape`` unless it is None; a boolean
+    among them, or a ragged nesting, raises ``error``, since ``np.asarray``
+    reads a true among ints as 1."""
+    try:
+        entries = np.asarray(values, dtype=object)
+        array = np.asarray(values)
+    except ValueError:
+        raise error from None
+    if any(isinstance(x, bool) for x in entries.flat):
+        raise error
+    return array if shape is None else array.reshape(shape)
 
 
 def scheme_from_dict(doc: dict) -> AssociationScheme:
     """Parse and re-verify a scheme document produced by ``scheme_to_dict``,
     or an older one with d+1 row-major 0/1 ``relations``; entries are not
     cast, so a non-integer one, a JSON boolean included, fails verification
-    (``NotPartition``)."""
+    (``NotPartition`` for a label, ``BadParameter`` for a generator entry).
+    A translation document is certified by its generators, its row 0 and
+    generators taken as given, so that ``verify_scheme`` names a wrongly
+    shaped one; a class map is certified by the packed N x N products."""
     n = int(doc["n"])
-    if "classmap" in doc:
-        given = _document_array(doc["classmap"], n,
-                                "the class map is not a square integer array")
+    if "row0" in doc:
+        m, r = int(doc["modulus"]), int(doc["rank"])
+        row0 = _document_array(doc["row0"], None, NotPartition(
+            f"row 0 is not an integer array of {m}^{r} = {m ** r} labels"))
+        gens = tuple(_document_array(h, None, BadParameter(
+            f"generator {k} is not a {r} x {r} integer matrix"))
+            for k, h in enumerate(doc["generators"]))
+        given = Translation(m, r, row0, gens)
+    elif "classmap" in doc:
+        given = _document_array(doc["classmap"], (n, n), NotPartition(
+            "the class map is not a square integer array"))
     else:
-        given = [_document_array(flat, n, f"relation {k} has non-integer entries")
-                 for k, flat in enumerate(doc["relations"])]
+        given = [_document_array(flat, (n, n), NotPartition(
+            f"relation {k} has non-integer entries")) for k, flat in enumerate(doc["relations"])]
     scheme = verify_scheme(given, class_names=doc.get("class_names"))
+    if scheme.n != n:
+        raise NotPartition(f"declared vertex count {n} does not match the {scheme.n} vertices")
     if scheme.d != int(doc["d"]):
         raise NotPartition("declared class count does not match the class map")
     return scheme

@@ -104,12 +104,13 @@ def two_cliques(m):
 
 def build_recording(build, *args):
     """The scheme ``build(*args)`` returns and the automorphisms it passed
-    to ``verify_scheme``."""
+    to ``verify_scheme``: vertex permutations for a class-map builder, None
+    for a translation builder, whose generators stay in its ``Translation``."""
     seen = []
 
-    def spy(classmap, class_names=None, automorphisms=None):
+    def spy(given, class_names=None, automorphisms=None):
         seen.append(automorphisms)
-        return verify(classmap, class_names=class_names, automorphisms=automorphisms)
+        return verify(given, class_names=class_names, automorphisms=automorphisms)
 
     verify = builders.verify_scheme
     with mock.patch.object(builders, "verify_scheme", spy):
@@ -117,12 +118,40 @@ def build_recording(build, *args):
     return scheme, seen[0]
 
 
+def unit_translations(translation):
+    """The vertex permutations z -> z + e_s, one per coordinate of G.  They
+    generate the translations, a transitive group of automorphisms of the
+    derived class map, as the unit shifts that the class-map builders of
+    cycles and lattices used to pass."""
+    points = np.arange(translation.n)
+    m, r = translation.modulus, translation.rank
+    places = [m ** (r - 1 - s) for s in range(r)]
+    return [points + np.where(points // place % m == m - 1, (1 - m) * place, place)
+            for place in places]
+
+
+def vertex_generators(build, *args):
+    """``build(*args)`` and vertex permutations that generate a transitive
+    group of automorphisms of its class map: those its builder passed, or
+    the unit translations of a translation scheme."""
+    scheme, gens = build_recording(build, *args)
+    if isinstance(scheme.realisation, sr.Translation):
+        gens = unit_translations(scheme.realisation)
+    return scheme, gens
+
+
 def build_packed(build, *args):
     """``build(*args)`` with its automorphisms withheld, so that its class
-    map is certified by the packed N x N products."""
+    map, derived from row 0 for a translation builder, is certified by the
+    packed N x N products."""
     verify = builders.verify_scheme
-    with mock.patch.object(builders, "verify_scheme", lambda classmap, class_names=None,
-                           automorphisms=None: verify(classmap, class_names=class_names)):
+
+    def packed(given, class_names=None, automorphisms=None):
+        if isinstance(given, sr.Translation):
+            given = given.rows(np.arange(given.n))
+        return verify(given, class_names=class_names)
+
+    with mock.patch.object(builders, "verify_scheme", packed):
         return build(*args)
 
 

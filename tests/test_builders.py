@@ -1,14 +1,16 @@
+import functools
 import itertools
 import math
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import schemeres as sr
-from schemeres import cli
+from schemeres import builders, cli
 from schemeres import scheme as scheme_module
 from schemeres.errors import (
     NotAmbivalent,
@@ -19,7 +21,7 @@ from schemeres.errors import (
     TooSmall,
 )
 
-from conftest import build_packed, build_recording, spectral_of
+from conftest import build_packed, build_recording, spectral_of, vertex_generators
 from nxn_witnesses import integer_matrix_powers, stratify
 from test_scheme import MULTI_RUN
 
@@ -71,19 +73,54 @@ class TestHypercube:
 
     def test_too_large(self):
         with pytest.raises(TooLarge):
-            sr.build_hypercube(13)
+            sr.build_hypercube(21)
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_two_generators_match_packed_route(self, n):
-        scheme, (flip, rotation) = build_recording(sr.build_hypercube, n)
+        # the flip of bit 0 and the rotation of the bits, passed by hand as
+        # vertex permutations of the derived class map
+        scheme = sr.build_hypercube(n)
+        xs = np.arange(2 ** n)
+        flip, rotation = xs ^ 1, (xs << 1 | xs >> (n - 1)) & (2 ** n - 1)
+        dense = sr.verify_scheme(scheme.classmap, class_names=scheme.class_names,
+                                 automorphisms=[flip, rotation])
         packed = build_packed(sr.build_hypercube, n)
-        assert scheme.classmap.tobytes() == packed.classmap.tobytes()
-        assert scheme.p.tobytes() == packed.p.tobytes()
+        assert dense.classmap.tobytes() == packed.classmap.tobytes() == scheme.classmap.tobytes()
+        assert dense.p.tobytes() == packed.p.tobytes() == scheme.p.tobytes()
         # r^t f r^-t flips bit t; ``power`` is r^t
-        xs = power = np.arange(2 ** n)
+        power = xs
         for bit in range(n):
             assert np.array_equal(power[flip[np.argsort(power)]], xs ^ (1 << bit))
             power = rotation[power]
+
+    def test_hypercube16_runs_every_engine(self):
+        # N = 65536: the class map alone would take 8 GiB
+        tracemalloc.start()
+        try:
+            scheme = sr.build_hypercube(16)
+            report = cli.run_resist(scheme, sr.unit_class_one(scheme),
+                                    ["oracle", "spectral", "polynomial", "closed"],
+                                    cli.DEFAULT_AGREEMENT_TOL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "classmap" not in vars(scheme)
+        assert report.all_passed
+        oracle, spectral, polynomial, closed = report.tables
+        assert polynomial.values == closed.values
+        assert {c["name"]: c["residual"] for c in report.checks
+                if c["name"] in ("foster[polynomial]", "foster[closed_form]")} == \
+            {"foster[polynomial]": 0.0, "foster[closed_form]": 0.0}
+        assert polynomial.values[0] == Fraction(65535, 524288)  # (N - 1) / (N n / 2)
+        assert peak < 64 * 2 ** 20
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_generators_are_every_coordinate_permutation(self, n):
+        # the transposition (0 1) and the n-cycle generate all n! permutation matrices
+        gens = sr.build_hypercube(n).realisation.generators
+        rows = np.eye(n, dtype=np.int64)
+        assert matrix_group(gens) == {tuple(map(tuple, rows[list(perm)].tolist()))
+                                      for perm in itertools.permutations(range(n))}
 
 
 class TestTriangular:
@@ -244,6 +281,26 @@ def orbit_classes(scheme, m):
     return out
 
 
+def matrix_group(gens, modulus=None):
+    """The set of products of the integer matrices ``gens`` (mod ``modulus``
+    if given), each as a tuple of rows: the group they generate."""
+    size = len(gens[0])
+    reduce = (lambda a: a % modulus) if modulus else (lambda a: a)
+    key = lambda a: tuple(map(tuple, reduce(a).tolist()))
+    group = {key(np.eye(size, dtype=np.int64))}
+    frontier = list(group)
+    while frontier:
+        grown = []
+        for a in frontier:
+            for h in gens:
+                b = key(np.array(a) @ np.asarray(h))
+                if b not in group:
+                    group.add(b)
+                    grown.append(b)
+        frontier = grown
+    return group
+
+
 class TestLattices:
     def test_square_m3_orbits(self):
         scheme = sr.build_square_lattice(3)
@@ -265,6 +322,22 @@ class TestLattices:
             sr.build_square_lattice(2)
         with pytest.raises(TooSmall):
             sr.build_hexagonal_lattice(3)
+
+    @pytest.mark.parametrize("build, group", [
+        (sr.build_square_lattice, sr.square_point_group),
+        (sr.build_hexagonal_lattice, sr.hexagonal_point_group),
+    ], ids=["square", "hexagonal"])
+    def test_generators_generate_the_point_group(self, build, group):
+        gens = build(5).realisation.generators
+        assert len(gens) == 2
+        assert matrix_group(gens) == {tuple(map(tuple, g)) for g in group()}
+
+    def test_z5z5_classes_are_the_orbits_of_one_rotation(self, z5z5):
+        (rotation,) = z5z5.realisation.generators
+        group = matrix_group([rotation], modulus=5)
+        assert len(group) == 6
+        for elems in builders._Z5Z5_CLASSES:
+            assert {tuple((np.array(h) @ elems[0] % 5).tolist()) for h in group} == set(elems)
 
     def test_hexagonal_class_one_six_regular(self, hexagonal7):
         assert hexagonal7.valencies[1] == 6
@@ -355,10 +428,29 @@ def bench_ladder_networks():
                          + workloads.CLOSED_LADDER + workloads.QUERY_SCHEMES)
 
 
+def preset_build(family, size):
+    """(build, *args) of the CLI preset ``family`` at ``size``."""
+    if size is None:
+        return (cli.make_preset_scheme, family)
+    key = "m" if family in ("square", "hexagonal") else "n"
+    return (functools.partial(cli.make_preset_scheme, family, **{key: size}),)
+
+
+TRANSLATION_FAMILIES = ("cycle", "hypercube", "square", "hexagonal", "z5z5")
+#: every translation network that the tests and the bench ladders build
+TRANSLATION_BUILDS = {
+    **{name: EQUIVALENCE_BUILDS[name] for name in EQUIVALENCE_BUILDS
+       if name.rstrip("0123456789") in TRANSLATION_FAMILIES},
+    **{f"{family}{size or ''}": preset_build(family, size)
+       for family, size in bench_ladder_networks() if family in TRANSLATION_FAMILIES},
+}
+PACKED_BUILDS = {**EQUIVALENCE_BUILDS, **TRANSLATION_BUILDS}
+
+
 class TestAutomorphismRoute:
-    @pytest.mark.parametrize("name", EQUIVALENCE_BUILDS)
+    @pytest.mark.parametrize("name", PACKED_BUILDS)
     def test_matches_packed_route(self, name):
-        build, *args = EQUIVALENCE_BUILDS[name]
+        build, *args = PACKED_BUILDS[name]
         scheme, packed = build(*args), build_packed(build, *args)
         assert scheme.classmap.dtype == packed.classmap.dtype
         assert scheme.classmap.tobytes() == packed.classmap.tobytes()
@@ -383,10 +475,26 @@ class TestAutomorphismRoute:
             else:
                 cli.make_preset_scheme(family, n=size)
 
+    def test_translation_builders_form_no_nxn(self, monkeypatch):
+        # the orbital-scheme certificate and the counts at the representatives
+        # are the whole proof: no N x N check, count or product runs
+        def refuse(*args):
+            raise AssertionError("a translation builder reached an N x N check")
+
+        for name in ("_certify_transitive", "_row_zero_intersection_numbers",
+                     "_certify_closure"):
+            monkeypatch.setattr(scheme_module, name, refuse)
+        assert len(TRANSLATION_BUILDS) > 20
+        for build, *args in TRANSLATION_BUILDS.values():
+            scheme = build(*args)
+            assert isinstance(scheme.realisation, sr.Translation)
+            assert "classmap" not in vars(scheme)  # not derived on the way
+
     @pytest.mark.parametrize("name", PRESET_BUILDS)
     def test_conjugated_generators(self, name):
+        # translation presets pass their unit translations by hand
         build, *args = PRESET_BUILDS[name]
-        scheme, gens = build_recording(build, *args)
+        scheme, gens = vertex_generators(build, *args)
         assert gens
         perm = np.random.default_rng(11).permutation(scheme.n)
         inverse = np.argsort(perm)
@@ -411,9 +519,10 @@ class TestAutomorphismRoute:
         # hypercube 10: class 5 has 252 rows of 1024 cells, 2 MiB of intp as
         # one block; split into blocks of 32 rows, the whole count stays small
         scheme = sr.build_hypercube(10)
+        classmap = scheme.classmap  # derived from row 0 before tracing
         tracemalloc.start()
         try:
-            p = scheme_module._row_zero_intersection_numbers(scheme.classmap, scheme.valencies)
+            p = scheme_module._row_zero_intersection_numbers(classmap, scheme.valencies)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

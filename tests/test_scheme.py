@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from schemeres.errors import (
     SchemeresError,
 )
 
-from conftest import build_recording, spectral_of, two_cliques
+from conftest import spectral_of, two_cliques, unit_translations
 from nxn_witnesses import (
     nxn_check_distance_regular,
     nxn_relation_connected,
@@ -300,7 +301,7 @@ class TestSpectralInAlgebra:
     def test_needs_no_vertex_level_data(self, presets, preset):
         """Everything after the intersection numbers costs poly(d)."""
         scheme = presets[preset]
-        stripped = dataclasses.replace(scheme, classmap=None)
+        stripped = dataclasses.replace(scheme, realisation=None)
         full, bare = spectral_of(scheme), sr.spectral_data(stripped)
         assert np.array_equal(bare.p_matrix, full.p_matrix)
         assert np.array_equal(bare.q_matrix, full.q_matrix)
@@ -440,15 +441,85 @@ def relation_document(scheme):
 
 
 class TestSerialization:
-    def test_round_trip_bytes(self, z5z5):
-        doc = sr.scheme_to_dict(z5z5)
+    def test_round_trip_bytes(self, s4):
+        doc = sr.scheme_to_dict(s4)
         assert set(doc) == {"n", "d", "class_names", "classmap"}
-        assert doc["classmap"] == z5z5.classmap.reshape(-1).tolist()
+        assert doc["classmap"] == s4.classmap.reshape(-1).tolist()
         again = sr.scheme_from_dict(json.loads(json.dumps(doc)))
-        assert again.class_names == z5z5.class_names
-        assert again.classmap.dtype == z5z5.classmap.dtype
-        assert again.classmap.tobytes() == z5z5.classmap.tobytes()
-        assert again.p.tobytes() == z5z5.p.tobytes()
+        assert again.class_names == s4.class_names
+        assert again.classmap.dtype == s4.classmap.dtype
+        assert again.classmap.tobytes() == s4.classmap.tobytes()
+        assert again.p.tobytes() == s4.p.tobytes()
+
+    @pytest.mark.parametrize("preset", ["cycle", "hypercube", "z5z5", "square", "hexagonal"])
+    def test_translation_round_trip(self, presets, preset, monkeypatch):
+        scheme = presets[preset]
+        t = scheme.realisation
+        doc = json.loads(json.dumps(sr.scheme_to_dict(scheme)))
+        assert set(doc) == {"n", "d", "class_names", "modulus", "rank", "row0", "generators"}
+        assert (doc["modulus"], doc["rank"]) == (t.modulus, t.rank)
+        assert doc["row0"] == scheme.classmap[0].tolist()
+        assert doc["generators"] == [h.tolist() for h in t.generators]
+
+        def refuse(*args):
+            raise AssertionError("a translation document reached an N x N check")
+
+        monkeypatch.setattr(scheme_module, "_certify_closure", refuse)
+        monkeypatch.setattr(scheme_module, "_row_zero_intersection_numbers", refuse)
+        again = sr.scheme_from_dict(doc)
+        assert again.class_names == scheme.class_names
+        assert again.valencies == scheme.valencies
+        assert again.p.tobytes() == scheme.p.tobytes()
+        monkeypatch.undo()
+        assert again.classmap.dtype == scheme.classmap.dtype
+        assert again.classmap.tobytes() == scheme.classmap.tobytes()
+
+    def test_square24_document_lists_row0(self):
+        doc = sr.scheme_to_dict(sr.build_square_lattice(24))
+        assert len(doc["row0"]) == 576 and "classmap" not in doc
+
+    @pytest.mark.parametrize("field, index, error, message", [
+        ("row0", 1, NotPartition, r"^row 0 is not an integer array of 5\^2 = 25 labels$"),
+        ("generators", 0, BadParameter, r"^generator 0 is not a 2 x 2 integer matrix$"),
+    ])
+    def test_translation_document_rejects_a_boolean(self, z5z5, field, index, error, message):
+        doc = sr.scheme_to_dict(z5z5)
+        if field == "row0":
+            doc["row0"][index] = True
+        else:
+            doc["generators"][index][0][1] = True
+        with pytest.raises(error, match=message):
+            sr.scheme_from_dict(json.loads(json.dumps(doc)))
+
+    @pytest.mark.parametrize("field, value, error, message", [
+        ("generators", [[0, 1, -1, 1]], BadParameter, "^generator 0 is not a 2 x 2 integer matrix$"),
+        ("generators", [[[0, 1, 0], [-1, 1, 0], [0, 0, 1]]], BadParameter,
+         "^generator 0 is not a 2 x 2 integer matrix$"),
+        ("generators", [[[0, 1], [-1]]], BadParameter, "^generator 0 is not a 2 x 2 integer matrix$"),
+        ("row0", list(range(24)), NotPartition, r"^row 0 is not an integer array of 5\^2 = 25 labels$"),
+        ("row0", [[0] * 5] * 5, NotPartition, r"^row 0 is not an integer array of 5\^2 = 25 labels$"),
+    ], ids=["flat-generator", "3x3-generator", "ragged-generator", "short-row0", "nested-row0"])
+    def test_translation_document_shapes_are_checked(self, z5z5, field, value, error, message):
+        doc = sr.scheme_to_dict(z5z5)
+        doc[field] = value
+        with pytest.raises(error, match=message):
+            sr.scheme_from_dict(json.loads(json.dumps(doc)))
+
+    def test_translation_document_declares_its_vertex_count(self, z5z5):
+        doc = sr.scheme_to_dict(z5z5)
+        doc["n"] = 36
+        with pytest.raises(NotPartition, match="^declared vertex count 36 does not match the 25"):
+            sr.scheme_from_dict(doc)
+
+    def test_translation_document_is_verified(self, z5z5):
+        doc = sr.scheme_to_dict(z5z5)
+        doc["generators"] = [[[1, 1], [0, 1]]]  # a shear, which moves row 0
+        with pytest.raises(BadParameter, match="generator 0 does not preserve row 0"):
+            sr.scheme_from_dict(doc)
+        doc = sr.scheme_to_dict(z5z5)
+        doc["row0"][1] = 3  # breaks row0[-z] = row0[z]
+        with pytest.raises(NotSymmetric):
+            sr.scheme_from_dict(doc)
 
     @pytest.mark.parametrize("preset", PRESETS)
     def test_reads_relation_documents(self, presets, preset):
@@ -706,11 +777,10 @@ class TestPackedVerifier:
 
 @functools.lru_cache(maxsize=None)
 def base_generators(name):
-    """The automorphisms that the builder of ``fusion_base(name)`` passes."""
-    build, size = {"square6": (sr.build_square_lattice, 6),
-                   "hypercube5": (sr.build_hypercube, 5),
-                   "cycle12": (sr.build_cycle, 12)}[name]
-    return tuple(build_recording(build, size)[1])
+    """Vertex permutations that generate a transitive group of automorphisms
+    of the class map of ``fusion_base(name)``, a translation scheme: its
+    unit translations, passed by hand on the class-map route."""
+    return tuple(unit_translations(fusion_base(name).realisation))
 
 
 def hypercube_flips(n):
@@ -843,6 +913,187 @@ class TestRowZeroAxioms:
         assert again.classmap.dtype == np.int16
         assert again.valencies == scheme.valencies
         assert again.p.tobytes() == scheme.p.tobytes()
+
+
+# --------------------------------------------------------------------------
+# the translation route: row 0 and a point group on Z_m^r
+# --------------------------------------------------------------------------
+
+def cycle12_row0():
+    return fusion_base("cycle12").classmap[0].astype(np.int64)
+
+
+def dense_error(translation):
+    """What the class-map route without generators raises on the class map
+    that ``translation`` derives, or None when that map is a scheme."""
+    try:
+        sr.verify_scheme(translation.rows(np.arange(translation.n)))
+    except SchemeresError as exc:
+        return exc
+    return None
+
+
+#: row 0 of cycle 12 broken as ``BROKEN_CYCLE12`` breaks its class map; a
+#: translation map is regular, so "not-regular" has no row-0 counterpart
+BROKEN_ROW0 = {case: edit for case, edit in BROKEN_CYCLE12.items()
+               if case not in ("directed-cycle", "not-regular")}
+BROKEN_ROW0["directed-cycle"] = lambda row: np.arange(12)
+
+
+class TestTranslationRoute:
+    @pytest.mark.parametrize("name", ["cycle12", "hypercube5", "square6"])
+    def test_derived_views(self, name):
+        scheme = fusion_base(name)
+        dense = sr.verify_scheme(scheme.classmap, automorphisms=base_generators(name))
+        reps = np.unique(scheme.classmap[0], return_index=True)[1]
+        assert np.array_equal(scheme.representative_rows, dense.classmap[reps])
+        assert np.array_equal(dense.representative_rows, dense.classmap[reps])
+        assert np.array_equal(scheme.realisation.rows(0), scheme.realisation.row0)
+        assert not scheme.realisation.row0.flags.writeable
+        assert dense.p.tobytes() == scheme.p.tobytes()
+        assert dense.valencies == scheme.valencies
+
+    @pytest.mark.parametrize("limit", [1, scheme_module._ROW_ZERO_BLOCK])
+    def test_more_orbits_than_classes(self, monkeypatch, limit):
+        # Z_7 with classes {0}, {+-1}, {+-2, +-3}: -1 fixes row 0 and has 4
+        # orbits, and A_1^2 = 2 A_0 + the +-2 part of class 2
+        monkeypatch.setattr(scheme_module, "_ROW_ZERO_BLOCK", limit)
+        given = sr.Translation(7, 1, np.array([0, 1, 2, 2, 2, 2, 1]), ([[-1]],))
+        expected = dense_error(given)
+        assert type(expected) is NotClosed
+        with pytest.raises(NotClosed, match=r"^A_1 A_1 is outside the span") as got:
+            sr.verify_scheme(given)
+        assert str(got.value) == str(expected)
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int64])
+    @pytest.mark.parametrize("case", BROKEN_ROW0)
+    def test_same_error_as_the_class_map_route(self, case, dtype):
+        given = sr.Translation(12, 1, BROKEN_ROW0[case](cycle12_row0()).astype(dtype), ([[-1]],))
+        expected = dense_error(given)
+        assert expected is not None
+        with pytest.raises(type(expected)) as got:
+            sr.verify_scheme(given)
+        assert type(got.value) is type(expected)
+        assert str(got.value) == str(expected)
+
+    def test_wide_labels_do_not_wrap(self):
+        row0 = cycle12_row0()
+        wide = np.where(row0 > 0, row0 + 2 ** 16, 0)
+        with pytest.raises(NotPartition, match=f"^{2 ** 16 + 7} class labels on 12 vertices$"):
+            sr.verify_scheme(sr.Translation(12, 1, wide, ([[-1]],)))
+
+    @pytest.mark.parametrize("m, r, generators, message", [
+        # 5 is a unit mod 12 that takes distance 1 to distance 5
+        (12, 1, ([[-1]], [[5]]), "generator 1 does not preserve row 0"),
+        (12, 1, ([[2]],), "generator 0 is singular mod 12"),
+        (12, 1, ([[0]],), "generator 0 is singular mod 12"),
+        # the trivial group: every point its own orbit
+        (12, 1, (), "more orbits than the 7 classes: those of the class "
+                    "representatives cover 7 of 12 points"),
+        # a shear of Z_6^2 is an automorphism, but not of the square classes
+        (6, 2, (((0, 1), (1, 0)), ((1, 1), (0, 1))), "generator 1 does not preserve row 0"),
+        (6, 2, (((0, 1), (1, 0)), ((2, 0), (0, 1))), "generator 1 is singular mod 6"),
+        # the swap alone has more orbits than the signed-swap group
+        (6, 2, (((0, 1), (1, 0)),), "cover 16 of 36 points"),
+        (12, 1, ([[-1, 0]],), "generator 0 is not a 1 x 1 integer matrix"),
+        (12, 1, ([[-1.0]],), "generator 0 is not a 1 x 1 integer matrix"),
+    ], ids=["moves-row0", "singular", "zero", "trivial", "shear", "singular-2d",
+            "swap-alone", "shape", "float"])
+    def test_bad_generators_of_a_scheme(self, m, r, generators, message):
+        scheme = {12: fusion_base("cycle12"), 6: fusion_base("square6")}[m]
+        given = sr.Translation(m, r, scheme.realisation.row0, generators)
+        assert dense_error(given) is None  # every axiom holds
+        with pytest.raises(BadParameter, match=message):
+            sr.verify_scheme(given)
+
+    @pytest.mark.parametrize("m, r, row0, message", [
+        (12, 1, np.arange(11), r"^row 0 is not an integer array of 12\^1 = 12 labels$"),
+        (12, 1, np.arange(12.0), r"^row 0 is not an integer array of 12\^1 = 12 labels$"),
+        (12, 1, np.zeros(12, dtype=bool), r"^row 0 is not an integer array"),
+    ], ids=["short", "float", "boolean"])
+    def test_malformed_row0(self, m, r, row0, message):
+        with pytest.raises(NotPartition, match=message):
+            sr.verify_scheme(sr.Translation(m, r, row0, ([[-1]],)))
+
+    @pytest.mark.parametrize("m, r", [(1, 3), (12, 0)])
+    def test_bad_group(self, m, r):
+        with pytest.raises(BadParameter, match="needs modulus >= 2 and rank >= 1"):
+            sr.verify_scheme(sr.Translation(m, r, np.zeros(m ** r, dtype=np.int64)))
+
+    @pytest.mark.parametrize("m, r", [(2, 1), (2, 5), (3, 3), (12, 1), (6, 2)])
+    def test_rows_match_coordinates(self, m, r):
+        # row x holds row0[x - z] at z, x - z taken coordinate-wise mod m
+        # (exclusive or for m = 2, digit by digit otherwise)
+        n = m ** r
+        t = sr.Translation(m, r, np.random.default_rng(m * r).integers(0, 50, n))
+        coords = np.array(list(itertools.product(range(m), repeat=r)))  # [vertex, coordinate]
+        places = m ** np.arange(r - 1, -1, -1)
+        expected = t.row0[(coords[:, None] - coords[None]) % m @ places]
+        assert np.array_equal(t.rows(np.arange(n)), expected)
+        assert np.array_equal(t.rows(n - 1), expected[n - 1])
+        xs = np.arange(min(n, 6))[::-1].reshape(-1, 2 if n > 2 else 1)
+        assert np.array_equal(t.rows(xs), expected[xs])
+
+    @pytest.mark.parametrize("name", ["cycle12", "hypercube5", "square6"])
+    def test_row_zero_counts_on_derived_rows(self, monkeypatch, name):
+        # the closure count of the failure path, on rows derived in blocks
+        scheme = fusion_base(name)
+        monkeypatch.setattr(scheme_module, "_ROW_ZERO_BLOCK", 3 * scheme.n)
+        counted = scheme_module._row_zero_intersection_numbers(scheme.realisation,
+                                                               scheme.valencies)
+        assert counted.tobytes() == scheme.p.tobytes()
+
+    @pytest.mark.parametrize("generators, error, message", [
+        # the shear x_0 += x_1 is bijective and changes Hamming weights
+        (lambda t: t.generators + (np.eye(16, dtype=np.int64) + np.eye(16, k=1, dtype=np.int64),),
+         BadParameter, "^generator 2 does not preserve row 0$"),
+        (lambda t: t.generators + (np.zeros((16, 16), dtype=np.int64),),
+         BadParameter, "^generator 2 is singular mod 2$"),
+    ], ids=["moves-row0", "singular"])
+    def test_bad_generator_of_hypercube16_in_linear_memory(self, generators, error, message):
+        # the generators that pass certify closure, so no class map is needed
+        # to name the failure (hypercube 16's would hold 2**32 labels)
+        t = sr.build_hypercube(16).realisation
+        given = sr.Translation(2, 16, t.row0, generators(t))
+        tracemalloc.start()
+        try:
+            with pytest.raises(error, match=message):
+                sr.verify_scheme(given)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+
+    def test_broken_row0_of_hypercube16_in_linear_memory(self):
+        t = sr.build_hypercube(16).realisation
+        skipped = np.where(t.row0 == 3, 4, t.row0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(NotPartition, match="^relation 3 is empty$"):
+                sr.verify_scheme(sr.Translation(2, 16, skipped, t.generators))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+
+    def test_closure_decided_on_derived_rows(self):
+        # the rotation alone has more orbits than hypercube 12 has classes, so
+        # row 0 of each A_i A_j decides closure: on blocks of derived rows,
+        # never the 2**24-label class map
+        t = sr.build_hypercube(12).realisation
+        tracemalloc.start()
+        try:
+            with pytest.raises(BadParameter, match="cover 134 of 4096 points$"):
+                sr.verify_scheme(sr.Translation(2, 12, t.row0, t.generators[1:]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+
+    def test_automorphisms_are_the_generators(self):
+        t = fusion_base("cycle12").realisation
+        with pytest.raises(BadParameter, match="takes its automorphisms as generators"):
+            sr.verify_scheme(t, automorphisms=base_generators("cycle12"))
 
 
 # --------------------------------------------------------------------------
