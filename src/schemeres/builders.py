@@ -5,9 +5,9 @@ hands its scheme to ``verify_scheme``, so a builder can never hand out an
 object violating the axioms.  Every shipped scheme is vertex-transitive.
 
 The cycle, hypercube, square, hexagonal and Z_5 x Z_5 schemes are
-translation schemes on G = Z_m^r: each builder passes row 0 and generator
-matrices of a point group H of automorphisms of G whose orbits are its
-classes (a ``Translation``):
+translation schemes on G = Z_m^r: each builder passes only generator
+matrices of a point group H of automorphisms of G (a ``Translation``), and
+its classes are the H-orbits, numbered in order of their least point:
 
 * cycle on Z_n: the negation (-1);
 * hypercube on Z_2^n: the transposition (0 1) and the n-cycle of the
@@ -18,11 +18,11 @@ classes (a ``Translation``):
   generate ``hexagonal_point_group``;
 * Z_5 x Z_5: the rotation ((0, 1), (-1, 1)) of order 6.
 
-``verify_scheme`` certifies that H fixes row 0 and has exactly d+1 orbits,
-so the scheme is the orbital scheme of G x| H, in O(N |gens| + (d+1) N)
-work with no N x N class map.  The other builders compute the N x N class
-map and pass vertex permutations that generate a transitive automorphism
-group:
+``verify_scheme`` certifies the generators and derives row 0, the orbit
+labelling, so the scheme is the orbital scheme of G x| H, in
+O(N |gens| + (d+1) N) work with no N x N class map.  The other builders
+compute the N x N class map and pass vertex permutations that generate a
+transitive automorphism group:
 
 * triangular: the transposition (0 1) and the n-cycle, acting on 2-subsets;
 * group schemes: right multiplications x -> x s, by a generating set.
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -49,7 +49,7 @@ from .errors import (
     TooLarge,
     TooSmall,
 )
-from .scheme import AssociationScheme, Translation, _orbit, verify_scheme
+from .scheme import AssociationScheme, Translation, _orbit_labels, verify_scheme
 
 
 # --------------------------------------------------------------------------
@@ -147,11 +147,11 @@ def _right_multiplications(mult: np.ndarray, identity: int) -> list:
     picks generate, the orbit of the identity under them.  Each pick at
     least doubles that subgroup, so there are at most log2(order) picks.
     """
-    gens, subgroup = [], {identity}
+    gens, orbits = [], np.arange(len(mult))
     for s in range(len(mult)):
-        if s not in subgroup:
+        if orbits[s] != orbits[identity]:
             gens.append(mult[:, s])
-            subgroup = _orbit(gens, subgroup)
+            orbits = _orbit_labels(gens, len(mult))
     return gens
 
 
@@ -247,10 +247,8 @@ def build_cycle(n: int) -> AssociationScheme:
         raise OddOrder("cycle scheme is built for an even number of vertices")
     if n < 4:
         raise TooSmall("cycle scheme needs at least 4 vertices")
-    z = np.arange(n)
     names = tuple(str(i) for i in range(n // 2 + 1))
-    return verify_scheme(Translation(n, 1, np.minimum(z, n - z), ([[-1]],)),
-                         class_names=names)
+    return verify_scheme(Translation(n, 1, ([[-1]],)), class_names=names)
 
 
 def build_hypercube(n: int) -> AssociationScheme:
@@ -259,18 +257,13 @@ def build_hypercube(n: int) -> AssociationScheme:
         raise TooSmall("hypercube needs n >= 1")
     if n > 20:
         raise TooLarge("hypercube supported up to n = 20 (1048576 vertices)")
-    # the weights of 2s vertices, from those of s: the top bit adds 1
-    weight = np.zeros(1, dtype=np.int16)
-    for _ in range(n):
-        weight = np.concatenate([weight, weight + 1])
     names = tuple(f"w{i}" for i in range(n + 1))
     # the transposition (0 1) and the n-cycle, as permutation matrices
     swap = list(range(n))
     swap[:2] = swap[1::-1]
     transposition = np.eye(n, dtype=np.int64)[swap]
     rotation = np.roll(np.eye(n, dtype=np.int64), 1, axis=0)
-    return verify_scheme(Translation(2, n, weight, (transposition, rotation)),
-                         class_names=names)
+    return verify_scheme(Translation(2, n, (transposition, rotation)), class_names=names)
 
 
 def build_triangular(n: int) -> AssociationScheme:
@@ -343,25 +336,15 @@ def _orbit_scheme(m: int, generators) -> AssociationScheme:
     """Translation scheme whose classes are the orbits on Z_m x Z_m of the
     point group that ``generators`` generate.
 
-    A point's code is a m + b, and the least code of its orbit, the
-    lexicographically smallest point, names its class.  It is found by
-    taking, until nothing changes, the least of each point's code so far
-    and those of its images under the generators: the group is finite, so
-    a point's images under words in the generators are its orbit.  Classes
-    are ordered by that representative, which puts (0,0) first and the
-    orbit of (1,0) second.
+    ``verify_scheme`` numbers the orbits in order of their least point
+    (a, b), by code a m + b, which puts (0,0) first and the orbit of (0,1)
+    second; each class is named after that point, its first vertex in
+    row 0.
     """
-    points = np.array(np.divmod(np.arange(m * m), m))  # [coordinate, point]
-    images = [np.array((m, 1)) @ (np.array(h) @ points % m) for h in generators]
-    least = np.arange(m * m)
-    while True:
-        step = np.minimum.reduce([least] + [least[image] for image in images])
-        if np.array_equal(step, least):
-            break
-        least = step
-    reps, label = np.unique(least, return_inverse=True)
+    scheme = verify_scheme(Translation(m, 2, generators))
+    reps = np.unique(scheme.representative_rows[0], return_index=True)[1]
     names = tuple(f"({a},{b})" for a, b in zip(*np.divmod(reps, m)))
-    return verify_scheme(Translation(m, 2, label, generators), class_names=names)
+    return replace(scheme, class_names=names)
 
 
 #: the swap and a reflection, which generate ``square_point_group()``
@@ -384,23 +367,9 @@ def build_hexagonal_lattice(m: int) -> AssociationScheme:
     return _orbit_scheme(m, _HEXAGONAL_GENERATORS)
 
 
-# Each class is inverse-closed and the five classes partition Z_5 x Z_5;
-# classes 2 and 4 are the doublings of classes 1 and 3.
-_Z5Z5_CLASSES = (
-    ((0, 0),),
-    ((1, 0), (0, 1), (1, 1), (4, 0), (0, 4), (4, 4)),
-    ((2, 0), (0, 2), (2, 2), (3, 0), (0, 3), (3, 3)),
-    ((1, 2), (2, 1), (1, 4), (4, 1), (3, 4), (4, 3)),
-    ((1, 3), (3, 1), (2, 3), (3, 2), (2, 4), (4, 2)),
-)
-
-
 def build_orbit_scheme_z5z5() -> AssociationScheme:
-    """The 25-vertex, 4-class translation scheme on Z_5 x Z_5."""
+    """The 25-vertex, 4-class translation scheme on Z_5 x Z_5: the orbits of
+    the rotation ((0, 1), (-1, 1)) of order 6, each inverse-closed; classes
+    2 and 4 are the doublings of classes 1 and 3."""
     names = ("(0,0)", "(1,0)", "(2,0)", "(1,2)", "(1,3)")
-    lookup = np.zeros((5, 5), dtype=np.int16)
-    for k, elems in enumerate(_Z5Z5_CLASSES):
-        lookup[tuple(zip(*elems))] = k
-    # the classes are the orbits of this rotation of order 6
-    return verify_scheme(Translation(5, 2, lookup.reshape(-1), (((0, 1), (-1, 1)),)),
-                         class_names=names)
+    return verify_scheme(Translation(5, 2, (((0, 1), (-1, 1)),)), class_names=names)

@@ -5,15 +5,16 @@ exact integer arithmetic and computes the intersection numbers on the way.
 It takes a scheme on one of three routes:
 
 * a translation scheme (``Translation``: the cycle, hypercube, square,
-  hexagonal and Z_5 x Z_5 builders) is held by row 0 on G = Z_m^r, with
-  class(x, y) = row0[x - y], and by generator matrices of a point group H of
-  automorphisms of G.  If row 0 is symmetric, H fixes it and H has exactly
-  d+1 orbits on G, the classes are the H-orbits, so the scheme is the
-  orbital scheme of G x| H and closed with no product check (Delsarte 1973;
-  Brouwer, Cohen and Neumaier 1989, section 2.9).  p^k_ij is counted at one
-  representative r_k per class, #{z : row0[z] = i, row0[r_k - z] = j}.  All
-  of it is O(N |gens| + (d+1) N) work, and no N x N array is built: the
-  class map and the oracle's d+1 rows are views derived from row 0.
+  hexagonal and Z_5 x Z_5 builders) is given by generator matrices of a
+  point group H of automorphisms of G = Z_m^r alone.  Its classes are the
+  H-orbits on G: row 0 labels each point with its orbit, and
+  class(x, y) = row0[x - y].  That is the orbital scheme of G x| H, closed
+  by construction (Delsarte 1973; Brouwer, Cohen and Neumaier 1989,
+  section 2.9), and symmetric when each orbit is closed under negation,
+  which row 0 decides.  p^k_ij is counted at one representative r_k per
+  class, #{z : row0[z] = i, row0[r_k - z] = j}.  All of it is
+  O(N |gens| + (d+1) N) work, and no N x N array is built: the class map
+  and the oracle's d+1 rows are views derived from row 0.
 * a class map with ``automorphisms`` (the triangular and group-scheme
   builders pass them): each generator is certified to be a permutation
   that fixes the class map, and their orbit of vertex 0 to be every vertex,
@@ -32,7 +33,8 @@ It takes a scheme on one of three routes:
   2**53, so the products are exact and the comparison bit-exact.  That is
   O((d+1)^2 N^3 / run) work, and the only proof for an arbitrary map.
 
-All three give the same error for a map that breaks an axiom.  The
+All three give the same error for a map that breaks an axiom; of the
+axioms, a translation scheme can break only symmetry.  The
 closure they certify is all that the oracle
 (``resistance.resistance_oracle``) needs to solve from row 0; it does not
 need the generators.  Everything after verification reads p alone:
@@ -45,6 +47,7 @@ off p.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Optional, Sequence
@@ -64,21 +67,22 @@ from .spectra import CLUSTER_TOL
 
 @dataclass(frozen=True, eq=False)
 class Translation:
-    """A translation scheme on G = Z_m^r, held by row 0.
+    """A translation scheme on G = Z_m^r, given by a point group H.
 
     The point with coordinates (x_0, ..., x_{r-1}) is vertex
-    sum_t x_t m^(r-1-t), the first coordinate most significant, and the pair
-    (x, y) lies in class ``row0[x - y]``.  ``generators`` are r x r integer
-    matrices acting on coordinate columns mod m; ``verify_scheme`` certifies
-    that the group H they generate is a group of automorphisms of G whose
-    orbits are exactly the classes.  ``rows(xs)`` derives rows of the class
+    sum_t x_t m^(r-1-t), the first coordinate most significant.
+    ``generators`` are r x r integer matrices acting on coordinate columns
+    mod m, and the classes are the orbits on G of the group H they generate:
+    the pair (x, y) lies in class ``row0[x - y]``.  ``verify_scheme``
+    certifies the generators and derives ``row0``, the orbit labelling
+    (read-only; None before then).  ``rows(xs)`` derives rows of the class
     map without building the rest of it.
     """
 
     modulus: int
     rank: int
-    row0: np.ndarray
     generators: tuple = ()
+    row0: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -110,7 +114,8 @@ class Translation:
 
         The coordinates of a block of points are multiplied by h mod m in a
         float64 product, which is exact: every entry and partial sum stays
-        an integer below r m^2 < 2**53.
+        an integer at most r (m-1)^2, which ``verify_scheme`` requires to be
+        below 2**53.
         """
         m, r = self.modulus, self.rank
         places = m ** np.arange(r - 1, -1, -1)
@@ -222,18 +227,18 @@ def verify_scheme(relations, class_names: Optional[Sequence[str]] = None,
     The axioms are certified on one of three routes:
 
     * a ``Translation`` (``automorphisms`` must be omitted) needs m >= 2,
-      r >= 1, an integer row 0 of m^r labels and r x r integer generators.
-      Row 0 must have row0[0] = 0 and every other label >= 1, use every
-      label 0..d with d < N, and satisfy row0[-z] = row0[z]; each generator
-      h must map G onto itself mod m (a bijection, hence an automorphism)
-      with row0[h z] = row0[z]; and the orbits of the class representatives
-      under the generators must cover G, so that H has exactly d+1 orbits.
-      Row 0 and column 0 (row0[-z] and row0) decide the other axioms in
-      O(N), as on the next route, since the translations act transitively.
-      The classes are then the H-orbits and the scheme is the orbital
-      scheme of G x| H, closed without a product check; p is counted at the
-      representatives (``_translation_intersection_numbers``).  The class
-      map is derived on access, never built here: O(N |gens| + (d+1) N).
+      r >= 1 and r (m-1)^2 < 2^53, and r x r integer generators, each of
+      which must map G onto itself mod m (a bijection, hence an
+      automorphism).  Row 0 is derived: it labels every point with its
+      orbit under the group H they generate, the orbits numbered in order
+      of their least point, so row0[0] = 0, every other label is >= 1 and
+      every label 0..d is used.  The classes are the orbitals of G x| H, so
+      the scheme is closed without a product check; row 0 and column 0
+      (row0[-z] and row0) decide symmetry and give the valencies in O(N),
+      as on the next route, since the translations act transitively.  p is
+      counted at the representatives (``_translation_intersection_numbers``).
+      The class map is derived on access, never built here:
+      O(N |gens| + (d+1) N).
     * with ``automorphisms``, a sequence of length-n vertex permutations.
       Each must map the class map onto itself, ``classmap[g][:, g] ==
       classmap``, and their orbit of vertex 0 must cover all n vertices;
@@ -251,26 +256,25 @@ def verify_scheme(relations, class_names: Optional[Sequence[str]] = None,
     On the class-map routes p is read off row 0
     (``_row_zero_intersection_numbers``).
 
-    A map that breaks an axiom raises the same error on every route, and
-    ``BadParameter`` is raised only if every axiom holds.  When a
-    generator fails, the N^2 checks run first on the class-map route; on
-    the translation route row 0 names the broken axiom in O(N), and when
-    the generators that pass have more orbits than there are classes, row 0
-    of each A_i A_j decides closure, counted on derived rows in O(N^2) work
-    and O((d+1) N) memory (see ``_verify_translation``).
+    A map that breaks an axiom raises the same error on every route.  On
+    the class-map route with automorphisms, ``BadParameter`` is raised only
+    if every axiom holds: when a generator fails, the N^2 checks run first.
 
     Raises
     ------
     IdentityMissing, NotPartition, NotSymmetric, NotClosed
         Naming the violated axiom: a skipped label is ``NotPartition``, a
         negative one ``IdentityMissing``, a non-regular relation ``NotClosed``.
+        A translation scheme raises only ``NotSymmetric``, when some orbit
+        of H is not closed under negation, with the message the class-map
+        routes give on its class map.
     BadParameter
         If a given automorphism is not a permutation of the n vertices or
         does not fix the class map (naming the generator), or if their
-        orbit of vertex 0 misses a vertex (naming how many it reaches); if
-        a translation's generator is malformed, singular mod m or moves
-        row 0 (naming it), or if H has more orbits than classes.  There is
-        no fallback to the product route.
+        orbit of vertex 0 misses a vertex (naming how many it reaches); if a
+        translation's m, r or images are out of range, or a generator is
+        malformed or singular mod m (naming the first).  There is no
+        fallback to the product route.
     """
     if isinstance(relations, Translation):
         if automorphisms is not None:
@@ -325,62 +329,45 @@ def _label_dtype(d: int) -> type:
 
 
 def _verify_translation(given: Translation) -> tuple:
-    """(the translation with its labels narrowed, valencies, p) on the
+    """(the translation with its derived row 0, valencies, p) on the
     translation route of ``verify_scheme``.
 
-    The translations of G act transitively on the class map, so its row 0
-    (row0[-z]) and column 0 (row0) decide every axiom but closure, in O(N).
-    Each generator must be a bijection of G (a ``bincount`` of its images)
-    that fixes row 0, and the orbits of one representative per class under
-    those that are must cover G.  They fix row 0, so each orbit lies in one
-    class, and then H has exactly d+1 orbits, the classes, which proves
-    closure.  When the orbits do not cover G, closure is decided by row 0 of
-    each A_i A_j, counted on rows derived block by block: O(N^2) work in
-    O((d+1) N) memory, on this failure path alone.  A broken axiom is named
-    first, as on the class-map routes; ``BadParameter`` is raised, for the
-    first generator that fails or else for the orbit count, only when every
-    axiom holds.
+    Each generator must be an r x r integer matrix and a bijection of G (a
+    ``bincount`` of its images), hence an automorphism.  Row 0 labels every
+    point with its H-orbit, numbered in order of its least point; H fixes
+    0, so class 0 is {0}, and every label 0..d is used.  The classes are
+    then the orbitals of G x| H, a transitive group, so the scheme is closed
+    by construction; the translations act transitively on its class map, so
+    row 0 (row0[-z]) and column 0 (row0) decide symmetry and give the
+    valencies in O(N).
     """
     m, r = int(given.modulus), int(given.rank)
     if m < 2 or r < 1:
         raise BadParameter(f"a translation scheme needs modulus >= 2 and rank >= 1, "
                            f"not {m} and {r}")
-    n = m ** r
-    row0 = np.asarray(given.row0)
-    if row0.shape != (n,) or not np.issubdtype(row0.dtype, np.integer):
-        raise NotPartition(f"row 0 is not an integer array of {m}^{r} = {n} labels")
-    translation = Translation(m, r, row0)
-    # on the given dtype, so that no label is narrowed before it is certified
-    d, valencies = _row_zero_axioms(translation.rows(0), row0)
-
-    failures, gens, images = [], [], []
+    if r * (m - 1) ** 2 >= 2 ** 53:  # before any N-sized array: N = m^r is huge here
+        raise BadParameter(f"a translation scheme needs rank (modulus - 1)^2 < 2^53, so that "
+                           f"its images are exact in float64, not {r} ({m} - 1)^2")
+    translation = Translation(m, r)
+    gens, images = [], []
     for k, h in enumerate(given.generators):
         h = np.asarray(h)
         if h.shape != (r, r) or not np.issubdtype(h.dtype, np.integer):
-            failures.append(f"generator {k} is not a {r} x {r} integer matrix")
-            continue
+            raise BadParameter(f"generator {k} is not a {r} x {r} integer matrix")
         h = h.astype(np.int64)
         h.flags.writeable = False
-        gens.append(h)
         image = translation.image(h)
-        if np.bincount(image, minlength=n).max() > 1:
-            failures.append(f"generator {k} is singular mod {m}")
-        elif not np.array_equal(row0[image], row0):
-            failures.append(f"generator {k} does not preserve row 0")
-        else:
-            images.append(image)
-    reps = np.unique(row0, return_index=True)[1]
-    count = len(_orbit(images, set(reps.tolist())))
-    if count != n:
-        _row_zero_intersection_numbers(translation, valencies)  # NotClosed
-        failures.append(f"the generators have more orbits than the {d + 1} classes: those "
-                        f"of the class representatives cover {count} of {n} points")
-    if failures:
-        raise BadParameter(failures[0])
+        if np.bincount(image, minlength=translation.n).max() > 1:
+            raise BadParameter(f"generator {k} is singular mod {m}")
+        gens.append(h)
+        images.append(image)
 
-    row0 = row0.astype(_label_dtype(d))
+    row0 = _orbit_labels(images, translation.n)
+    row0 = row0.astype(_label_dtype(int(row0.max())))
     row0.flags.writeable = False
-    translation = Translation(m, r, row0, tuple(gens))
+    translation = Translation(m, r, tuple(gens))
+    object.__setattr__(translation, "row0", row0)
+    d, valencies = _row_zero_axioms(translation.rows(0), row0)
     return translation, valencies, _translation_intersection_numbers(translation, valencies)
 
 
@@ -574,28 +561,40 @@ def _certify_transitive(classmap: np.ndarray, automorphisms: Sequence) -> None:
             raise BadParameter(f"automorphism {t} does not preserve the class map")
         gens.append(g)
 
-    count = len(_orbit(gens, {0}))
-    if count != n:
+    orbits = _orbit_labels(gens, n)
+    if orbits.max() > 0:
+        count = np.count_nonzero(orbits == 0)  # orbit 0 is that of vertex 0
         raise BadParameter(f"the automorphisms move vertex 0 to {count} of {n} vertices")
 
 
-def _orbit(gens: Sequence[np.ndarray], points: set) -> set:
-    """Every image of ``points`` under words in the permutations ``gens``.
+def _orbit_labels(gens: Sequence[np.ndarray], n: int) -> np.ndarray:
+    """The orbit of each of the points 0..n-1 under words in the
+    permutations ``gens``, numbered in order of their least points.
 
-    A forward depth-first search on plain lists: N * len(gens) steps, which
-    beats a frontier search in numpy when the orbit is long and thin, as
-    under one rotation.
+    Each point not yet labelled, taken in increasing order, is the least of
+    a new orbit, which a forward depth-first search on plain lists labels;
+    the point set is finite, so the forward orbit is the orbit of the group
+    the permutations generate.  That is N * len(gens) steps, which beats a
+    frontier search in numpy when an orbit is long and thin, as under one
+    rotation.
     """
     images = [g.tolist() for g in gens]
-    seen, stack = set(points), list(points)
-    while stack:
-        x = stack.pop()
-        for g in images:
-            y = g[x]
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return seen
+    labels = [-1] * n
+    count = 0
+    for start in range(n):
+        if labels[start] >= 0:
+            continue
+        labels[start] = count
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            for g in images:
+                y = g[x]
+                if labels[y] < 0:
+                    labels[y] = count
+                    stack.append(y)
+        count += 1
+    return np.array(labels)
 
 
 #: most cells, and most bins, of one ``bincount`` in
@@ -607,10 +606,9 @@ def _orbit(gens: Sequence[np.ndarray], points: set) -> set:
 _ROW_ZERO_BLOCK = 2 ** 15
 
 
-def _row_zero_intersection_numbers(classmap, valencies: tuple) -> np.ndarray:
+def _row_zero_intersection_numbers(classmap: np.ndarray, valencies: tuple) -> np.ndarray:
     """p from row 0 of each A_i A_j, which must be constant on each class k
-    of vertex 0 (``NotClosed`` otherwise).  ``classmap`` is the (n, n) map,
-    or a ``Translation`` whose rows are derived a block at a time.
+    of vertex 0 (``NotClosed`` otherwise), for the (n, n) class map.
 
     The class map must already be certified symmetric and regular.  Row 0
     of A_i A_j counts, for each y, the z in class i of vertex 0 with
@@ -631,8 +629,7 @@ def _row_zero_intersection_numbers(classmap, valencies: tuple) -> np.ndarray:
     rows than the budget holds is a block alone, counted in runs of rows
     within the budget (one row at least) whose counts are summed.
     """
-    rows_of = classmap.rows if isinstance(classmap, Translation) else classmap.__getitem__
-    row = rows_of(0).astype(np.intp)
+    row = classmap[0].astype(np.intp)
     n = len(row)
     d = len(valencies) - 1
     members = np.argsort(row, kind="stable")  # class i is members[starts[i]:starts[i + 1]]
@@ -654,7 +651,7 @@ def _row_zero_intersection_numbers(classmap, valencies: tuple) -> np.ndarray:
             rows = members[r0:min(r0 + chunk, starts[i1])]
             # the pair (z, y) counts in bin y * width + (i - i0) (d+1) + j,
             # where i is the class of z in row 0 and j = classmap[z, y]
-            cells = np.add(rows_of(rows), ((row[rows] - i0) * (d + 1))[:, None])
+            cells = np.add(classmap[rows], ((row[rows] - i0) * (d + 1))[:, None])
             cells += np.arange(0, n * width, width)
             part = np.bincount(cells.ravel(), minlength=n * width)
             if counts is None:
@@ -945,22 +942,23 @@ def check_distance_regular(scheme: AssociationScheme) -> Optional[IntersectionAr
 
 def scheme_to_dict(scheme: AssociationScheme) -> dict:
     """JSON-ready document.  A translation scheme lists its ``modulus``,
-    ``rank``, the N labels of ``row0`` and its ``generators``; any other
-    lists the N^2 labels of its ``classmap`` row-major."""
+    ``rank`` and ``generators``; any other lists the N^2 labels of its
+    ``classmap`` row-major."""
     doc = {"n": scheme.n, "d": scheme.d, "class_names": list(scheme.class_names)}
     t = scheme.realisation
     if isinstance(t, Translation):
-        doc.update(modulus=t.modulus, rank=t.rank, row0=t.row0.tolist(),
-                   generators=[h.tolist() for h in t.generators])
+        doc.update(modulus=t.modulus, rank=t.rank, generators=[h.tolist() for h in t.generators])
     else:
         doc["classmap"] = scheme.classmap.reshape(-1).tolist()
     return doc
 
 
-def _document_array(values, shape: Optional[tuple], error: Exception) -> np.ndarray:
+def _document_array(values, error: Exception, shape: Optional[tuple] = None,
+                    misshapen: Optional[Exception] = None) -> np.ndarray:
     """``values`` as an array, reshaped to ``shape`` unless it is None; a boolean
     among them, or a ragged nesting, raises ``error``, since ``np.asarray``
-    reads a true among ints as 1."""
+    reads a true among ints as 1, and a count of entries that ``shape`` does
+    not hold raises ``misshapen`` (``error`` if it is None)."""
     try:
         entries = np.asarray(values, dtype=object)
         array = np.asarray(values)
@@ -968,7 +966,11 @@ def _document_array(values, shape: Optional[tuple], error: Exception) -> np.ndar
         raise error from None
     if any(isinstance(x, bool) for x in entries.flat):
         raise error
-    return array if shape is None else array.reshape(shape)
+    if shape is None:
+        return array
+    if array.size != math.prod(shape):
+        raise misshapen or error
+    return array.reshape(shape)
 
 
 def scheme_from_dict(doc: dict) -> AssociationScheme:
@@ -976,25 +978,33 @@ def scheme_from_dict(doc: dict) -> AssociationScheme:
     or an older one with d+1 row-major 0/1 ``relations``; entries are not
     cast, so a non-integer one, a JSON boolean included, fails verification
     (``NotPartition`` for a label, ``BadParameter`` for a generator entry).
-    A translation document is certified by its generators, its row 0 and
-    generators taken as given, so that ``verify_scheme`` names a wrongly
-    shaped one; a class map is certified by the packed N x N products."""
+    A translation document is certified by its generators, taken as given,
+    so that ``verify_scheme`` names a wrongly shaped one; a ``row0`` beside
+    them, as older documents list it, must be the row 0 they derive
+    (``NotPartition`` otherwise).  A class map is certified by the packed
+    N x N products."""
     n = int(doc["n"])
-    if "row0" in doc:
+    if "generators" in doc:
         m, r = int(doc["modulus"]), int(doc["rank"])
-        row0 = _document_array(doc["row0"], None, NotPartition(
-            f"row 0 is not an integer array of {m}^{r} = {m ** r} labels"))
-        gens = tuple(_document_array(h, None, BadParameter(
+        given = Translation(m, r, tuple(_document_array(h, BadParameter(
             f"generator {k} is not a {r} x {r} integer matrix"))
-            for k, h in enumerate(doc["generators"]))
-        given = Translation(m, r, row0, gens)
+            for k, h in enumerate(doc["generators"])))
     elif "classmap" in doc:
-        given = _document_array(doc["classmap"], (n, n), NotPartition(
-            "the class map is not a square integer array"))
+        given = _document_array(doc["classmap"], NotPartition(
+            "the class map is not a square integer array"), (n, n))
     else:
-        given = [_document_array(flat, (n, n), NotPartition(
-            f"relation {k} has non-integer entries")) for k, flat in enumerate(doc["relations"])]
+        given = [_document_array(flat, NotPartition(f"relation {k} has non-integer entries"),
+                                 (n, n), NotPartition(f"relation {k} is not {n}x{n}"))
+                 for k, flat in enumerate(doc["relations"])]
     scheme = verify_scheme(given, class_names=doc.get("class_names"))
+    if "generators" in doc and "row0" in doc:
+        t = scheme.realisation
+        malformed = NotPartition(f"row 0 is not an integer array of {m}^{r} = {t.n} labels")
+        row0 = _document_array(doc["row0"], malformed)
+        if row0.shape != (t.n,) or not np.issubdtype(row0.dtype, np.integer):
+            raise malformed
+        if not np.array_equal(row0, t.row0):
+            raise NotPartition("row 0 is not the orbit labelling of the generators")
     if scheme.n != n:
         raise NotPartition(f"declared vertex count {n} does not match the {scheme.n} vertices")
     if scheme.d != int(doc["d"]):

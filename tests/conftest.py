@@ -142,13 +142,13 @@ def vertex_generators(build, *args):
 
 def build_packed(build, *args):
     """``build(*args)`` with its automorphisms withheld, so that its class
-    map, derived from row 0 for a translation builder, is certified by the
-    packed N x N products."""
+    map, derived from the verified scheme for a translation builder, is
+    certified by the packed N x N products."""
     verify = builders.verify_scheme
 
     def packed(given, class_names=None, automorphisms=None):
         if isinstance(given, sr.Translation):
-            given = given.rows(np.arange(given.n))
+            given = verify(given).classmap
         return verify(given, class_names=class_names)
 
     with mock.patch.object(builders, "verify_scheme", packed):

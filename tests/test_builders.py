@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import schemeres as sr
-from schemeres import builders, cli
+from schemeres import cli
 from schemeres import scheme as scheme_module
 from schemeres.errors import (
     NotAmbivalent,
@@ -273,6 +273,18 @@ def character_tuple_multiset(m, classes):
     return tuples
 
 
+#: the classes of the Z_5 x Z_5 scheme, in order: each is inverse-closed,
+#: the five partition Z_5 x Z_5, and classes 2 and 4 are the doublings of
+#: classes 1 and 3
+Z5Z5_CLASSES = (
+    ((0, 0),),
+    ((1, 0), (0, 1), (1, 1), (4, 0), (0, 4), (4, 4)),
+    ((2, 0), (0, 2), (2, 2), (3, 0), (0, 3), (3, 3)),
+    ((1, 2), (2, 1), (1, 4), (4, 1), (3, 4), (4, 3)),
+    ((1, 3), (3, 1), (2, 3), (3, 2), (2, 4), (4, 2)),
+)
+
+
 def orbit_classes(scheme, m):
     out = []
     for rel in scheme.relations:
@@ -336,8 +348,9 @@ class TestLattices:
         (rotation,) = z5z5.realisation.generators
         group = matrix_group([rotation], modulus=5)
         assert len(group) == 6
-        for elems in builders._Z5Z5_CLASSES:
+        for k, elems in enumerate(Z5Z5_CLASSES):
             assert {tuple((np.array(h) @ elems[0] % 5).tolist()) for h in group} == set(elems)
+            assert orbit_classes(z5z5, 5)[k] == sorted(elems)
 
     def test_hexagonal_class_one_six_regular(self, hexagonal7):
         assert hexagonal7.valencies[1] == 6

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -440,6 +441,12 @@ def relation_document(scheme):
             "relations": [r.reshape(-1).tolist() for r in scheme.relations]}
 
 
+def row0_document(scheme):
+    """The document of a translation scheme with its row 0 listed beside the
+    generators, as documents were once written."""
+    return {**sr.scheme_to_dict(scheme), "row0": scheme.realisation.row0.tolist()}
+
+
 class TestSerialization:
     def test_round_trip_bytes(self, s4):
         doc = sr.scheme_to_dict(s4)
@@ -456,9 +463,8 @@ class TestSerialization:
         scheme = presets[preset]
         t = scheme.realisation
         doc = json.loads(json.dumps(sr.scheme_to_dict(scheme)))
-        assert set(doc) == {"n", "d", "class_names", "modulus", "rank", "row0", "generators"}
+        assert set(doc) == {"n", "d", "class_names", "modulus", "rank", "generators"}
         assert (doc["modulus"], doc["rank"]) == (t.modulus, t.rank)
-        assert doc["row0"] == scheme.classmap[0].tolist()
         assert doc["generators"] == [h.tolist() for h in t.generators]
 
         def refuse(*args):
@@ -474,16 +480,30 @@ class TestSerialization:
         assert again.classmap.dtype == scheme.classmap.dtype
         assert again.classmap.tobytes() == scheme.classmap.tobytes()
 
-    def test_square24_document_lists_row0(self):
+    def test_square24_document_lists_generators(self):
         doc = sr.scheme_to_dict(sr.build_square_lattice(24))
-        assert len(doc["row0"]) == 576 and "classmap" not in doc
+        assert doc["generators"] == [[[0, 1], [1, 0]], [[1, 0], [0, -1]]]
+        assert "row0" not in doc and "classmap" not in doc
+        del doc["class_names"]  # 91 names, most of the document
+        assert len(json.dumps(doc)) < 150
+
+    def test_older_documents_list_row0(self, z5z5):
+        # documents once listed row 0 beside the generators: it must be the
+        # row 0 that they derive
+        doc = row0_document(z5z5)
+        again = sr.scheme_from_dict(json.loads(json.dumps(doc)))
+        assert again.p.tobytes() == z5z5.p.tobytes()
+        assert again.realisation.row0.tobytes() == z5z5.realisation.row0.tobytes()
+        doc["row0"][1] = doc["row0"][4] = 2  # still symmetric: (0, 1) and (0, 4)
+        with pytest.raises(NotPartition, match="^row 0 is not the orbit labelling of the generators$"):
+            sr.scheme_from_dict(json.loads(json.dumps(doc)))
 
     @pytest.mark.parametrize("field, index, error, message", [
         ("row0", 1, NotPartition, r"^row 0 is not an integer array of 5\^2 = 25 labels$"),
         ("generators", 0, BadParameter, r"^generator 0 is not a 2 x 2 integer matrix$"),
     ])
     def test_translation_document_rejects_a_boolean(self, z5z5, field, index, error, message):
-        doc = sr.scheme_to_dict(z5z5)
+        doc = row0_document(z5z5)
         if field == "row0":
             doc["row0"][index] = True
         else:
@@ -513,12 +533,16 @@ class TestSerialization:
 
     def test_translation_document_is_verified(self, z5z5):
         doc = sr.scheme_to_dict(z5z5)
-        doc["generators"] = [[[1, 1], [0, 1]]]  # a shear, which moves row 0
-        with pytest.raises(BadParameter, match="generator 0 does not preserve row 0"):
+        # a shear: its orbits {(x_0 + k x_1, x_1)} are not closed under negation
+        doc["generators"] = [[[1, 1], [0, 1]]]
+        with pytest.raises(NotSymmetric, match="^relation 4 is not symmetric$"):
             sr.scheme_from_dict(doc)
-        doc = sr.scheme_to_dict(z5z5)
+        doc["generators"] = [[[1, 1], [0, 0]]]
+        with pytest.raises(BadParameter, match="^generator 0 is singular mod 5$"):
+            sr.scheme_from_dict(doc)
+        doc = row0_document(z5z5)
         doc["row0"][1] = 3  # breaks row0[-z] = row0[z]
-        with pytest.raises(NotSymmetric):
+        with pytest.raises(NotPartition, match="not the orbit labelling"):
             sr.scheme_from_dict(doc)
 
     @pytest.mark.parametrize("preset", PRESETS)
@@ -564,6 +588,21 @@ class TestSerialization:
         doc["relations"][1][1] = 1.5
         with pytest.raises(NotPartition, match="relation 1 has non-integer entries"):
             sr.scheme_from_dict(doc)
+
+    @pytest.mark.parametrize("form", ["classmap", "relations"])
+    def test_rejects_a_dropped_label(self, form):
+        # 35 labels where n = 6 declares 36: a typed error, not numpy's reshape
+        scheme = sr.build_triangular(4)
+        if form == "classmap":
+            doc = sr.scheme_to_dict(scheme)
+            del doc["classmap"][7]
+            message = "^the class map is not a square integer array$"
+        else:
+            doc = relation_document(scheme)
+            del doc["relations"][1][7]
+            message = "^relation 1 is not 6x6$"
+        with pytest.raises(NotPartition, match=message):
+            sr.scheme_from_dict(json.loads(json.dumps(doc)))
 
     def test_rejects_bad_declared_d(self, cycle8):
         doc = sr.scheme_to_dict(cycle8)
@@ -916,28 +955,72 @@ class TestRowZeroAxioms:
 
 
 # --------------------------------------------------------------------------
-# the translation route: row 0 and a point group on Z_m^r
+# the translation route: a point group on Z_m^r
 # --------------------------------------------------------------------------
 
-def cycle12_row0():
-    return fusion_base("cycle12").classmap[0].astype(np.int64)
+def orbit_classmap(m, r, generators):
+    """The class map of the orbital scheme of Z_m^r x| H, H generated by the
+    integer matrices ``generators`` (each a bijection mod m), found apart
+    from the library: orbits of coordinate tuples in Python ints, numbered
+    in order of their least point, and class(x, y) the orbit of x - y."""
+    points = list(itertools.product(range(m), repeat=r))  # in vertex order
+    orbit_of_point = {}
+    for x in points:
+        if x in orbit_of_point:
+            continue
+        label = len(set(orbit_of_point.values()))
+        orbit_of_point[x] = label
+        frontier = [x]
+        while frontier:
+            y = frontier.pop()
+            for h in generators:
+                z = tuple(sum(int(h[i][j]) * y[j] for j in range(r)) % m for i in range(r))
+                if z not in orbit_of_point:
+                    orbit_of_point[z] = label
+                    frontier.append(z)
+    return np.array([[orbit_of_point[tuple((a - b) % m for a, b in zip(x, y))] for y in points]
+                     for x in points])
 
 
-def dense_error(translation):
-    """What the class-map route without generators raises on the class map
-    that ``translation`` derives, or None when that map is a scheme."""
-    try:
-        sr.verify_scheme(translation.rows(np.arange(translation.n)))
-    except SchemeresError as exc:
-        return exc
-    return None
+def determinant(h):
+    """The determinant of a square integer matrix, by Laplace expansion."""
+    if len(h) == 1:
+        return int(h[0][0])
+    return sum((-1) ** j * int(h[0][j]) * determinant([row[:j] + row[j + 1:] for row in h[1:]])
+               for j in range(len(h)))
 
 
-#: row 0 of cycle 12 broken as ``BROKEN_CYCLE12`` breaks its class map; a
-#: translation map is regular, so "not-regular" has no row-0 counterpart
-BROKEN_ROW0 = {case: edit for case, edit in BROKEN_CYCLE12.items()
-               if case not in ("directed-cycle", "not-regular")}
-BROKEN_ROW0["directed-cycle"] = lambda row: np.arange(12)
+@st.composite
+def unimodular_matrix(draw, size):
+    """A signed permutation matrix times elementary shears: determinant +-1,
+    so invertible mod every m."""
+    perm = draw(st.permutations(range(size)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=size, max_size=size))
+    h = np.zeros((size, size), dtype=np.int64)
+    h[range(size), perm] = signs
+    if size > 1:
+        for _ in range(draw(st.integers(0, 2))):
+            i, j = draw(st.permutations(range(size)))[:2]
+            h[i] += draw(st.integers(-3, 3)) * h[j]
+    return h.tolist()
+
+
+def integer_matrices(size, count):
+    """Up to ``count`` size x size integer matrices: entries drawn at random,
+    often singular mod m, or unimodular."""
+    entries = st.lists(st.lists(st.integers(-9, 9), min_size=size, max_size=size),
+                       min_size=size, max_size=size)
+    return st.lists(st.one_of(entries, unimodular_matrix(size)), max_size=count)
+
+
+#: generators whose orbits are not closed under negation, so the orbital
+#: scheme is not symmetric
+NOT_SYMMETRIC = {
+    # every point its own orbit: the map of the directed cycle
+    "directed-cycle": (12, 1, ([[1]],)),
+    # the squares {1, 2, 4} and non-squares {3, 5, 6} of Z_7
+    "quadratic-residues": (7, 1, ([[2]],)),
+}
 
 
 class TestTranslationRoute:
@@ -953,79 +1036,115 @@ class TestTranslationRoute:
         assert dense.p.tobytes() == scheme.p.tobytes()
         assert dense.valencies == scheme.valencies
 
-    @pytest.mark.parametrize("limit", [1, scheme_module._ROW_ZERO_BLOCK])
-    def test_more_orbits_than_classes(self, monkeypatch, limit):
-        # Z_7 with classes {0}, {+-1}, {+-2, +-3}: -1 fixes row 0 and has 4
-        # orbits, and A_1^2 = 2 A_0 + the +-2 part of class 2
-        monkeypatch.setattr(scheme_module, "_ROW_ZERO_BLOCK", limit)
-        given = sr.Translation(7, 1, np.array([0, 1, 2, 2, 2, 2, 1]), ([[-1]],))
-        expected = dense_error(given)
-        assert type(expected) is NotClosed
-        with pytest.raises(NotClosed, match=r"^A_1 A_1 is outside the span") as got:
-            sr.verify_scheme(given)
-        assert str(got.value) == str(expected)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_orbits_in_python_ints(self, data):
+        # N = m^r <= 64
+        r = data.draw(st.integers(1, 6))
+        m = data.draw(st.integers(2, max(m for m in range(2, 65) if m ** r <= 64)))
+        generators = data.draw(integer_matrices(r, 3))
+        translation = sr.Translation(m, r, tuple(np.array(h, dtype=np.int64) for h in generators))
+        singular = [k for k, h in enumerate(generators) if math.gcd(determinant(h), m) != 1]
+        if singular:
+            with pytest.raises(BadParameter, match=f"^generator {singular[0]} is singular mod {m}$"):
+                sr.verify_scheme(translation)
+            return
+        classmap = orbit_classmap(m, r, generators)
+        try:
+            dense = sr.verify_scheme(classmap)
+        except NotSymmetric as expected:
+            with pytest.raises(NotSymmetric) as got:
+                sr.verify_scheme(translation)
+            assert str(got.value) == str(expected)
+            return
+        scheme = sr.verify_scheme(translation)
+        assert np.array_equal(scheme.classmap, classmap)
+        assert scheme.valencies == dense.valencies
+        assert (scheme.p.dtype, scheme.p.tobytes()) == (dense.p.dtype, dense.p.tobytes())
 
     @pytest.mark.parametrize("dtype", [np.int16, np.int64])
-    @pytest.mark.parametrize("case", BROKEN_ROW0)
+    @pytest.mark.parametrize("case", NOT_SYMMETRIC)
     def test_same_error_as_the_class_map_route(self, case, dtype):
-        given = sr.Translation(12, 1, BROKEN_ROW0[case](cycle12_row0()).astype(dtype), ([[-1]],))
-        expected = dense_error(given)
-        assert expected is not None
-        with pytest.raises(type(expected)) as got:
+        m, r, generators = NOT_SYMMETRIC[case]
+        with pytest.raises(NotSymmetric) as expected:
+            sr.verify_scheme(orbit_classmap(m, r, generators))
+        given = sr.Translation(m, r, tuple(np.array(h, dtype=dtype) for h in generators))
+        with pytest.raises(NotSymmetric) as got:
             sr.verify_scheme(given)
-        assert type(got.value) is type(expected)
-        assert str(got.value) == str(expected)
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("limit", [1, scheme_module._ROW_ZERO_BLOCK])
+    def test_more_orbits_than_classes(self, monkeypatch, limit):
+        # a document of Z_7 whose row 0 lists the classes {0}, {+-1}, {+-2, +-3}
+        # beside the generator -1, which has four orbits
+        monkeypatch.setattr(scheme_module, "_ROW_ZERO_BLOCK", limit)
+        doc = {"n": 7, "d": 2, "modulus": 7, "rank": 1, "generators": [[[-1]]],
+               "row0": [0, 1, 2, 2, 2, 2, 1]}
+        with pytest.raises(NotPartition, match="^row 0 is not the orbit labelling"):
+            sr.scheme_from_dict(doc)
 
     def test_wide_labels_do_not_wrap(self):
-        row0 = cycle12_row0()
-        wide = np.where(row0 > 0, row0 + 2 ** 16, 0)
-        with pytest.raises(NotPartition, match=f"^{2 ** 16 + 7} class labels on 12 vertices$"):
-            sr.verify_scheme(sr.Translation(12, 1, wide, ([[-1]],)))
+        # a document's labels 1..6 shifted by 2**16 read as 1..6 in int16
+        # (the labels that cycle 12 derives); they must not load
+        doc = row0_document(fusion_base("cycle12"))
+        row0 = np.array(doc["row0"])
+        doc["row0"] = np.where(row0 > 0, row0 + 2 ** 16, 0).tolist()
+        assert np.array_equal(np.array(doc["row0"]).astype(np.int16), row0)
+        with pytest.raises(NotPartition, match="^row 0 is not the orbit labelling"):
+            sr.scheme_from_dict(doc)
 
-    @pytest.mark.parametrize("m, r, generators, message", [
-        # 5 is a unit mod 12 that takes distance 1 to distance 5
-        (12, 1, ([[-1]], [[5]]), "generator 1 does not preserve row 0"),
-        (12, 1, ([[2]],), "generator 0 is singular mod 12"),
-        (12, 1, ([[0]],), "generator 0 is singular mod 12"),
+    @pytest.mark.parametrize("m, r, generators, error, message", [
+        (12, 1, ([[2]],), BadParameter, "^generator 0 is singular mod 12$"),
+        (12, 1, ([[0]],), BadParameter, "^generator 0 is singular mod 12$"),
         # the trivial group: every point its own orbit
-        (12, 1, (), "more orbits than the 7 classes: those of the class "
-                    "representatives cover 7 of 12 points"),
-        # a shear of Z_6^2 is an automorphism, but not of the square classes
-        (6, 2, (((0, 1), (1, 0)), ((1, 1), (0, 1))), "generator 1 does not preserve row 0"),
-        (6, 2, (((0, 1), (1, 0)), ((2, 0), (0, 1))), "generator 1 is singular mod 6"),
-        # the swap alone has more orbits than the signed-swap group
-        (6, 2, (((0, 1), (1, 0)),), "cover 16 of 36 points"),
-        (12, 1, ([[-1, 0]],), "generator 0 is not a 1 x 1 integer matrix"),
-        (12, 1, ([[-1.0]],), "generator 0 is not a 1 x 1 integer matrix"),
-    ], ids=["moves-row0", "singular", "zero", "trivial", "shear", "singular-2d",
-            "swap-alone", "shape", "float"])
-    def test_bad_generators_of_a_scheme(self, m, r, generators, message):
-        scheme = {12: fusion_base("cycle12"), 6: fusion_base("square6")}[m]
-        given = sr.Translation(m, r, scheme.realisation.row0, generators)
-        assert dense_error(given) is None  # every axiom holds
-        with pytest.raises(BadParameter, match=message):
-            sr.verify_scheme(given)
+        (12, 1, (), NotSymmetric, "^relation 11 is not symmetric$"),
+        (6, 2, (((0, 1), (1, 0)), ((2, 0), (0, 1))), BadParameter,
+         "^generator 1 is singular mod 6$"),
+        # the swap alone does not generate the signed-swap group
+        (6, 2, (((0, 1), (1, 0)),), NotSymmetric, "^relation 5 is not symmetric$"),
+        (12, 1, ([[-1, 0]],), BadParameter, "^generator 0 is not a 1 x 1 integer matrix$"),
+        (12, 1, ([[-1.0]],), BadParameter, "^generator 0 is not a 1 x 1 integer matrix$"),
+    ], ids=["singular", "zero", "trivial", "singular-2d", "swap-alone", "shape", "float"])
+    def test_bad_generators_of_a_scheme(self, m, r, generators, error, message):
+        # too few or malformed generators for cycle 12 or square 6
+        with pytest.raises(error, match=message):
+            sr.verify_scheme(sr.Translation(m, r, generators))
 
-    @pytest.mark.parametrize("m, r, row0, message", [
-        (12, 1, np.arange(11), r"^row 0 is not an integer array of 12\^1 = 12 labels$"),
-        (12, 1, np.arange(12.0), r"^row 0 is not an integer array of 12\^1 = 12 labels$"),
-        (12, 1, np.zeros(12, dtype=bool), r"^row 0 is not an integer array"),
+    @pytest.mark.parametrize("row0, message", [
+        (np.arange(11), r"^row 0 is not an integer array of 12\^1 = 12 labels$"),
+        (np.arange(12.0), r"^row 0 is not an integer array of 12\^1 = 12 labels$"),
+        (np.zeros(12, dtype=bool), r"^row 0 is not an integer array"),
     ], ids=["short", "float", "boolean"])
-    def test_malformed_row0(self, m, r, row0, message):
+    def test_malformed_row0(self, row0, message):
+        # in a document that lists row 0 beside the generators
+        doc = {**sr.scheme_to_dict(fusion_base("cycle12")), "row0": row0.tolist()}
         with pytest.raises(NotPartition, match=message):
-            sr.verify_scheme(sr.Translation(m, r, row0, ([[-1]],)))
+            sr.scheme_from_dict(json.loads(json.dumps(doc)))
 
     @pytest.mark.parametrize("m, r", [(1, 3), (12, 0)])
     def test_bad_group(self, m, r):
         with pytest.raises(BadParameter, match="needs modulus >= 2 and rank >= 1"):
-            sr.verify_scheme(sr.Translation(m, r, np.zeros(m ** r, dtype=np.int64)))
+            sr.verify_scheme(sr.Translation(m, r))
+
+    def test_images_stay_exact(self):
+        # at m = 2**27 + 30, r (m-1)^2 passes 2**53 and float64 rounds some
+        # images h z; the bound is checked before any of the m-point arrays
+        tracemalloc.start()
+        try:
+            with pytest.raises(BadParameter, match=r"rank \(modulus - 1\)\^2 < 2\^53"):
+                sr.verify_scheme(sr.Translation(2 ** 27 + 30, 1, ([[-1]],)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     @pytest.mark.parametrize("m, r", [(2, 1), (2, 5), (3, 3), (12, 1), (6, 2)])
     def test_rows_match_coordinates(self, m, r):
         # row x holds row0[x - z] at z, x - z taken coordinate-wise mod m
         # (exclusive or for m = 2, digit by digit otherwise)
         n = m ** r
-        t = sr.Translation(m, r, np.random.default_rng(m * r).integers(0, 50, n))
+        t = sr.Translation(m, r)
+        object.__setattr__(t, "row0", np.random.default_rng(m * r).integers(0, 50, n))
         coords = np.array(list(itertools.product(range(m), repeat=r)))  # [vertex, coordinate]
         places = m ** np.arange(r - 1, -1, -1)
         expected = t.row0[(coords[:, None] - coords[None]) % m @ places]
@@ -1036,28 +1155,22 @@ class TestTranslationRoute:
 
     @pytest.mark.parametrize("name", ["cycle12", "hypercube5", "square6"])
     def test_row_zero_counts_on_derived_rows(self, monkeypatch, name):
-        # the closure count of the failure path, on rows derived in blocks
+        # the class-map route's count, on the class map derived from row 0
+        # and in blocks of three rows, against the counts at the representatives
         scheme = fusion_base(name)
         monkeypatch.setattr(scheme_module, "_ROW_ZERO_BLOCK", 3 * scheme.n)
-        counted = scheme_module._row_zero_intersection_numbers(scheme.realisation,
+        counted = scheme_module._row_zero_intersection_numbers(scheme.classmap,
                                                                scheme.valencies)
         assert counted.tobytes() == scheme.p.tobytes()
 
-    @pytest.mark.parametrize("generators, error, message", [
-        # the shear x_0 += x_1 is bijective and changes Hamming weights
-        (lambda t: t.generators + (np.eye(16, dtype=np.int64) + np.eye(16, k=1, dtype=np.int64),),
-         BadParameter, "^generator 2 does not preserve row 0$"),
-        (lambda t: t.generators + (np.zeros((16, 16), dtype=np.int64),),
-         BadParameter, "^generator 2 is singular mod 2$"),
-    ], ids=["moves-row0", "singular"])
-    def test_bad_generator_of_hypercube16_in_linear_memory(self, generators, error, message):
-        # the generators that pass certify closure, so no class map is needed
-        # to name the failure (hypercube 16's would hold 2**32 labels)
+    @pytest.mark.parametrize("extra", [np.zeros((16, 16), dtype=np.int64)], ids=["singular"])
+    def test_bad_generator_of_hypercube16_in_linear_memory(self, extra):
+        # named without a class map (hypercube 16's would hold 2**32 labels)
         t = sr.build_hypercube(16).realisation
-        given = sr.Translation(2, 16, t.row0, generators(t))
+        given = sr.Translation(2, 16, t.generators + (extra,))
         tracemalloc.start()
         try:
-            with pytest.raises(error, match=message):
+            with pytest.raises(BadParameter, match="^generator 2 is singular mod 2$"):
                 sr.verify_scheme(given)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -1065,30 +1178,17 @@ class TestTranslationRoute:
         assert peak < 64 * 2 ** 20
 
     def test_broken_row0_of_hypercube16_in_linear_memory(self):
-        t = sr.build_hypercube(16).realisation
-        skipped = np.where(t.row0 == 3, 4, t.row0)
+        # a document whose row 0 skips a label, rejected without a class map
+        doc = row0_document(sr.build_hypercube(16))
+        doc["row0"] = [4 if label == 3 else label for label in doc["row0"]]
         tracemalloc.start()
         try:
-            with pytest.raises(NotPartition, match="^relation 3 is empty$"):
-                sr.verify_scheme(sr.Translation(2, 16, skipped, t.generators))
+            with pytest.raises(NotPartition, match="^row 0 is not the orbit labelling"):
+                sr.scheme_from_dict(doc)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20
-
-    def test_closure_decided_on_derived_rows(self):
-        # the rotation alone has more orbits than hypercube 12 has classes, so
-        # row 0 of each A_i A_j decides closure: on blocks of derived rows,
-        # never the 2**24-label class map
-        t = sr.build_hypercube(12).realisation
-        tracemalloc.start()
-        try:
-            with pytest.raises(BadParameter, match="cover 134 of 4096 points$"):
-                sr.verify_scheme(sr.Translation(2, 12, t.row0, t.generators[1:]))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * 2 ** 20
 
     def test_automorphisms_are_the_generators(self):
         t = fusion_base("cycle12").realisation
