@@ -342,7 +342,7 @@ def _orbit_scheme(m: int, generators) -> AssociationScheme:
     row 0.
     """
     scheme = verify_scheme(Translation(m, 2, generators))
-    reps = np.unique(scheme.representative_rows[0], return_index=True)[1]
+    reps = np.unique(scheme.realisation.row0, return_index=True)[1]
     names = tuple(f"({a},{b})" for a, b in zip(*np.divmod(reps, m)))
     return replace(scheme, class_names=names)
 

@@ -21,7 +21,7 @@ class SingularSystem(SchemeresError):
 
 
 class NotSymmetric(SchemeresError):
-    """Matrix handed to a symmetric routine is not symmetric."""
+    """A class map, given or derived from generators, is not symmetric."""
 
 
 class DegenerateSplit(SchemeresError):
@@ -31,7 +31,8 @@ class DegenerateSplit(SchemeresError):
 # scheme verification -------------------------------------------------------
 
 class NotPartition(SchemeresError):
-    """Relation matrices do not sum to the all-ones matrix."""
+    """A class map is not a square integer array of labels 0..d, each used,
+    on more than d vertices; or a document declares another n or d."""
 
 
 class IdentityMissing(SchemeresError):

@@ -2,7 +2,7 @@
 
 ``verify_scheme`` is the only constructor: it checks every defining axiom in
 exact integer arithmetic and computes the intersection numbers on the way.
-It takes a scheme on one of three routes:
+It takes a ``Translation`` or an N x N class map, on one of three routes:
 
 * a translation scheme (``Translation``: the cycle, hypercube, square,
   hexagonal and Z_5 x Z_5 builders) is given by generator matrices of a
@@ -24,14 +24,15 @@ It takes a scheme on one of three routes:
   the class count and regularity in O(N), and row 0 of each A_i A_j, which
   gives p (``_row_zero_intersection_numbers``, O(N^2 + (d+1)^2 N)), proves
   closure.
-* a class map without them (documents, hand-written input): the axioms are
-  checked over all N^2 entries, p is read off row 0 as above, and every
-  entry of A_i A_j is compared with p on exact float64 (BLAS) N x N
-  products (``_certify_closure``).  Each packs a run of classes into
-  base-``base`` digits, base = max kappa + 1, and the run is cut so that
-  base**run <= 2**53: every entry and partial sum stays an integer below
-  2**53, so the products are exact and the comparison bit-exact.  That is
-  O((d+1)^2 N^3 / run) work, and the only proof for an arbitrary map.
+* a class map without them (documents; relations A_k by hand, as
+  sum_k k A_k): the axioms are checked over all N^2 entries, p is read off
+  row 0 as above, and every entry of A_i A_j is compared with p on exact
+  float64 (BLAS) N x N products (``_certify_closure``).  Each packs a run
+  of classes into base-``base`` digits, base = max kappa + 1, and the run
+  is cut so that base**run <= 2**53: every entry and partial sum stays an
+  integer below 2**53, so the products are exact and the comparison
+  bit-exact.  That is O((d+1)^2 N^3 / run) work, and the only proof for an
+  arbitrary map.
 
 All three give the same error for a map that breaks an axiom; of the
 axioms, a translation scheme can break only symmetry.  The
@@ -76,7 +77,7 @@ class Translation:
     the pair (x, y) lies in class ``row0[x - y]``.  ``verify_scheme``
     certifies the generators and derives ``row0``, the orbit labelling
     (read-only; None before then).  ``rows(xs)`` derives rows of the class
-    map without building the rest of it.
+    map without building the rest of it, once ``row0`` is derived.
     """
 
     modulus: int
@@ -97,6 +98,8 @@ class Translation:
         z, and the partial index of the first t digits has only m^t entries
         a row until the last digit.  For m = 2, x - z is x xor z.
         """
+        if self.row0 is None:
+            raise BadParameter("row 0 is derived by verify_scheme")
         xs = np.asarray(xs)
         m, r = self.modulus, self.rank
         if m == 2:  # digit-wise subtraction is exclusive or: one step, not r
@@ -211,34 +214,26 @@ def _reachable_classes(step: np.ndarray) -> np.ndarray:
     return reach[0]
 
 
-def verify_scheme(relations, class_names: Optional[Sequence[str]] = None,
+def verify_scheme(given, class_names: Optional[Sequence[str]] = None,
                   automorphisms: Optional[Sequence] = None) -> AssociationScheme:
-    """Validate a scheme, given as a ``Translation``, as its d+1 relation
-    matrices or as one (n, n) integer numpy array mapping each vertex pair
-    to its class, and build it.
+    """Validate a scheme, given as a ``Translation`` or as one (n, n) integer
+    numpy array mapping each vertex pair to its class, and build it.
 
-    Relation matrices must be nonempty, 0/1 and partition the vertex pairs;
-    they are reduced to their class map.  The class map is checked in exact
-    integer arithmetic: class 0 is exactly the diagonal, the map is
-    symmetric, no class in 0..d is empty, each is regular (kappa_k read off
-    row 0) and the family is closed with nonnegative integer coefficients,
-    hence commutative: A_i A_j = (A_i A_j)^T = A_j A_i for symmetric A_i.
+    A set of 0/1 relation matrices A_0..A_d is given as its class map
+    sum_k k A_k.  The class map is checked in exact integer arithmetic:
+    class 0 is exactly the diagonal, the map is symmetric, no class in 0..d
+    is empty, each is regular (kappa_k read off row 0) and the family is
+    closed with nonnegative integer coefficients, hence commutative:
+    A_i A_j = (A_i A_j)^T = A_j A_i for symmetric A_i.
 
     The axioms are certified on one of three routes:
 
     * a ``Translation`` (``automorphisms`` must be omitted) needs m >= 2,
-      r >= 1 and r (m-1)^2 < 2^53, and r x r integer generators, each of
-      which must map G onto itself mod m (a bijection, hence an
-      automorphism).  Row 0 is derived: it labels every point with its
-      orbit under the group H they generate, the orbits numbered in order
-      of their least point, so row0[0] = 0, every other label is >= 1 and
-      every label 0..d is used.  The classes are the orbitals of G x| H, so
-      the scheme is closed without a product check; row 0 and column 0
-      (row0[-z] and row0) decide symmetry and give the valencies in O(N),
-      as on the next route, since the translations act transitively.  p is
-      counted at the representatives (``_translation_intersection_numbers``).
-      The class map is derived on access, never built here:
-      O(N |gens| + (d+1) N).
+      r >= 1 and r (m-1)^2 < 2^53, and r x r integer generators, each a
+      bijection of G mod m.  Row 0, the orbit labelling they derive, proves
+      the axioms and gives p in O(N |gens| + (d+1) N) (see
+      ``_verify_translation``); the class map is derived on access, never
+      built here.
     * with ``automorphisms``, a sequence of length-n vertex permutations.
       Each must map the class map onto itself, ``classmap[g][:, g] ==
       classmap``, and their orbit of vertex 0 must cover all n vertices;
@@ -263,8 +258,10 @@ def verify_scheme(relations, class_names: Optional[Sequence[str]] = None,
     Raises
     ------
     IdentityMissing, NotPartition, NotSymmetric, NotClosed
-        Naming the violated axiom: a skipped label is ``NotPartition``, a
-        negative one ``IdentityMissing``, a non-regular relation ``NotClosed``.
+        Naming the violated axiom: a skipped label, or anything but a
+        ``Translation`` or a square integer ndarray (a list of relation
+        matrices too), is ``NotPartition``, a negative label
+        ``IdentityMissing``, a non-regular relation ``NotClosed``.
         A translation scheme raises only ``NotSymmetric``, when some orbit
         of H is not closed under negation, with the message the class-map
         routes give on its class map.
@@ -276,13 +273,13 @@ def verify_scheme(relations, class_names: Optional[Sequence[str]] = None,
         malformed or singular mod m (naming the first).  There is no
         fallback to the product route.
     """
-    if isinstance(relations, Translation):
+    if isinstance(given, Translation):
         if automorphisms is not None:
             raise BadParameter("a translation scheme takes its automorphisms as generators")
-        realisation, valencies, p = _verify_translation(relations)
+        realisation, valencies, p = _verify_translation(given)
         n = realisation.n
     else:
-        realisation, valencies, p = _verify_classmap(relations, automorphisms)
+        realisation, valencies, p = _verify_classmap(given, automorphisms)
         n = realisation.shape[0]
     d = len(valencies) - 1
 
@@ -295,15 +292,11 @@ def verify_scheme(relations, class_names: Optional[Sequence[str]] = None,
                              class_names=names)
 
 
-def _verify_classmap(relations, automorphisms: Optional[Sequence]) -> tuple:
+def _verify_classmap(classmap, automorphisms: Optional[Sequence]) -> tuple:
     """(class map, valencies, p) on the two class-map routes of
     ``verify_scheme``."""
-    if isinstance(relations, np.ndarray) and relations.ndim == 2:
-        classmap = relations
-    else:
-        classmap = _relation_classmap(relations)
-    n = classmap.shape[0]
-    if classmap.shape != (n, n) or not np.issubdtype(classmap.dtype, np.integer):
+    if not (isinstance(classmap, np.ndarray) and np.issubdtype(classmap.dtype, np.integer)
+            and classmap.ndim == 2 and classmap.shape[0] == classmap.shape[1]):
         raise NotPartition("the class map is not a square integer array")
 
     if automorphisms is None:
@@ -464,34 +457,6 @@ def _row_zero_axioms(row: np.ndarray, column: np.ndarray) -> tuple:
     if empty.size:
         raise NotPartition(f"relation {empty[0]} is empty")
     return d, tuple(valencies.tolist())
-
-
-def _relation_classmap(relations: Sequence) -> np.ndarray:
-    """The class map of d+1 nonempty relation matrices with 0/1 entries that
-    partition the vertex pairs (``NotPartition`` otherwise)."""
-    rels = [np.asarray(r) for r in relations]
-    if not rels:
-        raise NotPartition("no relations given")
-    n = rels[0].shape[0]
-    classmap = np.zeros((n, n), dtype=np.int16)
-    covered = np.zeros((n, n), dtype=np.int64)
-    for k, r in enumerate(rels):
-        if r.ndim != 2 or r.shape != (n, n):
-            raise NotPartition(f"relation {k} is not {n}x{n}")
-        if r.dtype == object or not np.issubdtype(r.dtype, np.integer):
-            cast = r.astype(np.int64)
-            if (cast != r).any():
-                raise NotPartition(f"relation {k} has non-integer entries")
-            r = cast
-        if ((r != 0) & (r != 1)).any():
-            raise NotPartition(f"relation {k} has entries outside {{0, 1}}")
-        if not r.any():  # a class map cannot show an empty last relation
-            raise NotPartition(f"relation {k} is empty")
-        covered += r
-        classmap[r.astype(bool)] = k
-    if (covered != 1).any():
-        raise NotPartition("relations do not partition the vertex pairs")
-    return classmap
 
 
 def _certify_closure(classmap: np.ndarray, valencies: tuple, p: np.ndarray) -> None:
@@ -953,12 +918,11 @@ def scheme_to_dict(scheme: AssociationScheme) -> dict:
     return doc
 
 
-def _document_array(values, error: Exception, shape: Optional[tuple] = None,
-                    misshapen: Optional[Exception] = None) -> np.ndarray:
-    """``values`` as an array, reshaped to ``shape`` unless it is None; a boolean
-    among them, or a ragged nesting, raises ``error``, since ``np.asarray``
-    reads a true among ints as 1, and a count of entries that ``shape`` does
-    not hold raises ``misshapen`` (``error`` if it is None)."""
+def _document_array(values, error: Exception, shape: Optional[tuple] = None) -> np.ndarray:
+    """``values`` as an array, reshaped to ``shape`` unless it is None; a
+    boolean among them, a ragged nesting, or a count of entries that
+    ``shape`` does not hold raises ``error``, since ``np.asarray`` reads a
+    true among ints as 1."""
     try:
         entries = np.asarray(values, dtype=object)
         array = np.asarray(values)
@@ -969,42 +933,37 @@ def _document_array(values, error: Exception, shape: Optional[tuple] = None,
     if shape is None:
         return array
     if array.size != math.prod(shape):
-        raise misshapen or error
+        raise error
     return array.reshape(shape)
 
 
 def scheme_from_dict(doc: dict) -> AssociationScheme:
-    """Parse and re-verify a scheme document produced by ``scheme_to_dict``,
-    or an older one with d+1 row-major 0/1 ``relations``; entries are not
-    cast, so a non-integer one, a JSON boolean included, fails verification
-    (``NotPartition`` for a label, ``BadParameter`` for a generator entry).
-    A translation document is certified by its generators, taken as given,
-    so that ``verify_scheme`` names a wrongly shaped one; a ``row0`` beside
-    them, as older documents list it, must be the row 0 they derive
-    (``NotPartition`` otherwise).  A class map is certified by the packed
-    N x N products."""
+    """Parse and re-verify a scheme document produced by ``scheme_to_dict``.
+
+    Besides ``n``, ``d`` and optional ``class_names``, a document lists
+    either ``modulus``, ``rank`` and ``generators`` or ``classmap``, and
+    nothing else: any other field raises ``BadParameter`` naming it.  A
+    translation document is certified by its generators, taken as given, so
+    that ``verify_scheme`` names a wrongly shaped one; a class map is
+    certified by the packed N x N products.  Entries are not cast, so a
+    non-integer one, a JSON boolean included, fails verification
+    (``NotPartition`` for a label, ``BadParameter`` for a generator
+    entry)."""
+    kind, fields = (("translation", ("modulus", "rank", "generators")) if "generators" in doc
+                    else ("class-map", ("classmap",)))
+    for name in doc:
+        if name not in ("n", "d", "class_names") + fields:
+            raise BadParameter(f"a {kind} document has no field {name!r}")
     n = int(doc["n"])
-    if "generators" in doc:
+    if kind == "translation":
         m, r = int(doc["modulus"]), int(doc["rank"])
         given = Translation(m, r, tuple(_document_array(h, BadParameter(
             f"generator {k} is not a {r} x {r} integer matrix"))
             for k, h in enumerate(doc["generators"])))
-    elif "classmap" in doc:
+    else:
         given = _document_array(doc["classmap"], NotPartition(
             "the class map is not a square integer array"), (n, n))
-    else:
-        given = [_document_array(flat, NotPartition(f"relation {k} has non-integer entries"),
-                                 (n, n), NotPartition(f"relation {k} is not {n}x{n}"))
-                 for k, flat in enumerate(doc["relations"])]
     scheme = verify_scheme(given, class_names=doc.get("class_names"))
-    if "generators" in doc and "row0" in doc:
-        t = scheme.realisation
-        malformed = NotPartition(f"row 0 is not an integer array of {m}^{r} = {t.n} labels")
-        row0 = _document_array(doc["row0"], malformed)
-        if row0.shape != (t.n,) or not np.issubdtype(row0.dtype, np.integer):
-            raise malformed
-        if not np.array_equal(row0, t.row0):
-            raise NotPartition("row 0 is not the orbit labelling of the generators")
     if scheme.n != n:
         raise NotPartition(f"declared vertex count {n} does not match the {scheme.n} vertices")
     if scheme.d != int(doc["d"]):

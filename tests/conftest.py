@@ -94,6 +94,12 @@ def chang():
     return sr.verify_scheme(np.where(adjacent, 1, 2) - 2 * np.eye(len(pairs), dtype=np.int64))
 
 
+def classmap_of(relations):
+    """The class map sum_k k A_k of 0/1 relation matrices A_0, A_1, ...: the
+    form in which ``verify_scheme`` takes relations written by hand."""
+    return sum(k * np.asarray(r, dtype=np.int64) for k, r in enumerate(relations))
+
+
 def two_cliques(m):
     """The imprimitive scheme 2 x K_m on 2m vertices: class 1 joins vertices
     within a copy, class 2 across."""
@@ -141,18 +147,11 @@ def vertex_generators(build, *args):
 
 
 def build_packed(build, *args):
-    """``build(*args)`` with its automorphisms withheld, so that its class
-    map, derived from the verified scheme for a translation builder, is
-    certified by the packed N x N products."""
-    verify = builders.verify_scheme
-
-    def packed(given, class_names=None, automorphisms=None):
-        if isinstance(given, sr.Translation):
-            given = verify(given).classmap
-        return verify(given, class_names=class_names)
-
-    with mock.patch.object(builders, "verify_scheme", packed):
-        return build(*args)
+    """``build(*args)`` verified again from its class map alone, derived for
+    a translation builder, with no automorphisms: certified by the packed
+    N x N products."""
+    scheme = build(*args)
+    return sr.verify_scheme(scheme.classmap, class_names=scheme.class_names)
 
 
 def rational_matmul(a, b):

@@ -323,6 +323,23 @@ class TestLattices:
         sizes = set(scheme.valencies)
         assert 8 in sizes  # generic orbit (k1, k2), 0 != k1 != k2 != 0
 
+    def test_square_names_read_off_row0(self, monkeypatch):
+        # one call derives row 0 to certify it and one the representatives
+        # to count p; the class names need no further rows
+        sizes, rows = [], sr.Translation.rows
+
+        def spy(translation, xs):
+            sizes.append(np.size(xs))
+            return rows(translation, xs)
+
+        monkeypatch.setattr(sr.Translation, "rows", spy)
+        scheme = sr.build_square_lattice(12)
+        assert sizes == [1, scheme.d + 1]
+        monkeypatch.undo()
+        reps = np.unique(scheme.classmap[0], return_index=True)[1]
+        assert scheme.class_names == tuple(f"({a},{b})" for a, b in zip(*np.divmod(reps, 12)))
+        assert scheme.class_names[:3] == ("(0,0)", "(0,1)", "(0,2)")
+
     def test_square_class_one_is_nearest_neighbors(self):
         scheme = sr.build_square_lattice(4)
         row = np.asarray(scheme.relations[1])[0]

@@ -17,7 +17,7 @@ from schemeres.errors import (
     ZeroDenominator,
 )
 
-from conftest import random_connected_conductances, spectral_of, two_cliques
+from conftest import classmap_of, random_connected_conductances, spectral_of, two_cliques
 from nxn_witnesses import (
     integer_matrix_powers,
     laplacian,
@@ -33,7 +33,7 @@ F = Fraction
 
 def complete_scheme(n):
     eye = np.eye(n, dtype=np.int64)
-    return sr.verify_scheme([eye, np.ones((n, n), dtype=np.int64) - eye])
+    return sr.verify_scheme(classmap_of([eye, np.ones((n, n), dtype=np.int64) - eye]))
 
 
 #: schemes whose class supports include disconnected ones
@@ -668,8 +668,7 @@ class TestClosedForms:
     def test_petersen_known_values(self):
         # Kneser K(5,2): swap the classes of the triangular scheme on 5 points
         t5 = sr.build_triangular(5)
-        rels = [np.asarray(t5.relations[k], np.int64) for k in (0, 2, 1)]
-        petersen = sr.verify_scheme(rels)
+        petersen = sr.verify_scheme(classmap_of(t5.relations[k] for k in (0, 2, 1)))
         array = sr.check_distance_regular(petersen)
         assert (array.b, array.c) == ((3, 2), (1, 1))
         poly = sr.resistance_polynomial(petersen)
@@ -785,9 +784,7 @@ class TestMethodAgreement:
         # reorder so the single-involution (2,2) class becomes class 1
         k = square4.class_names.index("(2,2)")
         order = [0, k] + [i for i in range(1, square4.d + 1) if i != k]
-        rels = [np.asarray(square4.relations[i], dtype=np.int64)
-                for i in order]
-        reordered = sr.verify_scheme(rels)
+        reordered = sr.verify_scheme(classmap_of(square4.relations[i] for i in order))
         with pytest.raises(Disconnected):
             sr.resistance_polynomial(reordered)
 

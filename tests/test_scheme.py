@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import schemeres as sr
 from schemeres import scheme as scheme_module
+from schemeres.cli import main
 from schemeres.errors import (
     BadParameter,
     DegenerateSplit,
@@ -21,7 +22,7 @@ from schemeres.errors import (
     SchemeresError,
 )
 
-from conftest import spectral_of, two_cliques, unit_translations
+from conftest import classmap_of, spectral_of, two_cliques, unit_translations
 from nxn_witnesses import (
     nxn_check_distance_regular,
     nxn_relation_connected,
@@ -46,7 +47,7 @@ def cycle4_relations():
 
 class TestVerifyScheme:
     def test_cycle4(self):
-        scheme = sr.verify_scheme(cycle4_relations())
+        scheme = sr.verify_scheme(classmap_of(cycle4_relations()))
         assert (scheme.d, scheme.valencies) == (2, (1, 2, 1))
 
     def test_s4_class_sums(self, s4):
@@ -58,17 +59,12 @@ class TestVerifyScheme:
         j = np.ones((3, 3), dtype=np.int64)
         rels = [np.eye(3, dtype=np.int64), a, j - np.eye(3, dtype=np.int64) - a]
         with pytest.raises(NotClosed):
-            sr.verify_scheme(rels)
+            sr.verify_scheme(classmap_of(rels))
 
     def test_identity_missing(self):
         rels = cycle4_relations()
         with pytest.raises(IdentityMissing):
-            sr.verify_scheme([rels[1], rels[0], rels[2]])
-
-    def test_not_partition(self):
-        rels = cycle4_relations()
-        with pytest.raises(NotPartition):
-            sr.verify_scheme([rels[0], rels[1], rels[1]])
+            sr.verify_scheme(classmap_of([rels[1], rels[0], rels[2]]))
 
     def test_not_symmetric(self):
         s = np.zeros((4, 4), dtype=np.int64)
@@ -78,7 +74,7 @@ class TestVerifyScheme:
                 np.linalg.matrix_power(s, 2).astype(np.int64),
                 np.linalg.matrix_power(s, 3).astype(np.int64)]
         with pytest.raises(NotSymmetric):
-            sr.verify_scheme(rels)
+            sr.verify_scheme(classmap_of(rels))
 
 
 def cycle8_classmap():
@@ -88,8 +84,9 @@ def cycle8_classmap():
 class TestClassMapInput:
     @pytest.mark.parametrize("preset", PRESETS)
     def test_relation_list_matches_builder(self, presets, preset):
+        # relations by hand are given as their class map sum_k k A_k
         scheme = presets[preset]
-        again = sr.verify_scheme([scheme.classmap == k for k in range(scheme.d + 1)],
+        again = sr.verify_scheme(classmap_of([scheme.classmap == k for k in range(scheme.d + 1)]),
                                  class_names=scheme.class_names)
         assert np.array_equal(again.classmap, scheme.classmap)
         assert np.array_equal(again.p, scheme.p)
@@ -100,11 +97,10 @@ class TestClassMapInput:
         scheme = presets[preset]
         perm = np.random.default_rng(7).permutation(scheme.n)
         moved = scheme.classmap[np.ix_(perm, perm)]
-        for given in (moved, [moved == k for k in range(scheme.d + 1)]):
-            again = sr.verify_scheme(given)
-            assert np.array_equal(again.classmap, moved)
-            assert np.array_equal(again.p, scheme.p)
-            assert again.valencies == scheme.valencies
+        again = sr.verify_scheme(moved)
+        assert np.array_equal(again.classmap, moved)
+        assert np.array_equal(again.p, scheme.p)
+        assert again.valencies == scheme.valencies
 
     def test_relations_are_derived(self, z5z5):
         assert "relations" not in {f.name for f in dataclasses.fields(z5z5)}
@@ -115,7 +111,10 @@ class TestClassMapInput:
     @pytest.mark.parametrize("classmap", [
         cycle8_classmap()[:, :-1],
         cycle8_classmap().astype(float),
-    ], ids=["non-square", "float"])
+        [(cycle8_classmap() == k).astype(np.int64) for k in range(5)],
+        cycle8_classmap().tolist(),
+        np.stack([(cycle8_classmap() == k).astype(np.int64) for k in range(5)]),
+    ], ids=["non-square", "float", "relation-list", "nested-list", "relation-stack"])
     def test_not_a_square_integer_map(self, classmap):
         with pytest.raises(NotPartition, match="square integer"):
             sr.verify_scheme(classmap)
@@ -422,7 +421,7 @@ class TestDistanceRegular:
 def petersen():
     # Kneser K(5,2): the classes of the triangular scheme on 5 points swapped
     t5 = sr.build_triangular(5)
-    return sr.verify_scheme([np.asarray(t5.relations[k], np.int64) for k in (0, 2, 1)])
+    return sr.verify_scheme(classmap_of(t5.relations[k] for k in (0, 2, 1)))
 
 
 DRG_CASES = {
@@ -433,18 +432,6 @@ DRG_CASES = {
     "square5": lambda: sr.build_square_lattice(5),
     "hexagonal4": lambda: sr.build_hexagonal_lattice(4),
 }
-
-
-def relation_document(scheme):
-    """The former document format: d+1 row-major 0/1 relation lists."""
-    return {"n": scheme.n, "d": scheme.d, "class_names": list(scheme.class_names),
-            "relations": [r.reshape(-1).tolist() for r in scheme.relations]}
-
-
-def row0_document(scheme):
-    """The document of a translation scheme with its row 0 listed beside the
-    generators, as documents were once written."""
-    return {**sr.scheme_to_dict(scheme), "row0": scheme.realisation.row0.tolist()}
 
 
 class TestSerialization:
@@ -487,27 +474,12 @@ class TestSerialization:
         del doc["class_names"]  # 91 names, most of the document
         assert len(json.dumps(doc)) < 150
 
-    def test_older_documents_list_row0(self, z5z5):
-        # documents once listed row 0 beside the generators: it must be the
-        # row 0 that they derive
-        doc = row0_document(z5z5)
-        again = sr.scheme_from_dict(json.loads(json.dumps(doc)))
-        assert again.p.tobytes() == z5z5.p.tobytes()
-        assert again.realisation.row0.tobytes() == z5z5.realisation.row0.tobytes()
-        doc["row0"][1] = doc["row0"][4] = 2  # still symmetric: (0, 1) and (0, 4)
-        with pytest.raises(NotPartition, match="^row 0 is not the orbit labelling of the generators$"):
-            sr.scheme_from_dict(json.loads(json.dumps(doc)))
-
     @pytest.mark.parametrize("field, index, error, message", [
-        ("row0", 1, NotPartition, r"^row 0 is not an integer array of 5\^2 = 25 labels$"),
         ("generators", 0, BadParameter, r"^generator 0 is not a 2 x 2 integer matrix$"),
     ])
     def test_translation_document_rejects_a_boolean(self, z5z5, field, index, error, message):
-        doc = row0_document(z5z5)
-        if field == "row0":
-            doc["row0"][index] = True
-        else:
-            doc["generators"][index][0][1] = True
+        doc = sr.scheme_to_dict(z5z5)
+        doc[field][index][0][1] = True
         with pytest.raises(error, match=message):
             sr.scheme_from_dict(json.loads(json.dumps(doc)))
 
@@ -516,9 +488,7 @@ class TestSerialization:
         ("generators", [[[0, 1, 0], [-1, 1, 0], [0, 0, 1]]], BadParameter,
          "^generator 0 is not a 2 x 2 integer matrix$"),
         ("generators", [[[0, 1], [-1]]], BadParameter, "^generator 0 is not a 2 x 2 integer matrix$"),
-        ("row0", list(range(24)), NotPartition, r"^row 0 is not an integer array of 5\^2 = 25 labels$"),
-        ("row0", [[0] * 5] * 5, NotPartition, r"^row 0 is not an integer array of 5\^2 = 25 labels$"),
-    ], ids=["flat-generator", "3x3-generator", "ragged-generator", "short-row0", "nested-row0"])
+    ], ids=["flat-generator", "3x3-generator", "ragged-generator"])
     def test_translation_document_shapes_are_checked(self, z5z5, field, value, error, message):
         doc = sr.scheme_to_dict(z5z5)
         doc[field] = value
@@ -540,24 +510,11 @@ class TestSerialization:
         doc["generators"] = [[[1, 1], [0, 0]]]
         with pytest.raises(BadParameter, match="^generator 0 is singular mod 5$"):
             sr.scheme_from_dict(doc)
-        doc = row0_document(z5z5)
-        doc["row0"][1] = 3  # breaks row0[-z] = row0[z]
-        with pytest.raises(NotPartition, match="not the orbit labelling"):
-            sr.scheme_from_dict(doc)
-
-    @pytest.mark.parametrize("preset", PRESETS)
-    def test_reads_relation_documents(self, presets, preset):
-        scheme = presets[preset]
-        doc = json.loads(json.dumps(relation_document(scheme)))
-        again = sr.scheme_from_dict(doc)
-        assert again.class_names == scheme.class_names
-        assert again.classmap.tobytes() == scheme.classmap.tobytes()
-        assert again.p.tobytes() == scheme.p.tobytes()
 
     @pytest.mark.parametrize("entry", [1.5, 1.0])
     def test_rejects_a_non_integer_class(self, entry):
         # the entry replaces class 1 of the pair (0, 1) of the 4-cycle
-        doc = sr.scheme_to_dict(sr.verify_scheme(cycle4_relations()))
+        doc = sr.scheme_to_dict(sr.verify_scheme(classmap_of(cycle4_relations())))
         doc["classmap"][1] = entry
         with pytest.raises(NotPartition, match="not a square integer array"):
             sr.scheme_from_dict(doc)
@@ -570,39 +527,44 @@ class TestSerialization:
     @pytest.mark.parametrize("nested", [False, True], ids=["flat", "nested"])
     def test_rejects_a_boolean_among_class_labels(self, nested):
         # mixed with ints, np.asarray would read true as class 1
-        doc = sr.scheme_to_dict(sr.verify_scheme(cycle4_relations()))
+        doc = sr.scheme_to_dict(sr.verify_scheme(classmap_of(cycle4_relations())))
         doc["classmap"][1] = True
         if nested:
             doc["classmap"] = [doc["classmap"][i:i + 4] for i in range(0, 16, 4)]
         with pytest.raises(NotPartition, match="not a square integer array"):
             sr.scheme_from_dict(json.loads(json.dumps(doc)))
 
-    def test_rejects_a_boolean_relation_entry(self):
-        doc = relation_document(sr.verify_scheme(cycle4_relations()))
-        doc["relations"][1] = [bool(x) for x in doc["relations"][1]]
-        with pytest.raises(NotPartition, match="relation 1 has non-integer entries"):
-            sr.scheme_from_dict(json.loads(json.dumps(doc)))
-
-    def test_rejects_a_non_integer_relation_entry(self):
-        doc = relation_document(sr.verify_scheme(cycle4_relations()))
-        doc["relations"][1][1] = 1.5
-        with pytest.raises(NotPartition, match="relation 1 has non-integer entries"):
-            sr.scheme_from_dict(doc)
-
-    @pytest.mark.parametrize("form", ["classmap", "relations"])
+    @pytest.mark.parametrize("form", ["classmap"])
     def test_rejects_a_dropped_label(self, form):
         # 35 labels where n = 6 declares 36: a typed error, not numpy's reshape
-        scheme = sr.build_triangular(4)
-        if form == "classmap":
-            doc = sr.scheme_to_dict(scheme)
-            del doc["classmap"][7]
-            message = "^the class map is not a square integer array$"
-        else:
-            doc = relation_document(scheme)
-            del doc["relations"][1][7]
-            message = "^relation 1 is not 6x6$"
-        with pytest.raises(NotPartition, match=message):
+        doc = sr.scheme_to_dict(sr.build_triangular(4))
+        del doc[form][7]
+        with pytest.raises(NotPartition, match="^the class map is not a square integer array$"):
             sr.scheme_from_dict(json.loads(json.dumps(doc)))
+
+    @pytest.mark.parametrize("build, field, value", [
+        # row 0 is derived from the generators, never read
+        (sr.build_orbit_scheme_z5z5, "row0", lambda scheme: scheme.realisation.row0.tolist()),
+        # 0/1 relation lists in place of a class map
+        (lambda: sr.build_triangular(4), "relations",
+         lambda scheme: [r.reshape(-1).tolist() for r in scheme.relations]),
+        # a translation document is certified by its generators alone
+        (sr.build_orbit_scheme_z5z5, "classmap",
+         lambda scheme: scheme.classmap.reshape(-1).tolist()),
+    ], ids=["row0", "relations", "classmap-beside-generators"])
+    def test_rejects_fields_of_other_forms(self, tmp_path, capsys, build, field, value):
+        scheme = build()
+        doc = sr.scheme_to_dict(scheme)
+        doc[field] = value(scheme)
+        if field == "relations":
+            del doc["classmap"]
+        with pytest.raises(BadParameter, match=f"has no field '{field}'$"):
+            sr.scheme_from_dict(json.loads(json.dumps(doc)))
+        path = tmp_path / "scheme.json"
+        path.write_text(json.dumps(doc))
+        assert main(["resist", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [BadParameter]: ") and f"has no field '{field}'" in err
 
     def test_rejects_bad_declared_d(self, cycle8):
         doc = sr.scheme_to_dict(cycle8)
@@ -701,7 +663,7 @@ class TestPackedVerifier:
     def test_vertex_permutation_invariant(self, presets, preset):
         scheme = presets[preset]
         perm = np.random.default_rng(5).permutation(scheme.n)
-        moved = sr.verify_scheme([r[np.ix_(perm, perm)] for r in scheme.relations])
+        moved = sr.verify_scheme(scheme.classmap[np.ix_(perm, perm)])
         assert np.array_equal(moved.p, scheme.p)
 
     @pytest.mark.parametrize("base", ["square6", "hypercube5"])
@@ -715,9 +677,9 @@ class TestPackedVerifier:
         reference = dense_intersection_numbers(rels)
         if reference is None:
             with pytest.raises(NotClosed):
-                sr.verify_scheme(rels)
+                sr.verify_scheme(classmap_of(rels))
         else:
-            assert np.array_equal(sr.verify_scheme(rels).p, reference)
+            assert np.array_equal(sr.verify_scheme(classmap_of(rels)).p, reference)
 
     @pytest.mark.parametrize("base, labels", [
         ("square6", list(range(9))),       # no fusion
@@ -729,7 +691,7 @@ class TestPackedVerifier:
         rels = fused_relations(fusion_base(base), labels)
         reference = dense_intersection_numbers(rels)
         assert reference is not None
-        assert np.array_equal(sr.verify_scheme(rels).p, reference)
+        assert np.array_equal(sr.verify_scheme(classmap_of(rels)).p, reference)
 
     def test_violation_in_middle_digits_only(self):
         # C_12 with classes ordered by distance (0, 5, 4, 1, 2, {3, 6}):
@@ -746,7 +708,7 @@ class TestPackedVerifier:
         assert {(1, 2), (1, 3), (1, 4)} <= outside
         assert all(1 <= i < j < 5 for i, j in outside)
         with pytest.raises(NotClosed, match=r"A_1 A_[234] "):
-            sr.verify_scheme(rels)
+            sr.verify_scheme(classmap)
 
     def test_row_zero_blind_violation(self):
         # K3,3 holds vertex 0 and is SRG(6, 3, 0, 3), so row 0 of every
@@ -797,17 +759,12 @@ class TestPackedVerifier:
         with pytest.raises(NotClosed, match=rf"^A_{i} A_{j} is outside"):
             scheme_module._certify_closure(scheme.classmap, scheme.valencies, p)
 
-    def test_empty_relation(self):
-        rels = cycle4_relations() + [np.zeros((4, 4), dtype=np.int64)]
-        with pytest.raises(NotPartition, match="empty"):
-            sr.verify_scheme(rels)
-
     def test_non_regular_relation(self):
         path = np.diag(np.ones(3, dtype=np.int64), 1)
         path += path.T
         eye = np.eye(4, dtype=np.int64)
         with pytest.raises(NotClosed, match="not regular"):
-            sr.verify_scheme([eye, path, np.ones((4, 4), dtype=np.int64) - eye - path])
+            sr.verify_scheme(classmap_of([eye, path, np.ones((4, 4), np.int64) - eye - path]))
 
 
 # --------------------------------------------------------------------------
@@ -841,9 +798,9 @@ class TestTransitiveVerifier:
         reference = dense_intersection_numbers(rels)
         if reference is None:
             with pytest.raises(NotClosed, match="outside the span"):
-                sr.verify_scheme(rels, automorphisms=base_generators(base))
+                sr.verify_scheme(classmap_of(rels), automorphisms=base_generators(base))
         else:
-            got = sr.verify_scheme(rels, automorphisms=base_generators(base)).p
+            got = sr.verify_scheme(classmap_of(rels), automorphisms=base_generators(base)).p
             assert got.dtype == np.int64
             assert np.array_equal(got, reference)
 
@@ -1073,26 +1030,6 @@ class TestTranslationRoute:
             sr.verify_scheme(given)
         assert str(got.value) == str(expected.value)
 
-    @pytest.mark.parametrize("limit", [1, scheme_module._ROW_ZERO_BLOCK])
-    def test_more_orbits_than_classes(self, monkeypatch, limit):
-        # a document of Z_7 whose row 0 lists the classes {0}, {+-1}, {+-2, +-3}
-        # beside the generator -1, which has four orbits
-        monkeypatch.setattr(scheme_module, "_ROW_ZERO_BLOCK", limit)
-        doc = {"n": 7, "d": 2, "modulus": 7, "rank": 1, "generators": [[[-1]]],
-               "row0": [0, 1, 2, 2, 2, 2, 1]}
-        with pytest.raises(NotPartition, match="^row 0 is not the orbit labelling"):
-            sr.scheme_from_dict(doc)
-
-    def test_wide_labels_do_not_wrap(self):
-        # a document's labels 1..6 shifted by 2**16 read as 1..6 in int16
-        # (the labels that cycle 12 derives); they must not load
-        doc = row0_document(fusion_base("cycle12"))
-        row0 = np.array(doc["row0"])
-        doc["row0"] = np.where(row0 > 0, row0 + 2 ** 16, 0).tolist()
-        assert np.array_equal(np.array(doc["row0"]).astype(np.int16), row0)
-        with pytest.raises(NotPartition, match="^row 0 is not the orbit labelling"):
-            sr.scheme_from_dict(doc)
-
     @pytest.mark.parametrize("m, r, generators, error, message", [
         (12, 1, ([[2]],), BadParameter, "^generator 0 is singular mod 12$"),
         (12, 1, ([[0]],), BadParameter, "^generator 0 is singular mod 12$"),
@@ -1109,17 +1046,6 @@ class TestTranslationRoute:
         # too few or malformed generators for cycle 12 or square 6
         with pytest.raises(error, match=message):
             sr.verify_scheme(sr.Translation(m, r, generators))
-
-    @pytest.mark.parametrize("row0, message", [
-        (np.arange(11), r"^row 0 is not an integer array of 12\^1 = 12 labels$"),
-        (np.arange(12.0), r"^row 0 is not an integer array of 12\^1 = 12 labels$"),
-        (np.zeros(12, dtype=bool), r"^row 0 is not an integer array"),
-    ], ids=["short", "float", "boolean"])
-    def test_malformed_row0(self, row0, message):
-        # in a document that lists row 0 beside the generators
-        doc = {**sr.scheme_to_dict(fusion_base("cycle12")), "row0": row0.tolist()}
-        with pytest.raises(NotPartition, match=message):
-            sr.scheme_from_dict(json.loads(json.dumps(doc)))
 
     @pytest.mark.parametrize("m, r", [(1, 3), (12, 0)])
     def test_bad_group(self, m, r):
@@ -1177,18 +1103,9 @@ class TestTranslationRoute:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20
 
-    def test_broken_row0_of_hypercube16_in_linear_memory(self):
-        # a document whose row 0 skips a label, rejected without a class map
-        doc = row0_document(sr.build_hypercube(16))
-        doc["row0"] = [4 if label == 3 else label for label in doc["row0"]]
-        tracemalloc.start()
-        try:
-            with pytest.raises(NotPartition, match="^row 0 is not the orbit labelling"):
-                sr.scheme_from_dict(doc)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 2 ** 20
+    def test_rows_need_a_verified_translation(self):
+        with pytest.raises(BadParameter, match="^row 0 is derived by verify_scheme$"):
+            sr.Translation(12, 1, ([[-1]],)).rows(0)
 
     def test_automorphisms_are_the_generators(self):
         t = fusion_base("cycle12").realisation
@@ -1223,7 +1140,7 @@ class TestSpectralRoute:
         blocks = data.draw(st.sampled_from(closed_fusions(base)))
         order = data.draw(st.permutations(range(max(blocks) + 1)))
         fused = sr.verify_scheme(
-            fused_relations(fusion_base(base), [order[b] for b in blocks]))
+            classmap_of(fused_relations(fusion_base(base), [order[b] for b in blocks])))
         got = sr.spectral_data(fused)
         p_matrix, mults = nxn_spectrum(fused)
         assert got.multiplicities == mults
@@ -1301,7 +1218,7 @@ class TestSeededCertificate:
     @pytest.mark.parametrize("base", ["hypercube5", "cycle12", "s4-stabilizer"])
     def test_agrees_with_per_class_witness_on_closed_fusions(self, base):
         for blocks in closed_fusions(base):
-            fused = sr.verify_scheme(fused_relations(fusion_base(base), blocks))
+            fused = sr.verify_scheme(classmap_of(fused_relations(fusion_base(base), blocks)))
             data = sr.spectral_data(fused)  # certified on the way
             candidates = [data] + ([mixed_eigenspaces(fused, data)] if fused.d >= 2 else [])
             for candidate in candidates:
