@@ -53,6 +53,7 @@ from .resistance import (
 from .scheme import (
     AssociationScheme,
     IntersectionArray,
+    Pairs,
     SpectralData,
     Translation,
     check_distance_regular,

@@ -20,17 +20,20 @@ its classes are the H-orbits, numbered in order of their least point:
 
 ``verify_scheme`` certifies the generators and derives row 0, the orbit
 labelling, so the scheme is the orbital scheme of G x| H, in
-O(N |gens| + (d+1) N) work with no N x N class map.  The other builders
-compute the N x N class map and pass vertex permutations that generate a
-transitive automorphism group:
+O(N |gens| + (d+1) N) work with no N x N class map.
 
-* triangular: the transposition (0 1) and the n-cycle, acting on 2-subsets;
-* group schemes: right multiplications x -> x s, by a generating set.
+The triangular scheme J(n, 2) passes only its number of points (a
+``Pairs``): its classes 2 - |s & t| on 2-subsets are the orbitals of
+Sym(n), so ``verify_scheme`` derives row 0 and counts p in O((d+1) N),
+again with no N x N class map.
 
-``verify_scheme`` certifies those (each a permutation fixing the class map,
-their orbit of vertex 0 every vertex; ``BadParameter`` otherwise) and then
-proves closure on row 0 in O(N^2) work per generator, instead of the
-N x N products that a class map without generators needs.
+The group-scheme builders compute the N x N class map and pass vertex
+permutations that generate a transitive automorphism group, the right
+multiplications x -> x s by a generating set.  ``verify_scheme`` certifies
+those (each a permutation fixing the class map, their orbit of vertex 0
+every vertex; ``BadParameter`` otherwise) and then proves closure on row 0
+in O(N^2) work per generator, instead of the N x N products that a class
+map without generators needs.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from .errors import (
     TooLarge,
     TooSmall,
 )
-from .scheme import AssociationScheme, Translation, _orbit_labels, verify_scheme
+from .scheme import AssociationScheme, Pairs, Translation, _orbit_labels, verify_scheme
 
 
 # --------------------------------------------------------------------------
@@ -270,20 +273,7 @@ def build_triangular(n: int) -> AssociationScheme:
     """Johnson-type scheme on the 2-subsets of an n-set (three classes)."""
     if n < 4:
         raise TooSmall("triangular scheme needs n >= 4")
-    a, b = np.array(list(itertools.combinations(range(n), 2))).T
-    # overlap[s, t] = |pair_s & pair_t|, from the four endpoint comparisons
-    overlap = (a[:, None] == a).astype(np.int16)
-    overlap += a[:, None] == b
-    overlap += b[:, None] == a
-    overlap += b[:, None] == b
-    # index[x, y] = the index of the 2-subset {x, y}
-    index = np.zeros((n, n), dtype=np.intp)
-    index[a, b] = index[b, a] = np.arange(len(a))
-    swap = np.arange(n)
-    swap[:2] = 1, 0
-    cycle = (np.arange(n) + 1) % n
-    return verify_scheme(2 - overlap, class_names=("0", "1", "2"),
-                         automorphisms=[index[pi[a], pi[b]] for pi in (swap, cycle)])
+    return verify_scheme(Pairs(n), class_names=("0", "1", "2"))
 
 
 def krawtchouk(l: int, x: int, n: int) -> int:

@@ -2,7 +2,8 @@
 
 ``verify_scheme`` is the only constructor: it checks every defining axiom in
 exact integer arithmetic and computes the intersection numbers on the way.
-It takes a ``Translation`` or an N x N class map, on one of three routes:
+It takes a ``Translation``, a ``Pairs`` or an N x N class map, on one of
+four routes:
 
 * a translation scheme (``Translation``: the cycle, hypercube, square,
   hexagonal and Z_5 x Z_5 builders) is given by generator matrices of a
@@ -11,12 +12,20 @@ It takes a ``Translation`` or an N x N class map, on one of three routes:
   class(x, y) = row0[x - y].  That is the orbital scheme of G x| H, closed
   by construction (Delsarte 1973; Brouwer, Cohen and Neumaier 1989,
   section 2.9), and symmetric when each orbit is closed under negation,
-  which row 0 decides.  p^k_ij is counted at one representative r_k per
-  class, #{z : row0[z] = i, row0[r_k - z] = j}.  All of it is
-  O(N |gens| + (d+1) N) work, and no N x N array is built: the class map
-  and the oracle's d+1 rows are views derived from row 0.
-* a class map with ``automorphisms`` (the triangular and group-scheme
-  builders pass them): each generator is certified to be a permutation
+  which row 0 decides.  All of it is O(N |gens| + (d+1) N) work.
+* a triangular scheme J(n, 2) (``Pairs``: the triangular builder) is given
+  by its number of points alone.  Its vertices are the 2-subsets, and the
+  class of (s, t) is 2 - |s & t|: the orbitals of Sym(n), a transitive
+  group, so the scheme is closed and symmetric by construction (Brouwer,
+  Cohen and Neumaier 1989, section 9.1), and row 0 gives the valencies in
+  O(N).
+
+  On both routes p^k_ij is counted at one representative r_k per class,
+  #{z : class(0, z) = i, class(r_k, z) = j}, in O((d+1) N), and no N x N
+  array is built: the class map and the oracle's d+1 rows are views that
+  the realisation derives through its ``row0`` and ``rows``.
+* a class map with ``automorphisms`` (the group-scheme builders pass
+  them): each generator is certified to be a permutation
   that fixes the class map, and their orbit of vertex 0 to be every vertex,
   in O(N^2) work per generator.  The group they generate is then
   transitive, so every row of the class map, and of each A_i A_j, is a
@@ -34,8 +43,9 @@ It takes a ``Translation`` or an N x N class map, on one of three routes:
   bit-exact.  That is O((d+1)^2 N^3 / run) work, and the only proof for an
   arbitrary map.
 
-All three give the same error for a map that breaks an axiom; of the
-axioms, a translation scheme can break only symmetry.  The
+All of them give the same error for a map that breaks an axiom; of the
+axioms, a translation scheme can break only symmetry, and a pairs scheme
+none.  The
 closure they certify is all that the oracle
 (``resistance.resistance_oracle``) needs to solve from row 0; it does not
 need the generators.  Everything after verification reads p alone:
@@ -132,6 +142,43 @@ class Translation:
 
 
 @dataclass(frozen=True, eq=False)
+class Pairs:
+    """The triangular scheme J(points, 2) on the 2-subsets of 0..points-1.
+
+    Vertex x is the x-th 2-subset {a, b}, a < b, in lexicographic order
+    (``itertools.combinations``, or ``np.triu_indices(points, 1)``), and the
+    pair (s, t) lies in class 2 - |s & t|.  ``verify_scheme`` derives
+    ``row0`` (read-only; None before then).  ``rows(xs)`` derives rows of
+    the class map without building the rest of it, once ``row0`` is
+    derived.
+    """
+
+    points: int
+    row0: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+
+    @property
+    def n(self) -> int:
+        return self.points * (self.points - 1) // 2
+
+    def rows(self, xs) -> np.ndarray:
+        """Rows ``xs`` (a vertex or a 1-D array of them) of the class map,
+        2 - |s & t| from the four endpoint comparisons, O(len(xs) N)."""
+        if self.row0 is None:
+            raise BadParameter("row 0 is derived by verify_scheme")
+        return self._classes(xs)
+
+    def _classes(self, xs) -> np.ndarray:
+        a, b = np.triu_indices(self.points, 1)
+        xs = np.asarray(xs)
+        s, t = a[xs][..., None], b[xs][..., None]
+        overlap = (s == a).astype(_label_dtype(2))
+        overlap += s == b
+        overlap += t == a
+        overlap += t == b
+        return 2 - overlap
+
+
+@dataclass(frozen=True, eq=False)
 class AssociationScheme:
     """A verified symmetric association scheme on n vertices with d classes.
 
@@ -140,8 +187,10 @@ class AssociationScheme:
     valencies : row sums kappa_0..kappa_d
     p : (d+1, d+1, d+1) array, ``p[i, j, k]`` = coefficient of A_k in A_i A_j
     realisation : the (n, n) int16 (int32 when d >= 2**15) array of pair
-        classes, or a ``Translation`` that derives it from row 0
-    classmap : that array, derived from a ``Translation`` on access
+        classes, or a ``Translation`` or ``Pairs`` that derives it, row by
+        row, through its ``row0`` and ``rows``
+    classmap : that array, derived from a ``Translation`` or ``Pairs`` on
+        access
     relations : int8 matrices A_0..A_d, derived from ``classmap`` on access
     representative_rows : rows r_0..r_d of the class map, r_k the first
         vertex of class k in row 0 (so r_0 = 0), read or derived on access
@@ -156,16 +205,16 @@ class AssociationScheme:
 
     @cached_property
     def representative_rows(self) -> np.ndarray:
-        if isinstance(self.realisation, Translation):
-            row0 = self.realisation.row0  # row 0 of a translation map, by symmetry
-            return self.realisation.rows(np.unique(row0, return_index=True)[1])
-        return self.realisation[np.unique(self.realisation[0], return_index=True)[1]]
+        if isinstance(self.realisation, np.ndarray):
+            return self.realisation[np.unique(self.realisation[0], return_index=True)[1]]
+        row0 = self.realisation.row0  # row 0, by symmetry
+        return self.realisation.rows(np.unique(row0, return_index=True)[1])
 
     @cached_property
     def classmap(self) -> Optional[np.ndarray]:
-        if isinstance(self.realisation, Translation):
-            return self.realisation.rows(np.arange(self.n))
-        return self.realisation
+        if isinstance(self.realisation, np.ndarray):
+            return self.realisation
+        return self.realisation.rows(np.arange(self.n))
 
     @cached_property
     def relations(self) -> tuple:
@@ -216,8 +265,9 @@ def _reachable_classes(step: np.ndarray) -> np.ndarray:
 
 def verify_scheme(given, class_names: Optional[Sequence[str]] = None,
                   automorphisms: Optional[Sequence] = None) -> AssociationScheme:
-    """Validate a scheme, given as a ``Translation`` or as one (n, n) integer
-    numpy array mapping each vertex pair to its class, and build it.
+    """Validate a scheme, given as a ``Translation``, as a ``Pairs`` or as one
+    (n, n) integer numpy array mapping each vertex pair to its class, and
+    build it.
 
     A set of 0/1 relation matrices A_0..A_d is given as its class map
     sum_k k A_k.  The class map is checked in exact integer arithmetic:
@@ -226,7 +276,7 @@ def verify_scheme(given, class_names: Optional[Sequence[str]] = None,
     closed with nonnegative integer coefficients, hence commutative:
     A_i A_j = (A_i A_j)^T = A_j A_i for symmetric A_i.
 
-    The axioms are certified on one of three routes:
+    The axioms are certified on one of four routes:
 
     * a ``Translation`` (``automorphisms`` must be omitted) needs m >= 2,
       r >= 1 and r (m-1)^2 < 2^53, and r x r integer generators, each a
@@ -234,6 +284,11 @@ def verify_scheme(given, class_names: Optional[Sequence[str]] = None,
       the axioms and gives p in O(N |gens| + (d+1) N) (see
       ``_verify_translation``); the class map is derived on access, never
       built here.
+    * a ``Pairs`` (``automorphisms`` must be omitted) needs an integer
+      ``points`` >= 2, not a bool.  Its classes are the orbitals of
+      Sym(points), so the axioms hold by construction; row 0 gives the
+      valencies and p is counted in O((d+1) N) (see ``_verify_pairs``), and
+      the class map is derived on access, never built here.
     * with ``automorphisms``, a sequence of length-n vertex permutations.
       Each must map the class map onto itself, ``classmap[g][:, g] ==
       classmap``, and their orbit of vertex 0 must cover all n vertices;
@@ -259,8 +314,8 @@ def verify_scheme(given, class_names: Optional[Sequence[str]] = None,
     ------
     IdentityMissing, NotPartition, NotSymmetric, NotClosed
         Naming the violated axiom: a skipped label, or anything but a
-        ``Translation`` or a square integer ndarray (a list of relation
-        matrices too), is ``NotPartition``, a negative label
+        ``Translation``, a ``Pairs`` or a square integer ndarray (a list of
+        relation matrices too), is ``NotPartition``, a negative label
         ``IdentityMissing``, a non-regular relation ``NotClosed``.
         A translation scheme raises only ``NotSymmetric``, when some orbit
         of H is not closed under negation, with the message the class-map
@@ -270,18 +325,21 @@ def verify_scheme(given, class_names: Optional[Sequence[str]] = None,
         does not fix the class map (naming the generator), or if their
         orbit of vertex 0 misses a vertex (naming how many it reaches); if a
         translation's m, r or images are out of range, or a generator is
-        malformed or singular mod m (naming the first).  There is no
-        fallback to the product route.
+        malformed or singular mod m (naming the first); if ``points`` is
+        not an integer >= 2; or if a ``Translation`` or ``Pairs`` comes with
+        ``automorphisms``.  There is no fallback to the product route.
     """
     if isinstance(given, Translation):
         if automorphisms is not None:
             raise BadParameter("a translation scheme takes its automorphisms as generators")
         realisation, valencies, p = _verify_translation(given)
-        n = realisation.n
+    elif isinstance(given, Pairs):
+        if automorphisms is not None:
+            raise BadParameter("a pairs scheme takes no automorphisms: Sym(points) acts on it")
+        realisation, valencies, p = _verify_pairs(given)
     else:
         realisation, valencies, p = _verify_classmap(given, automorphisms)
-        n = realisation.shape[0]
-    d = len(valencies) - 1
+    n, d = sum(valencies), len(valencies) - 1
 
     names = tuple(class_names) if class_names is not None else tuple(
         f"A{k}" for k in range(d + 1))
@@ -319,6 +377,12 @@ def _verify_classmap(classmap, automorphisms: Optional[Sequence]) -> tuple:
 
 def _label_dtype(d: int) -> type:
     return np.int16 if d < 2 ** 15 else np.int32
+
+
+def _is_integer(value) -> bool:
+    """True for a Python or numpy integer; False for a bool, which Python
+    counts as an int, and for a float, even a whole one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _verify_translation(given: Translation) -> tuple:
@@ -361,29 +425,55 @@ def _verify_translation(given: Translation) -> tuple:
     translation = Translation(m, r, tuple(gens))
     object.__setattr__(translation, "row0", row0)
     d, valencies = _row_zero_axioms(translation.rows(0), row0)
-    return translation, valencies, _translation_intersection_numbers(translation, valencies)
+    return translation, valencies, _representative_intersection_numbers(translation, valencies)
 
 
-def _translation_intersection_numbers(t: Translation, valencies: tuple) -> np.ndarray:
-    """p^k_ij = #{z : row0[z] = i, row0[r_k - z] = j}, with r_k the first
-    vertex of class k in row 0, for a certified translation scheme.
+def _verify_pairs(given: Pairs) -> tuple:
+    """(the pairs scheme with its derived row 0, valencies, p) on the pairs
+    route of ``verify_scheme``.
 
-    For y = r_k, that counts the z with class(0, z) = i and class(z, y) = j,
-    which closure makes p^k_ij.  One ``bincount`` counts a block of classes
-    k at once, over the derived rows r_k of the class map, so the work is
-    O((d+1) N) and no N x N array is built.  A block holds as many classes
-    as keep its cells (N a class) within ``_ROW_ZERO_BLOCK``, and one class
-    at least; its bins are its slice of p, and a block of every class is p.
+    The classes 2 - |s & t| are the orbitals of Sym(points) on 2-subsets: a
+    permutation keeps |s & t|, and Sym(points) is transitive on the ordered
+    pairs of 2-subsets with a given overlap (Brouwer, Cohen and Neumaier
+    1989, section 9.1).  So the scheme is the orbital scheme of a transitive
+    group, closed by construction, and symmetric, since |s & t| is.  Row 0
+    (for the symmetric map, also column 0) gives d and the valencies in
+    O(N), and p is counted at the representatives in O((d+1) N).
     """
-    n, d = t.n, len(valencies) - 1
-    reps = np.unique(t.row0, return_index=True)[1]
-    left = t.row0.astype(np.intp) * (d + 1)  # [z] = i (d+1), i the class of z
+    points = given.points
+    if not _is_integer(points) or points < 2:
+        raise BadParameter(f"a pairs scheme needs an integer points >= 2, not {points!r}")
+    pairs = Pairs(int(points))
+    row0 = pairs._classes(0)
+    row0.flags.writeable = False
+    object.__setattr__(pairs, "row0", row0)
+    d, valencies = _row_zero_axioms(row0, row0)
+    return pairs, valencies, _representative_intersection_numbers(pairs, valencies)
+
+
+def _representative_intersection_numbers(realisation, valencies: tuple) -> np.ndarray:
+    """p^k_ij = #{z : class(0, z) = i, class(r_k, z) = j}, with r_k the
+    first vertex of class k in row 0, for a ``Translation`` or ``Pairs``
+    whose scheme is certified closed and symmetric.
+
+    By symmetry class(r_k, z) = class(z, r_k), so that counts the z with
+    class(0, z) = i and class(z, y) = j for y = r_k, which closure makes
+    p^k_ij.  One ``bincount`` counts a block of classes k at once, over the
+    derived rows r_k of the class map, so the work is O((d+1) N) and no
+    N x N array is built.  A block holds as many classes as keep its cells
+    (N a class) within ``_ROW_ZERO_BLOCK``, and one class at least; its bins
+    are its slice of p, and a block of every class is p.
+    """
+    n, d = realisation.n, len(valencies) - 1
+    row0 = realisation.row0  # row 0, by symmetry
+    reps = np.unique(row0, return_index=True)[1]
+    left = row0.astype(np.intp) * (d + 1)  # [z] = i (d+1), i the class of z
     step = max(1, _ROW_ZERO_BLOCK // n)
     p = None
     for k0 in range(0, d + 1, step):
         width = min(step, d + 1 - k0)
         # [k, z] counts in bin (i (d+1) + j) width + k - k0
-        cells = (left + t.rows(reps[k0:k0 + width])) * width
+        cells = (left + realisation.rows(reps[k0:k0 + width])) * width
         cells += np.arange(width)[:, None]
         counts = np.bincount(cells.ravel(), minlength=(d + 1) ** 2 * width
                              ).reshape(d + 1, d + 1, width)
@@ -907,15 +997,24 @@ def check_distance_regular(scheme: AssociationScheme) -> Optional[IntersectionAr
 
 def scheme_to_dict(scheme: AssociationScheme) -> dict:
     """JSON-ready document.  A translation scheme lists its ``modulus``,
-    ``rank`` and ``generators``; any other lists the N^2 labels of its
-    ``classmap`` row-major."""
+    ``rank`` and ``generators``, a pairs scheme its ``points``; any other
+    lists the N^2 labels of its ``classmap`` row-major."""
     doc = {"n": scheme.n, "d": scheme.d, "class_names": list(scheme.class_names)}
     t = scheme.realisation
     if isinstance(t, Translation):
         doc.update(modulus=t.modulus, rank=t.rank, generators=[h.tolist() for h in t.generators])
+    elif isinstance(t, Pairs):
+        doc["points"] = t.points
     else:
         doc["classmap"] = scheme.classmap.reshape(-1).tolist()
     return doc
+
+
+#: the fields of each document form besides ``n``, ``d`` and ``class_names``;
+#: a document is of the first form that it lists a field of
+_DOCUMENT_FORMS = {"translation": ("modulus", "rank", "generators"),
+                   "pairs": ("points",),
+                   "class-map": ("classmap",)}
 
 
 def _document_array(values, error: Exception, shape: Optional[tuple] = None) -> np.ndarray:
@@ -941,31 +1040,43 @@ def scheme_from_dict(doc: dict) -> AssociationScheme:
     """Parse and re-verify a scheme document produced by ``scheme_to_dict``.
 
     Besides ``n``, ``d`` and optional ``class_names``, a document lists
-    either ``modulus``, ``rank`` and ``generators`` or ``classmap``, and
-    nothing else: any other field raises ``BadParameter`` naming it.  A
-    translation document is certified by its generators, taken as given, so
-    that ``verify_scheme`` names a wrongly shaped one; a class map is
-    certified by the packed N x N products.  Entries are not cast, so a
-    non-integer one, a JSON boolean included, fails verification
-    (``NotPartition`` for a label, ``BadParameter`` for a generator
-    entry)."""
-    kind, fields = (("translation", ("modulus", "rank", "generators")) if "generators" in doc
-                    else ("class-map", ("classmap",)))
+    ``modulus``, ``rank`` and ``generators``, or ``points``, or
+    ``classmap``, and nothing else: a field of no form, or of another form,
+    raises ``BadParameter`` naming it, and so does a missing field of the
+    document's form, the first form it lists a field of.  ``n``, ``d``,
+    ``modulus``, ``rank`` and ``points`` must be integers, not booleans
+    (``BadParameter`` naming the field).  A translation document is
+    certified by its generators, taken as given, so that ``verify_scheme``
+    names a wrongly shaped one; a pairs document by Sym(points); a class map
+    by the packed N x N products.  Entries are not cast, so a non-integer
+    one, a JSON boolean included, fails verification (``NotPartition`` for a
+    label, ``BadParameter`` for a generator entry)."""
+    kind = next((kind for kind, fields in _DOCUMENT_FORMS.items()
+                 if any(name in doc for name in fields)), "class-map")
+    fields = ("n", "d") + _DOCUMENT_FORMS[kind]
     for name in doc:
-        if name not in ("n", "d", "class_names") + fields:
+        if name not in fields + ("class_names",):
             raise BadParameter(f"a {kind} document has no field {name!r}")
-    n = int(doc["n"])
+    for name in fields:
+        if name not in doc:
+            raise BadParameter(f"a {kind} document lacks the field {name!r}")
+        # int() would truncate a float and read a boolean as 0 or 1
+        if name not in ("generators", "classmap") and not _is_integer(doc[name]):
+            raise BadParameter(f"field {name!r} is not an integer: {doc[name]!r}")
+    n = doc["n"]
     if kind == "translation":
-        m, r = int(doc["modulus"]), int(doc["rank"])
+        m, r = doc["modulus"], doc["rank"]
         given = Translation(m, r, tuple(_document_array(h, BadParameter(
             f"generator {k} is not a {r} x {r} integer matrix"))
             for k, h in enumerate(doc["generators"])))
+    elif kind == "pairs":
+        given = Pairs(doc["points"])
     else:
         given = _document_array(doc["classmap"], NotPartition(
             "the class map is not a square integer array"), (n, n))
     scheme = verify_scheme(given, class_names=doc.get("class_names"))
     if scheme.n != n:
         raise NotPartition(f"declared vertex count {n} does not match the {scheme.n} vertices")
-    if scheme.d != int(doc["d"]):
+    if scheme.d != doc["d"]:
         raise NotPartition("declared class count does not match the class map")
     return scheme

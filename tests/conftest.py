@@ -111,7 +111,8 @@ def two_cliques(m):
 def build_recording(build, *args):
     """The scheme ``build(*args)`` returns and the automorphisms it passed
     to ``verify_scheme``: vertex permutations for a class-map builder, None
-    for a translation builder, whose generators stay in its ``Translation``."""
+    for a translation builder, whose generators stay in its ``Translation``,
+    and for the triangular builder, whose ``Pairs`` names Sym(points)."""
     seen = []
 
     def spy(given, class_names=None, automorphisms=None):
@@ -136,13 +137,31 @@ def unit_translations(translation):
             for place in places]
 
 
+def pair_permutations(pairs):
+    """The transposition (0 1) and the n-cycle of the points, acting on the
+    2-subsets of a ``Pairs`` as vertex permutations.  They generate
+    Sym(points), a transitive group of automorphisms of its class map, as
+    the triangular builder used to pass."""
+    n = pairs.points
+    a, b = np.triu_indices(n, 1)
+    index = np.zeros((n, n), dtype=np.intp)  # [x, y] = the vertex {x, y}
+    index[a, b] = index[b, a] = np.arange(len(a))
+    swap = np.arange(n)
+    swap[:2] = 1, 0
+    cycle = (np.arange(n) + 1) % n
+    return [index[pi[a], pi[b]] for pi in (swap, cycle)]
+
+
 def vertex_generators(build, *args):
     """``build(*args)`` and vertex permutations that generate a transitive
-    group of automorphisms of its class map: those its builder passed, or
-    the unit translations of a translation scheme."""
+    group of automorphisms of its class map: those its builder passed, the
+    unit translations of a translation scheme, or the pair permutations of
+    a pairs scheme."""
     scheme, gens = build_recording(build, *args)
     if isinstance(scheme.realisation, sr.Translation):
         gens = unit_translations(scheme.realisation)
+    elif isinstance(scheme.realisation, sr.Pairs):
+        gens = pair_permutations(scheme.realisation)
     return scheme, gens
 
 

@@ -149,6 +149,23 @@ class TestTriangular:
         overlap = np.array([[len(s & t) for t in pairs] for s in pairs])
         assert np.array_equal(sr.build_triangular(n).classmap, 2 - overlap)
 
+    def test_triangular200_runs_oracle_spectral_closed(self):
+        # N = 19900: the class map alone would take 755 MiB as int16
+        tracemalloc.start()
+        try:
+            scheme = sr.build_triangular(200)
+            report = cli.run_resist(scheme, sr.unit_class_one(scheme),
+                                    ["oracle", "spectral", "closed"], cli.DEFAULT_AGREEMENT_TOL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(scheme.realisation, sr.Pairs)
+        assert "classmap" not in vars(scheme)
+        assert report.all_passed
+        assert report.tables[2].values == (Fraction(201, 39800), Fraction(101, 19900))
+        assert {c["name"]: c["residual"] for c in report.checks}["foster[closed_form]"] == 0.0
+        assert peak < 16 * 2 ** 20
+
     def test_tridiagonal_action(self):
         n = 7
         scheme = sr.build_triangular(n)
@@ -518,6 +535,23 @@ class TestAutomorphismRoute:
         for build, *args in TRANSLATION_BUILDS.values():
             scheme = build(*args)
             assert isinstance(scheme.realisation, sr.Translation)
+            assert "classmap" not in vars(scheme)  # not derived on the way
+
+    def test_triangular_builder_forms_no_nxn(self, monkeypatch):
+        # the orbitals of Sym(n) and the counts at the representatives are
+        # the whole proof: no N x N check, count or product runs
+        def refuse(*args):
+            raise AssertionError("the triangular builder reached an N x N check")
+
+        for name in ("_certify_transitive", "_row_zero_intersection_numbers",
+                     "_certify_closure"):
+            monkeypatch.setattr(scheme_module, name, refuse)
+        sizes = {size for family, size in bench_ladder_networks() if family == "triangular"}
+        assert len(sizes) >= 6
+        for n in sorted(sizes | {4, 6, 30, 200}):
+            scheme = cli.make_preset_scheme("triangular", n=n)
+            assert isinstance(scheme.realisation, sr.Pairs)
+            assert scheme.realisation.points == n
             assert "classmap" not in vars(scheme)  # not derived on the way
 
     @pytest.mark.parametrize("name", PRESET_BUILDS)

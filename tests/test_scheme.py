@@ -22,7 +22,13 @@ from schemeres.errors import (
     SchemeresError,
 )
 
-from conftest import classmap_of, spectral_of, two_cliques, unit_translations
+from conftest import (
+    classmap_of,
+    pair_permutations,
+    spectral_of,
+    two_cliques,
+    unit_translations,
+)
 from nxn_witnesses import (
     nxn_check_distance_regular,
     nxn_relation_connected,
@@ -537,7 +543,8 @@ class TestSerialization:
     @pytest.mark.parametrize("form", ["classmap"])
     def test_rejects_a_dropped_label(self, form):
         # 35 labels where n = 6 declares 36: a typed error, not numpy's reshape
-        doc = sr.scheme_to_dict(sr.build_triangular(4))
+        scheme = sr.build_triangular(4)
+        doc = {"n": 6, "d": 2, form: scheme.classmap.reshape(-1).tolist()}
         del doc[form][7]
         with pytest.raises(NotPartition, match="^the class map is not a square integer array$"):
             sr.scheme_from_dict(json.loads(json.dumps(doc)))
@@ -546,12 +553,17 @@ class TestSerialization:
         # row 0 is derived from the generators, never read
         (sr.build_orbit_scheme_z5z5, "row0", lambda scheme: scheme.realisation.row0.tolist()),
         # 0/1 relation lists in place of a class map
-        (lambda: sr.build_triangular(4), "relations",
+        (sr.build_s4_scheme, "relations",
          lambda scheme: [r.reshape(-1).tolist() for r in scheme.relations]),
         # a translation document is certified by its generators alone
         (sr.build_orbit_scheme_z5z5, "classmap",
          lambda scheme: scheme.classmap.reshape(-1).tolist()),
-    ], ids=["row0", "relations", "classmap-beside-generators"])
+        # and a pairs document by its points alone
+        (lambda: sr.build_triangular(4), "classmap",
+         lambda scheme: scheme.classmap.reshape(-1).tolist()),
+        (lambda: sr.build_triangular(4), "row0", lambda scheme: scheme.realisation.row0.tolist()),
+    ], ids=["row0", "relations", "classmap-beside-generators", "classmap-beside-points",
+            "row0-beside-points"])
     def test_rejects_fields_of_other_forms(self, tmp_path, capsys, build, field, value):
         scheme = build()
         doc = sr.scheme_to_dict(scheme)
@@ -571,6 +583,66 @@ class TestSerialization:
         doc["d"] = 99
         with pytest.raises(NotPartition):
             sr.scheme_from_dict(doc)
+
+    @pytest.mark.parametrize("points", [4, 7, 30])
+    def test_pairs_round_trip(self, points, monkeypatch):
+        scheme = sr.build_triangular(points)
+        doc = json.loads(json.dumps(sr.scheme_to_dict(scheme)))
+        assert doc == {"n": scheme.n, "d": 2, "class_names": ["0", "1", "2"], "points": points}
+
+        def refuse(*args):
+            raise AssertionError("a pairs document reached an N x N check")
+
+        for name in ("_certify_transitive", "_row_zero_intersection_numbers",
+                     "_certify_closure"):
+            monkeypatch.setattr(scheme_module, name, refuse)
+        again = sr.scheme_from_dict(doc)
+        assert isinstance(again.realisation, sr.Pairs)
+        assert (again.class_names, again.valencies) == (scheme.class_names, scheme.valencies)
+        assert again.p.tobytes() == scheme.p.tobytes()
+        assert again.classmap.tobytes() == scheme.classmap.tobytes()
+        # a class-map document of the same scheme still loads, by packed products
+        monkeypatch.undo()
+        del doc["points"]
+        doc["classmap"] = scheme.classmap.reshape(-1).tolist()
+        dense = sr.scheme_from_dict(doc)
+        assert isinstance(dense.realisation, np.ndarray)
+        assert dense.p.tobytes() == scheme.p.tobytes()
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"n": 4, "d": 2}, "^a class-map document lacks the field 'classmap'$"),
+        ({"d": 2, "classmap": [0]}, "^a class-map document lacks the field 'n'$"),
+        ({"n": 25, "d": 4, "modulus": 5, "rank": 2},
+         "^a translation document lacks the field 'generators'$"),
+        ({"n": 25, "generators": [[[0, 1], [-1, 1]]], "modulus": 5, "rank": 2},
+         "^a translation document lacks the field 'd'$"),
+        ({"n": 6, "points": 4}, "^a pairs document lacks the field 'd'$"),
+    ], ids=["classmap", "n", "generators", "d-of-translation", "d-of-pairs"])
+    def test_names_a_missing_field(self, tmp_path, capsys, doc, message):
+        with pytest.raises(BadParameter, match=message):
+            sr.scheme_from_dict(doc)
+        path = tmp_path / "scheme.json"
+        path.write_text(json.dumps(doc))
+        assert main(["resist", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error [BadParameter]: a ")
+
+    @pytest.mark.parametrize("build, field, value", [
+        (lambda: sr.verify_scheme(classmap_of(cycle4_relations())), "n", 4.9),
+        (lambda: sr.verify_scheme(classmap_of(cycle4_relations())), "d", 2.7),
+        (lambda: sr.verify_scheme(classmap_of(cycle4_relations())), "n", 4.0),
+        (lambda: sr.verify_scheme(classmap_of(cycle4_relations())), "d", True),
+        (lambda: sr.build_cycle(8), "modulus", 8.5),
+        (lambda: sr.build_cycle(8), "rank", True),
+        (lambda: sr.build_triangular(5), "points", 5.0),
+        (lambda: sr.build_triangular(5), "points", "5"),
+        (lambda: sr.build_triangular(5), "n", False),
+    ])
+    def test_rejects_a_non_integer_declaration(self, build, field, value):
+        # int() would truncate the float and read the boolean as 0 or 1
+        doc = sr.scheme_to_dict(build())
+        doc[field] = value
+        with pytest.raises(BadParameter, match=f"^field '{field}' is not an integer: "):
+            sr.scheme_from_dict(json.loads(json.dumps(doc)))
 
 
 # --------------------------------------------------------------------------
@@ -1111,6 +1183,75 @@ class TestTranslationRoute:
         t = fusion_base("cycle12").realisation
         with pytest.raises(BadParameter, match="takes its automorphisms as generators"):
             sr.verify_scheme(t, automorphisms=base_generators("cycle12"))
+
+
+def overlap_classmap(points):
+    """2 - |s & t| on the 2-subsets of 0..points-1 in ``itertools``
+    order, from their point incidence matrix M: |s & t| = (M M^T)[s, t]."""
+    pairs = list(itertools.combinations(range(points), 2))
+    incidence = np.zeros((len(pairs), points), dtype=np.int64)
+    for x, pair in enumerate(pairs):
+        incidence[x, list(pair)] = 1
+    return 2 - incidence @ incidence.T
+
+
+class TestPairsRoute:
+    @pytest.mark.parametrize("automorphisms", [False, True], ids=["packed", "transitive"])
+    @pytest.mark.parametrize("points", range(4, 31))
+    def test_matches_the_class_map_route(self, points, automorphisms):
+        scheme = sr.verify_scheme(sr.Pairs(points))
+        classmap = overlap_classmap(points)
+        dense = sr.verify_scheme(classmap, automorphisms=pair_permutations(scheme.realisation)
+                                 if automorphisms else None)
+        assert (scheme.n, scheme.d, scheme.valencies) == (dense.n, dense.d, dense.valencies)
+        assert (scheme.p.dtype, scheme.p.shape) == (dense.p.dtype, dense.p.shape)
+        assert scheme.p.tobytes() == dense.p.tobytes()
+        assert scheme.representative_rows.dtype == dense.representative_rows.dtype
+        assert scheme.representative_rows.tobytes() == dense.representative_rows.tobytes()
+        assert scheme.classmap.dtype == dense.classmap.dtype
+        assert scheme.classmap.tobytes() == dense.classmap.tobytes()
+        assert np.array_equal(scheme.realisation.row0, classmap[0])
+        assert not scheme.realisation.row0.flags.writeable
+
+    @pytest.mark.parametrize("points", range(4, 31))
+    def test_tables_match_the_class_map_route(self, points):
+        # the oracle reads the same d+1 rows, so its floats are equal, not close
+        scheme = sr.verify_scheme(sr.Pairs(points))
+        dense = sr.verify_scheme(overlap_classmap(points),
+                                 automorphisms=pair_permutations(scheme.realisation))
+        # class 2 alone is the Kneser graph, a perfect matching at 4 points
+        for conductances in [sr.unit_class_one(scheme), [0.5, 1.75]] + [[0, 3]] * (points > 4):
+            assert sr.resistance_oracle(scheme, conductances).values == \
+                sr.resistance_oracle(dense, conductances).values
+        array = sr.check_distance_regular(scheme)
+        closed = sr.drg_closed_table(array, scheme.n)
+        assert closed.values == sr.resistance_polynomial(scheme).values
+        report = sr.foster_sum(scheme, sr.unit_class_one(scheme), closed)
+        assert report.passed and report.residual == 0.0
+
+    @pytest.mark.parametrize("points, valencies", [(2, (1,)), (3, (1, 2)), (4, (1, 4, 1))])
+    def test_fewest_points(self, points, valencies):
+        # one vertex; then K3, whose 2-subsets all meet; then the octahedron
+        scheme = sr.verify_scheme(sr.Pairs(points))
+        assert scheme.valencies == valencies
+        assert scheme.classmap.tobytes() == overlap_classmap(points).astype(np.int16).tobytes()
+
+    @pytest.mark.parametrize("points", [1, 0, -3, True, False, 4.0, 4.5, "4", None])
+    def test_bad_points(self, points):
+        with pytest.raises(BadParameter, match=r"^a pairs scheme needs an integer points >= 2, "):
+            sr.verify_scheme(sr.Pairs(points))
+
+    def test_numpy_points(self):
+        assert sr.verify_scheme(sr.Pairs(np.int64(5))).realisation.points == 5
+
+    def test_rows_need_a_verified_pairs(self):
+        with pytest.raises(BadParameter, match="^row 0 is derived by verify_scheme$"):
+            sr.Pairs(5).rows(0)
+
+    def test_takes_no_automorphisms(self):
+        given = sr.Pairs(5)
+        with pytest.raises(BadParameter, match="^a pairs scheme takes no automorphisms"):
+            sr.verify_scheme(given, automorphisms=pair_permutations(given))
 
 
 # --------------------------------------------------------------------------
