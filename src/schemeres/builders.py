@@ -27,13 +27,9 @@ The triangular scheme J(n, 2) passes only its number of points (a
 Sym(n), so ``verify_scheme`` derives row 0 and counts p in O((d+1) N),
 again with no N x N class map.
 
-The group-scheme builders compute the N x N class map and pass vertex
-permutations that generate a transitive automorphism group, the right
-multiplications x -> x s by a generating set.  ``verify_scheme`` certifies
-those (each a permutation fixing the class map, their orbit of vertex 0
-every vertex; ``BadParameter`` otherwise) and then proves closure on row 0
-in O(N^2) work per generator, instead of the N x N products that a class
-map without generators needs.
+The group-scheme builders compute the N x N class map and pass it alone:
+``verify_scheme`` checks its axioms over all N^2 entries and certifies
+closure by packed N x N products, as for any class map.
 """
 
 from __future__ import annotations
@@ -52,7 +48,7 @@ from .errors import (
     TooLarge,
     TooSmall,
 )
-from .scheme import AssociationScheme, Pairs, Translation, _orbit_labels, verify_scheme
+from .scheme import AssociationScheme, Pairs, Translation, verify_scheme
 
 
 # --------------------------------------------------------------------------
@@ -121,6 +117,12 @@ def build_group_scheme(table: GroupTable,
                        ) -> AssociationScheme:
     """Scheme whose relations are class sums in the regular representation.
 
+    The class map is verified like any other, by packed N x N products:
+    about sum_i ceil((d+1-i) / run) of them, O((d+1)^2 N^3 / run) work.
+    That is nothing at the S4 presets (N = 24), but it grows with the order:
+    the cyclic group of order 240 with its 121 inverse-closed classes
+    (d = 120) builds in 0.2-0.3 s on one BLAS thread of an x86-64 core.
+
     Raises
     ------
     NotAmbivalent
@@ -138,24 +140,7 @@ def build_group_scheme(table: GroupTable,
     mult = table._table
     classmap = np.empty((order, order), dtype=np.int16)
     classmap[mult, np.arange(order)] = label[:, None]
-    return verify_scheme(classmap, class_names=class_names,
-                         automorphisms=_right_multiplications(mult, table.class_partition[0][0]))
-
-
-def _right_multiplications(mult: np.ndarray, identity: int) -> list:
-    """Right multiplications x -> x s by a generating set of the group.
-
-    They fix the class of x y^-1, hence the class map.  The set is picked
-    greedily: s joins when it lies outside the subgroup that the earlier
-    picks generate, the orbit of the identity under them.  Each pick at
-    least doubles that subgroup, so there are at most log2(order) picks.
-    """
-    gens, orbits = [], np.arange(len(mult))
-    for s in range(len(mult)):
-        if orbits[s] != orbits[identity]:
-            gens.append(mult[:, s])
-            orbits = _orbit_labels(gens, len(mult))
-    return gens
+    return verify_scheme(classmap, class_names=class_names)
 
 
 def cyclic_group_table(n: int, class_partition: Sequence[Iterable[int]]) -> GroupTable:

@@ -3,7 +3,7 @@
 ``verify_scheme`` is the only constructor: it checks every defining axiom in
 exact integer arithmetic and computes the intersection numbers on the way.
 It takes a ``Translation``, a ``Pairs`` or an N x N class map, on one of
-four routes:
+three routes:
 
 * a translation scheme (``Translation``: the cycle, hypercube, square,
   hexagonal and Z_5 x Z_5 builders) is given by generator matrices of a
@@ -20,36 +20,26 @@ four routes:
   Cohen and Neumaier 1989, section 9.1), and row 0 gives the valencies in
   O(N).
 
-  On both routes p^k_ij is counted at one representative r_k per class,
-  #{z : class(0, z) = i, class(r_k, z) = j}, in O((d+1) N), and no N x N
-  array is built: the class map and the oracle's d+1 rows are views that
-  the realisation derives through its ``row0`` and ``rows``.
-* a class map with ``automorphisms`` (the group-scheme builders pass
-  them): each generator is certified to be a permutation
-  that fixes the class map, and their orbit of vertex 0 to be every vertex,
-  in O(N^2) work per generator.  The group they generate is then
-  transitive, so every row of the class map, and of each A_i A_j, is a
-  relabelled row 0: row 0 with column 0 decides the identity, symmetry,
-  the class count and regularity in O(N), and row 0 of each A_i A_j, which
-  gives p (``_row_zero_intersection_numbers``, O(N^2 + (d+1)^2 N)), proves
-  closure.
-* a class map without them (documents; relations A_k by hand, as
-  sum_k k A_k): the axioms are checked over all N^2 entries, p is read off
-  row 0 as above, and every entry of A_i A_j is compared with p on exact
-  float64 (BLAS) N x N products (``_certify_closure``).  Each packs a run
-  of classes into base-``base`` digits, base = max kappa + 1, and the run
-  is cut so that base**run <= 2**53: every entry and partial sum stays an
-  integer below 2**53, so the products are exact and the comparison
-  bit-exact.  That is O((d+1)^2 N^3 / run) work, and the only proof for an
-  arbitrary map.
+  On both routes no N x N array is built: the class map and the oracle's
+  d+1 rows are views that the realisation derives through its ``row0`` and
+  ``rows``.
+* a class map (the group-scheme builders; documents; relations A_k by
+  hand, as sum_k k A_k): the axioms are checked over all N^2 entries, and
+  every entry of A_i A_j is compared with p on exact float64 (BLAS) N x N
+  products (``_certify_closure``).  Each packs a run of classes into
+  base-``base`` digits, base = max kappa + 1, and the run is cut so that
+  base**run <= 2**53: every entry and partial sum stays an integer below
+  2**53, so the products are exact and the comparison bit-exact.  That is
+  O((d+1)^2 N^3 / run) work, and the only proof for an arbitrary map.
 
-All of them give the same error for a map that breaks an axiom; of the
-axioms, a translation scheme can break only symmetry, and a pairs scheme
-none.  The
-closure they certify is all that the oracle
-(``resistance.resistance_oracle``) needs to solve from row 0; it does not
-need the generators.  Everything after verification reads p alone:
-``spectral_data`` takes P, Q and the multiplicities from one
+On every route p^k_ij is counted at one representative r_k per class,
+#{z : class(0, z) = i, class(r_k, z) = j}, in O((d+1) N)
+(``_representative_intersection_numbers``).  Of the axioms, a translation
+scheme can break only symmetry, with the error the class-map route gives on
+its class map, and a pairs scheme none.  The closure they certify is all
+that the oracle (``resistance.resistance_oracle``) needs to solve from row
+0; it does not need the generators.  Everything after verification reads p
+alone: ``spectral_data`` takes P, Q and the multiplicities from one
 eigendecomposition of a generic element of the (d+1)-dimensional
 intersection algebra and certifies them with one seeded combination of the
 B_j in O(d^3), and ``check_distance_regular`` reads the intersection array
@@ -263,8 +253,7 @@ def _reachable_classes(step: np.ndarray) -> np.ndarray:
     return reach[0]
 
 
-def verify_scheme(given, class_names: Optional[Sequence[str]] = None,
-                  automorphisms: Optional[Sequence] = None) -> AssociationScheme:
+def verify_scheme(given, class_names: Optional[Sequence[str]] = None) -> AssociationScheme:
     """Validate a scheme, given as a ``Translation``, as a ``Pairs`` or as one
     (n, n) integer numpy array mapping each vertex pair to its class, and
     build it.
@@ -276,102 +265,73 @@ def verify_scheme(given, class_names: Optional[Sequence[str]] = None,
     closed with nonnegative integer coefficients, hence commutative:
     A_i A_j = (A_i A_j)^T = A_j A_i for symmetric A_i.
 
-    The axioms are certified on one of four routes:
+    The axioms are certified on one of three routes:
 
-    * a ``Translation`` (``automorphisms`` must be omitted) needs m >= 2,
-      r >= 1 and r (m-1)^2 < 2^53, and r x r integer generators, each a
-      bijection of G mod m.  Row 0, the orbit labelling they derive, proves
-      the axioms and gives p in O(N |gens| + (d+1) N) (see
-      ``_verify_translation``); the class map is derived on access, never
-      built here.
-    * a ``Pairs`` (``automorphisms`` must be omitted) needs an integer
-      ``points`` >= 2, not a bool.  Its classes are the orbitals of
-      Sym(points), so the axioms hold by construction; row 0 gives the
-      valencies and p is counted in O((d+1) N) (see ``_verify_pairs``), and
-      the class map is derived on access, never built here.
-    * with ``automorphisms``, a sequence of length-n vertex permutations.
-      Each must map the class map onto itself, ``classmap[g][:, g] ==
-      classmap``, and their orbit of vertex 0 must cover all n vertices;
-      this is checked on the given dtype, before any label is narrowed.  The
-      group they generate is then transitive, so row 0 and column 0 prove
-      the other axioms (see ``_row_zero_axioms``): classmap[0, 0] = 0 and no
-      other entry of row 0 is 0 or below, row 0 equals column 0, every
-      label 0..d appears in row 0 with d < n, and the valencies are the
-      label counts of row 0; row 0 of each A_i A_j then proves closure.
-      That costs O(N^2) per generator.
-    * without them, the axioms are checked over all N^2 entries (see
+    * a ``Translation`` needs m >= 2, r >= 1 and r (m-1)^2 < 2^53, and
+      r x r integer generators, each a bijection of G mod m.  Row 0, the
+      orbit labelling they derive, proves the axioms in
+      O(N |gens| + (d+1) N) (see ``_verify_translation``); the class map is
+      derived on access, never built here.
+    * a ``Pairs`` needs an integer ``points`` >= 2, not a bool.  Its classes
+      are the orbitals of Sym(points), so the axioms hold by construction;
+      row 0 gives the valencies in O(N) (see ``_verify_pairs``), and the
+      class map is derived on access, never built here.
+    * a class map has its axioms checked over all N^2 entries (see
       ``_classmap_axioms``), and closure against p costs
-      sum_i ceil((d+1-i) / run) packed N x N products (``_certify_closure``).
+      sum_i ceil((d+1-i) / run) packed N x N products
+      (``_certify_closure``).
 
-    On the class-map routes p is read off row 0
-    (``_row_zero_intersection_numbers``).
-
-    A map that breaks an axiom raises the same error on every route.  On
-    the class-map route with automorphisms, ``BadParameter`` is raised only
-    if every axiom holds: when a generator fails, the N^2 checks run first.
+    On every route p is counted at the representatives of the classes in
+    O((d+1) N) (``_representative_intersection_numbers``).
 
     Raises
     ------
     IdentityMissing, NotPartition, NotSymmetric, NotClosed
-        Naming the violated axiom: a skipped label, or anything but a
-        ``Translation``, a ``Pairs`` or a square integer ndarray (a list of
-        relation matrices too), is ``NotPartition``, a negative label
-        ``IdentityMissing``, a non-regular relation ``NotClosed``.
-        A translation scheme raises only ``NotSymmetric``, when some orbit
-        of H is not closed under negation, with the message the class-map
-        routes give on its class map.
+        Naming the violated axiom: a skipped label, an empty map, or
+        anything but a ``Translation``, a ``Pairs`` or a square integer
+        ndarray (a list of relation matrices too), is ``NotPartition``, a
+        negative label ``IdentityMissing``, a non-regular relation
+        ``NotClosed``.  A translation scheme raises only ``NotSymmetric``,
+        when some orbit of H is not closed under negation, with the message
+        the class-map route gives on its class map.
     BadParameter
-        If a given automorphism is not a permutation of the n vertices or
-        does not fix the class map (naming the generator), or if their
-        orbit of vertex 0 misses a vertex (naming how many it reaches); if a
-        translation's m, r or images are out of range, or a generator is
-        malformed or singular mod m (naming the first); if ``points`` is
-        not an integer >= 2; or if a ``Translation`` or ``Pairs`` comes with
-        ``automorphisms``.  There is no fallback to the product route.
+        If a translation's m, r or images are out of range, or a generator
+        is malformed or singular mod m (naming the first); if ``points`` is
+        not an integer >= 2; or if ``class_names`` does not name d+1
+        classes.
     """
     if isinstance(given, Translation):
-        if automorphisms is not None:
-            raise BadParameter("a translation scheme takes its automorphisms as generators")
         realisation, valencies, p = _verify_translation(given)
     elif isinstance(given, Pairs):
-        if automorphisms is not None:
-            raise BadParameter("a pairs scheme takes no automorphisms: Sym(points) acts on it")
         realisation, valencies, p = _verify_pairs(given)
     else:
-        realisation, valencies, p = _verify_classmap(given, automorphisms)
+        realisation, valencies, p = _verify_classmap(given)
     n, d = sum(valencies), len(valencies) - 1
 
     names = tuple(class_names) if class_names is not None else tuple(
         f"A{k}" for k in range(d + 1))
     if len(names) != d + 1:
-        raise ValueError("class_names length must be d+1")
+        raise BadParameter(f"class_names length must be d+1 = {d + 1}, not {len(names)}")
 
     return AssociationScheme(n=n, d=d, valencies=valencies, p=p, realisation=realisation,
                              class_names=names)
 
 
-def _verify_classmap(classmap, automorphisms: Optional[Sequence]) -> tuple:
-    """(class map, valencies, p) on the two class-map routes of
-    ``verify_scheme``."""
+def _verify_classmap(classmap) -> tuple:
+    """(class map, valencies, p) on the class-map route of ``verify_scheme``.
+
+    The axioms are checked on the given dtype, so that no label is narrowed
+    before it is certified.
+    """
     if not (isinstance(classmap, np.ndarray) and np.issubdtype(classmap.dtype, np.integer)
             and classmap.ndim == 2 and classmap.shape[0] == classmap.shape[1]):
         raise NotPartition("the class map is not a square integer array")
-
-    if automorphisms is None:
-        d, valencies = _classmap_axioms(classmap)
-    else:
-        # on the given dtype, so that no label is narrowed before it is certified
-        try:
-            _certify_transitive(classmap, automorphisms)
-        except BadParameter:
-            _classmap_axioms(classmap)  # a broken axiom is named first, as without generators
-            raise
-        d, valencies = _row_zero_axioms(classmap[0], classmap[:, 0])
-
+    if classmap.shape[0] == 0:
+        raise NotPartition("the class map has no vertices")
+    d, valencies = _classmap_axioms(classmap)
     classmap = classmap.astype(_label_dtype(d), copy=False)
-    p = _row_zero_intersection_numbers(classmap, valencies)
-    if automorphisms is None:
-        _certify_closure(classmap, valencies, p)
+    p = _representative_intersection_numbers(classmap[0], classmap.__getitem__, valencies)
+    _certify_closure(classmap, valencies, p)
     return classmap, valencies, p
 
 
@@ -424,8 +384,9 @@ def _verify_translation(given: Translation) -> tuple:
     row0.flags.writeable = False
     translation = Translation(m, r, tuple(gens))
     object.__setattr__(translation, "row0", row0)
-    d, valencies = _row_zero_axioms(translation.rows(0), row0)
-    return translation, valencies, _representative_intersection_numbers(translation, valencies)
+    valencies = _row_zero_axioms(translation.rows(0), row0)
+    return translation, valencies, _representative_intersection_numbers(
+        row0, translation.rows, valencies)
 
 
 def _verify_pairs(given: Pairs) -> tuple:
@@ -437,8 +398,8 @@ def _verify_pairs(given: Pairs) -> tuple:
     pairs of 2-subsets with a given overlap (Brouwer, Cohen and Neumaier
     1989, section 9.1).  So the scheme is the orbital scheme of a transitive
     group, closed by construction, and symmetric, since |s & t| is.  Row 0
-    (for the symmetric map, also column 0) gives d and the valencies in
-    O(N), and p is counted at the representatives in O((d+1) N).
+    (for the symmetric map, also column 0) gives the valencies in O(N), and
+    p is counted at the representatives in O((d+1) N).
     """
     points = given.points
     if not _is_integer(points) or points < 2:
@@ -447,25 +408,31 @@ def _verify_pairs(given: Pairs) -> tuple:
     row0 = pairs._classes(0)
     row0.flags.writeable = False
     object.__setattr__(pairs, "row0", row0)
-    d, valencies = _row_zero_axioms(row0, row0)
-    return pairs, valencies, _representative_intersection_numbers(pairs, valencies)
+    valencies = _row_zero_axioms(row0, row0)
+    return pairs, valencies, _representative_intersection_numbers(row0, pairs.rows, valencies)
 
 
-def _representative_intersection_numbers(realisation, valencies: tuple) -> np.ndarray:
+def _representative_intersection_numbers(row0: np.ndarray, rows, valencies: tuple
+                                        ) -> np.ndarray:
     """p^k_ij = #{z : class(0, z) = i, class(r_k, z) = j}, with r_k the
-    first vertex of class k in row 0, for a ``Translation`` or ``Pairs``
-    whose scheme is certified closed and symmetric.
+    first vertex of class k in row 0, for a symmetric class map with row 0
+    ``row0`` and rows ``rows(xs)``: a ``Translation`` or ``Pairs`` and its
+    ``rows``, or an (n, n) class map and its ``__getitem__``.
 
     By symmetry class(r_k, z) = class(z, r_k), so that counts the z with
-    class(0, z) = i and class(z, y) = j for y = r_k, which closure makes
-    p^k_ij.  One ``bincount`` counts a block of classes k at once, over the
-    derived rows r_k of the class map, so the work is O((d+1) N) and no
-    N x N array is built.  A block holds as many classes as keep its cells
-    (N a class) within ``_ROW_ZERO_BLOCK``, and one class at least; its bins
-    are its slice of p, and a block of every class is p.
+    class(0, z) = i and class(z, y) = j for y = r_k: entry (0, r_k) of
+    A_i A_j, which is p^k_ij when the scheme is closed.  A translation or
+    pairs scheme is closed by construction; a class map is certified closed
+    afterwards by ``_certify_closure``, which compares every entry of each
+    A_i A_j, j >= i, with these counts, row 0 included.
+
+    One ``bincount`` counts a block of classes k at once, over the rows r_k
+    of the class map, so the work is O((d+1) N) and no N x N array is built.
+    A block holds as many classes as keep its cells (N a class) within
+    ``_ROW_ZERO_BLOCK``, and one class at least; its bins are its slice of
+    p, and a block of every class is p.
     """
-    n, d = realisation.n, len(valencies) - 1
-    row0 = realisation.row0  # row 0, by symmetry
+    n, d = len(row0), len(valencies) - 1
     reps = np.unique(row0, return_index=True)[1]
     left = row0.astype(np.intp) * (d + 1)  # [z] = i (d+1), i the class of z
     step = max(1, _ROW_ZERO_BLOCK // n)
@@ -473,7 +440,7 @@ def _representative_intersection_numbers(realisation, valencies: tuple) -> np.nd
     for k0 in range(0, d + 1, step):
         width = min(step, d + 1 - k0)
         # [k, z] counts in bin (i (d+1) + j) width + k - k0
-        cells = (left + realisation.rows(reps[k0:k0 + width])) * width
+        cells = (left + rows(reps[k0:k0 + width])) * width
         cells += np.arange(width)[:, None]
         counts = np.bincount(cells.ravel(), minlength=(d + 1) ** 2 * width
                              ).reshape(d + 1, d + 1, width)
@@ -521,36 +488,26 @@ def _classmap_axioms(classmap: np.ndarray) -> tuple:
 
 
 def _row_zero_axioms(row: np.ndarray, column: np.ndarray) -> tuple:
-    """(d, valencies) from row 0 and column 0 of a class map on which a
-    group of automorphisms is certified to act transitively, raising what
+    """The valencies of a translation or pairs scheme from row 0 and column
+    0 of its class map, after checking symmetry with the error that
     ``_classmap_axioms`` raises on the whole map.
 
-    For x = s(0), s in the group, classmap[x, y] = classmap[0, s^-1 y] and
-    classmap[y, x] = classmap[s^-1 y, 0]: every row is a relabelled row 0.
-    So the diagonal is 0 exactly when classmap[0, 0] is, and no other entry
-    is 0 or below exactly when none of row 0 is; an asymmetric pair (x, y)
-    gives the asymmetric pair (0, s^-1 y), so the first one in row-major
-    order lies in row 0; the largest label and the empty classes are those
-    of row 0, and every class is regular, with the valency it has in row 0.
+    The realisation's group acts transitively on the class map: for
+    x = s(0), classmap[x, y] = classmap[0, s^-1 y] and
+    classmap[y, x] = classmap[s^-1 y, 0], so an asymmetric pair (x, y) gives
+    the asymmetric pair (0, s^-1 y), and the first one in row-major order
+    lies in row 0.  Row 0 is an orbit labelling numbered from 0, so class 0
+    is {0}, every label is used, and the valencies are its label counts.
     """
-    n = len(row)
-    if row[0] != 0 or np.count_nonzero(row <= 0) != 1:
-        raise IdentityMissing("class 0 is not exactly the diagonal")
     asymmetric = np.flatnonzero(row != column)
     if asymmetric.size:
         raise NotSymmetric(f"relation {row[asymmetric[0]]} is not symmetric")
-    d = int(row.max())
-    if d >= n:
-        raise NotPartition(f"{d + 1} class labels on {n} vertices")
-    valencies = np.bincount(row, minlength=d + 1)
-    empty = np.flatnonzero(valencies == 0)
-    if empty.size:
-        raise NotPartition(f"relation {empty[0]} is empty")
-    return d, tuple(valencies.tolist())
+    return tuple(np.bincount(row).tolist())
 
 
 def _certify_closure(classmap: np.ndarray, valencies: tuple, p: np.ndarray) -> None:
-    """Certify A_i A_j = sum_k p^k_ij A_k for all i <= j, p the row-0 counts.
+    """Certify A_i A_j = sum_k p^k_ij A_k for all i <= j, p the counts at the
+    representatives (``_representative_intersection_numbers``).
 
     The relations must already be certified symmetric and regular, so every
     entry of A_i A_j, and every p^k_ij, is an integer in [0, kappa_i] and
@@ -562,7 +519,8 @@ def _certify_closure(classmap: np.ndarray, valencies: tuple, p: np.ndarray) -> N
     equals sum_q base^q p^k_{i, j0+q}, k its class, exactly when every digit
     does.  That takes sum_i ceil((d+1-i) / run) products instead of
     (d+1)(d+2)/2.  j < i needs none: A_j A_i = (A_i A_j)^T is then
-    sum_k p^k_ij A_k, so its row-0 counts give p^k_ji = p^k_ij.
+    sum_k p^k_ij A_k, so its counts at the representatives give
+    p^k_ji = p^k_ij.
     """
     d = len(valencies) - 1
     base = max(valencies) + 1
@@ -586,40 +544,6 @@ def _certify_closure(classmap: np.ndarray, valencies: tuple, p: np.ndarray) -> N
                 digits = pair[:, None] // powers[:j1 - j0] % base
                 j = j0 + int(np.argmax(digits[0] != digits[1]))
                 raise NotClosed(f"A_{i} A_{j} is outside the span of the relations")
-
-
-def _certify_transitive(classmap: np.ndarray, automorphisms: Sequence) -> None:
-    """Certify that ``automorphisms`` generate a transitive group of
-    automorphisms of the class map (``BadParameter`` otherwise).
-
-    Each generator is checked to be a permutation with
-    ``classmap[g][:, g] == classmap``, gathered and compared in blocks of
-    rows within ``_ROW_ZERO_BLOCK`` entries, so no N x N copy is built.  The
-    orbit of vertex 0 is grown by a forward search over the generators'
-    images; the vertex set is finite, so the forward orbit is the orbit of
-    the group they generate.
-    """
-    n = classmap.shape[0]
-    step = max(1, _ROW_ZERO_BLOCK // n)
-    gens = []
-    for t, g in enumerate(automorphisms):
-        g = np.asarray(g)
-        if g.shape != (n,) or not np.issubdtype(g.dtype, np.integer):
-            raise BadParameter(f"automorphism {t} is not a length-{n} integer array")
-        if g.min() < 0 or g.max() >= n:
-            raise BadParameter(f"automorphism {t} has an entry outside 0..{n - 1}")
-        g = g.astype(np.intp)
-        if np.bincount(g, minlength=n).max() > 1:
-            raise BadParameter(f"automorphism {t} repeats a vertex")
-        if any(not np.array_equal(classmap[g[x0:x0 + step]][:, g], classmap[x0:x0 + step])
-               for x0 in range(0, n, step)):
-            raise BadParameter(f"automorphism {t} does not preserve the class map")
-        gens.append(g)
-
-    orbits = _orbit_labels(gens, n)
-    if orbits.max() > 0:
-        count = np.count_nonzero(orbits == 0)  # orbit 0 is that of vertex 0
-        raise BadParameter(f"the automorphisms move vertex 0 to {count} of {n} vertices")
 
 
 def _orbit_labels(gens: Sequence[np.ndarray], n: int) -> np.ndarray:
@@ -652,76 +576,12 @@ def _orbit_labels(gens: Sequence[np.ndarray], n: int) -> np.ndarray:
     return np.array(labels)
 
 
-#: most cells, and most bins, of one ``bincount`` in
-#: ``_row_zero_intersection_numbers``; 2**15 (256 KiB of int64 bins) was the
-#: fastest of 2**12 to 2**17 over the presets with N = 24 to 276.  It also
-#: sizes the row blocks of ``_classmap_axioms``' regularity count and of
-#: ``_certify_transitive``'s comparison, and the slices of classes i in
+#: most cells of one ``bincount`` in ``_representative_intersection_numbers``
+#: (256 KiB of int64), which keeps its blocks of classes cache-sized.  It
+#: also sizes the row blocks of ``_classmap_axioms``' regularity count
+#: and of ``Translation.image``, and the slices of classes i in
 #: ``spectral_data``'s check of kappa_k p^k_ij = kappa_j p^j_ik
 _ROW_ZERO_BLOCK = 2 ** 15
-
-
-def _row_zero_intersection_numbers(classmap: np.ndarray, valencies: tuple) -> np.ndarray:
-    """p from row 0 of each A_i A_j, which must be constant on each class k
-    of vertex 0 (``NotClosed`` otherwise), for the (n, n) class map.
-
-    The class map must already be certified symmetric and regular.  Row 0
-    of A_i A_j counts, for each y, the z in class i of vertex 0 with
-    classmap[z, y] = j.  When A_i A_j lies in the span of the relations,
-    that count is p^k_ij for every y in class k of vertex 0.  Under a
-    transitive group of automorphisms (``_certify_transitive``) the
-    converse holds: for vertices x, y take an automorphism s with s(0) = x;
-    then (A_i A_j)[x, y] = (A_i A_j)[0, s^-1(y)], and s^-1(y) lies in the
-    class of (x, y) in row 0, so a class-constant row 0 proves closure.
-    Without one, ``_certify_closure`` checks the other rows against p.
-
-    The classes i are taken in consecutive blocks, and one ``bincount`` over
-    the rows of a block's classes counts every (i, j) of the block at once,
-    as an N x (classes (d+1)) array with row y.  A block grows while its
-    cells (its sum kappa_i rows of N entries) and its bins ((d+1) N per
-    class) both stay within ``_ROW_ZERO_BLOCK``, so the work is
-    O(N^2 + (d+1)^2 N) in passes over cache-sized arrays.  A class with more
-    rows than the budget holds is a block alone, counted in runs of rows
-    within the budget (one row at least) whose counts are summed.
-    """
-    row = classmap[0].astype(np.intp)
-    n = len(row)
-    d = len(valencies) - 1
-    members = np.argsort(row, kind="stable")  # class i is members[starts[i]:starts[i + 1]]
-    starts = np.cumsum((0,) + valencies)
-    # every class meets row 0, since each relation is regular and nonempty
-    reps = members[starts[:-1]]
-    bins = (d + 1) * n
-    # rows counted by one bincount: a block's rows fit, a larger class's are split
-    chunk = max(1, _ROW_ZERO_BLOCK // n)
-    p = np.empty((d + 1, d + 1, d + 1), dtype=np.int64)
-    i0 = 0
-    while i0 <= d:
-        # the most classes from i0 on within the budget, and at least one
-        fit = np.searchsorted(starts[i0 + 1:], starts[i0] + _ROW_ZERO_BLOCK // n, side="right")
-        i1 = i0 + max(1, min(int(fit), _ROW_ZERO_BLOCK // bins))
-        width = (i1 - i0) * (d + 1)
-        counts = None
-        for r0 in range(starts[i0], starts[i1], chunk):
-            rows = members[r0:min(r0 + chunk, starts[i1])]
-            # the pair (z, y) counts in bin y * width + (i - i0) (d+1) + j,
-            # where i is the class of z in row 0 and j = classmap[z, y]
-            cells = np.add(classmap[rows], ((row[rows] - i0) * (d + 1))[:, None])
-            cells += np.arange(0, n * width, width)
-            part = np.bincount(cells.ravel(), minlength=n * width)
-            if counts is None:
-                counts = part
-            else:
-                counts += part
-        counts = counts.reshape(n, width)
-        coef = counts[reps]  # [k, (i - i0) (d+1) + j] = p^k_ij
-        off = (counts != coef[row]).any(axis=0)
-        if off.any():
-            i, j = divmod(int(np.argmax(off)), d + 1)
-            raise NotClosed(f"A_{i0 + i} A_{j} is outside the span of the relations")
-        p[i0:i1] = coef.T.reshape(i1 - i0, d + 1, d + 1)
-        i0 = i1
-    return p
 
 
 # --------------------------------------------------------------------------
@@ -1044,8 +904,8 @@ def scheme_from_dict(doc: dict) -> AssociationScheme:
     ``classmap``, and nothing else: a field of no form, or of another form,
     raises ``BadParameter`` naming it, and so does a missing field of the
     document's form, the first form it lists a field of.  ``n``, ``d``,
-    ``modulus``, ``rank`` and ``points`` must be integers, not booleans
-    (``BadParameter`` naming the field).  A translation document is
+    ``modulus``, ``rank`` and ``points`` must be integers, not booleans,
+    and ``n`` at least 1 (``BadParameter`` naming the field).  A translation document is
     certified by its generators, taken as given, so that ``verify_scheme``
     names a wrongly shaped one; a pairs document by Sym(points); a class map
     by the packed N x N products.  Entries are not cast, so a non-integer
@@ -1064,6 +924,8 @@ def scheme_from_dict(doc: dict) -> AssociationScheme:
         if name not in ("generators", "classmap") and not _is_integer(doc[name]):
             raise BadParameter(f"field {name!r} is not an integer: {doc[name]!r}")
     n = doc["n"]
+    if n < 1:
+        raise BadParameter(f"field 'n' must be >= 1, not {n}")
     if kind == "translation":
         m, r = doc["modulus"], doc["rank"]
         given = Translation(m, r, tuple(_document_array(h, BadParameter(

@@ -1,12 +1,10 @@
 import itertools
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
 
 import schemeres as sr
-from schemeres import builders
 
 _SPECTRAL_CACHE = {}
 
@@ -83,7 +81,7 @@ def presets(cycle8, hypercube3, triangular6, s4, s4_refined_a, s4_refined_b,
 @pytest.fixture(scope="session")
 def chang():
     """A Chang graph, SRG(28, 12, 6, 4), as a two-class scheme verified
-    without generators: the triangular graph T(8) = J(8, 2) switched on the
+    from its class map: the triangular graph T(8) = J(8, 2) switched on the
     2-subsets {01, 23, 45, 67}, so that a pair of them and a pair of the
     other 24 vertices swap adjacency.  Its vertices lie in 32 or 36 K4s, so
     no group of automorphisms is transitive on them."""
@@ -108,40 +106,10 @@ def two_cliques(m):
     return sr.verify_scheme(np.where(same, 1, 2) - np.eye(2 * m, dtype=np.int64))
 
 
-def build_recording(build, *args):
-    """The scheme ``build(*args)`` returns and the automorphisms it passed
-    to ``verify_scheme``: vertex permutations for a class-map builder, None
-    for a translation builder, whose generators stay in its ``Translation``,
-    and for the triangular builder, whose ``Pairs`` names Sym(points)."""
-    seen = []
-
-    def spy(given, class_names=None, automorphisms=None):
-        seen.append(automorphisms)
-        return verify(given, class_names=class_names, automorphisms=automorphisms)
-
-    verify = builders.verify_scheme
-    with mock.patch.object(builders, "verify_scheme", spy):
-        scheme = build(*args)
-    return scheme, seen[0]
-
-
-def unit_translations(translation):
-    """The vertex permutations z -> z + e_s, one per coordinate of G.  They
-    generate the translations, a transitive group of automorphisms of the
-    derived class map, as the unit shifts that the class-map builders of
-    cycles and lattices used to pass."""
-    points = np.arange(translation.n)
-    m, r = translation.modulus, translation.rank
-    places = [m ** (r - 1 - s) for s in range(r)]
-    return [points + np.where(points // place % m == m - 1, (1 - m) * place, place)
-            for place in places]
-
-
 def pair_permutations(pairs):
     """The transposition (0 1) and the n-cycle of the points, acting on the
     2-subsets of a ``Pairs`` as vertex permutations.  They generate
-    Sym(points), a transitive group of automorphisms of its class map, as
-    the triangular builder used to pass."""
+    Sym(points), whose orbitals are the classes of the scheme."""
     n = pairs.points
     a, b = np.triu_indices(n, 1)
     index = np.zeros((n, n), dtype=np.intp)  # [x, y] = the vertex {x, y}
@@ -152,23 +120,28 @@ def pair_permutations(pairs):
     return [index[pi[a], pi[b]] for pi in (swap, cycle)]
 
 
-def vertex_generators(build, *args):
-    """``build(*args)`` and vertex permutations that generate a transitive
-    group of automorphisms of its class map: those its builder passed, the
-    unit translations of a translation scheme, or the pair permutations of
-    a pairs scheme."""
-    scheme, gens = build_recording(build, *args)
-    if isinstance(scheme.realisation, sr.Translation):
-        gens = unit_translations(scheme.realisation)
-    elif isinstance(scheme.realisation, sr.Pairs):
-        gens = pair_permutations(scheme.realisation)
-    return scheme, gens
+def assert_transitive_automorphisms(classmap, gens):
+    """Assert, apart from the library, that the vertex permutations ``gens``
+    fix ``classmap`` and that words in them move vertex 0 to every vertex:
+    the group they generate is then a transitive group of automorphisms."""
+    n = len(classmap)
+    for g in gens:
+        assert np.array_equal(np.sort(g), np.arange(n))
+        assert np.array_equal(classmap[np.ix_(g, g)], classmap)
+    reached, frontier = {0}, [0]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            if int(g[x]) not in reached:
+                reached.add(int(g[x]))
+                frontier.append(int(g[x]))
+    assert len(reached) == n
 
 
 def build_packed(build, *args):
     """``build(*args)`` verified again from its class map alone, derived for
-    a translation builder, with no automorphisms: certified by the packed
-    N x N products."""
+    a translation or pairs builder: certified by the packed N x N
+    products."""
     scheme = build(*args)
     return sr.verify_scheme(scheme.classmap, class_names=scheme.class_names)
 
