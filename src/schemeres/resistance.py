@@ -265,11 +265,18 @@ class PolynomialCoefficients:
 
 def _power_rows(scheme: AssociationScheme) -> list:
     """W[l] = B_1^l e_0 for l = 0..d: the class coefficients of A^l, in
-    Python ints, so the powers never overflow."""
-    b1 = scheme.intersection_matrix(1).tolist()
+    Python ints, so the powers never overflow.
+
+    Row k of B_1 holds p^k_1j, which sum to kappa_1 over j, so it has at
+    most kappa_1 nonzeros; each of the d powers multiplies by those alone,
+    in O(kappa_1 d^2) work in all rather than the dense O(d^3).
+    """
+    entries = [[(j, v) for j, v in enumerate(row) if v]  # [k] = the (j, p^k_1j > 0)
+               for row in scheme.intersection_matrix(1).tolist()]
     rows = [[int(k == 0) for k in range(scheme.d + 1)]]
     for _ in range(scheme.d):
-        rows.append([sum(x * y for x, y in zip(bk, rows[-1])) for bk in b1])
+        last = rows[-1]
+        rows.append([sum(v * last[j] for j, v in row) for row in entries])
     return rows
 
 
@@ -285,8 +292,9 @@ def polynomial_coefficients(scheme: AssociationScheme) -> PolynomialCoefficients
 
     The class coefficients of A^n are B_1^n e_0, with B_1 the intersection
     matrix of class 1, so A^0..A^d are expanded in exact integers without
-    touching an N x N matrix; that system W is then inverted by one exact
-    solve W C = I, certified by its residual in integers.
+    touching an N x N matrix, in O(kappa_1 d^2) (``_power_rows``); that
+    system W is then inverted by one exact solve W C = I, certified by its
+    residual in integers.
 
     Raises
     ------
@@ -321,10 +329,25 @@ def resistance_polynomial(scheme: AssociationScheme) -> ResistanceTable:
     R^(m) = (2/(N kappa_m)) x_m with W x = t: row l of W holds the class
     coefficients of A^l, t_n = sum_{i<=n} kappa^{n-i} tr(A^{i-1}) -
     n kappa^{n-1} and tr(A^l) = N W[l][0].  One exact solve, certified by its
-    residual (``CertificationFailed``); a singular W is ``FewerEigenvalues``.
+    residual (``CertificationFailed``).  Building W costs O(kappa_1 d^2)
+    (``_power_rows``).
+
+    Connectivity is decided only when W is singular.  W[l][k] counts the
+    walks of l class-1 steps from a vertex to a fixed vertex of its class k,
+    and a reachable class is at most d steps away, so a class that class 1
+    never reaches is a zero column of W: a nonsingular W proves the class-1
+    graph connected.
+
+    Raises
+    ------
+    Disconnected
+        If W is singular and the class-1 graph is not connected.
+    FewerEigenvalues
+        If W is singular and the class-1 graph is connected: A_1 has fewer
+        than d+1 distinct eigenvalues (the rank is W's).
+    CertificationFailed
+        If the exact solve leaves a residual W x - t.
     """
-    if not scheme.relation_connected([1]):
-        raise Disconnected("class-1 graph is not connected")
     n, d, kappa = scheme.n, scheme.d, scheme.valencies[1]
     rows = _power_rows(scheme)
     t, partial = [0], 0
@@ -334,6 +357,8 @@ def resistance_polynomial(scheme: AssociationScheme) -> ResistanceTable:
     try:
         x = [row[0] for row in rational_solve(rows, [[v] for v in t])]
     except SingularSystem as exc:
+        if not scheme.relation_connected([1]):
+            raise Disconnected("class-1 graph is not connected") from None
         raise _fewer_eigenvalues(exc, len(rows)) from None
     if any(sum(w * xk for w, xk in zip(row, x)) != v for row, v in zip(rows, t)):
         raise CertificationFailed("power-basis solve leaves a residual W x - t")

@@ -51,7 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -253,7 +253,7 @@ def _reachable_classes(step: np.ndarray) -> np.ndarray:
     return reach[0]
 
 
-def verify_scheme(given, class_names: Optional[Sequence[str]] = None) -> AssociationScheme:
+def verify_scheme(given, class_names: Optional[Union[list, tuple]] = None) -> AssociationScheme:
     """Validate a scheme, given as a ``Translation``, as a ``Pairs`` or as one
     (n, n) integer numpy array mapping each vertex pair to its class, and
     build it.
@@ -297,8 +297,9 @@ def verify_scheme(given, class_names: Optional[Sequence[str]] = None) -> Associa
     BadParameter
         If a translation's m, r or images are out of range, or a generator
         is malformed or singular mod m (naming the first); if ``points`` is
-        not an integer >= 2; or if ``class_names`` does not name d+1
-        classes.
+        not an integer >= 2; or if ``class_names`` is not a list or tuple
+        (a bare string included), has an entry that is not a ``str`` (naming
+        the first), or does not name d+1 classes.
     """
     if isinstance(given, Translation):
         realisation, valencies, p = _verify_translation(given)
@@ -308,8 +309,15 @@ def verify_scheme(given, class_names: Optional[Sequence[str]] = None) -> Associa
         realisation, valencies, p = _verify_classmap(given)
     n, d = sum(valencies), len(valencies) - 1
 
-    names = tuple(class_names) if class_names is not None else tuple(
-        f"A{k}" for k in range(d + 1))
+    if class_names is None:
+        names = tuple(f"A{k}" for k in range(d + 1))
+    elif isinstance(class_names, (list, tuple)):
+        names = tuple(class_names)
+    else:  # a string, a mapping or a number would pass tuple() or fail untyped
+        raise BadParameter(f"class_names is not a list or tuple of names: {class_names!r}")
+    for k, name in enumerate(names):
+        if not isinstance(name, str):
+            raise BadParameter(f"class name {k} is not a string: {name!r}")
     if len(names) != d + 1:
         raise BadParameter(f"class_names length must be d+1 = {d + 1}, not {len(names)}")
 
@@ -899,13 +907,14 @@ def _document_array(values, error: Exception, shape: Optional[tuple] = None) -> 
 def scheme_from_dict(doc: dict) -> AssociationScheme:
     """Parse and re-verify a scheme document produced by ``scheme_to_dict``.
 
-    Besides ``n``, ``d`` and optional ``class_names``, a document lists
-    ``modulus``, ``rank`` and ``generators``, or ``points``, or
-    ``classmap``, and nothing else: a field of no form, or of another form,
-    raises ``BadParameter`` naming it, and so does a missing field of the
-    document's form, the first form it lists a field of.  ``n``, ``d``,
-    ``modulus``, ``rank`` and ``points`` must be integers, not booleans,
-    and ``n`` at least 1 (``BadParameter`` naming the field).  A translation document is
+    Besides ``n``, ``d`` and optional ``class_names`` (d+1 strings, checked
+    by ``verify_scheme``), a document lists ``modulus``, ``rank`` and
+    ``generators``, or ``points``, or ``classmap``, and nothing else: a
+    field of no form, or of another form, raises ``BadParameter`` naming
+    it, and so does a missing field of the document's form, the first form
+    it lists a field of.  ``n``, ``d``, ``modulus``, ``rank`` and ``points``
+    must be integers, not booleans, and ``n`` at least 1 (``BadParameter``
+    naming the field).  A translation document is
     certified by its generators, taken as given, so that ``verify_scheme``
     names a wrongly shaped one; a pairs document by Sym(points); a class map
     by the packed N x N products.  Entries are not cast, so a non-integer

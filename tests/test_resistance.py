@@ -22,6 +22,7 @@ from nxn_witnesses import (
     integer_matrix_powers,
     laplacian,
     nxn_oracle_table,
+    nxn_relation_connected,
     oracle_resistance_matrix,
     power_traces,
     pseudo_inverse,
@@ -538,7 +539,8 @@ class TestPolynomialCoefficients:
         (lambda: sr.build_hexagonal_lattice(12), 16),
         (lambda: sr.build_s4_scheme("stabilizer-4c"), 5),
         (lambda: sr.build_square_lattice(4), 5),
-    ], ids=["square12", "hexagonal12", "s4-refined-b", "square4"])
+        (lambda: sr.build_square_lattice(24), 75),
+    ], ids=["square12", "hexagonal12", "s4-refined-b", "square4", "square24"])
     def test_reported_rank_is_exact(self, build, rank):
         # the rank is the number of distinct eigenvalues of A_1; a float
         # rank of the huge power rows reads 14 on square 12 and 15 on
@@ -625,6 +627,107 @@ class TestPolynomialEngine:
         with pytest.raises(MethodPreconditionViolated):
             sr.require_unit_class_one(s4, [1, 1, 0, 0])
         sr.require_unit_class_one(s4, [1, 0, 0, 0])
+
+
+def dense_power_rows(scheme):
+    """B_1^l e_0 for l = 0..d, column 0 of the exact dense powers of B_1,
+    (B_1)[k, j] = p^k_1j: the witness for ``_power_rows``."""
+    return [[int(x) for x in power[:, 0]]
+            for power in integer_matrix_powers(scheme.intersection_matrix(1), scheme.d)]
+
+
+def relabelled(scheme, order):
+    """``scheme`` verified again from its class map, with old class order[i]
+    relabelled i (order[0] = 0)."""
+    relabel = np.argsort(order)  # [old class] = new class
+    return sr.verify_scheme(relabel[scheme.classmap],
+                            class_names=[scheme.class_names[i] for i in order])
+
+
+def class_moved_to_one(scheme, k):
+    """``scheme`` with class k relabelled 1 and the classes 1..d other than
+    k after it, in order."""
+    return relabelled(scheme, [0, k] + [i for i in range(1, scheme.d + 1) if i != k])
+
+
+#: presets and networks on which the sparse power rows meet the witness
+POWER_ROW_SCHEMES = {
+    "square5": lambda: sr.build_square_lattice(5),
+    "square12": lambda: sr.build_square_lattice(12),
+    "hexagonal9": lambda: sr.build_hexagonal_lattice(9),
+    "triangular12": lambda: sr.build_triangular(12),
+    "cycle64": lambda: sr.build_cycle(64),
+    "hypercube8": lambda: sr.build_hypercube(8),
+}
+
+#: small schemes whose classes are relabelled
+RELABELLED_SCHEMES = {
+    "s4": lambda: sr.build_s4_scheme("conjugacy"),
+    "s4-refined-b": lambda: sr.build_s4_scheme("stabilizer-4c"),
+    "z5z5": sr.build_orbit_scheme_z5z5,
+    "square4": lambda: sr.build_square_lattice(4),
+    "hypercube4": lambda: sr.build_hypercube(4),
+    "cycle8": lambda: sr.build_cycle(8),
+    "2xK3": lambda: two_cliques(3),
+    "2xK4": lambda: two_cliques(4),
+    "2xK5": lambda: two_cliques(5),
+}
+
+
+@functools.cache
+def relabelled_scheme(name):
+    return RELABELLED_SCHEMES[name]()
+
+
+class TestPowerRows:
+    def assert_matches_witness(self, scheme):
+        rows = sr.resistance._power_rows(scheme)
+        assert all(type(x) is int for row in rows for x in row)
+        assert rows == dense_power_rows(scheme)
+
+    @pytest.mark.parametrize("preset", ["cycle", "hypercube", "triangular", "s4",
+                                        "s4-refined-a", "s4-refined-b", "z5z5",
+                                        "square", "hexagonal"])
+    def test_presets(self, presets, preset):
+        self.assert_matches_witness(presets[preset])
+
+    @pytest.mark.parametrize("name", POWER_ROW_SCHEMES)
+    def test_networks(self, name):
+        self.assert_matches_witness(POWER_ROW_SCHEMES[name]())
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_class_relabellings(self, data):
+        scheme = relabelled_scheme(data.draw(st.sampled_from(sorted(RELABELLED_SCHEMES))))
+        order = data.draw(st.permutations(range(1, scheme.d + 1)))
+        self.assert_matches_witness(relabelled(scheme, [0] + order))
+
+
+class TestPolynomialErrorOrder:
+    """Connectivity is decided only once W is singular; the errors and
+    tables are those of deciding it first."""
+
+    @pytest.mark.parametrize("name, k", [
+        (name, k) for name in ("square4", "hypercube4", "z5z5", "2xK3", "2xK4", "2xK5")
+        for k in range(1, relabelled_scheme(name).d + 1)])
+    def test_each_class_in_slot_one(self, name, k):
+        scheme = class_moved_to_one(relabelled_scheme(name), k)
+        connected = nxn_relation_connected(scheme, [1])
+        assert scheme.relation_connected([1]) == connected
+        if not connected:
+            with pytest.raises(Disconnected, match="^class-1 graph is not connected$"):
+                sr.resistance_polynomial(scheme)
+            return
+        import sympy
+        rank = sympy.Matrix(dense_power_rows(scheme)).rank()
+        if rank <= scheme.d:
+            message = f"^A_1 generates a rank-{rank} subalgebra of dimension {scheme.d + 1}$"
+            with pytest.raises(FewerEigenvalues, match=message):
+                sr.resistance_polynomial(scheme)
+            return
+        table = sr.resistance_polynomial(scheme)
+        assert table.values == contraction_table(scheme)
+        assert sr.foster_sum(scheme, sr.unit_class_one(scheme), table).passed
 
 
 class TestClosedForms:

@@ -63,6 +63,21 @@ class TestVerifyScheme:
         with pytest.raises(BadParameter, match=message):
             sr.scheme_from_dict({"n": 6, "d": 2, "points": 4, "class_names": ["a"]})
 
+    @pytest.mark.parametrize("names, message", [
+        ("abc", r"^class_names is not a list or tuple of names: 'abc'$"),
+        ({"a": 0, "b": 1, "c": 2}, r"^class_names is not a list or tuple of names: \{'a'"),
+        (3, r"^class_names is not a list or tuple of names: 3$"),
+        ([1, None, 2.5], r"^class name 0 is not a string: 1$"),
+        (["a", None, 2.5], r"^class name 1 is not a string: None$"),
+        (("a", "b", 2.5), r"^class name 2 is not a string: 2\.5$"),
+        (["a", True, "c"], r"^class name 1 is not a string: True$"),
+    ])
+    def test_class_names_must_be_strings(self, names, message):
+        with pytest.raises(BadParameter, match=message):
+            sr.verify_scheme(classmap_of(cycle4_relations()), class_names=names)
+        with pytest.raises(BadParameter, match=message):
+            sr.scheme_from_dict({"n": 6, "d": 2, "points": 4, "class_names": names})
+
     def test_s4_class_sums(self, s4):
         # A_1^2 = 6 A_0 + 3 A_2 + 2 A_3
         assert s4.p[1, 1].tolist() == [6, 0, 3, 2, 0]
