@@ -314,10 +314,10 @@ def _orbit_scheme(m: int, generators) -> AssociationScheme:
     ``verify_scheme`` numbers the orbits in order of their least point
     (a, b), by code a m + b, which puts (0,0) first and the orbit of (0,1)
     second; each class is named after that point, its first vertex in
-    row 0.
+    row 0, which ``verify_scheme`` keeps on the translation.
     """
     scheme = verify_scheme(Translation(m, 2, generators))
-    reps = np.unique(scheme.realisation.row0, return_index=True)[1]
+    reps = scheme.realisation._representatives
     names = tuple(f"({a},{b})" for a, b in zip(*np.divmod(reps, m)))
     return replace(scheme, class_names=names)
 

@@ -11,8 +11,9 @@ underlying resistor network:
 
 ``oracle`` is the only engine that works at the vertex level: it reads the
 Laplacian off d+1 rows of the class map
-(``AssociationScheme.representative_rows``, derived from row 0 for a
-translation scheme) and shares nothing with the
+(``AssociationScheme.representative_rows``: for a translation or pairs
+scheme, the rows that ``verify_scheme`` counted p from, or derived from
+row 0 when it did not keep them) and does not read the
 intersection numbers p^k_ij, so it witnesses them.  Because ``verify_scheme`` certified
 closure, the inverse of L + sJ/N lies in the Bose-Mesner algebra and one
 row decides it: connectivity is decided on the d+1 classes of vertex 0,
@@ -26,11 +27,13 @@ The other three all derive from p: ``spectral`` through the eigenmatrices
 computed in the intersection algebra, ``polynomial`` through one exact solve
 in the power basis of B_1, and ``closed`` through the intersection array.
 Agreement with the oracle is asserted wholesale in the test suite.
+A ``ConductanceVector`` computes its floats once, as it validates its
+values, and the floating engines and ``foster_sum`` read them (``as_floats``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
@@ -55,21 +58,37 @@ STRATUM_SPREAD_TOL = 1e-9
 @dataclass(frozen=True)
 class ConductanceVector:
     """Per-class conductances c_1..c_d (class 0 carries none), held as
-    Fractions.
+    Fractions, and as the read-only floats that ``as_floats`` returns.
 
-    Validated once, on construction: every value is nonnegative and at
-    least one is positive (``ValueError`` otherwise).
+    Validated once, in the loop that computes the floats: each value must
+    be a nonnegative number that ``Fraction`` takes, not a bool, with a
+    finite float, and one must be positive (``ValueError``, naming the
+    index of a bad value).
     """
 
     values: tuple
+    _floats: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        vals = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in self.values)
-        if any(v.numerator < 0 for v in vals):
-            raise ValueError("conductances must be nonnegative")
-        if not any(v.numerator for v in vals):
+        vals, floats = [], []
+        for k, v in enumerate(self.values):
+            try:
+                if isinstance(v, bool):  # Fraction reads True as 1
+                    raise TypeError
+                v = v if isinstance(v, Fraction) else Fraction(v)
+                floats.append(v.numerator / v.denominator)
+            except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+                raise ValueError(f"conductance {k} is not a number with a finite float: "
+                                 f"{self.values[k]!r}") from None
+            if v.numerator < 0:
+                raise ValueError(f"conductances must be nonnegative: conductance {k} is {v}")
+            vals.append(v)
+        if not any(vals):
             raise ValueError("at least one conductance must be positive")
-        object.__setattr__(self, "values", vals)
+        floats = np.array(floats)
+        floats.flags.writeable = False
+        object.__setattr__(self, "values", tuple(vals))
+        object.__setattr__(self, "_floats", floats)
 
     @classmethod
     def coerce(cls, values, d: int) -> "ConductanceVector":
@@ -81,7 +100,7 @@ class ConductanceVector:
         return cond
 
     def as_floats(self) -> np.ndarray:
-        return np.array([v.numerator / v.denominator for v in self.values])
+        return self._floats
 
 
 @dataclass(frozen=True)
@@ -101,6 +120,9 @@ class ResistanceTable:
         return len(self.values)
 
     def value(self, class_index: int):
+        """R on class ``class_index``; ``OutOfRange`` outside 0..d."""
+        if not 0 <= class_index <= self.d:
+            raise OutOfRange(f"class index {class_index} lies outside 0..{self.d}")
         if class_index == 0:
             return Fraction(0) if self.exact else 0.0
         return self.values[class_index - 1]
@@ -280,11 +302,17 @@ def _power_rows(scheme: AssociationScheme) -> list:
     return rows
 
 
-def _fewer_eigenvalues(singular: SingularSystem, dimension: int) -> FewerEigenvalues:
-    """The error for singular power rows, with their exact rank: the number
-    of distinct eigenvalues of A_1."""
+def _singular_power_rows(scheme: AssociationScheme, singular: SingularSystem) -> Exception:
+    """The error for singular power rows W: ``Disconnected`` if the class-1
+    graph is not connected, else ``FewerEigenvalues`` with W's exact rank,
+    the number of distinct eigenvalues of A_1.  W[l][k] counts the walks
+    of l class-1 steps to a fixed vertex of class k, so a class that class
+    1 never reaches is a zero column: a nonsingular W proves connectivity.
+    """
+    if not scheme.relation_connected([1]):
+        return Disconnected("class-1 graph is not connected")
     return FewerEigenvalues(
-        f"A_1 generates a rank-{singular.rank} subalgebra of dimension {dimension}")
+        f"A_1 generates a rank-{singular.rank} subalgebra of dimension {scheme.d + 1}")
 
 
 def polynomial_coefficients(scheme: AssociationScheme) -> PolynomialCoefficients:
@@ -298,9 +326,9 @@ def polynomial_coefficients(scheme: AssociationScheme) -> PolynomialCoefficients
 
     Raises
     ------
-    FewerEigenvalues
-        If the power-expansion matrix is singular, i.e. A_1 has fewer than
-        d+1 distinct eigenvalues and does not generate the algebra.
+    Disconnected, FewerEigenvalues
+        If W is singular, as in ``resistance_polynomial``: A_1 then has
+        fewer than d+1 distinct eigenvalues and does not generate the algebra.
     CertificationFailed
         If W (sC) differs from sI, s the common denominator of C.  Then
         C = W^-1, and rows 0 and 1 of C are e_0 and e_1, since W[0] = e_0
@@ -312,7 +340,7 @@ def polynomial_coefficients(scheme: AssociationScheme) -> PolynomialCoefficients
         inv = rational_solve(rows, [[int(i == j) for j in range(size)]
                                     for i in range(size)])
     except SingularSystem as exc:
-        raise _fewer_eigenvalues(exc, size) from None
+        raise _singular_power_rows(scheme, exc) from None
     c = tuple(tuple(row) for row in inv)
     c_inv = tuple(tuple(Fraction(x) for x in row) for row in rows)
     s = lcm(*(x.denominator for row in c for x in row))
@@ -332,11 +360,7 @@ def resistance_polynomial(scheme: AssociationScheme) -> ResistanceTable:
     residual (``CertificationFailed``).  Building W costs O(kappa_1 d^2)
     (``_power_rows``).
 
-    Connectivity is decided only when W is singular.  W[l][k] counts the
-    walks of l class-1 steps from a vertex to a fixed vertex of its class k,
-    and a reachable class is at most d steps away, so a class that class 1
-    never reaches is a zero column of W: a nonsingular W proves the class-1
-    graph connected.
+    Connectivity is decided only when W is singular (``_singular_power_rows``).
 
     Raises
     ------
@@ -357,19 +381,20 @@ def resistance_polynomial(scheme: AssociationScheme) -> ResistanceTable:
     try:
         x = [row[0] for row in rational_solve(rows, [[v] for v in t])]
     except SingularSystem as exc:
-        if not scheme.relation_connected([1]):
-            raise Disconnected("class-1 graph is not connected") from None
-        raise _fewer_eigenvalues(exc, len(rows)) from None
+        raise _singular_power_rows(scheme, exc) from None
     if any(sum(w * xk for w, xk in zip(row, x)) != v for row, v in zip(rows, t)):
         raise CertificationFailed("power-basis solve leaves a residual W x - t")
     values = tuple(2 * x[m] / (n * scheme.valencies[m]) for m in range(1, d + 1))
     return ResistanceTable(values, method="polynomial", exact=True)
 
 
+#: the entries of ``unit_class_one``, shared by every vector it builds
+_ONE, _ZERO = Fraction(1), Fraction(0)
+
+
 def unit_class_one(scheme: AssociationScheme) -> ConductanceVector:
     """The implicit conductance vector of the polynomial route: c_1 = 1."""
-    return ConductanceVector.coerce(
-        [1] + [0] * (scheme.d - 1), scheme.d)
+    return ConductanceVector.coerce((_ONE,) + (_ZERO,) * (scheme.d - 1), scheme.d)
 
 
 def require_unit_class_one(scheme: AssociationScheme, conductances) -> None:

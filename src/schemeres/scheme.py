@@ -20,9 +20,9 @@ three routes:
   Cohen and Neumaier 1989, section 9.1), and row 0 gives the valencies in
   O(N).
 
-  On both routes no N x N array is built: the class map and the oracle's
-  d+1 rows are views that the realisation derives through its ``row0`` and
-  ``rows``.
+  On both routes no N x N array is built: the class map is a view that
+  the realisation derives through its ``row0`` and ``rows``, and the
+  oracle's d+1 rows are those p was counted from, kept or derived again.
 * a class map (the group-scheme builders; documents; relations A_k by
   hand, as sum_k k A_k): the axioms are checked over all N^2 entries, and
   every entry of A_i A_j is compared with p on exact float64 (BLAS) N x N
@@ -75,8 +75,9 @@ class Translation:
     ``generators`` are r x r integer matrices acting on coordinate columns
     mod m, and the classes are the orbits on G of the group H they generate:
     the pair (x, y) lies in class ``row0[x - y]``.  ``verify_scheme``
-    certifies the generators and derives ``row0``, the orbit labelling
-    (read-only; None before then).  ``rows(xs)`` derives rows of the class
+    certifies the generators, derives ``row0``, the orbit labelling
+    (read-only; None before then), and keeps the representatives r_0..r_d
+    (``_hold_representatives``).  ``rows(xs)`` derives rows of the class
     map without building the rest of it, once ``row0`` is derived.
     """
 
@@ -84,6 +85,8 @@ class Translation:
     rank: int
     generators: tuple = ()
     row0: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    _representatives: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    _representative_rows: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -138,13 +141,15 @@ class Pairs:
     Vertex x is the x-th 2-subset {a, b}, a < b, in lexicographic order
     (``itertools.combinations``, or ``np.triu_indices(points, 1)``), and the
     pair (s, t) lies in class 2 - |s & t|.  ``verify_scheme`` derives
-    ``row0`` (read-only; None before then).  ``rows(xs)`` derives rows of
-    the class map without building the rest of it, once ``row0`` is
-    derived.
+    ``row0`` (read-only; None before then) and keeps the representatives
+    as on a ``Translation``.  ``rows(xs)`` derives rows of the class map
+    without building the rest of it, once ``row0`` is derived.
     """
 
     points: int
     row0: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    _representatives: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    _representative_rows: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -183,7 +188,8 @@ class AssociationScheme:
         access
     relations : int8 matrices A_0..A_d, derived from ``classmap`` on access
     representative_rows : rows r_0..r_d of the class map, r_k the first
-        vertex of class k in row 0 (so r_0 = 0), read or derived on access
+        vertex of class k in row 0 (so r_0 = 0), kept from the count of p
+        (``_hold_representatives``), read or derived on access
     """
 
     n: int
@@ -195,10 +201,12 @@ class AssociationScheme:
 
     @cached_property
     def representative_rows(self) -> np.ndarray:
-        if isinstance(self.realisation, np.ndarray):
-            return self.realisation[np.unique(self.realisation[0], return_index=True)[1]]
-        row0 = self.realisation.row0  # row 0, by symmetry
-        return self.realisation.rows(np.unique(row0, return_index=True)[1])
+        t = self.realisation
+        if isinstance(t, np.ndarray):
+            return t[np.unique(t[0], return_index=True)[1]]
+        if t._representative_rows is not None:
+            return t._representative_rows
+        return t.rows(t._representatives)
 
     @cached_property
     def classmap(self) -> Optional[np.ndarray]:
@@ -338,7 +346,7 @@ def _verify_classmap(classmap) -> tuple:
         raise NotPartition("the class map has no vertices")
     d, valencies = _classmap_axioms(classmap)
     classmap = classmap.astype(_label_dtype(d), copy=False)
-    p = _representative_intersection_numbers(classmap[0], classmap.__getitem__, valencies)
+    p = _representative_intersection_numbers(classmap[0], classmap.__getitem__, valencies)[0]
     _certify_closure(classmap, valencies, p)
     return classmap, valencies, p
 
@@ -393,8 +401,7 @@ def _verify_translation(given: Translation) -> tuple:
     translation = Translation(m, r, tuple(gens))
     object.__setattr__(translation, "row0", row0)
     valencies = _row_zero_axioms(translation.rows(0), row0)
-    return translation, valencies, _representative_intersection_numbers(
-        row0, translation.rows, valencies)
+    return translation, valencies, _hold_representatives(translation, valencies)
 
 
 def _verify_pairs(given: Pairs) -> tuple:
@@ -417,15 +424,28 @@ def _verify_pairs(given: Pairs) -> tuple:
     row0.flags.writeable = False
     object.__setattr__(pairs, "row0", row0)
     valencies = _row_zero_axioms(row0, row0)
-    return pairs, valencies, _representative_intersection_numbers(row0, pairs.rows, valencies)
+    return pairs, valencies, _hold_representatives(pairs, valencies)
 
 
-def _representative_intersection_numbers(row0: np.ndarray, rows, valencies: tuple
-                                        ) -> np.ndarray:
-    """p^k_ij = #{z : class(0, z) = i, class(r_k, z) = j}, with r_k the
-    first vertex of class k in row 0, for a symmetric class map with row 0
-    ``row0`` and rows ``rows(xs)``: a ``Translation`` or ``Pairs`` and its
-    ``rows``, or an (n, n) class map and its ``__getitem__``.
+def _hold_representatives(realisation, valencies: tuple) -> np.ndarray:
+    """Count p for a ``Translation`` or ``Pairs`` with its row 0 derived, and
+    keep on it, read-only, the representatives and, when one block of the
+    count read them all, their rows; a larger scheme derives them on access."""
+    p, reps, counted = _representative_intersection_numbers(
+        realisation.row0, realisation.rows, valencies)
+    for name, value in (("_representatives", reps), ("_representative_rows", counted)):
+        if value is not None:
+            value.flags.writeable = False
+        object.__setattr__(realisation, name, value)
+    return p
+
+
+def _representative_intersection_numbers(row0: np.ndarray, rows, valencies: tuple) -> tuple:
+    """(p, the representatives, their rows or None) for a symmetric class
+    map with row 0 ``row0`` and rows ``rows(xs)``: a ``Translation`` or
+    ``Pairs`` and its ``rows``, or an (n, n) class map and its
+    ``__getitem__``.  p^k_ij = #{z : class(0, z) = i, class(r_k, z) = j},
+    with r_k the first vertex of class k in row 0.
 
     By symmetry class(r_k, z) = class(z, r_k), so that counts the z with
     class(0, z) = i and class(z, y) = j for y = r_k: entry (0, r_k) of
@@ -438,7 +458,7 @@ def _representative_intersection_numbers(row0: np.ndarray, rows, valencies: tupl
     of the class map, so the work is O((d+1) N) and no N x N array is built.
     A block holds as many classes as keep its cells (N a class) within
     ``_ROW_ZERO_BLOCK``, and one class at least; its bins are its slice of
-    p, and a block of every class is p.
+    p, and a block of every class is p, returned with the rows it read.
     """
     n, d = len(row0), len(valencies) - 1
     reps = np.unique(row0, return_index=True)[1]
@@ -447,17 +467,18 @@ def _representative_intersection_numbers(row0: np.ndarray, rows, valencies: tupl
     p = None
     for k0 in range(0, d + 1, step):
         width = min(step, d + 1 - k0)
+        block = rows(reps[k0:k0 + width])
         # [k, z] counts in bin (i (d+1) + j) width + k - k0
-        cells = (left + rows(reps[k0:k0 + width])) * width
+        cells = (left + block) * width
         cells += np.arange(width)[:, None]
         counts = np.bincount(cells.ravel(), minlength=(d + 1) ** 2 * width
                              ).reshape(d + 1, d + 1, width)
         if width == d + 1:
-            return counts
+            return counts, reps, block
         if p is None:
             p = np.empty((d + 1, d + 1, d + 1), dtype=np.int64)
         p[:, :, k0:k0 + width] = counts
-    return p
+    return p, reps, None
 
 
 def _classmap_axioms(classmap: np.ndarray) -> tuple:
@@ -666,6 +687,8 @@ def spectral_data(scheme: AssociationScheme) -> SpectralData:
     m_k = N / sum_l P[k, l]^2 / kappa_l.  Only (d+1) x (d+1) matrices are
     touched: p is read in slices of classes i, and contracted with the
     weights by a buffered ``einsum``, so no (d+1)^3 temporary is built.
+    The first draw and the weights of ``_certify_eigenspaces`` share one
+    pass over p; a later draw, needed only after a small gap, takes its own.
 
     Eigenspace 0 is the span of the all-ones vector; the remaining
     eigenspaces are ordered by decreasing eigenvalue on A_1 (ties broken by
@@ -690,10 +713,14 @@ def spectral_data(scheme: AssociationScheme) -> SpectralData:
             raise NotClosed("kappa_k p^k_ij != kappa_j p^j_ik for some i, j, k")
     ratio = np.sqrt(kappa / kappa[:, None])  # [j, k] = sqrt(kappa_k / kappa_j)
 
+    draws = tuple(_weight_draws(d + 1))
+    # [0] = the first draw's sum_i w_i B_i^T, [1] = the certificate's B_w^T
+    first, certificate = np.einsum(
+        "wi,ijk->wjk", np.stack((draws[0], _certificate_weights(d + 1))), scheme.p)
     widest = 0.0
-    for weights in _weight_draws(d + 1):
+    for attempt, weights in enumerate(draws):
         # S[j, k] = sum_i w_i p^k_ij sqrt(kappa_k / kappa_j), symmetric by the check above
-        combo = np.einsum("i,ijk->jk", weights, scheme.p) * ratio
+        combo = (np.einsum("i,ijk->jk", weights, scheme.p) if attempt else first) * ratio
         values, vectors = np.linalg.eigh((combo + combo.T) / 2)  # symmetric to the last bit
         scale = max(1.0, float(np.abs(values).max()))
         gap = float(np.diff(values).min(initial=np.inf)) / scale
@@ -722,7 +749,7 @@ def spectral_data(scheme: AssociationScheme) -> SpectralData:
     q_matrix = q_matrix.T / kappa[:, None]      # Q[l, j] = m_j P[j, l] / kappa_l
 
     data = SpectralData(p_matrix, q_matrix, multiplicities, scheme)
-    _validate_spectral(scheme, data)
+    _validate_spectral(scheme, data, certificate)
     return data
 
 
@@ -737,14 +764,14 @@ def _eigenspace_order(raw_p: np.ndarray, kappa: np.ndarray) -> np.ndarray:
     return np.concatenate(([k0], order[order != k0]))
 
 
-def _validate_spectral(scheme: AssociationScheme, data: SpectralData) -> None:
+def _validate_spectral(scheme: AssociationScheme, data: SpectralData, combo: np.ndarray) -> None:
     """Certify the tables against the exact intersection numbers.
 
     The multiplicities must sum to N with m_0 = 1, P Q = N I, eigenspace 0
     must be J/N, and row 0 of P must list the valencies (column 0 is
     kappa_0 q_0 / q_0 = 1.0 exactly, or a NaN row whose multiplicity is
     rejected); then ``_certify_eigenspaces`` checks every column of Q
-    against p.
+    against p, given its ``combo``.
     """
     n, d = scheme.n, scheme.d
     P, Q = data.p_matrix, data.q_matrix
@@ -756,10 +783,11 @@ def _validate_spectral(scheme: AssociationScheme, data: SpectralData) -> None:
         raise DegenerateSplit("eigenspace 0 is not J/N")
     if np.abs(P[0] - np.array(scheme.valencies)).max() > 1e-7:
         raise DegenerateSplit("row 0 of P does not list the valencies")
-    _certify_eigenspaces(scheme, data)
+    _certify_eigenspaces(scheme, data, combo)
 
 
-def _certify_eigenspaces(scheme: AssociationScheme, data: SpectralData) -> None:
+def _certify_eigenspaces(scheme: AssociationScheme, data: SpectralData,
+                         combo: np.ndarray) -> None:
     """Certify A_j E_k = P[k, j] E_k for every j and k, in O(d^3).
 
     Read in the class basis, A_j E_k = P[k, j] E_k is
@@ -771,14 +799,13 @@ def _certify_eigenspaces(scheme: AssociationScheme, data: SpectralData) -> None:
     some j fails for B_w unless w lies on a hyperplane, a set of measure
     zero (the idea of Freivalds' check, *Proc. MFCS* 1977).  The tolerance
     is 1e-7 max(1, max kappa), not scaled by w.  On failure, the residual of
-    every B_j names the worst j and k.
+    every B_j names the worst j and k.  ``combo`` is B_w^T, with [i, l] =
+    (B_w)[l, i] as (B_j)[l, i] = p[j, i, l], from ``spectral_data``.
     """
     n, P = scheme.n, data.p_matrix
     coeffs = data.q_matrix / n  # column k holds the class coefficients of E_k
     tol = 1e-7 * max(1.0, float(max(scheme.valencies)))
     weights = _certificate_weights(scheme.d + 1)
-    # [i, l] = (B_w)[l, i], since (B_j)[l, i] = p[j, i, l]
-    combo = np.einsum("j,jil->il", weights, scheme.p)
     residual = coeffs.T @ combo  # [k, l] = (B_w E_k)_l
     residual -= (P @ weights)[:, None] * coeffs.T
     if np.abs(residual).max() > tol:

@@ -567,7 +567,7 @@ class TestAutomorphismRoute:
         tracemalloc.start()
         try:
             p = scheme_module._representative_intersection_numbers(
-                classmap[0], classmap.__getitem__, scheme.valencies)
+                classmap[0], classmap.__getitem__, scheme.valencies)[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -199,9 +199,11 @@ class TestInfinite:
     ["resist", "s4", "--conductances", "1,0,0"],
     ["resist", "s4", "--conductances=-1,0,0,0"],
     ["resist", "s4", "--conductances", "0,0,0,0"],
+    ["resist", "s4", "--conductances", "1e400,0,0,0"],
     ["infinite", "line", "--l", "-1"],
     ["infinite", "square", "--l", "0", "0"],
-], ids=["wrong-count", "negative", "all-zero", "negative-separation", "zero-separation"])
+], ids=["wrong-count", "negative", "all-zero", "no-finite-float", "negative-separation",
+        "zero-separation"])
 def test_invalid_values_are_bad_parameters(argv, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error [BadParameter]: ")

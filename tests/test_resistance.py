@@ -169,6 +169,35 @@ class TestConductanceVector:
         floats = cond.as_floats()
         assert floats.dtype == np.float64
         assert floats.tolist() == [float(v) for v in values]
+        # one shared read-only view, byte-equal to the floats once built per call
+        assert cond.as_floats() is floats and not floats.flags.writeable
+        former = np.array([v.numerator / v.denominator for v in cond.values])
+        assert floats.tobytes() == former.tobytes()
+
+    @pytest.mark.parametrize("values, index", [
+        ((1, float("inf")), 1), ((float("-inf"),), 0), ((float("nan"), 1), 0),
+        ((None, 1), 0), ((True, 0), 0), ((1, np.True_), 1), ((0, 1, "1/0"), 2),
+        ((1, "one"), 1), ((F(10 ** 400), 1), 0), ((1, [1]), 1)])
+    def test_bad_value_named(self, values, index):
+        with pytest.raises(ValueError, match=f"^conductance {index} is not a number"):
+            sr.ConductanceVector(values)
+
+    def test_negative_value_named(self):
+        with pytest.raises(ValueError, match="^conductances must be nonnegative: "
+                                             "conductance 1 is -1/2$"):
+            sr.ConductanceVector((1, F(-1, 2)))
+
+
+class TestTableValue:
+    def test_index_outside_classes(self, cycle8):
+        # a negative index used to read another class: value(-1) was R(3)
+        for table in (sr.resistance_oracle(cycle8, sr.unit_class_one(cycle8)),
+                      sr.resistance_polynomial(cycle8)):
+            assert table.value(0) == 0 and table.value(4) == table.values[3]
+            for index in (-1, -4, -5, 5, 100):
+                with pytest.raises(OutOfRange,
+                                   match=rf"^class index {index} lies outside 0\.\.4$"):
+                    table.value(index)
 
 
 class TestOracle:
@@ -391,6 +420,25 @@ class TestRowZeroOracle:
         for route in (scheme, bare):  # verified with and without generators
             with pytest.raises(Disconnected, match=message):
                 sr.resistance_oracle(route, c)
+
+    @pytest.mark.parametrize("name", ROW_ZERO_SCHEMES)
+    def test_held_rows_give_the_derived_rows_table(self, name):
+        # the rows verify_scheme kept from the count of p give, bit for bit,
+        # the table of rows derived again from row 0
+        scheme = row_zero_scheme(name)
+        t = scheme.realisation
+        if isinstance(t, np.ndarray):
+            rows = t[np.unique(t[0], return_index=True)[1]]
+        else:
+            rows = t.rows(np.unique(t.row0, return_index=True)[1])
+        derived = dataclasses.replace(scheme)
+        derived.__dict__["representative_rows"] = rows
+        rng = np.random.default_rng(2727)
+        cases = [sr.unit_class_one(scheme)]
+        cases += [random_rational_conductances(scheme, rng) for _ in range(3)]
+        for c in cases:
+            held, again = sr.resistance_oracle(scheme, c), sr.resistance_oracle(derived, c)
+            assert [v.hex() for v in held.values] == [v.hex() for v in again.values]
 
     def test_scaled_hypercube6_still_fails(self):
         scheme = row_zero_scheme("hypercube6")
@@ -728,6 +776,16 @@ class TestPolynomialErrorOrder:
         table = sr.resistance_polynomial(scheme)
         assert table.values == contraction_table(scheme)
         assert sr.foster_sum(scheme, sr.unit_class_one(scheme), table).passed
+
+    @pytest.mark.parametrize("name", ["2xK3", "2xK4", "2xK5", "square4"])
+    def test_entry_points_type_a_disconnected_class_one_alike(self, name):
+        scheme = relabelled_scheme(name)
+        if name == "square4":  # the (2,2) class, a perfect matching, moved to class 1
+            scheme = class_moved_to_one(scheme, scheme.class_names.index("(2,2)"))
+        assert not nxn_relation_connected(scheme, [1])
+        for engine in (sr.polynomial_coefficients, sr.resistance_polynomial):
+            with pytest.raises(Disconnected, match="^class-1 graph is not connected$"):
+                engine(scheme)
 
 
 class TestClosedForms:

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import schemeres as sr
 from schemeres import scheme as scheme_module
-from schemeres.cli import main
+from schemeres.cli import main, make_preset_scheme
 from schemeres.errors import (
     BadParameter,
     DegenerateSplit,
@@ -816,7 +816,7 @@ class TestPackedVerifier:
         valencies = (1, 3, 2, 6)
         assert scheme_module._classmap_axioms(prism) == (3, valencies)
         p = scheme_module._representative_intersection_numbers(prism[0], prism.__getitem__,
-                                                               valencies)
+                                                               valencies)[0]
         with pytest.raises(NotClosed, match=r"^A_1 A_1 is outside the span"):
             scheme_module._certify_closure(prism, valencies, p)
         with pytest.raises(NotClosed, match=r"^A_1 A_1 is outside the span"):
@@ -845,7 +845,7 @@ class TestPackedVerifier:
         valencies = (1, 1, 2, 2, 2, 2, 2, 12)
         assert (max(valencies) + 1) ** 8 <= 2 ** 53
         p = scheme_module._representative_intersection_numbers(classmap[0],
-                                                               classmap.__getitem__, valencies)
+                                                               classmap.__getitem__, valencies)[0]
         with pytest.raises(NotClosed, match=r"^A_1 A_[2356] "):
             scheme_module._certify_closure(classmap, valencies, p)
 
@@ -1114,7 +1114,7 @@ class TestTranslationRoute:
         classmap = scheme.classmap
         monkeypatch.setattr(scheme_module, "_ROW_ZERO_BLOCK", 3 * scheme.n)
         counted = scheme_module._representative_intersection_numbers(
-            classmap[0], classmap.__getitem__, scheme.valencies)
+            classmap[0], classmap.__getitem__, scheme.valencies)[0]
         assert counted.tobytes() == scheme.p.tobytes()
 
     @pytest.mark.parametrize("extra", [np.zeros((16, 16), dtype=np.int64)], ids=["singular"])
@@ -1140,6 +1140,56 @@ class TestTranslationRoute:
         t = fusion_base("cycle12").realisation
         with pytest.raises(TypeError, match="automorphisms"):
             sr.verify_scheme(t, automorphisms=[(np.arange(12) + 1) % 12])
+
+
+#: resist-pipeline presets and the ladders of the translation and pairs routes
+HELD_SCHEMES = (
+    [("s4", {}), ("s4-refined-a", {}), ("s4-refined-b", {}), ("z5z5", {})]
+    + [("square", {"m": m}) for m in (3, 4, 9, 12)]
+    + [("hexagonal", {"m": m}) for m in (4, 9, 12)]
+    + [("hypercube", {"n": n}) for n in range(1, 13)]
+    + [("triangular", {"n": n}) for n in range(4, 31)]
+    + [("cycle", {"n": n}) for n in range(4, 65, 2)])
+
+
+class TestHeldRepresentatives:
+    """``verify_scheme`` keeps the representatives, and the rows that p was
+    counted from, on a ``Translation`` or ``Pairs``; they are what deriving
+    them again would give."""
+
+    @pytest.mark.parametrize("reload", [False, True], ids=["built", "reloaded"])
+    @pytest.mark.parametrize("name, size", HELD_SCHEMES,
+                             ids=[f"{name}{''.join(map(str, size.values()))}"
+                                  for name, size in HELD_SCHEMES])
+    def test_rows_are_those_derived_again(self, name, size, reload):
+        scheme = make_preset_scheme(name, **size)
+        if reload:
+            scheme = sr.scheme_from_dict(json.loads(json.dumps(sr.scheme_to_dict(scheme))))
+        t = scheme.realisation
+        if isinstance(t, np.ndarray):  # a class map keeps nothing but itself
+            reps = np.unique(t[0], return_index=True)[1]
+            assert scheme.representative_rows.tobytes() == t[reps].tobytes()
+            return
+        reps = np.unique(t.row0, return_index=True)[1]
+        assert t._representatives.tobytes() == reps.tobytes()
+        derived = t.rows(reps)
+        held = scheme.representative_rows
+        assert (held.dtype, held.shape) == (derived.dtype, derived.shape)
+        assert held.tobytes() == derived.tobytes()
+        one_block = (scheme.d + 1) * scheme.n <= scheme_module._ROW_ZERO_BLOCK
+        assert (t._representative_rows is held) == one_block
+        assert (t._representative_rows is None) == (not one_block)
+        assert not t._representatives.flags.writeable
+        if name in ("square", "hexagonal"):  # named after r_k by _orbit_scheme
+            m = size["m"]
+            assert scheme.class_names == tuple(f"({x // m},{x % m})" for x in reps)
+
+    def test_hypercube16_keeps_no_rows(self):
+        scheme = sr.build_hypercube(16)
+        t = scheme.realisation
+        assert t._representative_rows is None
+        assert t._representatives.tolist() == [2 ** k - 1 for k in range(17)]
+        assert scheme.representative_rows.tobytes() == t.rows(t._representatives).tobytes()
 
 
 def overlap_classmap(points):
@@ -1285,7 +1335,7 @@ class TestSpectralRoute:
         bad = dataclasses.replace(data, p_matrix=np.linalg.solve(mix, data.p_matrix),
                                   q_matrix=data.q_matrix @ mix)
         with pytest.raises(DegenerateSplit, match=r"A_\d+ E_([12]) != P\[\1,\d+\] E_\1"):
-            scheme_module._validate_spectral(s4, bad)
+            scheme_module._validate_spectral(s4, bad, certificate_of(s4))
 
 
 def mixed_eigenspaces(scheme, data):
@@ -1297,9 +1347,15 @@ def mixed_eigenspaces(scheme, data):
                                q_matrix=data.q_matrix @ mix)
 
 
+def certificate_of(scheme):
+    """B_w^T of ``_certify_eigenspaces``, as ``spectral_data`` contracts it."""
+    weights = scheme_module._certificate_weights(scheme.d + 1)
+    return np.einsum("j,jil->il", weights, scheme.p)
+
+
 def certificate_accepts(scheme, data):
     try:
-        scheme_module._certify_eigenspaces(scheme, data)
+        scheme_module._certify_eigenspaces(scheme, data, certificate_of(scheme))
     except DegenerateSplit:
         return False
     return True
@@ -1342,7 +1398,7 @@ class TestSeededCertificate:
                     continue
                 with pytest.raises(DegenerateSplit,
                                    match=rf"^A_{j} E_{k} != P\[{k},{j}\] E_{k} at tolerance$"):
-                    scheme_module._certify_eigenspaces(scheme, bad)
+                    scheme_module._certify_eigenspaces(scheme, bad, certificate_of(scheme))
                 named += 1
         assert named >= scheme.d
 
