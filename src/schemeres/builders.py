@@ -42,13 +42,14 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import (
+    BadParameter,
     NotAmbivalent,
     NotLatinSquare,
     OddOrder,
     TooLarge,
     TooSmall,
 )
-from .scheme import AssociationScheme, Pairs, Translation, verify_scheme
+from .scheme import AssociationScheme, Pairs, Translation, _is_integer, verify_scheme
 
 
 # --------------------------------------------------------------------------
@@ -231,6 +232,8 @@ def build_s4_scheme(partition: str = "conjugacy") -> AssociationScheme:
 
 def build_cycle(n: int) -> AssociationScheme:
     """Cycle C_n with n = 2k vertices; classes are the k graph distances."""
+    if not _is_integer(n):  # a float would reach the class names untyped
+        raise BadParameter(f"cycle scheme needs an integer number of vertices, not {n!r}")
     if n % 2 != 0:
         raise OddOrder("cycle scheme is built for an even number of vertices")
     if n < 4:
@@ -241,6 +244,8 @@ def build_cycle(n: int) -> AssociationScheme:
 
 def build_hypercube(n: int) -> AssociationScheme:
     """Binary Hamming scheme H(n, 2); classes are Hamming distances."""
+    if not _is_integer(n):  # a float would reach the class names untyped
+        raise BadParameter(f"hypercube needs an integer n, not {n!r}")
     if n < 1:
         raise TooSmall("hypercube needs n >= 1")
     if n > 20:
@@ -314,11 +319,10 @@ def _orbit_scheme(m: int, generators) -> AssociationScheme:
     ``verify_scheme`` numbers the orbits in order of their least point
     (a, b), by code a m + b, which puts (0,0) first and the orbit of (0,1)
     second; each class is named after that point, its first vertex in
-    row 0, which ``verify_scheme`` keeps on the translation.
+    row 0, the representative that p was counted at.
     """
     scheme = verify_scheme(Translation(m, 2, generators))
-    reps = scheme.realisation._representatives
-    names = tuple(f"({a},{b})" for a, b in zip(*np.divmod(reps, m)))
+    names = tuple(f"({a},{b})" for a, b in zip(*np.divmod(scheme.representatives, m)))
     return replace(scheme, class_names=names)
 
 

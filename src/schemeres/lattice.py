@@ -16,6 +16,7 @@ import numpy as np
 
 from .builders import hexagonal_point_group, orbit_of, square_point_group
 from .errors import QuadratureNotConverged
+from .scheme import _is_integer
 
 _POINT_GROUPS = {
     "square": square_point_group,
@@ -41,10 +42,11 @@ def infinite_line_resistance(l: int, tol: float = 1e-10,
 
     Evaluates (1/2pi) * integral of (1 - cos(l x)) / (1 - cos x) over one
     period with composite-Simpson panel doubling and Richardson stopping.
-    With ``with_error`` returns (value, error_estimate).
+    With ``with_error`` returns (value, error_estimate).  ``l`` must be a
+    nonnegative integer, not a bool or float (``ValueError``).
     """
-    if l < 0:
-        raise ValueError("separation must be a nonnegative integer")
+    if not _is_integer(l) or l < 0:
+        raise ValueError(f"separation must be a nonnegative integer, not {l!r}")
     if l == 0:
         return (0.0, 0.0) if with_error else 0.0
 
@@ -96,11 +98,15 @@ def infinite_lattice_resistance(kind: str, l1: int, l2: int,
 
     Raises
     ------
+    ValueError
+        If ``kind`` is unknown, or l1 and l2 are not integers or are both 0.
     QuadratureNotConverged
         If successive grid doublings fail to settle below ``tol``.
     """
     if kind not in _POINT_GROUPS:
         raise ValueError(f"unknown lattice kind {kind!r}")
+    if not (_is_integer(l1) and _is_integer(l2)):
+        raise ValueError(f"separation must be integers, not ({l1!r}, {l2!r})")
     if (l1, l2) == (0, 0):
         raise ValueError("separation (0, 0) has zero resistance by definition")
     mats = _POINT_GROUPS[kind]()
@@ -133,10 +139,12 @@ def finite_lattice_resistance_formula(m: int, l1: int, l2: int,
 
     Sums (kappa_l - lambda_l(chi)) / (kappa_1 - lambda_1(chi)) over all
     nonzero characters chi of Z_m x Z_m; independent of the generic
-    eigendecomposition machinery, for cross-validation.
+    eigendecomposition machinery, for cross-validation.  m, l1 and l2 must
+    be integers, not bools or floats, and m >= 3 (``ValueError``).
     """
-    if m < 3:
-        raise ValueError("finite lattice needs period m >= 3")
+    if not (_is_integer(m) and _is_integer(l1) and _is_integer(l2)) or m < 3:
+        raise ValueError(f"finite lattice needs integers l1, l2 and period m >= 3, "
+                         f"not {l1!r}, {l2!r} and {m!r}")
     if kind not in _POINT_GROUPS:
         raise ValueError(f"unknown lattice kind {kind!r}")
     if (l1 % m, l2 % m) == (0, 0):

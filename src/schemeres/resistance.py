@@ -10,10 +10,8 @@ underlying resistor network:
   exact rationals (distance-regular networks, every stratum).
 
 ``oracle`` is the only engine that works at the vertex level: it reads the
-Laplacian off d+1 rows of the class map
-(``AssociationScheme.representative_rows``: for a translation or pairs
-scheme, the rows that ``verify_scheme`` counted p from, or derived from
-row 0 when it did not keep them) and does not read the
+Laplacian off d+1 rows of the class map, those p was counted from
+(``AssociationScheme.representative_rows``), and does not read the
 intersection numbers p^k_ij, so it witnesses them.  Because ``verify_scheme`` certified
 closure, the inverse of L + sJ/N lies in the Bose-Mesner algebra and one
 row decides it: connectivity is decided on the d+1 classes of vertex 0,
@@ -40,6 +38,7 @@ from math import lcm
 import numpy as np
 
 from .errors import (
+    BadParameter,
     CertificationFailed,
     Disconnected,
     FewerEigenvalues,
@@ -237,6 +236,8 @@ def resistance_spectral(scheme: AssociationScheme, spectral: SpectralData,
 
     Raises
     ------
+    BadParameter
+        If ``spectral`` does not list d+1 multiplicities summing to N.
     ZeroDenominator
         If some D_k vanishes relative to the conductance scale
         sum_i c_i kappa_i (the conductance support is disconnected).
@@ -244,9 +245,13 @@ def resistance_spectral(scheme: AssociationScheme, spectral: SpectralData,
     cond = ConductanceVector.coerce(conductances, scheme.d)
     c = cond.as_floats()
     n, d = scheme.n, scheme.d
+    mults = spectral.multiplicities
+    if len(mults) != d + 1 or sum(mults) != n:
+        raise BadParameter(f"spectral data of {len(mults)} eigenspaces on {sum(mults)} "
+                           f"vertices do not fit a scheme with d = {d} on {n} vertices")
     kappa = np.array(scheme.valencies, dtype=float)
     p = spectral.p_matrix
-    mults = np.array(spectral.multiplicities, dtype=float)
+    mults = np.array(mults, dtype=float)
 
     denoms = ((kappa[1:] - p[1:, 1:]) * c).sum(axis=1)  # index k-1
     small = np.abs(denoms) <= 1e-12 * float(c @ kappa[1:])
@@ -420,14 +425,20 @@ def drg_closed_table(array: IntersectionArray, n_vertices: int) -> ResistanceTab
     Raises
     ------
     ValueError
-        If an array entry is not positive or the valency chain is infeasible.
+        If b and c differ in length, an entry is not positive, the valency
+        chain is infeasible, or ``n_vertices`` is not the valencies' sum.
     """
+    if len(array.b) != len(array.c):
+        raise ValueError(f"intersection array lists {len(array.b)} b_i and {len(array.c)} c_i")
     if any(x <= 0 for x in array.b) or any(x <= 0 for x in array.c):
         raise ValueError("intersection array entries must be positive")
+    valencies = array.valencies()
+    if n_vertices != sum(valencies):
+        raise ValueError(f"the intersection array has {sum(valencies)} vertices, not {n_vertices}")
     remaining = n_vertices
     total = Fraction(0)
     values = []
-    for kappa_i, b_i in zip(array.valencies(), array.b):
+    for kappa_i, b_i in zip(valencies, array.b):
         remaining -= kappa_i
         total += Fraction(2 * remaining, n_vertices * kappa_i * b_i)
         values.append(total)

@@ -21,8 +21,7 @@ three routes:
   O(N).
 
   On both routes no N x N array is built: the class map is a view that
-  the realisation derives through its ``row0`` and ``rows``, and the
-  oracle's d+1 rows are those p was counted from, kept or derived again.
+  the realisation derives through its ``row0`` and ``rows``.
 * a class map (the group-scheme builders; documents; relations A_k by
   hand, as sum_k k A_k): the axioms are checked over all N^2 entries, and
   every entry of A_i A_j is compared with p on exact float64 (BLAS) N x N
@@ -33,17 +32,19 @@ three routes:
   O((d+1)^2 N^3 / run) work, and the only proof for an arbitrary map.
 
 On every route p^k_ij is counted at one representative r_k per class,
-#{z : class(0, z) = i, class(r_k, z) = j}, in O((d+1) N)
-(``_representative_intersection_numbers``).  Of the axioms, a translation
-scheme can break only symmetry, with the error the class-map route gives on
-its class map, and a pairs scheme none.  The closure they certify is all
-that the oracle (``resistance.resistance_oracle``) needs to solve from row
-0; it does not need the generators.  Everything after verification reads p
-alone: ``spectral_data`` takes P, Q and the multiplicities from one
-eigendecomposition of a generic element of the (d+1)-dimensional
-intersection algebra and certifies them with one seeded combination of the
-B_j in O(d^3), and ``check_distance_regular`` reads the intersection array
-off p.
+#{z : class(0, z) = i, class(r_k, z) = j}, in O((d+1) N), by one call in
+``verify_scheme`` (``_representative_intersection_numbers``).  The scheme
+keeps r_0..r_d, and their rows when one block counted them all, for the
+oracle; the realisation keeps only its definition.  Of the axioms, a
+translation scheme can break only symmetry, with the error the class-map
+route gives on its class map, and a pairs scheme none.  The closure they
+certify is all that the oracle (``resistance.resistance_oracle``) needs to
+solve from row 0; it does not need the generators.  Everything after
+verification reads p alone: ``spectral_data`` takes P, Q and the
+multiplicities from one eigendecomposition of a generic element of the
+(d+1)-dimensional intersection algebra and certifies them with one seeded
+combination of the B_j in O(d^3), and ``check_distance_regular`` reads the
+intersection array off p.
 """
 
 from __future__ import annotations
@@ -75,9 +76,8 @@ class Translation:
     ``generators`` are r x r integer matrices acting on coordinate columns
     mod m, and the classes are the orbits on G of the group H they generate:
     the pair (x, y) lies in class ``row0[x - y]``.  ``verify_scheme``
-    certifies the generators, derives ``row0``, the orbit labelling
-    (read-only; None before then), and keeps the representatives r_0..r_d
-    (``_hold_representatives``).  ``rows(xs)`` derives rows of the class
+    certifies the generators and derives ``row0``, the orbit labelling
+    (read-only; None before then).  ``rows(xs)`` derives rows of the class
     map without building the rest of it, once ``row0`` is derived.
     """
 
@@ -85,12 +85,6 @@ class Translation:
     rank: int
     generators: tuple = ()
     row0: Optional[np.ndarray] = field(default=None, init=False, repr=False)
-    _representatives: Optional[np.ndarray] = field(default=None, init=False, repr=False)
-    _representative_rows: Optional[np.ndarray] = field(default=None, init=False, repr=False)
-
-    @property
-    def n(self) -> int:
-        return self.modulus ** self.rank
 
     def rows(self, xs) -> np.ndarray:
         """Rows ``xs`` (a vertex or a 1-D array of them) of the class map.
@@ -106,7 +100,7 @@ class Translation:
         xs = np.asarray(xs)
         m, r = self.modulus, self.rank
         if m == 2:  # digit-wise subtraction is exclusive or: one step, not r
-            return self.row0[xs[..., None] ^ np.arange(self.n)]
+            return self.row0[xs[..., None] ^ np.arange(len(self.row0))]
         places = m ** np.arange(r - 1, -1, -1)
         # [..., t, z_t] = digit t of x - z
         digits = (xs[..., None, None] // places[:, None] - np.arange(m)) % m
@@ -114,24 +108,6 @@ class Translation:
         for t in range(1, r):
             index = (index[..., :, None] * m + digits[..., t, None, :]).reshape(xs.shape + (-1,))
         return self.row0[index]
-
-    def image(self, h: np.ndarray) -> np.ndarray:
-        """The vertex h z of every vertex z, for an r x r integer matrix h.
-
-        The coordinates of a block of points are multiplied by h mod m in a
-        float64 product, which is exact: every entry and partial sum stays
-        an integer at most r (m-1)^2, which ``verify_scheme`` requires to be
-        below 2**53.
-        """
-        m, r = self.modulus, self.rank
-        places = m ** np.arange(r - 1, -1, -1)
-        h = (h % m).astype(np.float64)
-        out = np.empty(self.n, dtype=np.intp)
-        step = max(1, _ROW_ZERO_BLOCK // r)
-        for z0 in range(0, self.n, step):
-            coords = np.arange(z0, min(z0 + step, self.n)) // places[:, None] % m  # [s, z]
-            out[z0:z0 + coords.shape[1]] = places @ ((h @ coords).astype(np.intp) % m)
-        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,19 +117,12 @@ class Pairs:
     Vertex x is the x-th 2-subset {a, b}, a < b, in lexicographic order
     (``itertools.combinations``, or ``np.triu_indices(points, 1)``), and the
     pair (s, t) lies in class 2 - |s & t|.  ``verify_scheme`` derives
-    ``row0`` (read-only; None before then) and keeps the representatives
-    as on a ``Translation``.  ``rows(xs)`` derives rows of the class map
-    without building the rest of it, once ``row0`` is derived.
+    ``row0`` (read-only; None before then).  ``rows(xs)`` derives rows of
+    the class map without building the rest of it, once ``row0`` is derived.
     """
 
     points: int
     row0: Optional[np.ndarray] = field(default=None, init=False, repr=False)
-    _representatives: Optional[np.ndarray] = field(default=None, init=False, repr=False)
-    _representative_rows: Optional[np.ndarray] = field(default=None, init=False, repr=False)
-
-    @property
-    def n(self) -> int:
-        return self.points * (self.points - 1) // 2
 
     def rows(self, xs) -> np.ndarray:
         """Rows ``xs`` (a vertex or a 1-D array of them) of the class map,
@@ -187,9 +156,9 @@ class AssociationScheme:
     classmap : that array, derived from a ``Translation`` or ``Pairs`` on
         access
     relations : int8 matrices A_0..A_d, derived from ``classmap`` on access
-    representative_rows : rows r_0..r_d of the class map, r_k the first
-        vertex of class k in row 0 (so r_0 = 0), kept from the count of p
-        (``_hold_representatives``), read or derived on access
+    representatives : r_0..r_d (read-only), r_k the first vertex of class k
+        in row 0, where p was counted; ``representative_rows`` are their rows,
+        kept from a one-block count (``_counted_rows``) or derived on access
     """
 
     n: int
@@ -198,15 +167,17 @@ class AssociationScheme:
     p: np.ndarray
     realisation: object
     class_names: tuple
+    representatives: np.ndarray
+    _counted_rows: Optional[np.ndarray] = field(default=None, repr=False)
 
     @cached_property
     def representative_rows(self) -> np.ndarray:
+        if self._counted_rows is not None:
+            return self._counted_rows
         t = self.realisation
         if isinstance(t, np.ndarray):
-            return t[np.unique(t[0], return_index=True)[1]]
-        if t._representative_rows is not None:
-            return t._representative_rows
-        return t.rows(t._representatives)
+            return t[self.representatives]
+        return t.rows(self.representatives)
 
     @cached_property
     def classmap(self) -> Optional[np.ndarray]:
@@ -275,11 +246,11 @@ def verify_scheme(given, class_names: Optional[Union[list, tuple]] = None) -> As
 
     The axioms are certified on one of three routes:
 
-    * a ``Translation`` needs m >= 2, r >= 1 and r (m-1)^2 < 2^53, and
-      r x r integer generators, each a bijection of G mod m.  Row 0, the
-      orbit labelling they derive, proves the axioms in
-      O(N |gens| + (d+1) N) (see ``_verify_translation``); the class map is
-      derived on access, never built here.
+    * a ``Translation`` needs integers m >= 2 and r >= 1 (not bools or
+      floats) with r (m-1)^2 < 2^53, and r x r integer generators, each a
+      bijection of G mod m.  Row 0, the orbit labelling they derive, proves
+      the axioms in O(N |gens| + (d+1) N) (see ``_verify_translation``); the
+      class map is derived on access, never built here.
     * a ``Pairs`` needs an integer ``points`` >= 2, not a bool.  Its classes
       are the orbitals of Sym(points), so the axioms hold by construction;
       row 0 gives the valencies in O(N) (see ``_verify_pairs``), and the
@@ -289,8 +260,8 @@ def verify_scheme(given, class_names: Optional[Union[list, tuple]] = None) -> As
       sum_i ceil((d+1-i) / run) packed N x N products
       (``_certify_closure``).
 
-    On every route p is counted at the representatives of the classes in
-    O((d+1) N) (``_representative_intersection_numbers``).
+    On every route p is then counted at the representatives of the classes
+    in O((d+1) N) (``_representative_intersection_numbers``).
 
     Raises
     ------
@@ -310,11 +281,17 @@ def verify_scheme(given, class_names: Optional[Union[list, tuple]] = None) -> As
         the first), or does not name d+1 classes.
     """
     if isinstance(given, Translation):
-        realisation, valencies, p = _verify_translation(given)
+        realisation, valencies = _verify_translation(given)
     elif isinstance(given, Pairs):
-        realisation, valencies, p = _verify_pairs(given)
+        realisation, valencies = _verify_pairs(given)
     else:
-        realisation, valencies, p = _verify_classmap(given)
+        realisation, valencies = _verify_classmap(given)
+    dense = isinstance(realisation, np.ndarray)
+    p, reps, counted = _representative_intersection_numbers(
+        realisation[0] if dense else realisation.row0,
+        realisation.__getitem__ if dense else realisation.rows, valencies)
+    if dense:  # a class map is closed only once each A_i A_j matches p
+        _certify_closure(realisation, valencies, p)
     n, d = sum(valencies), len(valencies) - 1
 
     if class_names is None:
@@ -330,11 +307,11 @@ def verify_scheme(given, class_names: Optional[Union[list, tuple]] = None) -> As
         raise BadParameter(f"class_names length must be d+1 = {d + 1}, not {len(names)}")
 
     return AssociationScheme(n=n, d=d, valencies=valencies, p=p, realisation=realisation,
-                             class_names=names)
+                             class_names=names, representatives=reps, _counted_rows=counted)
 
 
 def _verify_classmap(classmap) -> tuple:
-    """(class map, valencies, p) on the class-map route of ``verify_scheme``.
+    """(class map, valencies) on the class-map route of ``verify_scheme``.
 
     The axioms are checked on the given dtype, so that no label is narrowed
     before it is certified.
@@ -345,10 +322,7 @@ def _verify_classmap(classmap) -> tuple:
     if classmap.shape[0] == 0:
         raise NotPartition("the class map has no vertices")
     d, valencies = _classmap_axioms(classmap)
-    classmap = classmap.astype(_label_dtype(d), copy=False)
-    p = _representative_intersection_numbers(classmap[0], classmap.__getitem__, valencies)[0]
-    _certify_closure(classmap, valencies, p)
-    return classmap, valencies, p
+    return classmap.astype(_label_dtype(d), copy=False), valencies
 
 
 def _label_dtype(d: int) -> type:
@@ -362,7 +336,7 @@ def _is_integer(value) -> bool:
 
 
 def _verify_translation(given: Translation) -> tuple:
-    """(the translation with its derived row 0, valencies, p) on the
+    """(the translation with its derived row 0, valencies) on the
     translation route of ``verify_scheme``.
 
     Each generator must be an r x r integer matrix and a bijection of G (a
@@ -374,14 +348,15 @@ def _verify_translation(given: Translation) -> tuple:
     row 0 (row0[-z]) and column 0 (row0) decide symmetry and give the
     valencies in O(N).
     """
-    m, r = int(given.modulus), int(given.rank)
-    if m < 2 or r < 1:
+    m, r = given.modulus, given.rank
+    if not (_is_integer(m) and _is_integer(r) and m >= 2 and r >= 1):
         raise BadParameter(f"a translation scheme needs modulus >= 2 and rank >= 1, "
-                           f"not {m} and {r}")
+                           f"integers, not {m!r} and {r!r}")
+    m, r = int(m), int(r)
     if r * (m - 1) ** 2 >= 2 ** 53:  # before any N-sized array: N = m^r is huge here
         raise BadParameter(f"a translation scheme needs rank (modulus - 1)^2 < 2^53, so that "
                            f"its images are exact in float64, not {r} ({m} - 1)^2")
-    translation = Translation(m, r)
+    n = m ** r
     gens, images = [], []
     for k, h in enumerate(given.generators):
         h = np.asarray(h)
@@ -389,23 +364,37 @@ def _verify_translation(given: Translation) -> tuple:
             raise BadParameter(f"generator {k} is not a {r} x {r} integer matrix")
         h = h.astype(np.int64)
         h.flags.writeable = False
-        image = translation.image(h)
-        if np.bincount(image, minlength=translation.n).max() > 1:
+        image = _image(h, m, r)
+        if np.bincount(image, minlength=n).max() > 1:
             raise BadParameter(f"generator {k} is singular mod {m}")
         gens.append(h)
         images.append(image)
 
-    row0 = _orbit_labels(images, translation.n)
+    row0 = _orbit_labels(images, n)
     row0 = row0.astype(_label_dtype(int(row0.max())))
     row0.flags.writeable = False
     translation = Translation(m, r, tuple(gens))
     object.__setattr__(translation, "row0", row0)
-    valencies = _row_zero_axioms(translation.rows(0), row0)
-    return translation, valencies, _hold_representatives(translation, valencies)
+    return translation, _row_zero_axioms(translation.rows(0), row0)
+
+
+def _image(h: np.ndarray, m: int, r: int) -> np.ndarray:
+    """The vertex h z of every vertex z of Z_m^r, h an r x r integer matrix,
+    by float64 products of blocks of coordinates mod m, exact since every
+    partial sum is an integer at most r (m-1)^2 < 2**53."""
+    n = m ** r
+    places = m ** np.arange(r - 1, -1, -1)
+    h = (h % m).astype(np.float64)
+    out = np.empty(n, dtype=np.intp)
+    step = max(1, _ROW_ZERO_BLOCK // r)
+    for z0 in range(0, n, step):
+        coords = np.arange(z0, min(z0 + step, n)) // places[:, None] % m  # [s, z]
+        out[z0:z0 + coords.shape[1]] = places @ ((h @ coords).astype(np.intp) % m)
+    return out
 
 
 def _verify_pairs(given: Pairs) -> tuple:
-    """(the pairs scheme with its derived row 0, valencies, p) on the pairs
+    """(the pairs scheme with its derived row 0, valencies) on the pairs
     route of ``verify_scheme``.
 
     The classes 2 - |s & t| are the orbitals of Sym(points) on 2-subsets: a
@@ -413,8 +402,7 @@ def _verify_pairs(given: Pairs) -> tuple:
     pairs of 2-subsets with a given overlap (Brouwer, Cohen and Neumaier
     1989, section 9.1).  So the scheme is the orbital scheme of a transitive
     group, closed by construction, and symmetric, since |s & t| is.  Row 0
-    (for the symmetric map, also column 0) gives the valencies in O(N), and
-    p is counted at the representatives in O((d+1) N).
+    (for the symmetric map, also column 0) gives the valencies in O(N).
     """
     points = given.points
     if not _is_integer(points) or points < 2:
@@ -423,21 +411,7 @@ def _verify_pairs(given: Pairs) -> tuple:
     row0 = pairs._classes(0)
     row0.flags.writeable = False
     object.__setattr__(pairs, "row0", row0)
-    valencies = _row_zero_axioms(row0, row0)
-    return pairs, valencies, _hold_representatives(pairs, valencies)
-
-
-def _hold_representatives(realisation, valencies: tuple) -> np.ndarray:
-    """Count p for a ``Translation`` or ``Pairs`` with its row 0 derived, and
-    keep on it, read-only, the representatives and, when one block of the
-    count read them all, their rows; a larger scheme derives them on access."""
-    p, reps, counted = _representative_intersection_numbers(
-        realisation.row0, realisation.rows, valencies)
-    for name, value in (("_representatives", reps), ("_representative_rows", counted)):
-        if value is not None:
-            value.flags.writeable = False
-        object.__setattr__(realisation, name, value)
-    return p
+    return pairs, _row_zero_axioms(row0, row0)
 
 
 def _representative_intersection_numbers(row0: np.ndarray, rows, valencies: tuple) -> tuple:
@@ -445,7 +419,7 @@ def _representative_intersection_numbers(row0: np.ndarray, rows, valencies: tupl
     map with row 0 ``row0`` and rows ``rows(xs)``: a ``Translation`` or
     ``Pairs`` and its ``rows``, or an (n, n) class map and its
     ``__getitem__``.  p^k_ij = #{z : class(0, z) = i, class(r_k, z) = j},
-    with r_k the first vertex of class k in row 0.
+    with r_k the first vertex of class k in row 0.  Both arrays are read-only.
 
     By symmetry class(r_k, z) = class(z, r_k), so that counts the z with
     class(0, z) = i and class(z, y) = j for y = r_k: entry (0, r_k) of
@@ -462,6 +436,7 @@ def _representative_intersection_numbers(row0: np.ndarray, rows, valencies: tupl
     """
     n, d = len(row0), len(valencies) - 1
     reps = np.unique(row0, return_index=True)[1]
+    reps.flags.writeable = False
     left = row0.astype(np.intp) * (d + 1)  # [z] = i (d+1), i the class of z
     step = max(1, _ROW_ZERO_BLOCK // n)
     p = None
@@ -474,6 +449,7 @@ def _representative_intersection_numbers(row0: np.ndarray, rows, valencies: tupl
         counts = np.bincount(cells.ravel(), minlength=(d + 1) ** 2 * width
                              ).reshape(d + 1, d + 1, width)
         if width == d + 1:
+            block.flags.writeable = False
             return counts, reps, block
         if p is None:
             p = np.empty((d + 1, d + 1, d + 1), dtype=np.int64)
@@ -608,7 +584,7 @@ def _orbit_labels(gens: Sequence[np.ndarray], n: int) -> np.ndarray:
 #: most cells of one ``bincount`` in ``_representative_intersection_numbers``
 #: (256 KiB of int64), which keeps its blocks of classes cache-sized.  It
 #: also sizes the row blocks of ``_classmap_axioms``' regularity count
-#: and of ``Translation.image``, and the slices of classes i in
+#: and of ``_image``, and the slices of classes i in
 #: ``spectral_data``'s check of kappa_k p^k_ij = kappa_j p^j_ik
 _ROW_ZERO_BLOCK = 2 ** 15
 

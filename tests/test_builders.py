@@ -13,6 +13,7 @@ import schemeres as sr
 from schemeres import cli
 from schemeres import scheme as scheme_module
 from schemeres.errors import (
+    BadParameter,
     NotAmbivalent,
     NotClosed,
     NotLatinSquare,
@@ -27,6 +28,16 @@ from nxn_witnesses import integer_matrix_powers, stratify
 from test_scheme import MULTI_RUN
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.mark.parametrize("build, size", [
+    (sr.build_cycle, 6.0), (sr.build_cycle, True), (sr.build_hypercube, 3.0),
+    (sr.build_hypercube, True), (sr.build_square_lattice, 4.0),
+    (sr.build_hexagonal_lattice, 5.0), (sr.build_triangular, 5.0)])
+def test_sizes_must_be_integers(build, size):
+    # a whole float was truncated to another scheme, or ended in a TypeError
+    with pytest.raises(BadParameter, match=rf"not {size!r}\b"):
+        build(size)
 
 
 class TestCycle:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,13 @@ class TestInfiniteLine:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             sr.infinite_line_resistance(-1)
+
+    @pytest.mark.parametrize("l", [True, 1.5, 2.0, "2"])
+    def test_rejects_non_integer(self, l):
+        # True once read as separation 1
+        message = re.escape(f"separation must be a nonnegative integer, not {l!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sr.infinite_line_resistance(l)
 
 
 class TestInfiniteLattice:
@@ -60,6 +68,13 @@ class TestInfiniteLattice:
         with pytest.raises(ValueError):
             sr.infinite_lattice_resistance("square", 0, 0)
 
+    @pytest.mark.parametrize("l1, l2", [(1.5, 0), (1, 0.0), (True, 0)])
+    def test_non_integer_separation_rejected(self, l1, l2):
+        # 1.5 once spun through every grid before QuadratureNotConverged
+        message = re.escape(f"separation must be integers, not ({l1!r}, {l2!r})")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sr.infinite_lattice_resistance("square", l1, l2)
+
     @pytest.mark.parametrize("kind, l1, l2", [
         ("square", 1, 0), ("square", 1, 1), ("square", 2, 0), ("square", 2, 1),
         ("hexagonal", 1, 0), ("hexagonal", 2, 0), ("square", 3, 2),
@@ -88,6 +103,14 @@ class TestInfiniteLattice:
 
 
 class TestFiniteFormula:
+    @pytest.mark.parametrize("m, l1, l2", [
+        (3.5, 1, 0), (4.0, 1, 0), (True, 1, 0), (4, 1.0, 0), (4, 1, False), (2, 1, 0)])
+    def test_non_integers_rejected(self, m, l1, l2):
+        # m = 3.5 once returned 0.612
+        message = re.escape(f"integers l1, l2 and period m >= 3, not {l1!r}, {l2!r} and {m!r}")
+        with pytest.raises(ValueError, match=f"{message}$"):
+            sr.finite_lattice_resistance_formula(m, l1, l2)
+
     @pytest.mark.parametrize("m", [3, 4, 5, 8])
     def test_square_nearest_neighbor_value(self, m):
         got = sr.finite_lattice_resistance_formula(m, 1, 0)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import schemeres as sr
 from schemeres.errors import (
+    BadParameter,
     CertificationFailed,
     Disconnected,
     FewerEigenvalues,
@@ -504,6 +505,19 @@ class TestSpectral:
         with pytest.raises(ZeroDenominator):
             sr.resistance_spectral(square4, spectral_of(square4), c)
 
+    @pytest.mark.parametrize("build, other, message", [
+        (lambda: sr.build_cycle(6), lambda: sr.build_hypercube(3),
+         "of 4 eigenspaces on 8 vertices do not fit a scheme with d = 3 on 6 vertices"),
+        (sr.build_s4_scheme, lambda: sr.build_cycle(6),
+         "of 4 eigenspaces on 6 vertices do not fit a scheme with d = 4 on 24 vertices"),
+    ], ids=["same-d", "other-d"])
+    def test_data_of_another_scheme(self, build, other, message):
+        # another scheme's data once ended in numpy's broadcast ValueError, or
+        # in a table at the wrong N
+        scheme = build()
+        with pytest.raises(BadParameter, match=f"^spectral data {message}$"):
+            sr.resistance_spectral(scheme, spectral_of(other()), [1] + [0] * (scheme.d - 1))
+
 
 class TestPolynomialCoefficients:
     def test_s4_rows(self, s4):
@@ -856,6 +870,16 @@ class TestClosedForms:
             sr.drg_closed_table(sr.IntersectionArray((3, 0), (1, 2)), 8)
         with pytest.raises(ValueError, match="feasible"):
             sr.drg_closed_table(sr.IntersectionArray((3, 2), (1, 4)), 8)
+
+    def test_inconsistent_inputs(self):
+        cycle8 = sr.check_distance_regular(sr.build_cycle(8))
+        assert sr.drg_closed_table(cycle8, 8).values[0] == F(7, 8)
+        with pytest.raises(ValueError, match="^the intersection array has 8 vertices, not 9$"):
+            sr.drg_closed_table(cycle8, 9)  # once read as R(1) = 8/9
+        with pytest.raises(ValueError, match="^the intersection array has 8 vertices, not 9$"):
+            sr.resistance_drg_closed(cycle8, 9, 1)
+        with pytest.raises(ValueError, match="^intersection array lists 3 b_i and 2 c_i$"):
+            sr.drg_closed_table(sr.IntersectionArray((3, 2, 1), (1, 2)), 8)
 
     def test_paper_expressions_equal_biggs_sum(self):
         """Symbolic proof for strata 1..5: N, kappa, b_1..b_4 and c_2..c_4

@@ -3,6 +3,7 @@ import functools
 import itertools
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -1079,6 +1080,17 @@ class TestTranslationRoute:
         with pytest.raises(BadParameter, match="needs modulus >= 2 and rank >= 1"):
             sr.verify_scheme(sr.Translation(m, r))
 
+    @pytest.mark.parametrize("m, r", [(2.5, 2), (4.0, 2), (True, 3), (3, True), (3, 2.0), (3, "2")])
+    def test_sizes_are_not_truncated(self, m, r):
+        # int() would read 2.5 as 2 and True as 1, and build another scheme
+        message = re.escape(f"needs modulus >= 2 and rank >= 1, integers, not {m!r} and {r!r}")
+        with pytest.raises(BadParameter, match=f"^a translation scheme {message}$"):
+            sr.verify_scheme(sr.Translation(m, r, ()))
+
+    def test_numpy_sizes(self):
+        scheme = sr.verify_scheme(sr.Translation(np.int64(6), np.int32(1), ([[-1]],)))
+        assert (scheme.n, scheme.d) == (6, 3)
+
     def test_images_stay_exact(self):
         # at m = 2**27 + 30, r (m-1)^2 passes 2**53 and float64 rounds some
         # images h z; the bound is checked before any of the m-point arrays
@@ -1153,9 +1165,10 @@ HELD_SCHEMES = (
 
 
 class TestHeldRepresentatives:
-    """``verify_scheme`` keeps the representatives, and the rows that p was
-    counted from, on a ``Translation`` or ``Pairs``; they are what deriving
-    them again would give."""
+    """``verify_scheme`` keeps on the scheme the representatives, and the
+    rows that p was counted from when one block read them all, on every
+    route; they are what deriving them again would give, and the
+    realisation keeps only its definition."""
 
     @pytest.mark.parametrize("reload", [False, True], ids=["built", "reloaded"])
     @pytest.mark.parametrize("name, size", HELD_SCHEMES,
@@ -1166,30 +1179,44 @@ class TestHeldRepresentatives:
         if reload:
             scheme = sr.scheme_from_dict(json.loads(json.dumps(sr.scheme_to_dict(scheme))))
         t = scheme.realisation
-        if isinstance(t, np.ndarray):  # a class map keeps nothing but itself
-            reps = np.unique(t[0], return_index=True)[1]
-            assert scheme.representative_rows.tobytes() == t[reps].tobytes()
-            return
-        reps = np.unique(t.row0, return_index=True)[1]
-        assert t._representatives.tobytes() == reps.tobytes()
-        derived = t.rows(reps)
+        dense = isinstance(t, np.ndarray)
+        row0 = t[0] if dense else t.row0
+        reps = np.unique(row0, return_index=True)[1]
+        assert scheme.representatives.tobytes() == reps.tobytes()
+        assert not scheme.representatives.flags.writeable
+        derived = t[reps] if dense else t.rows(reps)
         held = scheme.representative_rows
         assert (held.dtype, held.shape) == (derived.dtype, derived.shape)
         assert held.tobytes() == derived.tobytes()
         one_block = (scheme.d + 1) * scheme.n <= scheme_module._ROW_ZERO_BLOCK
-        assert (t._representative_rows is held) == one_block
-        assert (t._representative_rows is None) == (not one_block)
-        assert not t._representatives.flags.writeable
+        assert (scheme._counted_rows is held) == one_block
+        assert (scheme._counted_rows is None) == (not one_block)
+        if one_block:
+            assert not scheme._counted_rows.flags.writeable
         if name in ("square", "hexagonal"):  # named after r_k by _orbit_scheme
             m = size["m"]
             assert scheme.class_names == tuple(f"({x // m},{x % m})" for x in reps)
 
     def test_hypercube16_keeps_no_rows(self):
         scheme = sr.build_hypercube(16)
+        assert scheme._counted_rows is None
+        assert scheme.representatives.tolist() == [2 ** k - 1 for k in range(17)]
         t = scheme.realisation
-        assert t._representative_rows is None
-        assert t._representatives.tolist() == [2 ** k - 1 for k in range(17)]
-        assert scheme.representative_rows.tobytes() == t.rows(t._representatives).tobytes()
+        assert scheme.representative_rows.tobytes() == t.rows(scheme.representatives).tobytes()
+
+    def test_chang_graph_keeps_its_counted_rows(self, chang):
+        # a class map with no transitive group, beside the S4 presets above
+        reps = np.unique(chang.realisation[0], return_index=True)[1]
+        assert chang.representatives.tobytes() == reps.tobytes()
+        assert chang._counted_rows is chang.representative_rows
+        assert chang._counted_rows.tobytes() == chang.realisation[reps].tobytes()
+
+    @pytest.mark.parametrize("given, names", [
+        (sr.Translation(5, 2, (((0, 1), (-1, 1)),)), ["modulus", "rank", "generators", "row0"]),
+        (sr.Pairs(6), ["points", "row0"])], ids=["translation", "pairs"])
+    def test_realisations_keep_only_their_definition(self, given, names):
+        realisation = sr.verify_scheme(given).realisation
+        assert [f.name for f in dataclasses.fields(realisation)] == names
 
 
 def overlap_classmap(points):
