@@ -7,7 +7,6 @@ spectrum-free polynomial traces, distance-regular closed forms).
 """
 
 from .builders import (
-    GroupTable,
     build_cycle,
     build_group_scheme,
     build_hexagonal_lattice,

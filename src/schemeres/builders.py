@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -56,97 +56,77 @@ from .scheme import AssociationScheme, Pairs, Translation, _is_integer, verify_s
 # group schemes
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GroupTable:
-    """Finite group as a multiplication table plus a class partition.
-
-    ``mult[g][h]`` is the index of g*h, ``inverse[g]`` of g**-1, and
-    ``class_partition`` lists element-index classes with class 0 = {identity}.
-    """
-
-    mult: tuple
-    inverse: tuple
-    class_partition: tuple
-    #: ``mult`` as a read-only ndarray, which the scheme builder indexes
-    _table: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        table = np.array(self.mult if self._table is None else self._table)
-        table.flags.writeable = False
-        object.__setattr__(self, "_table", table)
-
-    @property
-    def order(self) -> int:
-        return len(self.mult)
-
-    @classmethod
-    def from_mult(cls, mult: Sequence[Sequence[int]],
-                  class_partition: Sequence[Iterable[int]]) -> "GroupTable":
-        order = len(mult)
-        if any(len(row) != order for row in mult):
-            raise NotLatinSquare("a row of the table is not a permutation")
-        table = np.asarray(mult).reshape(order, order)
-        full = np.arange(order)
-        if (np.sort(table, axis=1) != full).any():
-            raise NotLatinSquare("a row of the table is not a permutation")
-        if (np.sort(table, axis=0) != full[:, None]).any():
-            raise NotLatinSquare("a column of the table is not a permutation")
-
-        two_sided = (table == full).all(axis=1) & (table.T == full).all(axis=1)
-        if not two_sided.any():
-            raise NotLatinSquare("table has no two-sided identity")
-        identity = int(np.argmax(two_sided))
-        # inverse[g] is the first h with g h = h g = identity
-        inverts = (table == identity) & (table.T == identity)
-        lacking = np.flatnonzero(~inverts.any(axis=1))
-        if lacking.size:
-            raise NotLatinSquare(f"element {lacking[0]} has no inverse")
-        inverse = np.argmax(inverts, axis=1)
-
-        classes = tuple(tuple(sorted(c)) for c in class_partition)
-        flat = sorted(g for c in classes for g in c)
-        if flat != list(range(order)):
-            raise ValueError("class partition must cover every element once")
-        if classes[0] != (identity,):
-            raise ValueError("class 0 must be the singleton {identity}")
-        return cls(mult=tuple(map(tuple, table.tolist())), inverse=tuple(inverse.tolist()),
-                   class_partition=classes, _table=table)
-
-
-def build_group_scheme(table: GroupTable,
+def build_group_scheme(table: Sequence[Sequence[int]],
+                       class_partition: Sequence[Iterable[int]],
                        class_names: Optional[Sequence[str]] = None
                        ) -> AssociationScheme:
     """Scheme whose relations are class sums in the regular representation.
 
-    The class map is verified like any other, by packed N x N products:
-    about sum_i ceil((d+1-i) / run) of them, O((d+1)^2 N^3 / run) work.
-    That is nothing at the S4 presets (N = 24), but it grows with the order:
-    the cyclic group of order 240 with its 121 inverse-closed classes
-    (d = 120) builds in 0.2-0.3 s on one BLAS thread of an x86-64 core.
+    ``table[g][h]`` is the index of g*h, and ``class_partition`` lists
+    element-index classes with class 0 = {identity}.  The table is checked
+    to be a Latin square with a two-sided identity and inverses, which are
+    read off the checked array.  The class map is then verified like any
+    other, by packed N x N products: about sum_i ceil((d+1-i) / run) of
+    them, O((d+1)^2 N^3 / run) work.  That is nothing at the S4 presets
+    (N = 24), but it grows with the order: the cyclic group of order 240
+    with its 121 inverse-closed classes (d = 120) builds in 0.2-0.3 s on
+    one BLAS thread of an x86-64 core.
 
     Raises
     ------
+    NotLatinSquare
+        If a row or column is not a permutation, or the table has no
+        two-sided identity, or an element has no two-sided inverse.
+    ValueError
+        If the classes do not partition the elements, or class 0 is not
+        the singleton {identity}.
     NotAmbivalent
         If some class is not closed under inversion (the scheme would not
         be symmetric).
     """
-    order = table.order
-    for k, cls_elems in enumerate(table.class_partition):
-        if sorted(table.inverse[g] for g in cls_elems) != list(cls_elems):
-            raise NotAmbivalent(f"class {k} is not inverse-closed")
+    order = len(table)
+    if any(len(row) != order for row in table):
+        raise NotLatinSquare("a row of the table is not a permutation")
+    mult = np.asarray(table).reshape(order, order)
+    full = np.arange(order)
+    if (np.sort(mult, axis=1) != full).any():
+        raise NotLatinSquare("a row of the table is not a permutation")
+    if (np.sort(mult, axis=0) != full[:, None]).any():
+        raise NotLatinSquare("a column of the table is not a permutation")
+
+    two_sided = (mult == full).all(axis=1) & (mult.T == full).all(axis=1)
+    if not two_sided.any():
+        raise NotLatinSquare("table has no two-sided identity")
+    identity = int(np.argmax(two_sided))
+    # inverse[g] is the first h with g h = h g = identity
+    inverts = (mult == identity) & (mult.T == identity)
+    lacking = np.flatnonzero(~inverts.any(axis=1))
+    if lacking.size:
+        raise NotLatinSquare(f"element {lacking[0]} has no inverse")
+    inverse = np.argmax(inverts, axis=1)
+
+    classes = [sorted(c) for c in class_partition]
+    if sorted(g for c in classes for g in c) != list(range(order)):
+        raise ValueError("class partition must cover every element once")
+    if classes[0] != [identity]:
+        raise ValueError("class 0 must be the singleton {identity}")
     label = np.empty(order, dtype=np.int16)
-    for k, cls_elems in enumerate(table.class_partition):
-        label[list(cls_elems)] = k
+    for k, members in enumerate(classes):
+        label[members] = k
+    # inversion is a bijection, so a class is inverse-closed when it maps
+    # every member into itself
+    open_classes = label[label[inverse] != label]
+    if open_classes.size:
+        raise NotAmbivalent(f"class {open_classes.min()} is not inverse-closed")
     # the pair (g h, h) lies in the class of g
-    mult = table._table
     classmap = np.empty((order, order), dtype=np.int16)
-    classmap[mult, np.arange(order)] = label[:, None]
+    classmap[mult, full] = label[:, None]
     return verify_scheme(classmap, class_names=class_names)
 
 
-def cyclic_group_table(n: int, class_partition: Sequence[Iterable[int]]) -> GroupTable:
-    return GroupTable.from_mult(np.add.outer(np.arange(n), np.arange(n)) % n,
-                                class_partition)
+def cyclic_group_table(n: int, class_partition: Sequence[Iterable[int]]) -> tuple:
+    """(table, classes) of Z_n, for ``build_group_scheme``."""
+    return np.add.outer(np.arange(n), np.arange(n)) % n, class_partition
 
 
 # ---- symmetric group on four points ---------------------------------------
@@ -154,24 +134,18 @@ def cyclic_group_table(n: int, class_partition: Sequence[Iterable[int]]) -> Grou
 #: base-4 place values: a permutation of 0..3 as one code below 4**4
 _BASE4 = np.array([64, 16, 4, 1])
 
-
-def _cycle_type(p):
-    seen = [False] * 4
-    lens = []
-    for start in range(4):
-        if seen[start]:
-            continue
-        length, x = 0, start
-        while not seen[x]:
-            seen[x] = True
-            x = p[x]
-            length += 1
-        lens.append(length)
-    return tuple(sorted(lens, reverse=True))
+#: class names of each S4 partition, in class order: a cycle type (e, 2, 3,
+#: 2+2, 4), with m or f when the class holds the elements that move or fix
+#: point 0
+_S4_NAMES = {
+    "conjugacy": ("e", "2", "3", "2+2", "4"),
+    "stabilizer": ("e", "2m", "3m", "2f", "4", "2+2", "3f"),
+    "stabilizer-4c": ("e", "4", "2m", "3m", "2f", "2+2", "3f"),
+}
 
 
-def s4_group_table(partition: str = "conjugacy") -> GroupTable:
-    """S4 multiplication table with one of three class partitions.
+def s4_group_table(partition: str = "conjugacy") -> tuple:
+    """(table, classes) of S4 with one of three class partitions.
 
     The elements are the permutations of 0..3 in lexicographic order, and
     g*h is the composition x -> g(h(x)).
@@ -187,43 +161,30 @@ def s4_group_table(partition: str = "conjugacy") -> GroupTable:
     ``stabilizer-4c``
         the same seven classes with the 4-cycles promoted to class 1.
     """
-    perms = list(itertools.permutations(range(4)))
-    table = np.array(perms)
+    if partition not in _S4_NAMES:
+        raise ValueError(f"unknown partition {partition!r}")
+    perms = np.array(list(itertools.permutations(range(4))))
     index_of_code = np.empty(4 ** 4, dtype=np.intp)
-    index_of_code[table @ _BASE4] = np.arange(len(perms))
-    # table[:, table][g, h, x] = g(h(x))
-    mult = index_of_code[table[:, table] @ _BASE4]
+    index_of_code[perms @ _BASE4] = np.arange(len(perms))
+    # perms[:, perms][g, h, x] = g(h(x))
+    mult = index_of_code[perms[:, perms] @ _BASE4]
 
-    by_type = {}
-    for i, p in enumerate(perms):
-        by_type.setdefault(_cycle_type(p), []).append(i)
-    moving = lambda t, moves: [i for i in by_type[t] if (perms[i][0] != 0) == moves]
-
-    if partition == "conjugacy":
-        classes = [by_type[t] for t in
-                   ((1, 1, 1, 1), (2, 1, 1), (3, 1), (2, 2), (4,))]
-    else:
-        base = [by_type[(1, 1, 1, 1)], moving((2, 1, 1), True), moving((3, 1), True),
-                moving((2, 1, 1), False), by_type[(4,)], by_type[(2, 2)],
-                moving((3, 1), False)]
-        if partition == "stabilizer":
-            classes = base
-        elif partition == "stabilizer-4c":
-            classes = [base[0], base[4], base[1], base[2], base[3], base[5], base[6]]
-        else:
-            raise ValueError(f"unknown partition {partition!r}")
-    return GroupTable.from_mult(mult, classes)
-
-
-_S4_NAMES = {
-    "conjugacy": ("e", "2", "3", "2+2", "4"),
-    "stabilizer": ("e", "2m", "3m", "2f", "4", "2+2", "3f"),
-    "stabilizer-4c": ("e", "4", "2m", "3m", "2f", "2+2", "3f"),
-}
+    # 4, 2 and 1 fixed points make e, 2 and 3; of the fixed-point-free
+    # elements, the involutions are 2+2 and the rest 4
+    fixed = (perms == np.arange(4)).sum(axis=1)
+    involution = (np.take_along_axis(perms, perms, axis=1) == np.arange(4)).all(axis=1)
+    cycle_type = {"e": fixed == 4, "2": fixed == 2, "3": fixed == 1,
+                  "2+2": (fixed == 0) & involution, "4": (fixed == 0) & ~involution}
+    moves = perms[:, 0] != 0
+    side = {"m": moves, "f": ~moves}
+    classes = [np.flatnonzero(cycle_type[name.rstrip("mf")]
+                              & side.get(name[-1], True)).tolist()
+               for name in _S4_NAMES[partition]]
+    return mult, classes
 
 
 def build_s4_scheme(partition: str = "conjugacy") -> AssociationScheme:
-    return build_group_scheme(s4_group_table(partition), _S4_NAMES[partition])
+    return build_group_scheme(*s4_group_table(partition), _S4_NAMES[partition])
 
 
 # --------------------------------------------------------------------------

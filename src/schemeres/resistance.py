@@ -237,7 +237,9 @@ def resistance_spectral(scheme: AssociationScheme, spectral: SpectralData,
     Raises
     ------
     BadParameter
-        If ``spectral`` does not list d+1 multiplicities summing to N.
+        If ``spectral`` does not list d+1 multiplicities summing to N, or
+        row 0 of its P is not the valencies within 1e-7: it belongs to
+        another scheme.
     ZeroDenominator
         If some D_k vanishes relative to the conductance scale
         sum_i c_i kappa_i (the conductance support is disconnected).
@@ -251,9 +253,14 @@ def resistance_spectral(scheme: AssociationScheme, spectral: SpectralData,
                            f"vertices do not fit a scheme with d = {d} on {n} vertices")
     kappa = np.array(scheme.valencies, dtype=float)
     p = spectral.p_matrix
+    gap = kappa - p  # [k, l] = kappa_l - P[k, l]; row 0 is 0 for this scheme's data
+    if np.abs(gap[0]).max() > 1e-7:
+        row = ", ".join(f"{x:g}" for x in p[0])
+        raise BadParameter(f"spectral data with row 0 of P ({row}) do not fit a scheme "
+                           f"with valencies {scheme.valencies}")
     mults = np.array(mults, dtype=float)
 
-    denoms = ((kappa[1:] - p[1:, 1:]) * c).sum(axis=1)  # index k-1
+    denoms = (gap[1:, 1:] * c).sum(axis=1)  # index k-1
     small = np.abs(denoms) <= 1e-12 * float(c @ kappa[1:])
     if small.any():
         raise ZeroDenominator(
@@ -261,7 +268,7 @@ def resistance_spectral(scheme: AssociationScheme, spectral: SpectralData,
 
     # terms[l-1, k-1] = m_k (kappa_l - P[k,l]) / D_k, in C order so that
     # each row is summed pairwise, exactly as a 1-D sum over k
-    terms = mults[1:] * (kappa[1:, None] - np.ascontiguousarray(p[1:, 1:].T)) / denoms
+    terms = mults[1:] * np.ascontiguousarray(gap[1:, 1:].T) / denoms
     values = 2.0 / (n * kappa[1:]) * terms.sum(axis=1)
     return ResistanceTable(tuple(values.tolist()), method="spectral", exact=False)
 

@@ -818,9 +818,13 @@ class IntersectionArray:
         return self.kappa - bi - ci
 
     def valencies(self):
-        """kappa_0..kappa_d from kappa_{i-1} b_{i-1} = kappa_i c_i."""
+        """kappa_0..kappa_d from kappa_{i-1} b_{i-1} = kappa_i c_i; a
+        ``ValueError`` names the first c_i that is not positive, or says the
+        chain is not integral."""
         out = [1]
         for i in range(1, self.d + 1):
+            if self.c[i - 1] <= 0:
+                raise ValueError(f"c_{i} = {self.c[i - 1]} is not positive")
             num = out[-1] * self.b[i - 1]
             if num % self.c[i - 1] != 0:
                 raise ValueError("intersection array is not feasible")

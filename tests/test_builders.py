@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import re
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -193,12 +194,17 @@ class TestTriangular:
 
 
 class TestGroupScheme:
-    def test_z4_gives_cycle_scheme(self):
-        table = sr.cyclic_group_table(4, [(0,), (1, 3), (2,)])
-        scheme = sr.build_group_scheme(table)
-        cycle = sr.build_cycle(4)
-        for a, b in zip(scheme.relations, cycle.relations):
-            assert (np.asarray(a) == np.asarray(b)).all()
+    @pytest.mark.parametrize("n", range(4, 17, 2))
+    def test_zn_gives_cycle_scheme(self, n):
+        # the class-map route on Z_n with classes {0}, {+-1}, ..., {n/2}
+        # against the translation route of build_cycle
+        classes = [(0,)] + [(i, n - i) for i in range(1, n // 2)] + [(n // 2,)]
+        scheme = sr.build_group_scheme(*sr.cyclic_group_table(n, classes))
+        cycle = sr.build_cycle(n)
+        assert scheme.valencies == cycle.valencies
+        assert scheme.p.dtype == cycle.p.dtype and scheme.p.shape == cycle.p.shape
+        assert scheme.p.tobytes() == cycle.p.tobytes()
+        assert np.array_equal(scheme.classmap, cycle.classmap)
 
     def test_s4_product_relation(self, s4):
         # A_3 A_4 = 2 A_1 + A_4
@@ -210,8 +216,8 @@ class TestGroupScheme:
         perms = list(itertools.permutations(range(4)))
         index = {p: i for i, p in enumerate(perms)}
         mult = [[index[tuple(g[h[x]] for x in range(4))] for h in perms] for g in perms]
-        table = sr.s4_group_table(partition)
-        assert table == sr.GroupTable.from_mult(mult, table.class_partition)
+        table, _ = sr.s4_group_table(partition)
+        assert np.array_equal(table, mult)
 
     def test_s4_valencies(self, s4):
         assert s4.valencies == (1, 6, 8, 3, 6)
@@ -229,22 +235,22 @@ class TestGroupScheme:
 
     def test_not_ambivalent(self):
         table_rows = [[(i + j) % 5 for j in range(5)] for i in range(5)]
-        with pytest.raises(NotAmbivalent):
-            sr.build_group_scheme(sr.GroupTable.from_mult(
-                table_rows, [(0,), (1, 2), (3, 4)]))
+        with pytest.raises(NotAmbivalent, match="^class 1 is not inverse-closed$"):
+            sr.build_group_scheme(table_rows, [(0,), (1, 2), (3, 4)])
+        with pytest.raises(NotAmbivalent, match="^class 2 is not inverse-closed$"):
+            sr.build_group_scheme(table_rows, [(0,), (1, 4), (2,), (3,)])
 
     def test_non_associative_loop(self):
         # a loop of involutions that is no group: every singleton class is
         # inverse-closed, but the pairs (g h, h) break symmetry
         loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1],
                 [4, 3, 1, 2, 0]]
-        table = sr.GroupTable.from_mult(loop, [(g,) for g in range(5)])
         with pytest.raises(NotSymmetric, match="^relation 4 is not symmetric$"):
-            sr.build_group_scheme(table)
+            sr.build_group_scheme(loop, [(g,) for g in range(5)])
 
     def test_not_latin_square(self):
         with pytest.raises(NotLatinSquare):
-            sr.GroupTable.from_mult([[0, 0], [1, 1]], [(0,), (1,)])
+            sr.build_group_scheme([[0, 0], [1, 1]], [(0,), (1,)])
 
     @pytest.mark.parametrize("mult, message", [
         ([[0, 0], [1, 1]], "a row of the table is not a permutation"),
@@ -258,19 +264,23 @@ class TestGroupScheme:
     ], ids=["row", "ragged", "column", "empty", "no-identity", "no-inverse"])
     def test_not_latin_square_messages(self, mult, message):
         with pytest.raises(NotLatinSquare, match=f"^{message}$"):
-            sr.GroupTable.from_mult(mult, [(0,), tuple(range(1, len(mult)))])
+            sr.build_group_scheme(mult, [(0,), tuple(range(1, len(mult)))])
 
-    def test_table_array_matches_rows(self):
-        table = sr.s4_group_table("stabilizer")
-        assert not table._table.flags.writeable
-        assert table._table.tolist() == [list(row) for row in table.mult]
-        direct = sr.GroupTable(table.mult, table.inverse, table.class_partition)
-        assert direct == table
-        assert np.array_equal(direct._table, table._table)
+    @pytest.mark.parametrize("classes, message", [
+        ([(0,), (1, 2)], "class partition must cover every element once"),
+        ([(0,), (1, 2), (2, 3)], "class partition must cover every element once"),
+        ([(1,), (0, 2), (3,)], "class 0 must be the singleton {identity}"),
+    ], ids=["missing", "overlap", "no-identity-class"])
+    def test_class_partition_messages(self, classes, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sr.build_group_scheme(*sr.cyclic_group_table(4, classes))
+
+    def test_unknown_s4_partition(self):
+        with pytest.raises(ValueError, match="^unknown partition 'center'$"):
+            sr.s4_group_table("center")
 
     def test_abelian_class_sums_commute(self):
-        table = sr.cyclic_group_table(6, [(0,), (1, 5), (2, 4), (3,)])
-        scheme = sr.build_group_scheme(table)
+        scheme = sr.build_group_scheme(*sr.cyclic_group_table(6, [(0,), (1, 5), (2, 4), (3,)]))
         rels = [np.asarray(r, dtype=np.int64) for r in scheme.relations]
         for a, b in itertools.combinations(rels, 2):
             assert (a @ b == b @ a).all()
@@ -479,7 +489,7 @@ PRESET_BUILDS = {
     "square": (sr.build_square_lattice, 4),
     "hexagonal": (sr.build_hexagonal_lattice, 7),
     "z6-group": (lambda: sr.build_group_scheme(
-        sr.cyclic_group_table(6, [(0,), (1, 5), (2, 4), (3,)])),),
+        *sr.cyclic_group_table(6, [(0,), (1, 5), (2, 4), (3,)])),),
 }
 EQUIVALENCE_BUILDS = {**PRESET_BUILDS, **MULTI_RUN,
                       "square24": (sr.build_square_lattice, 24),

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import itertools
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -510,13 +511,19 @@ class TestSpectral:
          "of 4 eigenspaces on 8 vertices do not fit a scheme with d = 3 on 6 vertices"),
         (sr.build_s4_scheme, lambda: sr.build_cycle(6),
          "of 4 eigenspaces on 6 vertices do not fit a scheme with d = 4 on 24 vertices"),
-    ], ids=["same-d", "other-d"])
+        # Z_8 with classes {0}, {4}, {2, 6} and the odd residues: d = 3 and
+        # N = 8 as on the 3-cube, whose data gave 0.3125, 0.2656 and 0.2266
+        # where the oracle gives 0.25
+        (lambda: sr.build_group_scheme(*sr.cyclic_group_table(
+            8, [(0,), (4,), (2, 6), (1, 3, 5, 7)])), lambda: sr.build_hypercube(3),
+         "with row 0 of P (1, 3, 3, 1) do not fit a scheme with valencies (1, 1, 2, 4)"),
+    ], ids=["same-d", "other-d", "same-d-and-n"])
     def test_data_of_another_scheme(self, build, other, message):
         # another scheme's data once ended in numpy's broadcast ValueError, or
-        # in a table at the wrong N
+        # in a table at the wrong N or with the wrong valencies
         scheme = build()
-        with pytest.raises(BadParameter, match=f"^spectral data {message}$"):
-            sr.resistance_spectral(scheme, spectral_of(other()), [1] + [0] * (scheme.d - 1))
+        with pytest.raises(BadParameter, match=f"^{re.escape(f'spectral data {message}')}$"):
+            sr.resistance_spectral(scheme, spectral_of(other()), [1] * scheme.d)
 
 
 class TestPolynomialCoefficients:

@@ -424,6 +424,15 @@ class TestDistanceRegular:
         array = sr.check_distance_regular(hypercube3)
         assert array.valencies() == hypercube3.valencies
 
+    @pytest.mark.parametrize("c, message", [
+        ((0, 1), "^c_1 = 0 is not positive$"),
+        ((1, -2), "^c_2 = -2 is not positive$"),
+    ], ids=["zero", "negative"])
+    def test_valency_chain_needs_positive_c(self, c, message):
+        # a zero c_i once ended in a bare ZeroDivisionError
+        with pytest.raises(ValueError, match=message):
+            sr.IntersectionArray((3, 2), c).valencies()
+
     @pytest.mark.parametrize("preset", PRESETS)
     def test_matches_nxn_witness_on_presets(self, presets, preset):
         scheme = presets[preset]
