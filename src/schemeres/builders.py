@@ -19,8 +19,8 @@ its classes are the H-orbits, numbered in order of their least point:
 * Z_5 x Z_5: the rotation ((0, 1), (-1, 1)) of order 6.
 
 ``verify_scheme`` certifies the generators and derives row 0, the orbit
-labelling, so the scheme is the orbital scheme of G x| H, in
-O(N |gens| + (d+1) N) work with no N x N class map.
+labelling, so the scheme is the orbital scheme of G x| H, in rounds of
+O(N |gens|) work and O((d+1) N) more, with no N x N class map.
 
 The triangular scheme J(n, 2) passes only its number of points (a
 ``Pairs``): its classes 2 - |s & t| on 2-subsets are the orbitals of
@@ -222,6 +222,8 @@ def build_hypercube(n: int) -> AssociationScheme:
 
 def build_triangular(n: int) -> AssociationScheme:
     """Johnson-type scheme on the 2-subsets of an n-set (three classes)."""
+    if not _is_integer(n):  # a string or None would fail the comparison untyped
+        raise BadParameter(f"triangular scheme needs an integer n, not {n!r}")
     if n < 4:
         raise TooSmall("triangular scheme needs n >= 4")
     return verify_scheme(Pairs(n), class_names=("0", "1", "2"))
@@ -273,15 +275,19 @@ def orbit_of(vec, mats, modulus: Optional[int] = None) -> tuple:
     return tuple(sorted(out))
 
 
-def _orbit_scheme(m: int, generators) -> AssociationScheme:
-    """Translation scheme whose classes are the orbits on Z_m x Z_m of the
-    point group that ``generators`` generate.
+def _orbit_scheme(kind: str, m: int, smallest: int, generators) -> AssociationScheme:
+    """The ``kind`` of lattice of period m, an integer >= ``smallest``: its classes
+    are the orbits on Z_m x Z_m of the point group that ``generators`` generate.
 
     ``verify_scheme`` numbers the orbits in order of their least point
     (a, b), by code a m + b, which puts (0,0) first and the orbit of (0,1)
     second; each class is named after that point, its first vertex in
     row 0, the representative that p was counted at.
     """
+    if not _is_integer(m):  # a string or None would fail the comparison untyped
+        raise BadParameter(f"{kind} needs an integer period m, not {m!r}")
+    if m < smallest:
+        raise TooSmall(f"{kind} needs period m >= {smallest}")
     scheme = verify_scheme(Translation(m, 2, generators))
     names = tuple(f"({a},{b})" for a, b in zip(*np.divmod(scheme.representatives, m)))
     return replace(scheme, class_names=names)
@@ -295,16 +301,12 @@ _HEXAGONAL_GENERATORS = (((1, -1), (0, -1)), ((0, -1), (-1, 0)))
 
 def build_square_lattice(m: int) -> AssociationScheme:
     """Periodic square lattice on m^2 vertices, classes = signed-swap orbits."""
-    if m < 3:
-        raise TooSmall("square lattice needs period m >= 3")
-    return _orbit_scheme(m, _SQUARE_GENERATORS)
+    return _orbit_scheme("square lattice", m, 3, _SQUARE_GENERATORS)
 
 
 def build_hexagonal_lattice(m: int) -> AssociationScheme:
     """Periodic triangular (hexagonal point group) lattice on m^2 vertices."""
-    if m < 4:
-        raise TooSmall("hexagonal lattice needs period m >= 4")
-    return _orbit_scheme(m, _HEXAGONAL_GENERATORS)
+    return _orbit_scheme("hexagonal lattice", m, 4, _HEXAGONAL_GENERATORS)
 
 
 def build_orbit_scheme_z5z5() -> AssociationScheme:

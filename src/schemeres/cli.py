@@ -179,7 +179,10 @@ def cmd_build(args) -> int:
     elapsed = time.perf_counter() - t0
 
     out = Path(args.out) if args.out else Path(f"{args.builder}.scheme.json")
-    out.write_text(json.dumps(scheme_to_dict(scheme)) + "\n")
+    try:
+        out.write_text(json.dumps(scheme_to_dict(scheme)) + "\n")
+    except OSError as exc:
+        raise BadParameter(f"cannot write {out}: {exc.strerror or exc}") from exc
     print(f"scheme: N={summary['n']} d={summary['d']} "
           f"valencies={tuple(summary['valencies'])}")
     if summary["distance_regular"]:
@@ -194,10 +197,12 @@ def cmd_build(args) -> int:
 def _load_scheme_argument(args) -> tuple:
     target = args.scheme
     path = Path(target)
-    if path.exists():
+    if path.is_file():  # a directory falls through to the preset names
         try:
             doc = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+        except OSError as exc:
+            raise BadParameter(f"cannot read {target}: {exc.strerror or exc}") from exc
+        except ValueError as exc:  # not JSON, or bytes that are not text
             raise BadParameter(f"{target} is not valid JSON: {exc}") from exc
         try:
             return scheme_from_dict(doc), None
@@ -294,15 +299,18 @@ def cmd_resist(args) -> int:
 
     if args.out:
         path = Path(args.out)
-        if args.format == "csv":
-            with path.open("w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["class", "kappa", "R_exact_num", "R_exact_den",
-                                 "R_float", "method"])
-                for table in report.tables:
-                    writer.writerows(table_csv_rows(scheme, table))
-        else:
-            path.write_text(json.dumps(report.to_json_dict(), indent=2) + "\n")
+        try:
+            if args.format == "csv":
+                with path.open("w", newline="") as fh:
+                    writer = csv.writer(fh)
+                    writer.writerow(["class", "kappa", "R_exact_num", "R_exact_den",
+                                     "R_float", "method"])
+                    for table in report.tables:
+                        writer.writerows(table_csv_rows(scheme, table))
+            else:
+                path.write_text(json.dumps(report.to_json_dict(), indent=2) + "\n")
+        except OSError as exc:
+            raise BadParameter(f"cannot write {path}: {exc.strerror or exc}") from exc
         print(f"wrote {path}")
     return 0 if report.all_passed else 1
 

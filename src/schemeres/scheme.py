@@ -12,7 +12,7 @@ three routes:
   class(x, y) = row0[x - y].  That is the orbital scheme of G x| H, closed
   by construction (Delsarte 1973; Brouwer, Cohen and Neumaier 1989,
   section 2.9), and symmetric when each orbit is closed under negation,
-  which row 0 decides.  All of it is O(N |gens| + (d+1) N) work.
+  which row 0 decides.  All of it is O(N |gens|) a round, then O((d+1) N).
 * a triangular scheme J(n, 2) (``Pairs``: the triangular builder) is given
   by its number of points alone.  Its vertices are the 2-subsets, and the
   class of (s, t) is 2 - |s & t|: the orbitals of Sym(n), a transitive
@@ -144,7 +144,8 @@ class Pairs:
 
 @dataclass(frozen=True, eq=False)
 class AssociationScheme:
-    """A verified symmetric association scheme on n vertices with d classes.
+    """A verified symmetric association scheme on n vertices with d classes,
+    its arrays read-only (a class map given to ``verify_scheme`` is copied).
 
     Attributes
     ----------
@@ -156,7 +157,7 @@ class AssociationScheme:
     classmap : that array, derived from a ``Translation`` or ``Pairs`` on
         access
     relations : int8 matrices A_0..A_d, derived from ``classmap`` on access
-    representatives : r_0..r_d (read-only), r_k the first vertex of class k
+    representatives : r_0..r_d, r_k the first vertex of class k
         in row 0, where p was counted; ``representative_rows`` are their rows,
         kept from a one-block count (``_counted_rows``) or derived on access
     """
@@ -174,20 +175,18 @@ class AssociationScheme:
     def representative_rows(self) -> np.ndarray:
         if self._counted_rows is not None:
             return self._counted_rows
-        t = self.realisation
-        if isinstance(t, np.ndarray):
-            return t[self.representatives]
-        return t.rows(self.representatives)
+        t, reps = self.realisation, self.representatives
+        return _read_only(t[reps] if isinstance(t, np.ndarray) else t.rows(reps))
 
     @cached_property
     def classmap(self) -> Optional[np.ndarray]:
         if isinstance(self.realisation, np.ndarray):
             return self.realisation
-        return self.realisation.rows(np.arange(self.n))
+        return _read_only(self.realisation.rows(np.arange(self.n)))
 
     @cached_property
     def relations(self) -> tuple:
-        return tuple((self.classmap == k).astype(np.int8) for k in range(self.d + 1))
+        return tuple(_read_only((self.classmap == k).astype(np.int8)) for k in range(self.d + 1))
 
     def intersection_matrix(self, i: int) -> np.ndarray:
         """B_i with (B_i)[k, j] = p^k_{ij}; columns track A_i A_j."""
@@ -248,8 +247,8 @@ def verify_scheme(given, class_names: Optional[Union[list, tuple]] = None) -> As
 
     * a ``Translation`` needs integers m >= 2 and r >= 1 (not bools or
       floats) with r (m-1)^2 < 2^53, and r x r integer generators, each a
-      bijection of G mod m.  Row 0, the orbit labelling they derive, proves
-      the axioms in O(N |gens| + (d+1) N) (see ``_verify_translation``); the
+      bijection of G mod m.  Row 0, their orbit labelling (O(N |gens|) a
+      round), proves the axioms in O(N) (see ``_verify_translation``); the
       class map is derived on access, never built here.
     * a ``Pairs`` needs an integer ``points`` >= 2, not a bool.  Its classes
       are the orbitals of Sym(points), so the axioms hold by construction;
@@ -314,7 +313,7 @@ def _verify_classmap(classmap) -> tuple:
     """(class map, valencies) on the class-map route of ``verify_scheme``.
 
     The axioms are checked on the given dtype, so that no label is narrowed
-    before it is certified.
+    before it is certified; the scheme keeps a read-only copy.
     """
     if not (isinstance(classmap, np.ndarray) and np.issubdtype(classmap.dtype, np.integer)
             and classmap.ndim == 2 and classmap.shape[0] == classmap.shape[1]):
@@ -322,7 +321,14 @@ def _verify_classmap(classmap) -> tuple:
     if classmap.shape[0] == 0:
         raise NotPartition("the class map has no vertices")
     d, valencies = _classmap_axioms(classmap)
-    return classmap.astype(_label_dtype(d), copy=False), valencies
+    # a copy, which the caller's array no longer reaches
+    return _read_only(classmap.astype(_label_dtype(d))), valencies
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, made read-only in place."""
+    array.flags.writeable = False
+    return array
 
 
 def _label_dtype(d: int) -> type:
@@ -341,12 +347,12 @@ def _verify_translation(given: Translation) -> tuple:
 
     Each generator must be an r x r integer matrix and a bijection of G (a
     ``bincount`` of its images), hence an automorphism.  Row 0 labels every
-    point with its H-orbit, numbered in order of its least point; H fixes
-    0, so class 0 is {0}, and every label 0..d is used.  The classes are
-    then the orbitals of G x| H, a transitive group, so the scheme is closed
-    by construction; the translations act transitively on its class map, so
-    row 0 (row0[-z]) and column 0 (row0) decide symmetry and give the
-    valencies in O(N).
+    point with its H-orbit, numbered in order of its least point
+    (``_orbit_labels``); H fixes 0, so class 0 is {0}, and every label 0..d
+    is used.  The classes are then the orbitals of G x| H, a transitive
+    group, so the scheme is closed by construction; the translations act
+    transitively on its class map, so row 0 (row0[-z]) and column 0 (row0)
+    decide symmetry and give the valencies in O(N).
     """
     m, r = given.modulus, given.rank
     if not (_is_integer(m) and _is_integer(r) and m >= 2 and r >= 1):
@@ -362,8 +368,7 @@ def _verify_translation(given: Translation) -> tuple:
         h = np.asarray(h)
         if h.shape != (r, r) or not np.issubdtype(h.dtype, np.integer):
             raise BadParameter(f"generator {k} is not a {r} x {r} integer matrix")
-        h = h.astype(np.int64)
-        h.flags.writeable = False
+        h = _read_only(h.astype(np.int64))
         image = _image(h, m, r)
         if np.bincount(image, minlength=n).max() > 1:
             raise BadParameter(f"generator {k} is singular mod {m}")
@@ -371,8 +376,7 @@ def _verify_translation(given: Translation) -> tuple:
         images.append(image)
 
     row0 = _orbit_labels(images, n)
-    row0 = row0.astype(_label_dtype(int(row0.max())))
-    row0.flags.writeable = False
+    row0 = _read_only(row0.astype(_label_dtype(int(row0.max()))))
     translation = Translation(m, r, tuple(gens))
     object.__setattr__(translation, "row0", row0)
     return translation, _row_zero_axioms(translation.rows(0), row0)
@@ -408,8 +412,7 @@ def _verify_pairs(given: Pairs) -> tuple:
     if not _is_integer(points) or points < 2:
         raise BadParameter(f"a pairs scheme needs an integer points >= 2, not {points!r}")
     pairs = Pairs(int(points))
-    row0 = pairs._classes(0)
-    row0.flags.writeable = False
+    row0 = _read_only(pairs._classes(0))
     object.__setattr__(pairs, "row0", row0)
     return pairs, _row_zero_axioms(row0, row0)
 
@@ -419,7 +422,7 @@ def _representative_intersection_numbers(row0: np.ndarray, rows, valencies: tupl
     map with row 0 ``row0`` and rows ``rows(xs)``: a ``Translation`` or
     ``Pairs`` and its ``rows``, or an (n, n) class map and its
     ``__getitem__``.  p^k_ij = #{z : class(0, z) = i, class(r_k, z) = j},
-    with r_k the first vertex of class k in row 0.  Both arrays are read-only.
+    with r_k the first vertex of class k in row 0.  All three are read-only.
 
     By symmetry class(r_k, z) = class(z, r_k), so that counts the z with
     class(0, z) = i and class(z, y) = j for y = r_k: entry (0, r_k) of
@@ -435,8 +438,7 @@ def _representative_intersection_numbers(row0: np.ndarray, rows, valencies: tupl
     p, and a block of every class is p, returned with the rows it read.
     """
     n, d = len(row0), len(valencies) - 1
-    reps = np.unique(row0, return_index=True)[1]
-    reps.flags.writeable = False
+    reps = _read_only(np.unique(row0, return_index=True)[1])
     left = row0.astype(np.intp) * (d + 1)  # [z] = i (d+1), i the class of z
     step = max(1, _ROW_ZERO_BLOCK // n)
     p = None
@@ -449,12 +451,11 @@ def _representative_intersection_numbers(row0: np.ndarray, rows, valencies: tupl
         counts = np.bincount(cells.ravel(), minlength=(d + 1) ** 2 * width
                              ).reshape(d + 1, d + 1, width)
         if width == d + 1:
-            block.flags.writeable = False
-            return counts, reps, block
+            return _read_only(counts), reps, _read_only(block)
         if p is None:
             p = np.empty((d + 1, d + 1, d + 1), dtype=np.int64)
         p[:, :, k0:k0 + width] = counts
-    return p, reps, None
+    return _read_only(p), reps, None
 
 
 def _classmap_axioms(classmap: np.ndarray) -> tuple:
@@ -552,33 +553,30 @@ def _certify_closure(classmap: np.ndarray, valencies: tuple, p: np.ndarray) -> N
 
 
 def _orbit_labels(gens: Sequence[np.ndarray], n: int) -> np.ndarray:
-    """The orbit of each of the points 0..n-1 under words in the
-    permutations ``gens``, numbered in order of their least points.
+    """The orbit of each of the points 0..n-1 under the group that the
+    permutations ``gens`` (arrays of images) generate, numbered in order of
+    their least points.
 
-    Each point not yet labelled, taken in increasing order, is the least of
-    a new orbit, which a forward depth-first search on plain lists labels;
-    the point set is finite, so the forward orbit is the orbit of the group
-    the permutations generate.  That is N * len(gens) steps, which beats a
-    frontier search in numpy when an orbit is long and thin, as under one
-    rotation.
+    From the identity, a round lowers least[x] to least[g x] for each g in
+    turn, then jumps least[x] to least[least[x]] (the hooking and
+    shortcutting of Shiloach and Vishkin, *J. Algorithms* 3, 1982), until a
+    round changes nothing.  No step raises an entry or lets least[x]
+    exceed x, so the rounds end, and at the fixpoint least is the least
+    point of each orbit:
+
+    * least[x] only ever holds a point of x's orbit;
+    * least[x] <= least[g x] for every g, and g permutes a finite set, so
+      least is constant on the cycles of each g, hence on every orbit;
+    * the orbit's minimum m keeps least[m] = m.
     """
-    images = [g.tolist() for g in gens]
-    labels = [-1] * n
-    count = 0
-    for start in range(n):
-        if labels[start] >= 0:
-            continue
-        labels[start] = count
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for g in images:
-                y = g[x]
-                if labels[y] < 0:
-                    labels[y] = count
-                    stack.append(y)
-        count += 1
-    return np.array(labels)
+    points = np.arange(n)
+    least, last = points, None
+    while not np.array_equal(least, last):
+        last = least
+        for g in gens:
+            least = np.minimum(least, least[g])
+        least = least[least]
+    return (np.cumsum(least == points) - 1)[least]  # [m] = least points <= m, less one
 
 
 #: most cells of one ``bincount`` in ``_representative_intersection_numbers``
@@ -599,11 +597,11 @@ class SpectralData:
 
     ``p_matrix`` rows index common eigenspaces (row 0 is the all-ones
     eigenspace, so ``P[0, j] = kappa_j`` and ``P[k, 0] = 1``); columns index
-    classes.  ``multiplicities[k]`` is the rank of ``idempotents[k]``.
-    ``idempotents`` are the N x N matrices E_k = (1/N) sum_j Q[j, k] A_j;
-    they are built from the class map of ``scheme`` on first access only,
-    since nothing else in the package needs them, so the class map of a
-    translation scheme is not derived until then.
+    classes.  ``multiplicities[k]`` is the rank of ``idempotents[k]``, the
+    N x N matrix E_k = (1/N) sum_j Q[j, k] A_j, built from the class map of
+    ``scheme`` on first access only, since nothing else in the package needs
+    them, so the class map of a translation scheme is not derived until
+    then.  P, Q and the E_k are read-only.
     """
 
     p_matrix: np.ndarray
@@ -619,7 +617,7 @@ class SpectralData:
     def idempotents(self) -> tuple:
         n = sum(self.multiplicities)
         classmap = self.scheme.classmap
-        return tuple(self.q_matrix[classmap, k] / n for k in range(self.d + 1))
+        return tuple(_read_only(self.q_matrix[classmap, k] / n) for k in range(self.d + 1))
 
 
 #: seed of the generic weights, so that every call draws the same sequence
@@ -635,19 +633,14 @@ def _weight_draws(count: int) -> tuple:
     """The seeded generic weight vectors, ``count`` weights each: drawn once
     per size and shared read-only."""
     rng = np.random.default_rng(_COMBO_SEED)
-    draws = tuple(rng.standard_normal(count) for _ in range(_WEIGHT_DRAWS))
-    for weights in draws:
-        weights.flags.writeable = False
-    return draws
+    return tuple(_read_only(rng.standard_normal(count)) for _ in range(_WEIGHT_DRAWS))
 
 
 @lru_cache(maxsize=256)
 def _certificate_weights(count: int) -> np.ndarray:
     """The seeded weights of ``_certify_eigenspaces``, ``count`` of them in
     [1, 2], so that every class carries weight; shared read-only."""
-    weights = np.random.default_rng(_CERTIFICATE_SEED).uniform(1.0, 2.0, count)
-    weights.flags.writeable = False
-    return weights
+    return _read_only(np.random.default_rng(_CERTIFICATE_SEED).uniform(1.0, 2.0, count))
 
 
 def spectral_data(scheme: AssociationScheme) -> SpectralData:
@@ -724,7 +717,7 @@ def spectral_data(scheme: AssociationScheme) -> SpectralData:
     q_matrix = (p_matrix.T * multiplicities).T  # temporary: m_k * P[k, l]
     q_matrix = q_matrix.T / kappa[:, None]      # Q[l, j] = m_j P[j, l] / kappa_l
 
-    data = SpectralData(p_matrix, q_matrix, multiplicities, scheme)
+    data = SpectralData(_read_only(p_matrix), _read_only(q_matrix), multiplicities, scheme)
     _validate_spectral(scheme, data, certificate)
     return data
 

@@ -31,13 +31,21 @@ from test_scheme import MULTI_RUN
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
+SIZED_BUILDERS = (sr.build_cycle, sr.build_hypercube, sr.build_triangular,
+                  sr.build_square_lattice, sr.build_hexagonal_lattice)
+
+
 @pytest.mark.parametrize("build, size", [
     (sr.build_cycle, 6.0), (sr.build_cycle, True), (sr.build_hypercube, 3.0),
     (sr.build_hypercube, True), (sr.build_square_lattice, 4.0),
-    (sr.build_hexagonal_lattice, 5.0), (sr.build_triangular, 5.0)])
+    (sr.build_hexagonal_lattice, 5.0), (sr.build_triangular, 5.0),
+    (sr.build_triangular, True), (sr.build_square_lattice, True),
+    (sr.build_hexagonal_lattice, True)]
+    + [(build, size) for build in SIZED_BUILDERS for size in ("5", None)])
 def test_sizes_must_be_integers(build, size):
-    # a whole float was truncated to another scheme, or ended in a TypeError
-    with pytest.raises(BadParameter, match=rf"not {size!r}\b"):
+    # int() would truncate a whole float to another scheme and read a
+    # boolean as 0 or 1; a string or None fails a comparison untyped
+    with pytest.raises(BadParameter, match=rf"not {re.escape(repr(size))}$"):
         build(size)
 
 

@@ -130,6 +130,32 @@ class TestResist:
         assert main(["resist", str(bad)]) == 2
         assert "BadParameter" in capsys.readouterr().err
 
+    def test_directory_is_not_a_document(self, tmp_path, capsys):
+        # a directory is not a document, so it is looked up as a preset name
+        assert main(["resist", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == \
+            f"error [BadParameter]: {str(tmp_path)!r} is neither a scheme file nor a preset name\n"
+
+    def test_unreadable_document(self, tmp_path, capsys, monkeypatch):
+        doc = tmp_path / "c6.json"
+        assert main(["build", "cycle", "--n", "6", "--out", str(doc)]) == 0
+
+        def refuse(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(pathlib.Path, "read_text", refuse)
+        capsys.readouterr()
+        assert main(["resist", str(doc)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error [BadParameter]: cannot read {doc}: Permission denied\n"
+
+    def test_document_that_is_not_text(self, tmp_path, capsys):
+        doc = tmp_path / "bytes.json"
+        doc.write_bytes(b"\x9a\x00{}")
+        assert main(["resist", str(doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [BadParameter]: {doc} is not valid JSON: ")
+
     def test_tolerance_failure_exit_code(self, capsys):
         code = main(["resist", "s4", "--method", "oracle", "spectral",
                      "--tolerance", "1e-18"])
@@ -207,6 +233,21 @@ class TestInfinite:
 def test_invalid_values_are_bad_parameters(argv, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error [BadParameter]: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "cycle", "--n", "6"],
+    ["resist", "cycle", "--n", "6"],
+    ["resist", "cycle", "--n", "6", "--format", "csv"]], ids=["build", "json", "csv"])
+def test_out_that_cannot_be_written(tmp_path, capsys, argv):
+    # exit 2, an error: a traceback would exit 1, which reads as a failed check
+    missing = tmp_path / "no" / "such.json"
+    assert main(argv + ["--out", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error [BadParameter]: cannot write {missing}: No such file or directory\n"
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error [BadParameter]: cannot write {tmp_path}: Is a directory\n"
 
 
 class TestPresetFactory:

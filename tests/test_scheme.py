@@ -1056,6 +1056,30 @@ class TestTranslationRoute:
         assert scheme.valencies == dense.valencies
         assert (scheme.p.dtype, scheme.p.tobytes()) == (dense.p.dtype, dense.p.tobytes())
 
+    # the labelling past N = 64, where the property test above stops, against closed forms
+
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_hypercube_row_zero_is_the_popcount(self, n):
+        row0 = sr.build_hypercube(n).realisation.row0
+        assert row0.dtype == np.int16
+        assert row0.tolist() == [bin(x).count("1") for x in range(2 ** n)]
+
+    def test_primitive_root_gives_one_class(self):
+        # 11 generates the units of Z_1009, so every nonzero point is one orbit
+        scheme = sr.verify_scheme(sr.Translation(1009, 1, ([[11]],)))
+        assert (scheme.d, scheme.valencies) == (1, (1, 1008))
+        assert scheme.realisation.row0.tolist() == [0] + [1] * 1008
+
+    @pytest.mark.parametrize("q", [1009, 10009])
+    def test_paley_classes_are_the_quadratic_residues(self, q):
+        # 121 = 11^2 generates the squares of Z_q; class 1 is the orbit of 1,
+        # the x with x^((q-1)/2) = 1 mod q (Euler's criterion)
+        scheme = sr.verify_scheme(sr.Translation(q, 1, ([[121]],)))
+        half = (q - 1) // 2
+        assert (scheme.d, scheme.valencies) == (2, (1, half, half))
+        residues = [0] + [1 if pow(x, half, q) == 1 else 2 for x in range(1, q)]
+        assert scheme.realisation.row0.tolist() == residues
+
     @pytest.mark.parametrize("dtype", [np.int16, np.int64])
     @pytest.mark.parametrize("case", NOT_SYMMETRIC)
     def test_same_error_as_the_class_map_route(self, case, dtype):
@@ -1212,6 +1236,7 @@ class TestHeldRepresentatives:
         assert scheme.representatives.tolist() == [2 ** k - 1 for k in range(17)]
         t = scheme.realisation
         assert scheme.representative_rows.tobytes() == t.rows(scheme.representatives).tobytes()
+        assert not scheme.representative_rows.flags.writeable
 
     def test_chang_graph_keeps_its_counted_rows(self, chang):
         # a class map with no transitive group, beside the S4 presets above
@@ -1226,6 +1251,43 @@ class TestHeldRepresentatives:
     def test_realisations_keep_only_their_definition(self, given, names):
         realisation = sr.verify_scheme(given).realisation
         assert [f.name for f in dataclasses.fields(realisation)] == names
+
+
+def reloaded(scheme):
+    return sr.scheme_from_dict(json.loads(json.dumps(sr.scheme_to_dict(scheme))))
+
+
+class TestVerifiedArraysAreReadOnly:
+    """A verified scheme's p, class map and rows, and its spectral tables,
+    cannot be changed after certification: a write raises, so no exact
+    table silently follows an edit."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: sr.build_hypercube(3), lambda: sr.build_triangular(5),
+        lambda: sr.build_s4_scheme(), lambda: reloaded(sr.build_hypercube(3))],
+        ids=["translation", "pairs", "class-map", "reloaded"])
+    def test_writes_raise(self, build):
+        scheme = build()
+        data = sr.spectral_data(scheme)
+        for array in (scheme.p, scheme.classmap, scheme.representative_rows,
+                      scheme.relations[1], data.p_matrix, data.q_matrix,
+                      data.idempotents[1]):
+            with pytest.raises(ValueError, match="read-only"):
+                array[1, 1] = 5
+        # on hypercube 3 this edit turned R(3) from 5/6 into 11/12
+        with pytest.raises(ValueError, match="read-only"):
+            scheme.p[1, 1, 0] = 5
+        assert sr.resistance_polynomial(scheme) == sr.resistance_polynomial(build())
+
+    def test_the_callers_class_map_is_copied(self):
+        # an int16 map is already of the label dtype, so it was kept as given
+        given = sr.build_cycle(8).classmap.astype(np.int16)
+        scheme = sr.verify_scheme(given, class_names=[str(k) for k in range(5)])
+        doc = sr.scheme_to_dict(scheme)
+        given[0, 1], given[1, 0] = 3, 3
+        assert scheme.classmap.tobytes() == sr.build_cycle(8).classmap.tobytes()
+        assert sr.scheme_to_dict(scheme) == doc
+        assert reloaded(scheme).p.tobytes() == scheme.p.tobytes()
 
 
 def overlap_classmap(points):
