@@ -334,7 +334,10 @@ def polynomial_coefficients(scheme: AssociationScheme) -> PolynomialCoefficients
     matrix of class 1, so A^0..A^d are expanded in exact integers without
     touching an N x N matrix, in O(kappa_1 d^2) (``_power_rows``); that
     system W is then inverted by one exact solve W C = I, certified by its
-    residual in integers.
+    residual in integers.  The solve is forward substitution when W is
+    lower triangular, as on every distance-regular scheme in its distance
+    order, where A_i = P_i(A_1) with P_i of degree i; otherwise it is
+    Bareiss elimination, O(d^3) a column (``rational_solve``).
 
     Raises
     ------
@@ -370,7 +373,11 @@ def resistance_polynomial(scheme: AssociationScheme) -> ResistanceTable:
     coefficients of A^l, t_n = sum_{i<=n} kappa^{n-i} tr(A^{i-1}) -
     n kappa^{n-1} and tr(A^l) = N W[l][0].  One exact solve, certified by its
     residual (``CertificationFailed``).  Building W costs O(kappa_1 d^2)
-    (``_power_rows``).
+    (``_power_rows``).  The solve costs O(d^2) when W is lower triangular,
+    as on every distance-regular scheme in its distance order, where
+    A_i = P_i(A_1) with P_i of degree i; when P_i is not of degree i, W is
+    not triangular and Bareiss elimination costs O(d^3)
+    (``rational_solve``).
 
     Connectivity is decided only when W is singular (``_singular_power_rows``).
 

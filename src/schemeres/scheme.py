@@ -385,11 +385,22 @@ def _verify_translation(given: Translation) -> tuple:
 def _image(h: np.ndarray, m: int, r: int) -> np.ndarray:
     """The vertex h z of every vertex z of Z_m^r, h an r x r integer matrix,
     by float64 products of blocks of coordinates mod m, exact since every
-    partial sum is an integer at most r (m-1)^2 < 2**53."""
+    partial sum is an integer at most r (m-1)^2 < 2**53.
+
+    For m = 2, h z is the exclusive or, over the set bits of z, of the
+    codes of h's columns mod 2, so the images of the first 2^b vertices and
+    one code give the next 2^b: N exclusive ors in all, and no products.
+    """
     n = m ** r
     places = m ** np.arange(r - 1, -1, -1)
-    h = (h % m).astype(np.float64)
     out = np.empty(n, dtype=np.intp)
+    if m == 2:
+        codes = places @ (h % 2)  # [t] = the code of column t, the image of vertex 2^(r-1-t)
+        out[0] = 0
+        for b, code in enumerate(codes[::-1]):
+            out[1 << b:2 << b] = out[:1 << b] ^ code
+        return out
+    h = (h % m).astype(np.float64)
     step = max(1, _ROW_ZERO_BLOCK // r)
     for z0 in range(0, n, step):
         coords = np.arange(z0, min(z0 + step, n)) // places[:, None] % m  # [s, z]

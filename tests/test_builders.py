@@ -96,6 +96,16 @@ class TestHypercube:
         with pytest.raises(TooLarge):
             sr.build_hypercube(21)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_too_small(self, n):
+        with pytest.raises(TooSmall, match="^hypercube needs n >= 1$"):
+            sr.build_hypercube(n)
+
+    @pytest.mark.parametrize("l, x, n", [(-1, 0, 3), (4, 0, 3), (0, -1, 3), (0, 4, 3)])
+    def test_krawtchouk_out_of_range(self, l, x, n):
+        with pytest.raises(ValueError, match="^krawtchouk needs 0 <= l, x <= n$"):
+            sr.krawtchouk(l, x, n)
+
     @pytest.mark.parametrize("n", range(1, 10))
     def test_two_generators_match_packed_route(self, n):
         # the flip of bit 0 and the rotation of the bits generate a transitive

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import schemeres as sr
-from schemeres.cli import main, make_preset_scheme
+from schemeres.cli import main, make_preset_scheme, run_resist
+from schemeres.errors import BadParameter
+from schemeres.reference import triangular_reference
 
 
 class TestBuild:
@@ -155,6 +157,45 @@ class TestResist:
         assert main(["resist", str(doc)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error [BadParameter]: {doc} is not valid JSON: ")
+
+    @pytest.mark.parametrize("text", ["42", "null", '{"n": 4, "d": 2, "modulus": 2, '
+                                      '"rank": 2, "generators": 5}'],
+                             ids=["number", "null", "generators-not-a-list"])
+    def test_json_that_is_not_a_scheme_document(self, tmp_path, capsys, text):
+        doc = tmp_path / "doc.json"
+        doc.write_text(text)
+        assert main(["resist", str(doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [BadParameter]: {doc} is not a scheme document: ")
+
+    def test_csv_rows_of_a_float_table(self, tmp_path):
+        out = tmp_path / "table.csv"
+        code = main(["resist", "cycle", "--n", "8", "--method", "oracle",
+                     "--format", "csv", "--out", str(out)])
+        assert code == 0
+        with out.open() as fh:
+            rows = list(csv.reader(fh))[1:]
+        # no exact numerator or denominator; R(1) = 7/8 as a float
+        assert [row[:4] + row[5:] for row in rows] == [
+            [str(l), str(k), "", "", "oracle"] for l, k in enumerate((2, 2, 2, 1), 1)]
+        assert abs(float(rows[0][4]) - 7 / 8) < 1e-12
+
+    def test_unknown_method(self, s4):
+        with pytest.raises(BadParameter, match="^unknown method 'fourier'$"):
+            run_resist(s4, sr.unit_class_one(s4), ["oracle", "fourier"], tol=1e-9)
+
+    @pytest.mark.parametrize("points", [6, 12])
+    def test_triangular_reference(self, points):
+        # the documented R(1) holds and R(2) does not (README, "Bundled
+        # reference values"); the points are read back from N = points (points-1)/2
+        scheme = sr.build_triangular(points)
+        report = run_resist(scheme, sr.unit_class_one(scheme), ["oracle", "closed"],
+                            tol=1e-9, preset="triangular")
+        documented = triangular_reference(points)
+        closed = report.tables[1]
+        assert [(r.class_index, r.documented, r.computed, r.status) for r in report.reference] == [
+            (1, documented[1], closed.values[0], "CONFIRMED"),
+            (2, documented[2], closed.values[1], "UNCONFIRMED")]
 
     def test_tolerance_failure_exit_code(self, capsys):
         code = main(["resist", "s4", "--method", "oracle", "spectral",

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import schemeres as sr
-from schemeres.errors import SingularSystem
+from schemeres import exact
+from schemeres.errors import FewerEigenvalues, SingularSystem
 
 from conftest import rational_matmul
 from nxn_witnesses import power_traces
@@ -22,6 +23,13 @@ def identity(n):
 def matmul(a, b):
     """Product that keeps ints as ints (``rational_matmul`` makes Fractions)."""
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def sympy_solution(a, b):
+    import sympy
+    x = sympy.Matrix(a).LUsolve(sympy.Matrix(b))
+    return [[Fraction(int(x[i, j].p), int(x[i, j].q)) for j in range(x.cols)]
+            for i in range(x.rows)]
 
 
 class TestRationalSolve:
@@ -41,6 +49,14 @@ class TestRationalSolve:
         m = [[3, 0, 108], [2, 0, 104], [0, 16, 0]]
         x = sr.rational_solve(m, [[0], [0], [1]])
         assert x == [[Fraction(0)], [Fraction(1, 16)], [Fraction(0)]]
+
+    @pytest.mark.parametrize("a, b, message", [
+        ([[1, 0], [0]], [[1], [1]], "^coefficient matrix must be square$"),
+        ([[1, 0], [0, 1]], [[1]], "^right-hand side has incompatible row count$"),
+    ], ids=["ragged", "short-rhs"])
+    def test_shape_errors(self, a, b, message):
+        with pytest.raises(ValueError, match=message):
+            sr.rational_solve(a, b)
 
     def test_singular_reports(self):
         with pytest.raises(SingularSystem, match="rank 1 of 2") as info:
@@ -91,15 +107,132 @@ class TestRationalSolve:
         a = matmul(left, right)  # rank at most inner
         rank = sympy.Matrix(a).rank()
         if rank == n:
-            expected = sympy.Matrix(a).LUsolve(sympy.Matrix(b))
             x = sr.rational_solve(a, b)
             assert all(type(v) is Fraction for row in x for v in row)
-            assert x == [[Fraction(int(expected[i, j].p), int(expected[i, j].q))
-                          for j in range(cols)] for i in range(n)]
+            assert x == sympy_solution(a, b)
         else:
             with pytest.raises(SingularSystem) as info:
                 sr.rational_solve(a, b)
             assert info.value.rank == rank
+
+
+def bareiss(a, b):
+    """The elimination route, whatever the shape of A."""
+    return exact._bareiss(exact._scaled_rows(a, b), len(a))
+
+
+@pytest.fixture
+def routes(monkeypatch):
+    """The names of the routes ``rational_solve`` takes, in call order."""
+    taken = []
+    for name in ("_forward_substitute", "_bareiss"):
+        def spy(*args, name=name, real=getattr(exact, name)):
+            taken.append(name)
+            return real(*args)
+        monkeypatch.setattr(exact, name, spy)
+    return taken
+
+
+def lower_triangular(data, entries, diagonal):
+    n = data.draw(st.integers(1, 8), label="n")
+    cols = data.draw(st.integers(1, 3), label="cols")
+    a = [[data.draw(diagonal if j == i else entries) if j <= i else 0 for j in range(n)]
+         for i in range(n)]
+    b = data.draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                           min_size=n, max_size=n), label="b")
+    return a, b
+
+
+#: integer or Fraction entries, so rows need scaling
+ENTRIES = st.sampled_from([st.integers(-10**6, 10**6),
+                           st.fractions(-10**3, 10**3, max_denominator=10**3)])
+
+
+class TestForwardSubstitution:
+    """A lower-triangular A with a nonzero diagonal is solved by forward
+    substitution; the Fractions are those of Bareiss elimination."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_matches_bareiss_and_sympy(self, data):
+        entries = data.draw(ENTRIES, label="kind")
+        a, b = lower_triangular(data, entries, entries.filter(bool))
+        forward = exact._forward_substitute(exact._scaled_rows(a, b), len(a))
+        assert all(type(v) is Fraction for row in forward for v in row)
+        assert forward == bareiss(a, b) == sympy_solution(a, b)
+        assert sr.rational_solve(a, b) == forward
+
+    def test_takes_forward_route(self, routes):
+        # pivots -2 and 12 (row 2 scaled by 2) do not divide their right sides
+        x = sr.rational_solve([[-2, 0, 0], [1, 3, 0], [Fraction(1, 2), -1, 6]],
+                              [[1], [1], [1]])
+        assert x == [[Fraction(-1, 2)], [Fraction(1, 2)], [Fraction(7, 24)]]
+        assert routes == ["_forward_substitute"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_zero_pivot_falls_through_to_bareiss(self, data):
+        import sympy
+        entries = data.draw(ENTRIES, label="kind")
+        a, b = lower_triangular(data, entries, entries)
+        i = data.draw(st.integers(0, len(a) - 1), label="pivot")
+        a[i][i] = 0
+        rank = sympy.Matrix(a).rank()
+        with pytest.raises(SingularSystem) as info:
+            sr.rational_solve(a, b)
+        assert info.value.rank == rank
+        with pytest.raises(SingularSystem) as info:
+            bareiss(a, b)
+        assert info.value.rank == rank
+
+    def test_zero_pivot_rank(self, routes):
+        # columns 0 and 2 are independent; column 1 is zero
+        with pytest.raises(SingularSystem, match="rank 2 of 3") as info:
+            sr.rational_solve([[1, 0, 0], [2, 0, 0], [0, 5, 7]], [[1], [1], [1]])
+        assert info.value.rank == 2
+        assert routes == ["_bareiss"]
+
+
+#: the polynomial networks of the exact-drg benchmark, and hypercube 12
+DRG_LADDER = ([("cycle", n) for n in (16, 32, 48, 64)]
+              + [("hypercube", n) for n in (3, 4, 5, 6, 7, 8, 12)]
+              + [("triangular", n) for n in (5, 8, 12, 16, 20, 24)])
+
+
+class TestPowerBasisRoute:
+    """W is lower triangular in the distance order of a distance-regular
+    scheme, where P_i has degree i; on other schemes it need not be."""
+
+    @pytest.mark.parametrize("family, size", DRG_LADDER,
+                             ids=[f"{f}{n}" for f, n in DRG_LADDER])
+    def test_distance_regular_ladder_substitutes(self, routes, family, size):
+        scheme = getattr(sr, f"build_{family}")(size)
+        rows = sr.resistance._power_rows(scheme)
+        assert all(row[i] and not any(row[i + 1:]) for i, row in enumerate(rows))
+        table = sr.resistance_polynomial(scheme)
+        assert routes == ["_forward_substitute"]
+        array = sr.check_distance_regular(scheme)
+        assert table.values == sr.drg_closed_table(array, scheme.n).values
+
+    @pytest.mark.parametrize("build", [lambda: sr.build_square_lattice(6),
+                                       lambda: sr.build_hexagonal_lattice(9)],
+                             ids=["square6", "hexagonal9"])
+    def test_other_lattices_eliminate(self, routes, build):
+        scheme = build()
+        rows = sr.resistance._power_rows(scheme)
+        assert any(any(row[i + 1:]) for i, row in enumerate(rows))
+        try:
+            sr.resistance_polynomial(scheme)
+        except FewerEigenvalues:
+            pass  # square 6: A_1 has 9 distinct eigenvalues, d + 1 = 10
+        assert routes == ["_bareiss"]
+
+    def test_refined_b_still_fewer_eigenvalues(self, routes, s4_refined_b):
+        # criterion c11: A_1 does not generate the algebra of s4-refined-b
+        message = "^A_1 generates a rank-5 subalgebra of dimension 7$"
+        with pytest.raises(FewerEigenvalues, match=message):
+            sr.resistance_polynomial(s4_refined_b)
+        assert routes == ["_bareiss"]
 
 
 def traces_by_repeated_multiplication(a, max_power):

@@ -23,6 +23,11 @@ class TestInfiniteLine:
         with pytest.raises(ValueError):
             sr.infinite_line_resistance(-1)
 
+    def test_not_converged(self):
+        # 16 panels give one estimate, and Richardson stopping needs two
+        with pytest.raises(QuadratureNotConverged, match="^line quadrature stalled at 32 panels$"):
+            sr.infinite_line_resistance(3, max_panels=16)
+
     @pytest.mark.parametrize("l", [True, 1.5, 2.0, "2"])
     def test_rejects_non_integer(self, l):
         # True once read as separation 1
@@ -101,6 +106,10 @@ class TestInfiniteLattice:
             sr.infinite_lattice_resistance("square", 3, 2, tol=1e-14,
                                            max_grid=128)
 
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="^unknown lattice kind 'triangle'$"):
+            sr.infinite_lattice_resistance("triangle", 1, 0)
+
 
 class TestFiniteFormula:
     @pytest.mark.parametrize("m, l1, l2", [
@@ -110,6 +119,16 @@ class TestFiniteFormula:
         message = re.escape(f"integers l1, l2 and period m >= 3, not {l1!r}, {l2!r} and {m!r}")
         with pytest.raises(ValueError, match=f"{message}$"):
             sr.finite_lattice_resistance_formula(m, l1, l2)
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="^unknown lattice kind 'triangle'$"):
+            sr.finite_lattice_resistance_formula(4, 1, 0, kind="triangle")
+
+    @pytest.mark.parametrize("kind", ["square", "hexagonal"])
+    @pytest.mark.parametrize("l1, l2", [(0, 0), (5, 0), (0, -5), (10, 5)])
+    def test_zero_separation_mod_m(self, kind, l1, l2):
+        # (l1, l2) = 0 mod 5 is the vertex itself on the 5 x 5 torus
+        assert sr.finite_lattice_resistance_formula(5, l1, l2, kind=kind) == 0.0
 
     @pytest.mark.parametrize("m", [3, 4, 5, 8])
     def test_square_nearest_neighbor_value(self, m):

@@ -444,6 +444,12 @@ class TestDistanceRegular:
         scheme = DRG_CASES[name]()
         assert sr.check_distance_regular(scheme) == nxn_check_distance_regular(scheme)
 
+    def test_one_vertex_has_no_array(self):
+        # d = 0: no class 1, so no intersection array
+        scheme = sr.verify_scheme(np.zeros((1, 1), dtype=np.int64))
+        assert (scheme.n, scheme.d) == (1, 0)
+        assert sr.check_distance_regular(scheme) is None
+
     @pytest.mark.parametrize("m", [2, 3, 5])
     def test_disconnected_tridiagonal_scheme(self, m):
         # 2 x K_m: class 1 joins vertices within a copy, class 2 across.
@@ -1135,6 +1141,24 @@ class TestTranslationRoute:
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_binary_images_match_coordinates(self, data):
+        # for m = 2 the images are exclusive ors of column codes; the witness
+        # takes h z mod 2 from the coordinates, as every other modulus does.
+        # Images come before the singularity check, so singular h count too
+        r = data.draw(st.integers(1, 12), label="r")
+        h = np.array(data.draw(st.one_of(
+            unimodular_matrix(r),
+            st.lists(st.lists(st.integers(-3, 3), min_size=r, max_size=r),
+                     min_size=r, max_size=r))), dtype=np.int64)
+        places = 2 ** np.arange(r - 1, -1, -1)
+        coords = np.arange(2 ** r) // places[:, None] % 2  # [t, z]
+        expected = places @ ((h @ coords) % 2)
+        got = scheme_module._image(h, 2, r)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("m, r", [(2, 1), (2, 5), (3, 3), (12, 1), (6, 2)])
     def test_rows_match_coordinates(self, m, r):
