@@ -68,7 +68,7 @@ def infinite_line_resistance(l: int, tol: float = 1e-10,
                 return (value, err / (2.0 * np.pi)) if with_error else value
         previous = estimate
         panels *= 2
-    raise QuadratureNotConverged(f"line quadrature stalled at {panels} panels")
+    raise QuadratureNotConverged(f"line quadrature stalled at {panels // 2} panels")
 
 
 def _orbit_eigenvalue(orbit, t, y=None):
@@ -130,7 +130,7 @@ def infinite_lattice_resistance(kind: str, l1: int, l2: int,
         previous = estimate
         grid *= 2
     raise QuadratureNotConverged(
-        f"{kind} quadrature stalled at grid {max_grid} (last {previous!r})")
+        f"{kind} quadrature stalled at grid {grid // 2} (last {previous!r})")
 
 
 def finite_lattice_resistance_formula(m: int, l1: int, l2: int,

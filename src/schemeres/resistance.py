@@ -238,8 +238,8 @@ def resistance_spectral(scheme: AssociationScheme, spectral: SpectralData,
     ------
     BadParameter
         If ``spectral`` does not list d+1 multiplicities summing to N, or
-        row 0 of its P is not the valencies within 1e-7: it belongs to
-        another scheme.
+        row 0 of its P is not exactly the valencies, as ``spectral_data``
+        writes it: it belongs to another scheme.
     ZeroDenominator
         If some D_k vanishes relative to the conductance scale
         sum_i c_i kappa_i (the conductance support is disconnected).
@@ -254,7 +254,7 @@ def resistance_spectral(scheme: AssociationScheme, spectral: SpectralData,
     kappa = np.array(scheme.valencies, dtype=float)
     p = spectral.p_matrix
     gap = kappa - p  # [k, l] = kappa_l - P[k, l]; row 0 is 0 for this scheme's data
-    if np.abs(gap[0]).max() > 1e-7:
+    if gap[0].any():
         row = ", ".join(f"{x:g}" for x in p[0])
         raise BadParameter(f"spectral data with row 0 of P ({row}) do not fit a scheme "
                            f"with valencies {scheme.valencies}")

@@ -24,8 +24,9 @@ class TestInfiniteLine:
             sr.infinite_line_resistance(-1)
 
     def test_not_converged(self):
-        # 16 panels give one estimate, and Richardson stopping needs two
-        with pytest.raises(QuadratureNotConverged, match="^line quadrature stalled at 32 panels$"):
+        # 16 panels give one estimate, and Richardson stopping needs two;
+        # the message names the last count evaluated, not the next doubling
+        with pytest.raises(QuadratureNotConverged, match="^line quadrature stalled at 16 panels$"):
             sr.infinite_line_resistance(3, max_panels=16)
 
     @pytest.mark.parametrize("l", [True, 1.5, 2.0, "2"])
@@ -105,6 +106,12 @@ class TestInfiniteLattice:
         with pytest.raises(QuadratureNotConverged):
             sr.infinite_lattice_resistance("square", 3, 2, tol=1e-14,
                                            max_grid=128)
+
+    def test_not_converged_names_the_last_grid(self):
+        # grid 128 is evaluated and 256 is past max_grid = 200
+        with pytest.raises(QuadratureNotConverged,
+                           match=r"^square quadrature stalled at grid 128 \(last 0\.\d+\)$"):
+            sr.infinite_lattice_resistance("square", 3, 2, max_grid=200)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="^unknown lattice kind 'triangle'$"):

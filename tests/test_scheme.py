@@ -275,7 +275,9 @@ class TestSpectralData:
         assert np.abs(data.p_matrix @ data.q_matrix - n * np.eye(d + 1)).max() \
             < 1e-7 * n
         assert np.abs(data.idempotents[0] - 1.0 / n).max() < 1e-8
-        assert np.allclose(data.p_matrix[0], scheme.valencies, atol=1e-7)
+        # the trivial character and E_0 = J/N are written exactly
+        assert data.p_matrix[0].tolist() == list(scheme.valencies)
+        assert (data.q_matrix[:, 0] == 1.0).all()
         assert np.allclose(data.p_matrix[:, 0], 1.0, atol=1e-7)
         for j in range(d + 1):
             recon = sum(data.p_matrix[k, j] * data.idempotents[k]
@@ -353,10 +355,22 @@ class TestSpectralInAlgebra:
             sr.resistance_spectral(scheme, full, unit)
 
     def test_inconsistent_intersection_numbers(self, s4):
+        # closure gives kappa_k p^k_ij = kappa_j p^j_ik, so only a p set by
+        # hand breaks it, and the multiplicities it gives are not integers
         p = s4.p.copy()
         p[1, 2, 3] += 1
-        with pytest.raises(NotClosed):
+        with pytest.raises(DegenerateSplit, match=r"^multiplicity 0\.9999\d* is not a "):
             sr.spectral_data(dataclasses.replace(s4, p=p))
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_corrupted_entry_is_rejected(self, presets, preset):
+        scheme = presets[preset]
+        rng = np.random.default_rng(sum(map(ord, preset)))
+        for _ in range(40):
+            p = scheme.p.copy()
+            p[tuple(rng.integers(0, scheme.d + 1, 3))] += rng.choice([-1, 1])
+            with pytest.raises(DegenerateSplit):
+                sr.spectral_data(dataclasses.replace(scheme, p=p))
 
 
 class TestStratify:
@@ -438,6 +452,17 @@ class TestDistanceRegular:
         scheme = presets[preset]
         assert sr.check_distance_regular(scheme) == nxn_check_distance_regular(scheme)
 
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_identities_on_presets(self, presets, preset):
+        assert_array_identities(presets[preset])
+
+    @pytest.mark.parametrize("family, sizes", [
+        ("cycle", range(4, 257, 2)), ("hypercube", range(1, 17)), ("triangular", range(4, 201)),
+    ], ids=["cycle4-256", "hypercube1-16", "triangular4-200"])
+    def test_identities_on_families(self, family, sizes):
+        for size in sizes:
+            assert_array_identities(make_preset_scheme(family, n=size))
+
     @pytest.mark.parametrize("name", ["petersen", "cycle100", "hypercube6",
                                       "triangular9", "square5", "hexagonal4"])
     def test_matches_nxn_witness(self, name):
@@ -460,6 +485,24 @@ class TestDistanceRegular:
         assert not scheme.relation_connected([1])
         assert nxn_check_distance_regular(scheme) is None
         assert sr.check_distance_regular(scheme) is None
+
+
+def assert_array_identities(scheme):
+    """The identities that verification implies for an intersection array
+    (b_0 = kappa_1, a_i + b_i + c_i = kappa_1 with a_i = p^i_{1i}, and
+    kappa_{i-1} b_{i-1} = kappa_i c_i), and the N x N witness's answer where
+    it runs, up to N = 512."""
+    array = sr.check_distance_regular(scheme)
+    if scheme.n <= 512:
+        assert array == nxn_check_distance_regular(scheme)
+    if array is None:
+        return
+    kappa, d = scheme.valencies, array.d
+    assert d == scheme.d and array.b[0] == kappa[1]
+    for i in range(1, d + 1):
+        b_i = array.b[i] if i < d else 0
+        assert int(scheme.p[1, i, i]) + b_i + array.c[i - 1] == kappa[1]
+        assert kappa[i - 1] * array.b[i - 1] == kappa[i] * array.c[i - 1]
 
 
 def petersen():
@@ -1449,15 +1492,50 @@ class TestSpectralRoute:
             sr.spectral_data(scheme)
 
     def test_validation_rejects_mixed_eigenspaces(self, s4):
-        # Q M and M^-1 P with M fixing E_0 and the all-ones column: P Q = N I
-        # and the rows and columns checked first all still hold
+        # Q M and M^-1 P with M fixing E_0 and the all-ones column: P Q = N I,
+        # row 0 of P and column 0 of Q all still hold
         data = spectral_of(s4)
         mix = np.eye(s4.d + 1)
         mix[1, 1:3] += [0.5, -0.5]
         bad = dataclasses.replace(data, p_matrix=np.linalg.solve(mix, data.p_matrix),
                                   q_matrix=data.q_matrix @ mix)
         with pytest.raises(DegenerateSplit, match=r"A_\d+ E_([12]) != P\[\1,\d+\] E_\1"):
-            scheme_module._validate_spectral(s4, bad, certificate_of(s4))
+            scheme_module._certify_eigenspaces(s4, bad, certificate_of(s4))
+
+    @pytest.mark.parametrize("build, n", [
+        (lambda: sr.build_hypercube(3), 16),
+        (lambda: sr.build_cycle(6), 12),
+        (lambda: sr.build_hypercube(2), 8),
+        (lambda: sr.build_triangular(5), 20),
+    ], ids=["hypercube3-n16", "cycle6-n12", "hypercube2-n8", "triangular5-n20"])
+    def test_multiplicities_must_resolve_the_vertex_count(self, build, n):
+        # twice N doubles every multiplicity, each still an integer, as in
+        # (2, 6, 6, 2) on hypercube 3, so only m_0 = 2 tells
+        scheme = dataclasses.replace(build(), n=n)
+        with pytest.raises(DegenerateSplit,
+                           match="^multiplicities do not resolve the vertex count$"):
+            sr.spectral_data(scheme)
+
+    def test_eigenvectors_must_be_orthogonal(self, monkeypatch):
+        # triangular 6 has multiplicities 1, 5 and 9.  Tilting eigh's vector
+        # of multiplicity 9 by t = 1e-7 towards that of multiplicity 1 moves
+        # that multiplicity by 2 t sqrt(9) = 6e-7 (6.7e-8 of itself), which
+        # the multiplicity test accepts, and P Q off its diagonal by about
+        # N sqrt(9) t = 3e-7 N
+        scheme = sr.build_triangular(6)
+        eigh = np.linalg.eigh
+
+        def tilted(matrix):
+            values, vectors = eigh(matrix)
+            weight = vectors[0] ** 2  # m_k / N
+            small, large = int(np.argmin(weight)), int(np.argmax(weight))
+            vectors = vectors.copy()
+            vectors[:, large] += 1e-7 * vectors[:, small]
+            return values, vectors
+
+        monkeypatch.setattr(np.linalg, "eigh", tilted)
+        with pytest.raises(DegenerateSplit, match=r"^P Q != N I off its diagonal at tolerance$"):
+            sr.spectral_data(scheme)
 
 
 def mixed_eigenspaces(scheme, data):
@@ -1505,8 +1583,8 @@ class TestSeededCertificate:
 
     @pytest.mark.parametrize("preset", PRESETS)
     def test_perturbed_entry_is_named(self, presets, preset):
-        # row 0 of P is checked on its own before the certificate, and
-        # column 0 is all ones by construction; a shift of 1e-5 moves column k of the residual of B_j
+        # row 0 of P is kappa and column 0 all ones, both exactly by
+        # construction; a shift of 1e-5 moves column k of the residual of B_j
         # by 1e-5 |E_k|, which clears the tolerance when E_k is large enough
         scheme = presets[preset]
         data = spectral_of(scheme)
