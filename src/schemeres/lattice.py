@@ -24,6 +24,12 @@ _POINT_GROUPS = {
 }
 
 
+#: the first panel count of the line quadrature and the first grid of the
+#: lattice quadrature; a smaller limit would stop before any estimate
+_FIRST_PANELS = 16
+_FIRST_GRID = 128
+
+
 def _cheb_u(n: int, x: np.ndarray) -> np.ndarray:
     """Chebyshev U_n(x) by the three-term recurrence (vectorized)."""
     prev = np.ones_like(x)
@@ -43,17 +49,20 @@ def infinite_line_resistance(l: int, tol: float = 1e-10,
     Evaluates (1/2pi) * integral of (1 - cos(l x)) / (1 - cos x) over one
     period with composite-Simpson panel doubling and Richardson stopping.
     With ``with_error`` returns (value, error_estimate).  ``l`` must be a
-    nonnegative integer, not a bool or float (``ValueError``).
+    nonnegative integer, not a bool or float, and ``max_panels`` at least
+    16, the first count evaluated (``ValueError``).
     """
     if not _is_integer(l) or l < 0:
         raise ValueError(f"separation must be a nonnegative integer, not {l!r}")
+    if max_panels < _FIRST_PANELS:
+        raise ValueError(f"max_panels must be at least {_FIRST_PANELS}, not {max_panels!r}")
     if l == 0:
         return (0.0, 0.0) if with_error else 0.0
 
     def integrand(x):
         return _cheb_u(l - 1, np.cos(0.5 * x)) ** 2
 
-    panels = 16
+    panels = _FIRST_PANELS
     previous = None
     while panels <= max_panels:
         x = np.linspace(0.0, 2.0 * np.pi, 2 * panels + 1)
@@ -99,7 +108,8 @@ def infinite_lattice_resistance(kind: str, l1: int, l2: int,
     Raises
     ------
     ValueError
-        If ``kind`` is unknown, or l1 and l2 are not integers or are both 0.
+        If ``kind`` is unknown, l1 and l2 are not integers or are both 0, or
+        ``max_grid`` is below 128, the first grid evaluated.
     QuadratureNotConverged
         If successive grid doublings fail to settle below ``tol``.
     """
@@ -109,13 +119,15 @@ def infinite_lattice_resistance(kind: str, l1: int, l2: int,
         raise ValueError(f"separation must be integers, not ({l1!r}, {l2!r})")
     if (l1, l2) == (0, 0):
         raise ValueError("separation (0, 0) has zero resistance by definition")
+    if max_grid < _FIRST_GRID:
+        raise ValueError(f"max_grid must be at least {_FIRST_GRID}, not {max_grid!r}")
     mats = _POINT_GROUPS[kind]()
     orbit_l = orbit_of((l1, l2), mats)
     orbit_1 = orbit_of((1, 0), mats)
     kappa_l = len(orbit_l)
     kappa_1 = len(orbit_1)
 
-    grid = 128
+    grid = _FIRST_GRID
     previous = None
     while grid <= max_grid:
         t = 2.0 * np.pi * (np.arange(grid) + 0.5) / grid

@@ -19,11 +19,16 @@ one (d+1) x (d+1) quotient solve gives y = (L + sJ/N)^-1 e_0 and
 R^(l) = 2(y_0 - y_x) for x in class l, and the residual
 (L + sJ/N) y - e_0 bounds the error of every entry.  Closure makes that
 residual constant on each class of vertex 0, so it is evaluated at one
-row per class.  O((d+1) N + d^3) work and no N x N array.
+row per class.  O((d+1) N + d^3) work and no N x N array; the rows of L
+are the one (d+1) x N array it makes, as they are gathered, and
+connectivity and the quotient counted, a block of rows at a time.
 
 The other three all derive from p: ``spectral`` through the eigenmatrices
 computed in the intersection algebra, ``polynomial`` through one exact solve
 in the power basis of B_1, and ``closed`` through the intersection array.
+``spectral``'s terms that the conductances do not change are computed once
+per ``SpectralData``, so a query on held data costs the d denominators
+D_k and O(d^2) arithmetic.
 Agreement with the oracle is asserted wholesale in the test suite.
 A ``ConductanceVector`` computes its floats once, as it validates its
 values, and the floating engines and ``foster_sum`` read them (``as_floats``).
@@ -48,7 +53,13 @@ from .errors import (
     ZeroDenominator,
 )
 from .exact import rational_solve
-from .scheme import AssociationScheme, IntersectionArray, SpectralData, _reachable_classes
+from .scheme import (
+    _ROW_ZERO_BLOCK,
+    AssociationScheme,
+    IntersectionArray,
+    SpectralData,
+    _reachable_classes,
+)
 
 #: largest error bound the oracle certifies on a resistance
 STRATUM_SPREAD_TOL = 1e-9
@@ -166,10 +177,25 @@ def resistance_oracle(scheme: AssociationScheme, conductances) -> ResistanceTabl
       alone.  So class l is one conducting step (L < 0) from class k exactly
       when it is one from r_k, and the component of vertex 0 is the union
       of the classes reached from class 0 (``_reachable_classes``, in log
-      depth).
+      depth).  For l != k, the sum L_q[k, l] of L[r_k, z] over z in class l
+      decides that step exactly: no such z is r_k, so each term is
+      -c_j < 0 or +0.0 (a class without conductance carries +0.0, never
+      -0.0), and a float sum of nonpositive terms is negative exactly when
+      some term is, since adding a term <= 0 to a negative sum never
+      rounds it up to 0.  The diagonal does not matter, as every class
+      reaches itself.
     * the solve: Q[k, l] = sum of M[r_k, z] over z in class l is M acting on
       class-constant vectors, and Q y_q = e_0 gives y = y_q[classmap[0]],
-      with y_q = alpha in exact arithmetic.
+      with y_q = alpha in exact arithmetic.  Q sums the shifted entries
+      themselves.  L_q[k, l] + s kappa_l / N would spare that count and
+      round closer to the exact Q, but it would move the tables' last bits
+      and the set of scaled conductances that certify (s4 at 1e-7 would),
+      which the benchmark pins (ROADMAP item 6).
+    * the counts: the rows L[r_k, :] are gathered, and L_q and Q counted
+      over them by ``bincount``, a block of rows at a time, of at most
+      ``_ROW_ZERO_BLOCK`` cells or one row.  Each bin sums its own row in
+      vertex order, so the blocks give the bits of one count over every
+      row, and only block-sized temporaries join the rows of L.
     * the certificate: r = M y - e_0, evaluated at the r_k alone.  y is
       constant on each class of vertex 0, and for x in class k closure gives
       (A_j y)_x = sum_l p^k_jl y_q[l], so the exact r is constant on each
@@ -181,8 +207,9 @@ def resistance_oracle(scheme: AssociationScheme, conductances) -> ResistanceTabl
       then within four times that of the exact value, which is the same for
       every pair of class l.
 
-    O((d+1) N + d^3) work and no N x N array.  The intersection numbers p
-    are not read.
+    O((d+1) N + d^3) work and no N x N array: beside the held
+    representative rows, the rows of L (float64) are the one (d+1) x N
+    array made.  The intersection numbers p are not read.
 
     Raises
     ------
@@ -195,22 +222,34 @@ def resistance_oracle(scheme: AssociationScheme, conductances) -> ResistanceTabl
     weights = _laplacian_weights(scheme, conductances)
     classes = scheme.representative_rows  # [k, z], r_k the first of class k in row 0
     row = classes[0]
-    rows = weights[classes]  # [k, z] = L[r_k, z]
-    cells = np.add(row, np.arange(0, (d + 1) ** 2, d + 1)[:, None])  # [k, z] = k (d+1) + l
+    s = weights[0]
 
-    step = np.bincount(cells[rows < 0], minlength=(d + 1) ** 2).reshape(d + 1, d + 1) > 0
-    reached = _reachable_classes(step)
+    # rows[k, z] = L[r_k, z]; laplacian and quotient [k (d+1) + l] = the sum
+    # of L[r_k, z], and of M[r_k, z] = L[r_k, z] + s/N, over z in class l
+    rows = np.empty((d + 1, n))
+    laplacian = np.empty((d + 1) ** 2)
+    quotient = np.empty((d + 1) ** 2)
+    width = max(1, _ROW_ZERO_BLOCK // n)
+    offsets = np.arange(0, min(width, d + 1) * (d + 1), d + 1)[:, None]
+    for k0 in range(0, d + 1, width):
+        # take, faster than indexing, makes a block-sized intp copy of the
+        # labels; "clip" (labels are 0..d, so none is clipped) lets it write
+        # to rows unbuffered
+        block = weights.take(classes[k0:k0 + width], out=rows[k0:k0 + width], mode="clip")
+        size = len(block) * (d + 1)
+        cells = np.add(row, offsets[:len(block)]).ravel()  # (k - k0) (d+1) + l
+        bins = slice(k0 * (d + 1), k0 * (d + 1) + size)
+        laplacian[bins] = np.bincount(cells, weights=block.ravel(), minlength=size)
+        quotient[bins] = np.bincount(cells, weights=(block + s / n).ravel(), minlength=size)
+    reached = _reachable_classes(laplacian.reshape(d + 1, d + 1) < 0)
     if not reached.all():
         count = sum(kappa for kappa, hit in zip(scheme.valencies, reached) if hit)
         raise Disconnected(f"conductance support reaches {count} of {n} "
                            "vertices, so L has repeated zero eigenvalues")
 
-    s = weights[0]
-    quotient = np.bincount(cells.ravel(), weights=(rows + s / n).ravel(),
-                           minlength=(d + 1) ** 2).reshape(d + 1, d + 1)
     e0 = np.zeros(d + 1)
     e0[0] = 1.0
-    yq = np.linalg.solve(quotient, e0)
+    yq = np.linalg.solve(quotient.reshape(d + 1, d + 1), e0)
     y = yq[row]
 
     residual = rows @ y + s / n * y.sum()  # r at r_0..r_d
@@ -234,6 +273,11 @@ def resistance_spectral(scheme: AssociationScheme, spectral: SpectralData,
     """R^(l) = (2/(N kappa_l)) sum_k m_k (kappa_l - P[k,l]) / D_k
     with D_k = sum_i c_i (kappa_i - P[k,i]) over the nontrivial eigenspaces.
 
+    Everything but the D_k depends on P and the multiplicities alone, and
+    ``spectral`` computes it once, on its first query
+    (``SpectralData._eigenmatrix_terms``); a call checks that the data fit
+    the scheme, then computes the D_k, one division and one row sum.
+
     Raises
     ------
     BadParameter
@@ -248,28 +292,21 @@ def resistance_spectral(scheme: AssociationScheme, spectral: SpectralData,
     c = cond.as_floats()
     n, d = scheme.n, scheme.d
     mults = spectral.multiplicities
-    if len(mults) != d + 1 or sum(mults) != n:
-        raise BadParameter(f"spectral data of {len(mults)} eigenspaces on {sum(mults)} "
-                           f"vertices do not fit a scheme with d = {d} on {n} vertices")
-    kappa = np.array(scheme.valencies, dtype=float)
-    p = spectral.p_matrix
-    gap = kappa - p  # [k, l] = kappa_l - P[k, l]; row 0 is 0 for this scheme's data
-    if gap[0].any():
-        row = ", ".join(f"{x:g}" for x in p[0])
+    terms = spectral._eigenmatrix_terms
+    if len(mults) != d + 1 or terms.n != n:
+        raise BadParameter(f"spectral data of {len(mults)} eigenspaces on {terms.n} vertices "
+                           f"do not fit a scheme with d = {d} on {n} vertices")
+    if terms.row0 != scheme.valencies:  # the floats of row 0 equal the integers exactly
+        row = ", ".join(f"{x:g}" for x in spectral.p_matrix[0])
         raise BadParameter(f"spectral data with row 0 of P ({row}) do not fit a scheme "
                            f"with valencies {scheme.valencies}")
-    mults = np.array(mults, dtype=float)
 
-    denoms = (gap[1:, 1:] * c).sum(axis=1)  # index k-1
-    small = np.abs(denoms) <= 1e-12 * float(c @ kappa[1:])
+    denoms = (terms.gap * c).sum(axis=1)  # index k-1
+    small = np.abs(denoms) <= 1e-12 * float(c @ terms.kappa)
     if small.any():
         raise ZeroDenominator(
             f"eigenspace {1 + int(np.argmax(small))} has vanishing denominator")
-
-    # terms[l-1, k-1] = m_k (kappa_l - P[k,l]) / D_k, in C order so that
-    # each row is summed pairwise, exactly as a 1-D sum over k
-    terms = mults[1:] * np.ascontiguousarray(gap[1:, 1:].T) / denoms
-    values = 2.0 / (n * kappa[1:]) * terms.sum(axis=1)
+    values = terms.factors * (terms.weighted / denoms).sum(axis=1)
     return ResistanceTable(tuple(values.tolist()), method="spectral", exact=False)
 
 

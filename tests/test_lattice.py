@@ -29,6 +29,11 @@ class TestInfiniteLine:
         with pytest.raises(QuadratureNotConverged, match="^line quadrature stalled at 16 panels$"):
             sr.infinite_line_resistance(3, max_panels=16)
 
+    def test_rejects_panel_limit_below_first_count(self):
+        # 8 panels once raised "stalled at 8 panels", a count never evaluated
+        with pytest.raises(ValueError, match="^max_panels must be at least 16, not 8$"):
+            sr.infinite_line_resistance(3, max_panels=8)
+
     @pytest.mark.parametrize("l", [True, 1.5, 2.0, "2"])
     def test_rejects_non_integer(self, l):
         # True once read as separation 1
@@ -112,6 +117,12 @@ class TestInfiniteLattice:
         with pytest.raises(QuadratureNotConverged,
                            match=r"^square quadrature stalled at grid 128 \(last 0\.\d+\)$"):
             sr.infinite_lattice_resistance("square", 3, 2, max_grid=200)
+
+    def test_rejects_grid_limit_below_first_grid(self):
+        # grid 100 once raised "stalled at grid 64 (last None)", a grid never
+        # evaluated
+        with pytest.raises(ValueError, match="^max_grid must be at least 128, not 100$"):
+            sr.infinite_lattice_resistance("square", 1, 0, max_grid=100)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="^unknown lattice kind 'triangle'$"):

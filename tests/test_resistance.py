@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -442,6 +443,44 @@ class TestRowZeroOracle:
             held, again = sr.resistance_oracle(scheme, c), sr.resistance_oracle(derived, c)
             assert [v.hex() for v in held.values] == [v.hex() for v in again.values]
 
+    @pytest.mark.parametrize("name", ["s4", "z5z5", "cycle64", "hexagonal9", "square12"])
+    def test_block_counts_match_one_count(self, name, monkeypatch):
+        # each bin sums its own row in vertex order, so counting one row at a
+        # time gives the bits of one count over every row
+        scheme = row_zero_scheme(name)
+        rng = np.random.default_rng(44)
+        cases = [random_rational_conductances(scheme, rng) for _ in range(3)]
+
+        def tables(block):
+            monkeypatch.setattr(sr.resistance, "_ROW_ZERO_BLOCK", block)
+            return [[v.hex() for v in sr.resistance_oracle(scheme, c).values] for c in cases]
+
+        assert tables(1) == tables(2 ** 62)
+
+    def test_block_counts_find_a_split(self, square4, monkeypatch):
+        # the (2,2) class of the m = 4 square lattice, a perfect matching,
+        # counted one row at a time
+        monkeypatch.setattr(sr.resistance, "_ROW_ZERO_BLOCK", 1)
+        c = [0] * square4.d
+        c[square4.class_names.index("(2,2)") - 1] = 1
+        with pytest.raises(Disconnected, match="^conductance support reaches 2 of 16 vertices"):
+            sr.resistance_oracle(square4, c)
+
+    def test_peak_memory_of_block_counts(self):
+        # the rows of L are the one (d+1) x N array the oracle makes (1.18
+        # times their size here); their cells, a boolean mask and a shifted
+        # copy, each made for all rows at once, took the peak to 3.00 times
+        scheme = sr.build_hypercube(16)
+        scheme.representative_rows  # held by the scheme, not the oracle's
+        c = [1] + [0] * (scheme.d - 1)
+        tracemalloc.start()
+        try:
+            sr.resistance_oracle(scheme, c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * (scheme.d + 1) * scheme.n * 8
+
     def test_scaled_hypercube6_still_fails(self):
         scheme = row_zero_scheme("hypercube6")
         with pytest.raises(CertificationFailed, match="row-0 resistance error bound"):
@@ -487,6 +526,18 @@ class TestChangGraph:
         assert relative_error(np.array(got), np.array(exact.as_floats())) <= 1e-12
 
 
+def inline_spectral_table(scheme, data, conductances):
+    """R^(l) = (2/(N kappa_l)) sum_k m_k (kappa_l - P[k,l]) / D_k, every
+    term computed from P, the multiplicities and the valencies in the call."""
+    c = sr.ConductanceVector.coerce(conductances, scheme.d).as_floats()
+    kappa = np.array(scheme.valencies, dtype=float)
+    gap = kappa - data.p_matrix  # [k, l] = kappa_l - P[k, l]
+    mults = np.array(data.multiplicities, dtype=float)
+    denoms = (gap[1:, 1:] * c).sum(axis=1)
+    terms = mults[1:] * np.ascontiguousarray(gap[1:, 1:].T) / denoms
+    return tuple((2.0 / (scheme.n * kappa[1:]) * terms.sum(axis=1)).tolist())
+
+
 class TestSpectral:
     def test_s4_unit_conductance(self, s4):
         table = sr.resistance_spectral(s4, spectral_of(s4), [1, 0, 0, 0])
@@ -521,9 +572,27 @@ class TestSpectral:
     def test_data_of_another_scheme(self, build, other, message):
         # another scheme's data once ended in numpy's broadcast ValueError, or
         # in a table at the wrong N or with the wrong valencies
-        scheme = build()
-        with pytest.raises(BadParameter, match=f"^{re.escape(f'spectral data {message}')}$"):
-            sr.resistance_spectral(scheme, spectral_of(other()), [1] * scheme.d)
+        scheme, owner = build(), other()
+        data = spectral_of(owner)
+        for _ in range(2):  # then again once its own query has filled its cache
+            with pytest.raises(BadParameter, match=f"^{re.escape(f'spectral data {message}')}$"):
+                sr.resistance_spectral(scheme, data, [1] * scheme.d)
+            sr.resistance_spectral(owner, data, [1] * owner.d)
+
+    @pytest.mark.parametrize("name", GROUPED_SCHEMES)
+    def test_held_data_match_the_formula(self, name):
+        # one SpectralData answers every query from its cached terms; each
+        # table equals the formula computed afresh, float for float, as does
+        # a fresh SpectralData's
+        scheme = row_zero_scheme(name)
+        held = sr.spectral_data(scheme)
+        rng = np.random.default_rng(3333)
+        for _ in range(20):
+            c = random_rational_conductances(scheme, rng)
+            want = [v.hex() for v in inline_spectral_table(scheme, held, c)]
+            assert [v.hex() for v in sr.resistance_spectral(scheme, held, c).values] == want
+            fresh = sr.resistance_spectral(scheme, sr.spectral_data(scheme), c)
+            assert [v.hex() for v in fresh.values] == want
 
 
 class TestPolynomialCoefficients:
