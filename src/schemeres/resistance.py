@@ -292,21 +292,22 @@ def resistance_spectral(scheme: AssociationScheme, spectral: SpectralData,
     c = cond.as_floats()
     n, d = scheme.n, scheme.d
     mults = spectral.multiplicities
-    terms = spectral._eigenmatrix_terms
-    if len(mults) != d + 1 or terms.n != n:
-        raise BadParameter(f"spectral data of {len(mults)} eigenspaces on {terms.n} vertices "
-                           f"do not fit a scheme with d = {d} on {n} vertices")
-    if terms.row0 != scheme.valencies:  # the floats of row 0 equal the integers exactly
-        row = ", ".join(f"{x:g}" for x in spectral.p_matrix[0])
+    if len(mults) != d + 1 or sum(mults) != n:
+        raise BadParameter(f"spectral data of {len(mults)} eigenspaces on {sum(mults)} "
+                           f"vertices do not fit a scheme with d = {d} on {n} vertices")
+    p = spectral.p_matrix
+    if tuple(p[0].tolist()) != scheme.valencies:  # floats equal to integers exactly
+        row = ", ".join(f"{x:g}" for x in p[0])
         raise BadParameter(f"spectral data with row 0 of P ({row}) do not fit a scheme "
                            f"with valencies {scheme.valencies}")
 
-    denoms = (terms.gap * c).sum(axis=1)  # index k-1
-    small = np.abs(denoms) <= 1e-12 * float(c @ terms.kappa)
+    gap, weighted, factors = spectral._eigenmatrix_terms
+    denoms = (gap * c).sum(axis=1)  # index k-1
+    small = np.abs(denoms) <= 1e-12 * float(c @ p[0, 1:])
     if small.any():
         raise ZeroDenominator(
             f"eigenspace {1 + int(np.argmax(small))} has vanishing denominator")
-    values = terms.factors * (terms.weighted / denoms).sum(axis=1)
+    values = factors * (weighted / denoms).sum(axis=1)
     return ResistanceTable(tuple(values.tolist()), method="spectral", exact=False)
 
 

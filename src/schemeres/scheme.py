@@ -52,7 +52,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -215,18 +215,14 @@ def _reachable_classes(step: np.ndarray) -> np.ndarray:
 
     Squaring R = step | I r times covers every walk of up to 2^r steps, and
     a reachable class is at most d steps away, so ceil(log2(d+1)) squarings
-    suffice; row 0 of the result is the answer.  Squaring stops as soon as
-    row 0 is all true, since every class is then reached: a step matrix
-    whose row 0 is all true, as that of conductances on every class is,
-    takes no square.  Up to ``_BOOLEAN_SQUARE_MAX`` classes a square is
-    numpy's boolean product (an or of ands); above it, a float32 product
-    thresholded at > 0, whose entries are sums of d + 1 products of zeros
-    and ones, integers that float32 holds exactly up to 2**24.
+    suffice; row 0 of the result is the answer.  Up to
+    ``_BOOLEAN_SQUARE_MAX`` classes a square is numpy's boolean product (an
+    or of ands); above it, a float32 product thresholded at > 0, whose
+    entries are sums of d + 1 products of zeros and ones, integers that
+    float32 holds exactly up to 2**24.
     """
     reach = step | np.eye(len(step), dtype=bool)
     for _ in range((len(step) - 1).bit_length()):  # ceil(log2(d+1)) squarings
-        if np.count_nonzero(reach[0]) == len(step):  # row 0 all true; cheaper than .all()
-            break
         if len(step) > _BOOLEAN_SQUARE_MAX:
             square = reach.astype(np.float32)
             reach = square @ square > 0
@@ -638,33 +634,19 @@ class SpectralData:
         return tuple(_read_only(self.q_matrix[classmap, k] / n) for k in range(self.d + 1))
 
     @cached_property
-    def _eigenmatrix_terms(self) -> "_EigenmatrixTerms":
-        """The conductance-independent terms of ``resistance_spectral``,
-        computed on first access from P and the multiplicities alone, with
-        kappa = P[0]; the arrays are read-only."""
+    def _eigenmatrix_terms(self) -> tuple:
+        """The terms of R(l) = (2/(N kappa_l)) sum_k m_k (kappa_l - P[k, l]) / D_k
+        that the conductances do not change, computed on first access from P
+        and the multiplicities alone, with kappa = P[0]: read-only arrays
+        gap[k-1, l-1] = kappa_l - P[k, l], weighted[l-1, k-1] = m_k gap[k-1, l-1]
+        and factors[l-1] = 2 / (N kappa_l)."""
         p = self.p_matrix
-        gap = p[0, 1:] - p[1:, 1:]  # [k-1, l-1] = kappa_l - P[k, l]
-        mults = np.array(self.multiplicities[1:], dtype=float)
-        n = sum(self.multiplicities)
-        return _EigenmatrixTerms(
-            n=n, row0=tuple(p[0].tolist()), kappa=p[0, 1:],  # a view of read-only P
-            gap=_read_only(gap),
-            # in C order, so that each row is summed pairwise, exactly as a
-            # 1-D sum over k
-            weighted=_read_only(mults * np.ascontiguousarray(gap.T)),
-            factors=_read_only(2.0 / (n * p[0, 1:])))
-
-
-class _EigenmatrixTerms(NamedTuple):
-    """The parts of R(l) = (2/(N kappa_l)) sum_k m_k (kappa_l - P[k, l]) / D_k
-    that the conductances do not change."""
-
-    n: int                  # N = sum_k m_k
-    row0: tuple             # row 0 of P, as floats
-    kappa: np.ndarray       # [l-1] = kappa_l
-    gap: np.ndarray         # [k-1, l-1] = kappa_l - P[k, l]
-    weighted: np.ndarray    # [l-1, k-1] = m_k (kappa_l - P[k, l])
-    factors: np.ndarray     # [l-1] = 2 / (N kappa_l)
+        gap = p[0, 1:] - p[1:, 1:]
+        # in C order, so that each row is summed pairwise, exactly as a 1-D
+        # sum over k
+        weighted = np.array(self.multiplicities[1:], dtype=float) * np.ascontiguousarray(gap.T)
+        factors = 2.0 / (sum(self.multiplicities) * p[0, 1:])
+        return _read_only(gap), _read_only(weighted), _read_only(factors)
 
 
 #: seed of the generic weights, so that every call draws the same sequence
